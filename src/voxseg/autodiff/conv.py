@@ -4,6 +4,19 @@ Layout is channels-last throughout: activations (H, W, D, C), kernels
 (kh, kw, kd, Cin, Cout). The shipped conv3d lowers patch extraction to a
 single GEMM (im2col); ``conv3d_reference`` is the direct-loop oracle the
 fast path is validated against (agreement within 1e-5 relative).
+
+Backward of conv3d:
+  * kernel gradient: one GEMM, the transposed im2col patch matrix of the
+    padded input (rebuilt, not kept from forward) times the output
+    gradient;
+  * input gradient, stride 1 on every axis: a convolution's input gradient
+    is the transposed convolution, i.e. the output gradient correlated
+    with the spatially flipped kernel with Cin and Cout swapped. That is
+    one more im2col GEMM, over the output gradient padded by k-1-p per
+    side (cropped where p > k-1), so it yields only the unpadded input;
+  * input gradient, any stride > 1: a loop over the kernel taps, each a
+    strided scatter-add of (output gradient @ tap^T). The GEMM form would
+    need zero insertion, multiplying its work by the product of strides.
 """
 
 from __future__ import annotations
@@ -59,6 +72,22 @@ def _im2col(xp, kdims, stride, out_dims):
     return np.ascontiguousarray(cols).reshape(n, -1)
 
 
+def _input_grad_stride1(g, w, padding, x_shape):
+    """dL/dx of a stride-1 conv3d as one correlation (transposed convolution).
+
+    g: (Ho, Wo, Do, Cout) output gradient; w: (kh, kw, kd, Cin, Cout).
+    Padding g by k-1-p per side (cropping by p-(k-1) where that is
+    negative) leaves exactly the unpadded-input entries of the full
+    correlation, so no padded buffer is built and sliced afterwards.
+    """
+    kdims = w.shape[:3]
+    edge = [k - 1 - p for k, p in zip(kdims, padding)]
+    g = g[tuple(slice(max(-e, 0), n - max(-e, 0)) for e, n in zip(edge, g.shape[:3]))]
+    gp = _pad_spatial(g, tuple(max(e, 0) for e in edge))
+    wt = w[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3).reshape(-1, w.shape[3])
+    return (_im2col(gp, kdims, (1, 1, 1), x_shape[:3]) @ wt).reshape(x_shape)
+
+
 def conv3d(x, w, stride=1, padding=0):
     """Strided 3D convolution (cross-correlation), channels-last.
 
@@ -88,13 +117,16 @@ def conv3d(x, w, stride=1, padding=0):
     data = (cols @ wmat).reshape(out_dims + (cout,))
 
     def bw(g):
-        gmat = g.reshape(-1, cout)
         if w.requires_grad:
             # im2col is recomputed from the cached padded input: trades one
             # patch-copy for not holding the (N, K) matrix across the step.
             cols_b = _im2col(xp, kdims, stride, out_dims)
-            w._accum((cols_b.T @ gmat).reshape(w.data.shape))
-        if x.requires_grad:
+            gw = cols_b.T @ g.reshape(-1, cout)
+            del cols_b  # never hold both patch matrices at once
+            w._accum(gw.reshape(w.data.shape))
+        if x.requires_grad and stride == (1, 1, 1):
+            x._accum(_input_grad_stride1(g, w.data, padding, x.data.shape))
+        elif x.requires_grad:
             gx = np.zeros_like(xp)
             gout = g  # (Ho, Wo, Do, Cout)
             sh, sw, sd = stride

@@ -39,15 +39,6 @@ def tiny_dataset(tmp_path_factory):
     return str(root), ids
 
 
-@pytest.fixture(scope="session")
-def desk_dataset(tmp_path_factory):
-    """Four 32^3 phantoms: the desk-scale learnability workload."""
-    root = tmp_path_factory.mktemp("desk_data")
-    ids = synthesize_dataset(str(root), cases=4, seed=7, dims=(32, 32, 32),
-                             lesions=1, noise_sd=0.02)
-    return str(root), ids
-
-
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

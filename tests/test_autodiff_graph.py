@@ -1,8 +1,13 @@
 """Backward mechanics: seeding, accumulation, pruning, gradient_check."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import voxseg
 from voxseg import autodiff as ad
 from voxseg.autodiff import ParameterStore
 
@@ -38,6 +43,24 @@ def test_backward_accumulates_on_leaves():
     np.testing.assert_allclose(x.grad, [6.0])
     ad.backward(loss)
     np.testing.assert_allclose(x.grad, [12.0])
+
+
+def test_backward_frees_interior_gradients():
+    x = ad.tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+    w = ad.tensor([[0.3, -1.0], [2.0, 0.7]], requires_grad=True)
+    b = ad.tensor([0.1, -0.4])
+    mm = ad.matmul(x, w)
+    y = ad.add(mm, b)
+    r = ad.relu(y)
+    sq = ad.mul(r, r)
+    loss = ad.reduce_sum(sq)
+    ad.backward(loss)
+    for node in (mm, y, r, sq, loss):
+        assert node.grad is None
+    dy = 2 * r.numpy() * (y.numpy() > 0)
+    np.testing.assert_allclose(x.grad, dy @ w.numpy().T)
+    np.testing.assert_allclose(w.grad, x.numpy().T @ dy)
+    assert b.grad is None
 
 
 def test_shared_subgraph_visited_once():
@@ -84,6 +107,24 @@ def test_gradient_check_rejects_nondeterministic():
 
     with pytest.raises(ad.GraphError):
         ad.gradient_check(f, np.ones(3))
+
+
+def test_gradcheck_suite_repeats_across_processes():
+    """Case seeds must not depend on the per-process str hash seed."""
+    code = (
+        "from voxseg.verify import OP_CASES, run_gradcheck_suite\n"
+        "cases = [c for c in OP_CASES if c[0] == 'conv3d']\n"
+        "print(repr(run_gradcheck_suite(instances=4, cases=cases)[0].max_err))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(voxseg.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    errs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        errs.append(out.stdout.strip())
+    assert errs[0] == errs[1]
 
 
 def test_no_grad_builds_no_graph():

@@ -63,6 +63,35 @@ def test_conv3d_matches_direct_reference(rng, stride, padding):
     assert np.abs(fast - ref).max() / scale < 1e-5
 
 
+def _conv3d_input_grad_taps(g, w, stride, padding, x_shape):
+    """Oracle for conv3d's input gradient: one strided scatter-add per tap."""
+    kdims = w.shape[:3]
+    (sh, sw, sd), (ph, pw, pd) = stride, padding
+    ho, wo, do = g.shape[:3]
+    h, wdt, d, cin = x_shape
+    gx = np.zeros((h + 2 * ph, wdt + 2 * pw, d + 2 * pd, cin), dtype=g.dtype)
+    for i in range(kdims[0]):
+        for j in range(kdims[1]):
+            for k in range(kdims[2]):
+                gx[i : i + sh * ho : sh, j : j + sw * wo : sw, k : k + sd * do : sd] += (
+                    g @ w[i, j, k].T
+                )
+    return gx[ph : ph + h, pw : pw + wdt, pd : pd + d]
+
+
+def test_conv3d_input_grad_matches_tap_loop_f32(rng):
+    """Stride-1 input gradient (one GEMM) at the desk fuse shape, 16^3, 80->16."""
+    x = rng.standard_normal((16, 16, 16, 80)).astype(np.float32)
+    w = (rng.standard_normal((3, 3, 3, 80, 16)) * 0.05).astype(np.float32)
+    g = rng.standard_normal((16, 16, 16, 16)).astype(np.float32)
+    xt = ad.tensor(x, requires_grad=True, dtype=np.float32)
+    out = ad.conv3d(xt, ad.tensor(w, dtype=np.float32), stride=1, padding=1)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=np.float32))))
+    ref = _conv3d_input_grad_taps(g, w, (1, 1, 1), (1, 1, 1), x.shape)
+    assert xt.grad.dtype == np.float32
+    np.testing.assert_allclose(xt.grad, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
+
+
 def test_conv3d_channel_mismatch(rng):
     with pytest.raises(ad.ShapeMismatchError):
         ad.conv3d(ad.tensor(np.zeros((4, 4, 4, 2))), ad.tensor(np.zeros((3, 3, 3, 3, 1))))
@@ -153,6 +182,20 @@ def test_relu_gelu_sigmoid_values(rng):
     g = ad.gelu(ad.tensor(x)).numpy()
     ref = 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x**3)))
     np.testing.assert_allclose(g, ref, rtol=1e-12)
+
+
+def test_gelu_f32_matches_f64_reference():
+    """f32 gelu on a 512x256 tile against the f64 tanh approximation.
+
+    The atol covers x << 0, where 1 + tanh cancels: there f32 keeps a few
+    ulp of 1, scaled by 0.5 * |x| (< 3 on this tile), absolute accuracy only.
+    """
+    x = np.random.default_rng(7).standard_normal((512, 256)).astype(np.float32)
+    got = ad.gelu(ad.tensor(x, dtype=np.float32)).numpy()
+    xd = x.astype(np.float64)
+    ref = 0.5 * xd * (1 + np.tanh(np.sqrt(2 / np.pi) * (xd + 0.044715 * xd**3)))
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, ref, rtol=1e-6, atol=4 * np.finfo(np.float32).eps)
 
 
 def test_reduce_and_shape_ops(rng):
