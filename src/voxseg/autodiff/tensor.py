@@ -16,6 +16,12 @@ Conventions baked into the derivatives:
   * relu'(0) = 0
   * clamp passes gradient only strictly inside [lo, hi]
   * gelu is the tanh approximation
+
+Fused op: ``attention(q, k, v, scale)`` computes
+P = softmax(scale * q k^T over keys) and returns P v as a single node whose
+closure keeps only P, not the scores. Its derivative, with g the output
+gradient: dV = P^T g, dS = P * (g V^T - rowsum(g V^T * P)) * scale,
+dQ = dS K, dK = dS^T Q.
 """
 
 from __future__ import annotations
@@ -456,6 +462,53 @@ def softmax(x, axis):
         x._accum(data * (g - dot))
 
     return _make(data, (x,), bw)
+
+
+def attention(q, k, v, scale):
+    """softmax(scale * q k^T, over keys) v as one graph node.
+
+    q: (heads, M, d); k: (heads, N, d); v: (heads, N, dv). The scores are
+    built in one (heads, M, N) buffer that is turned into the probabilities
+    P in place, in the order scale, subtract row max, exp, divide by row
+    sum; P is the only array the backward closure keeps. With g the output
+    gradient, the backward reuses one dP buffer:
+        dV = P^T g,  dP = g V^T,  dS = P * (dP - rowsum(dP * P)) * scale,
+        dQ = dS K,  dK = (Q^T dS)^T.
+    dK is formed as (Q^T dS)^T, the product a matmul(q, permute(k)) graph
+    computes, so f32 gradients round exactly as they do through those ops.
+    """
+    _check_inputs("attention", q, k, v)
+    if not q.data.ndim == k.data.ndim == v.data.ndim == 3:
+        raise ShapeMismatchError("attention: q, k and v must be (heads, tokens, dim)")
+    if not q.data.shape[0] == k.data.shape[0] == v.data.shape[0]:
+        raise ShapeMismatchError("attention: head counts differ")
+    if q.data.shape[2] != k.data.shape[2] or k.data.shape[1] != v.data.shape[1]:
+        raise ShapeMismatchError(
+            f"attention: q {q.data.shape}, k {k.data.shape}, v {v.data.shape} do not fit"
+        )
+    s = np.asarray(float(scale), dtype=q.data.dtype)
+    probs = q.data @ k.data.swapaxes(-1, -2)
+    probs *= s
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    data = probs @ v.data
+
+    def bw(g):
+        if v.requires_grad:
+            v._accum(probs.swapaxes(-1, -2) @ g)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        dp = g @ v.data.swapaxes(-1, -2)
+        dp -= (dp * probs).sum(axis=-1, keepdims=True)
+        dp *= probs
+        dp *= s
+        if q.requires_grad:
+            q._accum(dp @ k.data)
+        if k.requires_grad:
+            k._accum((q.data.swapaxes(-1, -2) @ dp).swapaxes(-1, -2))
+
+    return _make(data, (q, k, v), bw)
 
 
 def _valid_axis(x, axis, op):

@@ -114,7 +114,7 @@ def _cmd_train(args):
     _echo(cfg)
     result = train(cfg, args.data, args.out, resume=args.resume, quiet=False)
     if result.aborted:
-        print("training aborted on non-finite loss; last good checkpoint kept")
+        print("training aborted on a non-finite value; last good checkpoint kept")
         return 1
     final = result.history[-1] if result.history else {}
     print(f"done: {len(result.loss_trace)} steps, "

@@ -11,7 +11,10 @@ Layer recurrence, in exactly this order:
 The adapter branch relu(X @ down) @ up is the only trainable piece of a
 layer; ``s`` is a fixed scale coefficient. Attention is full (global)
 multi-head self-attention over all H*W*D tokens: at desk-scale token
-counts windowing buys nothing and global attention is exact.
+counts windowing buys nothing and global attention is exact. Each layer's
+softmax(q k^T / sqrt(d)) v is one fused autodiff op (``ad.attention``)
+that keeps only its (heads, M, M) probabilities for the backward pass,
+not the scores or any intermediate of the softmax.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ def adapter_forward(x, p: LayerParams):
     return fm.with_tokens(out) if fm is not None else out
 
 
-def attention_forward(z: Tensor, p: LayerParams, heads, return_probs=False):
+def attention_forward(z: Tensor, p: LayerParams, heads):
     """Multi-head self-attention over tokens z (M, C), 1/sqrt(C/h) scaling."""
     m, c = z.shape
     if c % heads != 0:
@@ -162,11 +165,9 @@ def attention_forward(z: Tensor, p: LayerParams, heads, return_probs=False):
     qh = ad.permute(ad.reshape(q, (m, heads, d)), (1, 0, 2))
     kh = ad.permute(ad.reshape(k, (m, heads, d)), (1, 0, 2))
     vh = ad.permute(ad.reshape(v, (m, heads, d)), (1, 0, 2))
-    logits = ad.scale(ad.matmul(qh, ad.permute(kh, (0, 2, 1))), 1.0 / math.sqrt(d))
-    probs = ad.softmax(logits, axis=2)  # rows over keys sum to 1
-    ctx = ad.reshape(ad.permute(ad.matmul(probs, vh), (1, 0, 2)), (m, c))
-    out = ad.add(ad.matmul(ctx, p.wo), p.bo)
-    return (out, probs) if return_probs else out
+    ctx = ad.attention(qh, kh, vh, 1.0 / math.sqrt(d))  # (heads, M, d)
+    ctx = ad.reshape(ad.permute(ctx, (1, 0, 2)), (m, c))
+    return ad.add(ad.matmul(ctx, p.wo), p.bo)
 
 
 def mlp_forward(z: Tensor, p: LayerParams, activation):

@@ -219,30 +219,32 @@ def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResul
         for bi in range(start_batch, steps_per_epoch):
             ids = order[bi * batch : (bi + 1) * batch]
             store.zero_grad()
-            case_losses = []
-            for slot, cid in enumerate(ids):
-                vol, mask = cache[cid]
-                axes = _flip_axes(seed, global_step, slot, flip_probs)
-                vdata, mdata = _apply_flips(vol.data, mask.data, axes)
-                prob = mdl.forward(spec, store, vdata)
-                case_losses.append(combined_loss(prob, mdata, loss_cfg))
-                epoch_dices.append(
-                    mx.dice_score(mx.threshold_probabilities(prob.numpy()), mdata)
-                )
-            total = case_losses[0]
-            for cl in case_losses[1:]:
-                total = ad.add(total, cl)
-            loss = ad.scale(total, 1.0 / len(case_losses))
-            loss_value = loss.item()
-            if not math.isfinite(loss_value):
-                log.error("non-finite loss at step %d; aborting with last good checkpoint",
-                          global_step)
-                save(last_path)
-                result.aborted = True
-                result.last_checkpoint = last_path
-                return result
-            ad.backward(loss)
-            if not optimizer.step():
+            # Every way a step can diverge ends here, before the optimizer has
+            # touched the parameters, so last.ckpt keeps the last good state.
+            try:
+                case_losses = []
+                for slot, cid in enumerate(ids):
+                    vol, mask = cache[cid]
+                    axes = _flip_axes(seed, global_step, slot, flip_probs)
+                    vdata, mdata = _apply_flips(vol.data, mask.data, axes)
+                    prob = mdl.forward(spec, store, vdata)
+                    case_losses.append(combined_loss(prob, mdata, loss_cfg))
+                    epoch_dices.append(
+                        mx.dice_score(mx.threshold_probabilities(prob.numpy()), mdata)
+                    )
+                total = case_losses[0]
+                for cl in case_losses[1:]:
+                    total = ad.add(total, cl)
+                loss = ad.scale(total, 1.0 / len(case_losses))
+                loss_value = loss.item()
+                if not math.isfinite(loss_value):
+                    raise ad.NonFiniteError(f"loss is {loss_value}")
+                ad.backward(loss)
+                if not optimizer.step():
+                    raise ad.NonFiniteError("non-finite gradient")
+            except ad.NonFiniteError as exc:
+                log.error("step %d diverged (%s); aborting with the last good checkpoint",
+                          global_step, exc)
                 save(last_path)
                 result.aborted = True
                 result.last_checkpoint = last_path

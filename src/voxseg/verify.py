@@ -16,10 +16,10 @@ import numpy as np
 from . import autodiff as ad
 from . import decoder as dec
 from . import encoder as enc
+from . import patch_embed as pe
 from . import prompter as pr
 from .gradcheck_tol import DEFAULT_TOL
 from .objectives import combined_loss
-from .patch_embed import FeatureMap
 
 
 @dataclass
@@ -111,6 +111,19 @@ def _case_softmax(rng):
     shape = tuple(rng.integers(2, 5, nd))
     axis = int(rng.integers(0, nd))
     return (lambda x: ad.softmax(x, axis=axis)), rng.standard_normal(shape)
+
+
+def _case_attention(rng):
+    """x feeds q, k and v through three fixed maps: one check covers all three."""
+    h, l, d = int(rng.integers(1, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 5))
+    m = int(rng.integers(2, 5))
+    n = m + int(rng.integers(1, 3))  # query count != key count
+    aq, ak, av = _t(rng, h, m, l), _t(rng, h, n, l), _t(rng, h, n, l)
+    s = float(rng.uniform(0.3, 1.5))
+    return (
+        lambda x: ad.attention(ad.matmul(aq, x), ad.matmul(ak, x), ad.matmul(av, x), s),
+        rng.standard_normal((h, l, d)),
+    )
 
 
 def _case_layer_norm(rng):
@@ -208,7 +221,66 @@ def _mini_layer_params(rng, c=8, l=2, ratio=2):
 
 
 def _fm(x):
-    return FeatureMap.wrap(x)
+    return pe.FeatureMap.wrap(x)
+
+
+_PATCH = (2, 2, 2)
+
+
+def _case_pseudo3d_patch_embed(rng):
+    w2d, b2d, wdepth = _t(rng, 2, 2, 1, 2, 3), _t(rng, 3), _t(rng, 2, 3)
+    return (
+        lambda x: pe.pseudo3d_patch_embed(x, w2d, b2d, wdepth, _PATCH).data,
+        rng.standard_normal((4, 4, 2, 2)),
+    )
+
+
+def _case_pseudo3d_patch_embed_wrt_kernel(rng):
+    x, b2d, wdepth = _t(rng, 4, 4, 2, 2), _t(rng, 3), _t(rng, 2, 3)
+    return (
+        lambda w: pe.pseudo3d_patch_embed(x, w, b2d, wdepth, _PATCH).data,
+        rng.standard_normal((2, 2, 1, 2, 3)),
+    )
+
+
+def _case_pseudo3d_patch_embed_wrt_depth(rng):
+    x, w2d, b2d = _t(rng, 4, 4, 2, 2), _t(rng, 2, 2, 1, 2, 3), _t(rng, 3)
+    return (
+        lambda w: pe.pseudo3d_patch_embed(x, w2d, b2d, w, _PATCH).data,
+        rng.standard_normal((2, 3)),
+    )
+
+
+def _case_true3d_patch_embed(rng):
+    w3d, b3d = _t(rng, 2, 2, 2, 2, 3), _t(rng, 3)
+    return (
+        lambda x: pe.true3d_patch_embed(x, w3d, b3d, _PATCH).data,
+        rng.standard_normal((4, 4, 2, 2)),
+    )
+
+
+def _case_true3d_patch_embed_wrt_kernel(rng):
+    x, b3d = _t(rng, 4, 4, 2, 2), _t(rng, 3)
+    return (
+        lambda w: pe.true3d_patch_embed(x, w, b3d, _PATCH).data,
+        rng.standard_normal((2, 2, 2, 2, 3)),
+    )
+
+
+def _case_add_positional(rng):
+    pos = _t(rng, 2, 2, 1, 3)
+    return (
+        lambda x: pe.add_positional(_fm(x), pos).data,
+        rng.standard_normal((2, 2, 1, 3)),
+    )
+
+
+def _case_add_positional_wrt_table(rng):
+    fm = _fm(_t(rng, 2, 2, 1, 3))
+    return (
+        lambda pos: pe.add_positional(fm, pos).data,
+        rng.standard_normal((2, 2, 1, 3)),
+    )
 
 
 def _case_adapter(rng):
@@ -388,6 +460,7 @@ OP_CASES = [
     ("gelu", _case_gelu),
     ("sigmoid", _case_sigmoid),
     ("softmax", _case_softmax),
+    ("attention", _case_attention),
     ("layer_norm", _case_layer_norm),
     ("instance_norm", _case_instance_norm),
     ("concat", _case_concat),
@@ -405,6 +478,13 @@ OP_CASES = [
 ]
 
 BLOCK_CASES = [
+    ("pseudo3d_patch_embed", _case_pseudo3d_patch_embed),
+    ("pseudo3d_patch_embed_wrt_kernel", _case_pseudo3d_patch_embed_wrt_kernel),
+    ("pseudo3d_patch_embed_wrt_depth", _case_pseudo3d_patch_embed_wrt_depth),
+    ("true3d_patch_embed", _case_true3d_patch_embed),
+    ("true3d_patch_embed_wrt_kernel", _case_true3d_patch_embed_wrt_kernel),
+    ("add_positional", _case_add_positional),
+    ("add_positional_wrt_table", _case_add_positional_wrt_table),
     ("adapter", _case_adapter),
     ("adapter_wrt_down", _case_adapter_wrt_down),
     ("encoder_layer", _case_layer),

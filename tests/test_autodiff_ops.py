@@ -41,6 +41,45 @@ def test_softmax_invalid_axis():
         ad.softmax(ad.tensor(np.zeros((2, 2))), axis=5)
 
 
+def _attention_oracle(q, k, v, scale):
+    """softmax(scale * q k^T) v in f64 with the row max subtracted."""
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
+    logits = scale * (q @ k.transpose(0, 2, 1))
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return (e / e.sum(axis=-1, keepdims=True)) @ v
+
+
+def test_attention_f32_desk_shape_matches_oracle(rng):
+    """Desk encoder shape: 4 heads, 512 tokens, head dim 16."""
+    q, k, v = (rng.standard_normal((4, 512, 16)).astype(np.float32) for _ in range(3))
+    got = ad.attention(*(ad.tensor(a, dtype=np.float32) for a in (q, k, v)),
+                       1.0 / np.sqrt(16)).numpy()
+    ref = _attention_oracle(q, k, v, 1.0 / np.sqrt(16))
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_large_logits_stay_finite(rng, dtype):
+    q, k = rng.standard_normal((2, 6, 4)), rng.standard_normal((2, 9, 4))
+    grow = np.sqrt(1e4 / np.abs(q @ k.transpose(0, 2, 1)).max())  # max |logit| = 1e4
+    q, k = (q * grow).astype(dtype), (k * grow).astype(dtype)
+    v = rng.standard_normal((2, 9, 3)).astype(dtype)
+    got = ad.attention(*(ad.tensor(a, dtype=dtype) for a in (q, k, v)), 1.0).numpy()
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, _attention_oracle(q, k, v, 1.0), rtol=0, atol=1e-5)
+
+
+def test_attention_shape_mismatch():
+    q = ad.tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ad.ShapeMismatchError):
+        ad.attention(q, ad.tensor(np.zeros((2, 5, 3))), ad.tensor(np.zeros((2, 5, 4))), 1.0)
+    with pytest.raises(ad.ShapeMismatchError):
+        ad.attention(q, ad.tensor(np.zeros((2, 5, 4))), ad.tensor(np.zeros((2, 4, 4))), 1.0)
+    with pytest.raises(ad.ShapeMismatchError):
+        ad.attention(q, ad.tensor(np.zeros((1, 5, 4))), ad.tensor(np.zeros((1, 5, 4))), 1.0)
+
+
 def test_conv3d_constant_field_sum_one_kernel(rng):
     """Sum-1 kernel on a constant field keeps the interior constant, and
     the optimized path agrees with the direct-loop oracle."""

@@ -160,10 +160,49 @@ def test_layer_scale_linearity(rng):
 
 
 def test_attention_rows_sum_to_one(rng):
-    p = _mini_layer_params(rng)
-    z = ad.tensor(rng.standard_normal((8, 8)))
-    _, probs = enc.attention_forward(z, p, heads=2, return_probs=True)
-    np.testing.assert_allclose(probs.numpy().sum(axis=2), 1.0, atol=1e-6)
+    """With v = 1 each output entry is one row sum of the attention weights."""
+    q, k = rng.standard_normal((2, 8, 4)) * 3, rng.standard_normal((2, 8, 4)) * 3
+    out = ad.attention(ad.tensor(q), ad.tensor(k), ad.tensor(np.ones((2, 8, 3))), 0.5)
+    np.testing.assert_allclose(out.numpy(), 1.0, atol=1e-6)
+
+
+def test_attention_graph_keeps_no_score_nodes(rng):
+    """The (heads, M, M) probabilities live only in the fused op's closure."""
+    heads, m, c = 4, 64, 8
+    p = _mini_layer_params(rng, c=c)
+    z = ad.tensor(rng.standard_normal((m, c)), requires_grad=True)
+    out = enc.attention_forward(z, p, heads)
+
+    nodes, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    square = set()
+    for node in nodes.values():
+        assert node.data.shape != (heads, m, m)
+        closure = node._backward.__closure__ if node._backward else None
+        for cell in closure or ():
+            held = cell.cell_contents
+            held = held.data if isinstance(held, ad.Tensor) else held
+            if isinstance(held, np.ndarray) and held.shape == (heads, m, m):
+                square.add(id(held))
+    assert len(square) == 1  # the probabilities, and no scores
+    # z, then q/k/v as matmul + bias + reshape + permute each, then one attention
+    # node, then permute + reshape + matmul + bias: 1 + 12 + 1 + 4
+    assert len(nodes) == 18
+
+
+def test_layer_names_attention_on_score_overflow():
+    c = 8
+    rng = np.random.default_rng(0)
+    p = _mini_layer_params(rng, c=c)
+    p = dataclasses.replace(p, wq=ad.tensor(np.full((c, c), 1e200)),
+                            wk=ad.tensor(np.full((c, c), 1e200)))
+    with pytest.raises(ad.NonFiniteError) as err:
+        enc.layer_forward(_fm(rng.standard_normal((2, 2, 2, c))), p, s=1.0, heads=2)
+    assert "layer_forward/attention" in str(err.value)
 
 
 def test_layer_names_failing_substep():

@@ -66,6 +66,23 @@ class TestTrainLoop:
         for name, t, _ in full.store.items():
             assert np.array_equal(t.data, resumed.store[name].data), name
 
+    def test_divergence_aborts_with_last_good_checkpoint(self, tiny_dataset, tmp_path):
+        data_dir, _ = tiny_dataset
+        cfg = tiny_config(**{"train.lr": 1e6})
+        res = train(cfg, data_dir, str(tmp_path / "run"))
+        assert res.aborted
+        assert res.last_checkpoint == str(tmp_path / "run" / "last.ckpt")
+        _, _, entries, _ = ckpt.load_checkpoint(res.last_checkpoint)
+        assert [name for name, _, _ in entries] == res.store.names()
+        for name, _, arr in entries:
+            assert np.array_equal(arr, res.store[name].data), name
+
+        cfg_path = tmp_path / "diverge.cfg"
+        cfg_path.write_text("\n".join(cfg.resolved_lines()) + "\n")
+        assert cli_main(["train", "--config", str(cfg_path), "--data", data_dir,
+                         "--out", str(tmp_path / "cli")]) == 1
+        assert os.path.exists(tmp_path / "cli" / "last.ckpt")
+
     def test_flip_augmentation_deterministic(self):
         a = _flip_axes(seed=3, step=10, slot=0, probs=(0.5, 0.5, 0.5))
         b = _flip_axes(seed=3, step=10, slot=0, probs=(0.5, 0.5, 0.5))
