@@ -19,9 +19,10 @@ Conventions baked into the derivatives:
 
 Fused op: ``attention(q, k, v, scale)`` computes
 P = softmax(scale * q k^T over keys) and returns P v as a single node whose
-closure keeps only P, not the scores. Its derivative, with g the output
-gradient: dV = P^T g, dS = P * (g V^T - rowsum(g V^T * P)) * scale,
-dQ = dS K, dK = dS^T Q.
+closure keeps only P, not the scores. Its inputs are all rank 2
+(tokens, dim) or all rank 3 (heads, tokens, dim); it is the only softmax
+in the op set. Its derivative, with g the output gradient: dV = P^T g,
+dS = P * (g V^T - rowsum(g V^T * P)) * scale, dQ = dS K, dK = dS^T Q.
 """
 
 from __future__ import annotations
@@ -450,39 +451,28 @@ def matmul(a, b):
     return _make(data, (a, b), bw)
 
 
-def softmax(x, axis):
-    _check_inputs("softmax", x)
-    ax = _valid_axis(x, axis, "softmax")
-    m = x.data.max(axis=ax, keepdims=True)
-    e = np.exp(x.data - m)
-    data = e / e.sum(axis=ax, keepdims=True)
-
-    def bw(g):
-        dot = (g * data).sum(axis=ax, keepdims=True)
-        x._accum(data * (g - dot))
-
-    return _make(data, (x,), bw)
-
-
 def attention(q, k, v, scale):
     """softmax(scale * q k^T, over keys) v as one graph node.
 
-    q: (heads, M, d); k: (heads, N, d); v: (heads, N, dv). The scores are
-    built in one (heads, M, N) buffer that is turned into the probabilities
-    P in place, in the order scale, subtract row max, exp, divide by row
-    sum; P is the only array the backward closure keeps. With g the output
-    gradient, the backward reuses one dP buffer:
+    q: (..., M, d); k: (..., N, d); v: (..., N, dv), where ``...`` is
+    nothing (rank 2) or one heads dim shared by all three (rank 3). The
+    scores are built in one (..., M, N) buffer that is turned into the
+    probabilities P in place, in the order scale, subtract row max, exp,
+    divide by row sum; P is the only array the backward closure keeps.
+    With g the output gradient, the backward reuses one dP buffer:
         dV = P^T g,  dP = g V^T,  dS = P * (dP - rowsum(dP * P)) * scale,
         dQ = dS K,  dK = (Q^T dS)^T.
     dK is formed as (Q^T dS)^T, the product a matmul(q, permute(k)) graph
     computes, so f32 gradients round exactly as they do through those ops.
     """
     _check_inputs("attention", q, k, v)
-    if not q.data.ndim == k.data.ndim == v.data.ndim == 3:
-        raise ShapeMismatchError("attention: q, k and v must be (heads, tokens, dim)")
-    if not q.data.shape[0] == k.data.shape[0] == v.data.shape[0]:
+    if not q.data.ndim == k.data.ndim == v.data.ndim or q.data.ndim not in (2, 3):
+        raise ShapeMismatchError(
+            "attention: q, k and v must all be (tokens, dim) or all (heads, tokens, dim)"
+        )
+    if not q.data.shape[:-2] == k.data.shape[:-2] == v.data.shape[:-2]:
         raise ShapeMismatchError("attention: head counts differ")
-    if q.data.shape[2] != k.data.shape[2] or k.data.shape[1] != v.data.shape[1]:
+    if q.data.shape[-1] != k.data.shape[-1] or k.data.shape[-2] != v.data.shape[-2]:
         raise ShapeMismatchError(
             f"attention: q {q.data.shape}, k {k.data.shape}, v {v.data.shape} do not fit"
         )
@@ -610,34 +600,6 @@ def concat(tensors, axis):
                 t._accum(g[tuple(idx)])
 
     return _make(data, tuple(tensors), bw)
-
-
-def split(x, sizes, axis):
-    """Inverse of concat: cut ``x`` into len(sizes) pieces along ``axis``."""
-    _check_inputs("split", x)
-    ax = _valid_axis(x, axis, "split")
-    if sum(sizes) != x.data.shape[ax]:
-        raise ShapeMismatchError(
-            f"split: sizes {sizes} do not cover axis length {x.data.shape[ax]}"
-        )
-    outs = []
-    offset = 0
-    for size in sizes:
-        lo, hi = offset, offset + size
-        idx = [slice(None)] * x.data.ndim
-        idx[ax] = slice(lo, hi)
-        piece = x.data[tuple(idx)].copy()
-
-        def bw(g, lo=lo, hi=hi):
-            full = np.zeros_like(x.data)
-            sl = [slice(None)] * x.data.ndim
-            sl[ax] = slice(lo, hi)
-            full[tuple(sl)] = g
-            x._accum(full)
-
-        outs.append(_make(piece, (x,), bw))
-        offset = hi
-    return outs
 
 
 def reduce_sum(x, axis=None):

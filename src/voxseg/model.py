@@ -55,9 +55,6 @@ class ModelSpec:
         h, w, d = self.grid_dims
         return h * w * d
 
-    def patch_config(self):
-        return pe.PatchConfig(self.patch, self.embed_dim, self.patch_mode).validate()
-
     def encoder_config(self):
         return enc.EncoderConfig(
             heads=self.heads,
@@ -78,7 +75,12 @@ class ModelSpec:
         ).validate(self.taps)
 
     def validate(self):
-        self.patch_config()
+        if self.patch_mode not in ("pseudo3d", "true3d"):
+            raise ValueError(f"unknown patch mode {self.patch_mode!r}")
+        if any(p < 1 for p in self.patch):
+            raise ValueError(f"patch sizes must be positive, got {self.patch}")
+        if self.embed_dim < 8:
+            raise ValueError(f"embed_dim must be >= 8, got {self.embed_dim}")
         for v, p in zip(self.vol_dims, self.patch):
             if v % p != 0:
                 raise ValueError(f"volume dims {self.vol_dims} not divisible by patch {self.patch}")
@@ -134,8 +136,7 @@ def _init_array(rng, shape, init):
     if init == "trunc002":
         return np.clip(rng.standard_normal(shape) * 0.02, -0.04, 0.04)
     if init == "scaled":  # 1/sqrt(fan_in) for dense maps
-        fan_in = shape[0] if len(shape) > 1 else shape[0]
-        return rng.standard_normal(shape) / np.sqrt(fan_in)
+        return rng.standard_normal(shape) / np.sqrt(shape[0])
     if init == "he":  # conv kernels (..., Cin, Cout)
         fan_in = int(np.prod(shape[:-1]))
         return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)

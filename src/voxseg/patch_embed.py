@@ -21,22 +21,6 @@ from . import autodiff as ad
 from .autodiff import ShapeMismatchError, Tensor
 
 
-@dataclass(frozen=True)
-class PatchConfig:
-    patch: tuple[int, int, int]
-    embed_dim: int
-    mode: str  # 'pseudo3d' | 'true3d'
-
-    def validate(self):
-        if self.mode not in ("pseudo3d", "true3d"):
-            raise ValueError(f"unknown patch mode {self.mode!r}")
-        if any(p < 1 for p in self.patch):
-            raise ValueError(f"patch sizes must be positive, got {self.patch}")
-        if self.embed_dim < 8:
-            raise ValueError(f"embed_dim must be >= 8, got {self.embed_dim}")
-        return self
-
-
 @dataclass
 class FeatureMap:
     """Tensor with semantic axes (H, W, D, C)."""

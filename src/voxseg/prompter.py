@@ -12,10 +12,12 @@ Both branch outputs are projected to C/2 channels, concatenated, and
 added residually onto the tap, so zero down-projections make the
 prompter an exact identity.
 
-Softmax axes (the equations leave them open) are chosen so every output
-is a convex combination: spatial weights normalize over the n reduced
-keys per query token; the channel affinity normalizes over input
-channels per output channel.
+Both branches are single ``ad.attention`` calls. Softmax axes (the
+equations leave them open) are chosen so every output is a convex
+combination: spatial weights normalize over the n reduced keys per query
+token; the channel affinity normalizes over input channels per output
+channel, so that branch runs attention over the transposed (C, M)
+projections.
 """
 
 from __future__ import annotations
@@ -143,8 +145,7 @@ def _rewrap(out, fm):
     return fm.with_tokens(out) if fm is not None else out
 
 
-def spatial_attention(x, p: PrompterParams, cfg: PrompterConfig,
-                      return_weights=False):
+def spatial_attention(x, p: PrompterParams, cfg: PrompterConfig):
     """Linear-complexity token attention; shape preserved.
 
     With identity reducers and n = M this is exactly full self-attention
@@ -162,20 +163,16 @@ def spatial_attention(x, p: PrompterParams, cfg: PrompterConfig,
     q = _normed_projection(z, p.wq_sa, p.norm_q_sa_g, p.norm_q_sa_b)  # (M, C)
     k_hat = ad.matmul(p.reduce_k, ad.matmul(z, p.wk_sa))  # (n, C)
     v_hat = ad.matmul(p.reduce_v, ad.matmul(z, p.wv_sa))  # (n, C)
-    logits = ad.matmul(k_hat, ad.permute(q, (1, 0)))  # (n, M)
-    if cfg.attn_scaling:
-        logits = ad.scale(logits, 1.0 / math.sqrt(c))
-    weights = ad.softmax(logits, axis=0)  # each query's column sums to 1
-    out = ad.matmul(ad.permute(weights, (1, 0)), v_hat)  # (M, C)
-    result = _rewrap(out, fm)
-    return (result, weights) if return_weights else result
+    scale = 1.0 / math.sqrt(c) if cfg.attn_scaling else 1.0
+    out = ad.attention(q, k_hat, v_hat, scale)  # each query over the n keys
+    return _rewrap(out, fm)
 
 
-def channel_attention(x, p: PrompterParams, scaling=True, return_affinity=False):
+def channel_attention(x, p: PrompterParams, scaling=True):
     """Channel-mixing attention through a (C, C) affinity; shape preserved.
 
-    The exposed affinity is (out_channel, in_channel) with rows summing
-    to 1: output channel b is the convex mix sum_a affinity[b, a] * V[:, a].
+    Output channel b is the convex mix sum_a softmax_a(k_b . q_a) V[:, a]:
+    attention with the channels as tokens, k as queries and q as keys.
     """
     z, fm = _tokens_of(x)
     _, c = z.shape
@@ -186,15 +183,10 @@ def channel_attention(x, p: PrompterParams, scaling=True, return_affinity=False)
     q = _normed_projection(z, p.wq_ca, p.norm_q_ca_g, p.norm_q_ca_b)
     k = _normed_projection(z, p.wk_ca, p.norm_k_ca_g, p.norm_k_ca_b)
     v = ad.matmul(z, p.wv_ca)
-    logits = ad.matmul(ad.permute(q, (1, 0)), k)  # (C, C), rows = in channels
-    if scaling:
-        logits = ad.scale(logits, 1.0 / math.sqrt(c))
-    mix = ad.softmax(logits, axis=0)  # normalize over input channels
-    out = ad.matmul(v, mix)
-    result = _rewrap(out, fm)
-    if return_affinity:
-        return result, ad.permute(mix, (1, 0))
-    return result
+    scale = 1.0 / math.sqrt(c) if scaling else 1.0
+    qt, kt, vt = (ad.permute(t, (1, 0)) for t in (q, k, v))  # (C, M)
+    out = ad.permute(ad.attention(kt, qt, vt, scale), (1, 0))
+    return _rewrap(out, fm)
 
 
 def dual_prompt(x, p: PrompterParams, cfg: PrompterConfig):

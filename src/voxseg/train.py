@@ -42,6 +42,9 @@ log = logging.getLogger(__name__)
 _IMG_SUFFIX = ".img.dvol"
 _MSK_SUFFIX = ".msk.dvol"
 
+# the only config keys a resumed run may set differently from its checkpoint
+_RESUME_MAY_CHANGE = ("train.epochs", "train.max_steps", "train.eval_every")
+
 
 # ---------------------------------------------------------------------------
 # dataset directory plumbing
@@ -154,6 +157,25 @@ def evaluate_cases(spec, store, data_dir, case_ids, tau=1.0):
     return out
 
 
+def _check_resume_config(path, saved_lines, current_lines):
+    """Refuse to resume under a config that differs outside the allowlist."""
+
+    def parse(lines):
+        return dict((s.strip() for s in line.split("=", 1)) for line in lines)
+
+    saved, current = parse(saved_lines), parse(current_lines)
+    drift = [
+        f"{key} ({saved.get(key)} -> {current.get(key)})"
+        for key in sorted(saved.keys() | current.keys())
+        if saved.get(key) != current.get(key) and key not in _RESUME_MAY_CHANGE
+    ]
+    if drift:
+        raise ckpt.CheckpointError(
+            "config_mismatch",
+            f"{path}: config differs from the checkpoint's in {', '.join(drift)}",
+        )
+
+
 def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResult:
     """Train per config on a dataset directory; checkpoints into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
@@ -179,7 +201,8 @@ def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResul
     store = mdl.init_store(spec, seed)
     optimizer = AdamW(store, _adamw_config(cfg))
     if resume is not None:
-        step0, _cfg_lines, entries, moments = ckpt.load_checkpoint(resume)
+        step0, saved_lines, entries, moments = ckpt.load_checkpoint(resume)
+        _check_resume_config(resume, saved_lines, cfg.resolved_lines())
         ckpt.restore_into(store, entries)
         optimizer.load_state({"step": step0,
                               "m": {n: m for n, (m, _) in moments.items()},

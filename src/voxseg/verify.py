@@ -18,8 +18,9 @@ from . import decoder as dec
 from . import encoder as enc
 from . import patch_embed as pe
 from . import prompter as pr
-from .gradcheck_tol import DEFAULT_TOL
 from .objectives import combined_loss
+
+DEFAULT_TOL = 1e-4  # gradient-check tolerance in 64-bit mode
 
 
 @dataclass
@@ -106,23 +107,20 @@ def _case_sigmoid(rng):
     return ad.sigmoid, rng.standard_normal(tuple(rng.integers(2, 5, 2)))
 
 
-def _case_softmax(rng):
-    nd = int(rng.integers(1, 4))
-    shape = tuple(rng.integers(2, 5, nd))
-    axis = int(rng.integers(0, nd))
-    return (lambda x: ad.softmax(x, axis=axis)), rng.standard_normal(shape)
-
-
 def _case_attention(rng):
-    """x feeds q, k and v through three fixed maps: one check covers all three."""
-    h, l, d = int(rng.integers(1, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 5))
+    """x feeds q, k and v through three fixed maps: one check covers all three.
+
+    Each instance is rank 2 (tokens, dim) or rank 3 (heads, tokens, dim).
+    """
+    heads = (int(rng.integers(1, 4)),) if rng.random() < 0.5 else ()
+    l, d = int(rng.integers(2, 4)), int(rng.integers(1, 5))
     m = int(rng.integers(2, 5))
     n = m + int(rng.integers(1, 3))  # query count != key count
-    aq, ak, av = _t(rng, h, m, l), _t(rng, h, n, l), _t(rng, h, n, l)
+    aq, ak, av = _t(rng, *heads, m, l), _t(rng, *heads, n, l), _t(rng, *heads, n, l)
     s = float(rng.uniform(0.3, 1.5))
     return (
         lambda x: ad.attention(ad.matmul(aq, x), ad.matmul(ak, x), ad.matmul(av, x), s),
-        rng.standard_normal((h, l, d)),
+        rng.standard_normal(heads + (l, d)),
     )
 
 
@@ -459,7 +457,6 @@ OP_CASES = [
     ("relu", _case_relu),
     ("gelu", _case_gelu),
     ("sigmoid", _case_sigmoid),
-    ("softmax", _case_softmax),
     ("attention", _case_attention),
     ("layer_norm", _case_layer_norm),
     ("instance_norm", _case_instance_norm),

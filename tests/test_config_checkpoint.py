@@ -62,6 +62,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg2.get_bool("prompter.share_qk")
 
+    @pytest.mark.parametrize("field", [
+        {"patch_mode": "bogus"}, {"patch": (0, 4, 4)}, {"embed_dim": 4},
+    ])
+    def test_model_spec_rejects_bad_patch_fields(self, field):
+        with pytest.raises(ValueError):
+            mdl.ModelSpec(**field).validate()
+
     def test_model_spec_from_config_auto_adapter(self):
         spec = model_spec_from_config(Config.default())
         assert spec.adapter_dim == 64 // 4

@@ -48,10 +48,15 @@ def _full_attention_oracle(z, p, scaling):
 
 class TestSpatialAttention:
     def test_weight_columns_sum_to_one(self, rng):
+        """Identical reduced values: each output row is its weight sum times
+        that value, so it equals the value exactly when the weights sum to 1."""
         p = _mini_prompter_params(rng)
-        z = ad.tensor(rng.standard_normal((8, 4)))
-        _, weights = pr.spatial_attention(z, p, CFG, return_weights=True)
-        np.testing.assert_allclose(weights.numpy().sum(axis=0), 1.0, atol=1e-6)
+        row = rng.standard_normal((1, 8))
+        p = dataclasses.replace(p, reduce_v=ad.tensor(np.tile(row, (3, 1))))
+        z = rng.standard_normal((8, 4))
+        out = pr.spatial_attention(ad.tensor(z), p, CFG).numpy()
+        value = row @ z @ p.wv_sa.numpy()
+        np.testing.assert_allclose(out, np.tile(value, (8, 1)), atol=1e-6)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31), m=st.integers(2, 16),
@@ -88,10 +93,14 @@ class TestSpatialAttention:
 
 class TestChannelAttention:
     def test_affinity_rows_sum_to_one(self, rng):
+        """Identical value channels: each output channel is its affinity row
+        sum times that channel, so it equals z @ col exactly when rows sum to 1."""
         p = _mini_prompter_params(rng)
-        z = ad.tensor(rng.standard_normal((8, 4)))
-        _, affinity = pr.channel_attention(z, p, return_affinity=True)
-        np.testing.assert_allclose(affinity.numpy().sum(axis=1), 1.0, atol=1e-6)
+        col = rng.standard_normal((4, 1))
+        p = dataclasses.replace(p, wv_ca=ad.tensor(np.tile(col, (1, 4))))
+        z = rng.standard_normal((8, 4))
+        out = pr.channel_attention(ad.tensor(z), p).numpy()
+        np.testing.assert_allclose(out, np.tile(z @ col, (1, 4)), atol=1e-6)
 
     def test_matches_literal_equation_oracle(self, rng):
         """Scripted recomputation of the channel-attention equations, C=2."""

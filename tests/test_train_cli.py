@@ -66,6 +66,18 @@ class TestTrainLoop:
         for name, t, _ in full.store.items():
             assert np.array_equal(t.data, resumed.store[name].data), name
 
+    def test_resume_rejects_config_drift(self, tiny_dataset, tmp_path):
+        data_dir, _ = tiny_dataset
+        half = train(tiny_config(**{"train.epochs": 4, "train.max_steps": 2}),
+                     data_dir, str(tmp_path / "half"))
+        drifted = tiny_config(**{"train.epochs": 4, "train.lr": 1e-3})
+        with pytest.raises(ckpt.CheckpointError) as err:
+            train(drifted, data_dir, str(tmp_path / "resumed"),
+                  resume=half.last_checkpoint)
+        assert err.value.code == "config_mismatch"
+        assert "train.lr" in str(err.value)
+        assert "train.max_steps" not in str(err.value)
+
     def test_divergence_aborts_with_last_good_checkpoint(self, tiny_dataset, tmp_path):
         data_dir, _ = tiny_dataset
         cfg = tiny_config(**{"train.lr": 1e6})
