@@ -148,9 +148,16 @@ class Tensor:
 
     # -- graph plumbing -----------------------------------------------------
 
-    def _accum(self, g):
+    def _accum(self, g, owned=False):
+        """Add ``g`` into ``.grad``. ``owned`` says the op has just allocated
+        ``g`` and hands it to this tensor alone, so a first gradient is taken
+        over without a copy. Views, broadcasts and a ``g`` that reaches two
+        parents are copied."""
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            if owned and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = g.astype(self.data.dtype, copy=True)
         else:
             self.grad += g
 
@@ -303,10 +310,13 @@ def _binary(op_name, a, b, fwd, da_fn, db_fn):
         raise ShapeMismatchError(f"{op_name}: {exc}") from exc
 
     def bw(g):
+        # a derivative that is g itself (add, sub) reaches both parents
         if a.requires_grad:
-            a._accum(_unbroadcast(da_fn(g, a.data, b.data), a.data.shape))
+            ga = _unbroadcast(da_fn(g, a.data, b.data), a.data.shape)
+            a._accum(ga, owned=ga is not g)
         if b.requires_grad:
-            b._accum(_unbroadcast(db_fn(g, a.data, b.data), b.data.shape))
+            gb = _unbroadcast(db_fn(g, a.data, b.data), b.data.shape)
+            b._accum(gb, owned=gb is not g)
 
     return _make(data, (a, b), bw)
 
@@ -338,7 +348,7 @@ def scale(x, s):
     data = x.data * np.asarray(s, dtype=x.data.dtype)
 
     def bw(g):
-        x._accum(g * np.asarray(s, dtype=x.data.dtype))
+        x._accum(g * np.asarray(s, dtype=x.data.dtype), owned=True)
 
     return _make(data, (x,), bw)
 
@@ -353,7 +363,7 @@ def relu(x):
     data = np.where(mask, x.data, np.asarray(0, dtype=x.data.dtype))
 
     def bw(g):
-        x._accum(g * mask)
+        x._accum(g * mask, owned=True)
 
     return _make(data, (x,), bw)
 
@@ -376,7 +386,7 @@ def gelu(x):
     def bw(g):
         sech2 = 1.0 - t * t
         d = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * c * (1.0 + 3.0 * a * xd * xd)
-        x._accum(g * d.astype(xd.dtype, copy=False))
+        x._accum(g * d.astype(xd.dtype, copy=False), owned=True)
 
     return _make(data, (x,), bw)
 
@@ -391,7 +401,7 @@ def sigmoid(x):
     out[~pos] = e / (1.0 + e)
 
     def bw(g):
-        x._accum(g * (out * (1.0 - out)))
+        x._accum(g * (out * (1.0 - out)), owned=True)
 
     return _make(out, (x,), bw)
 
@@ -403,7 +413,7 @@ def log(x):
     data = np.log(x.data)
 
     def bw(g):
-        x._accum(g / x.data)
+        x._accum(g / x.data, owned=True)
 
     return _make(data, (x,), bw)
 
@@ -415,7 +425,7 @@ def clamp(x, lo, hi):
     mask = (x.data > lo) & (x.data < hi)
 
     def bw(g):
-        x._accum(g * mask)
+        x._accum(g * mask, owned=True)
 
     return _make(data, (x,), bw)
 
@@ -444,9 +454,9 @@ def matmul(a, b):
 
     def bw(g):
         if a.requires_grad:
-            a._accum(g @ b.data.swapaxes(-1, -2))
+            a._accum(g @ b.data.swapaxes(-1, -2), owned=True)
         if b.requires_grad:
-            b._accum(a.data.swapaxes(-1, -2) @ g)
+            b._accum(a.data.swapaxes(-1, -2) @ g, owned=True)
 
     return _make(data, (a, b), bw)
 
@@ -486,7 +496,7 @@ def attention(q, k, v, scale):
 
     def bw(g):
         if v.requires_grad:
-            v._accum(probs.swapaxes(-1, -2) @ g)
+            v._accum(probs.swapaxes(-1, -2) @ g, owned=True)
         if not (q.requires_grad or k.requires_grad):
             return
         dp = g @ v.data.swapaxes(-1, -2)
@@ -494,9 +504,9 @@ def attention(q, k, v, scale):
         dp *= probs
         dp *= s
         if q.requires_grad:
-            q._accum(dp @ k.data)
+            q._accum(dp @ k.data, owned=True)
         if k.requires_grad:
-            k._accum((q.data.swapaxes(-1, -2) @ dp).swapaxes(-1, -2))
+            k._accum((q.data.swapaxes(-1, -2) @ dp).swapaxes(-1, -2), owned=True)
 
     return _make(data, (q, k, v), bw)
 
@@ -522,7 +532,7 @@ def _normalize(x, axes, eps, op):
     def bw(g):
         gm = g.mean(axis=axes, keepdims=True)
         gy = (g * data).mean(axis=axes, keepdims=True)
-        x._accum(inv * (g - gm - data * gy))
+        x._accum(inv * (g - gm - data * gy), owned=True)
 
     return _make(data, (x,), bw)
 

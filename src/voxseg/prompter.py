@@ -133,8 +133,8 @@ def param_specs(cfg: PrompterConfig, embed_dim, token_count):
     return specs
 
 
-def _normed_projection(z, w, g, b):
-    return ad.add(ad.mul(ad.layer_norm(ad.matmul(z, w), axis=-1), g), b)
+def _normed(zw, g, b):
+    return ad.add(ad.mul(ad.layer_norm(zw, axis=-1), g), b)
 
 
 def _tokens_of(x):
@@ -145,11 +145,12 @@ def _rewrap(out, fm):
     return fm.with_tokens(out) if fm is not None else out
 
 
-def spatial_attention(x, p: PrompterParams, cfg: PrompterConfig):
+def spatial_attention(x, p: PrompterParams, cfg: PrompterConfig, zq=None, zk=None):
     """Linear-complexity token attention; shape preserved.
 
     With identity reducers and n = M this is exactly full self-attention
-    with the same projection weights.
+    with the same projection weights. ``zq`` / ``zk`` are Z@W_q and Z@W_k
+    when the caller has already computed them.
     """
     z, fm = _tokens_of(x)
     m, c = z.shape
@@ -160,19 +161,23 @@ def spatial_attention(x, p: PrompterParams, cfg: PrompterConfig):
         raise ShapeMismatchError(
             f"spatial attention: reducers built for {p.reduce_k.shape[1]} tokens, got {m}"
         )
-    q = _normed_projection(z, p.wq_sa, p.norm_q_sa_g, p.norm_q_sa_b)  # (M, C)
-    k_hat = ad.matmul(p.reduce_k, ad.matmul(z, p.wk_sa))  # (n, C)
+    zq = ad.matmul(z, p.wq_sa) if zq is None else zq
+    zk = ad.matmul(z, p.wk_sa) if zk is None else zk
+    q = _normed(zq, p.norm_q_sa_g, p.norm_q_sa_b)  # (M, C)
+    k_hat = ad.matmul(p.reduce_k, zk)  # (n, C)
     v_hat = ad.matmul(p.reduce_v, ad.matmul(z, p.wv_sa))  # (n, C)
     scale = 1.0 / math.sqrt(c) if cfg.attn_scaling else 1.0
     out = ad.attention(q, k_hat, v_hat, scale)  # each query over the n keys
     return _rewrap(out, fm)
 
 
-def channel_attention(x, p: PrompterParams, scaling=True):
+def channel_attention(x, p: PrompterParams, scaling=True, zq=None, zk=None):
     """Channel-mixing attention through a (C, C) affinity; shape preserved.
 
     Output channel b is the convex mix sum_a softmax_a(k_b . q_a) V[:, a]:
     attention with the channels as tokens, k as queries and q as keys.
+    ``zq`` / ``zk`` are Z@W_q and Z@W_k when the caller has already
+    computed them.
     """
     z, fm = _tokens_of(x)
     _, c = z.shape
@@ -180,8 +185,10 @@ def channel_attention(x, p: PrompterParams, scaling=True):
         raise ShapeMismatchError(
             f"channel attention: channels {c} != weights {p.wq_ca.shape[0]}"
         )
-    q = _normed_projection(z, p.wq_ca, p.norm_q_ca_g, p.norm_q_ca_b)
-    k = _normed_projection(z, p.wk_ca, p.norm_k_ca_g, p.norm_k_ca_b)
+    zq = ad.matmul(z, p.wq_ca) if zq is None else zq
+    zk = ad.matmul(z, p.wk_ca) if zk is None else zk
+    q = _normed(zq, p.norm_q_ca_g, p.norm_q_ca_b)
+    k = _normed(zk, p.norm_k_ca_g, p.norm_k_ca_b)
     v = ad.matmul(z, p.wv_ca)
     scale = 1.0 / math.sqrt(c) if scaling else 1.0
     qt, kt, vt = (ad.permute(t, (1, 0)) for t in (q, k, v))  # (C, M)
@@ -195,8 +202,12 @@ def dual_prompt(x, p: PrompterParams, cfg: PrompterConfig):
     _, c = z.shape
     if c % 2 != 0:
         raise ShapeMismatchError(f"dual prompt requires an even channel count, got {c}")
-    sa = spatial_attention(z, p, cfg)
-    ca = channel_attention(z, p, scaling=cfg.attn_scaling)
+    zq, zk = ad.matmul(z, p.wq_sa), ad.matmul(z, p.wk_sa)
+    sa = spatial_attention(z, p, cfg, zq, zk)
+    # shared W_q / W_k: the channel branch reads the same products
+    ca = channel_attention(z, p, cfg.attn_scaling,
+                           zq if p.wq_ca is p.wq_sa else None,
+                           zk if p.wk_ca is p.wk_sa else None)
     fused = ad.concat([ad.matmul(sa, p.down_sa), ad.matmul(ca, p.down_ca)], axis=1)
     out = ad.add(z, fused)
     return _rewrap(out, fm)

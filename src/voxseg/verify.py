@@ -67,10 +67,11 @@ def _case_conv3d(rng):
 
 
 def _case_conv3d_stride1(rng):
-    """Stride 1 everywhere: the input gradient takes the transposed-conv GEMM."""
+    """Stride 1 everywhere: shifted-row GEMMs. Cin and Cout are drawn
+    independently, so the input gradient takes the patch GEMM (Cin > Cout)
+    on some instances and the shifted rows (Cin <= Cout) on others."""
     kd = tuple(rng.integers(1, 4, 3))
-    cin = int(rng.integers(1, 4))
-    cout = cin + int(rng.integers(1, 3))
+    cin, cout = (int(c) for c in rng.integers(1, 5, 2))
     padding = tuple(rng.integers(0, 3, 3))
     dims = tuple(int(k + rng.integers(0, 3)) for k in kd)
     w = _t(rng, *kd, cin, cout)

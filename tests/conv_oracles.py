@@ -1,0 +1,59 @@
+"""Loop oracles for conv3d that only tests compare against; small inputs."""
+
+import numpy as np
+
+from voxseg.autodiff.conv import _conv_out_dims, _pad_spatial, _triple
+
+
+def conv3d_reference(x, w, stride=1, padding=0):
+    """Direct-loop forward oracle over plain arrays."""
+    stride = _triple(stride, "stride")
+    padding = _triple(padding, "padding")
+    x = np.asarray(x)
+    w = np.asarray(w)
+    kh, kw, kd = w.shape[:3]
+    cin, cout = w.shape[3], w.shape[4]
+    assert x.shape[3] == cin
+    out_dims = _conv_out_dims(x.shape[:3], (kh, kw, kd), stride, padding)
+    xp = _pad_spatial(x, padding)
+    out = np.zeros(out_dims + (cout,), dtype=x.dtype)
+    sh, sw, sd = stride
+    for a in range(out_dims[0]):
+        for b in range(out_dims[1]):
+            for c in range(out_dims[2]):
+                for i in range(kh):
+                    for j in range(kw):
+                        for k in range(kd):
+                            px = xp[a * sh + i, b * sw + j, c * sd + k]  # (Cin,)
+                            out[a, b, c] += px @ w[i, j, k]
+    return out
+
+
+def conv3d_input_grad_taps(g, w, stride, padding, x_shape):
+    """Oracle for conv3d's input gradient: one strided scatter-add per tap."""
+    kdims = w.shape[:3]
+    (sh, sw, sd), (ph, pw, pd) = stride, padding
+    ho, wo, do = g.shape[:3]
+    h, wdt, d, cin = x_shape
+    gx = np.zeros((h + 2 * ph, wdt + 2 * pw, d + 2 * pd, cin), dtype=g.dtype)
+    for i in range(kdims[0]):
+        for j in range(kdims[1]):
+            for k in range(kdims[2]):
+                gx[i : i + sh * ho : sh, j : j + sw * wo : sw, k : k + sd * do : sd] += (
+                    g @ w[i, j, k].T
+                )
+    return gx[ph : ph + h, pw : pw + wdt, pd : pd + d]
+
+
+def conv3d_kernel_grad_taps(x, g, kdims, stride, padding):
+    """Oracle for conv3d's kernel gradient: one strided window GEMM per tap."""
+    sh, sw, sd = stride
+    ho, wo, do, cout = g.shape
+    xp = _pad_spatial(x, padding)
+    gw = np.zeros(tuple(kdims) + (x.shape[3], cout), dtype=g.dtype)
+    for i in range(kdims[0]):
+        for j in range(kdims[1]):
+            for k in range(kdims[2]):
+                win = xp[i : i + sh * ho : sh, j : j + sw * wo : sw, k : k + sd * do : sd]
+                gw[i, j, k] = win.reshape(-1, x.shape[3]).T @ g.reshape(-1, cout)
+    return gw

@@ -63,6 +63,33 @@ def test_backward_frees_interior_gradients():
     assert b.grad is None
 
 
+def test_first_gradients_never_alias_across_leaves_or_passes(rng):
+    """Gradients passed to two parents, views and fresh products: the leaf
+    gradients are right on the first pass and accumulate exactly on the second."""
+    c = rng.standard_normal((2, 6))
+    a = ad.tensor(rng.standard_normal((2, 6)), requires_grad=True)
+    x = ad.tensor(rng.standard_normal((2, 6)), requires_grad=True)
+    y = ad.tensor(rng.standard_normal((2, 6)), requires_grad=True)
+    m = ad.tensor(rng.standard_normal((6, 4)), requires_grad=True)
+    s = ad.add(x, y)  # one upstream gradient feeds x and y
+    chain = ad.reshape(ad.permute(ad.reshape(ad.matmul(a, m), (4, 2)), (1, 0)), (2, 4))
+    loss = ad.add(ad.reduce_sum(ad.mul(ad.add(a, a), ad.tensor(c))),
+                  ad.add(ad.reduce_sum(ad.mul(s, ad.tensor(c))), ad.reduce_sum(chain)))
+    ones = np.ones((2, 4))
+    expected = {
+        "a": 2 * c + ones @ m.numpy().T,
+        "x": c,
+        "y": c,
+        "m": a.numpy().T @ ones,
+    }
+    leaves = {"a": a, "x": x, "y": y, "m": m}
+    for n in (1, 2):
+        ad.backward(loss)
+        for name, leaf in leaves.items():
+            np.testing.assert_allclose(leaf.grad, n * expected[name], rtol=1e-12)
+    assert not np.shares_memory(x.grad, y.grad)
+
+
 def test_shared_subgraph_visited_once():
     # z = (x + x) * x => dz/dx = 4x; a double visit would inflate this
     x = ad.tensor([2.0, -3.0], requires_grad=True)

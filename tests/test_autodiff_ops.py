@@ -1,8 +1,11 @@
 """Forward semantics and error contracts of the core op set."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conv_oracles import conv3d_input_grad_taps, conv3d_kernel_grad_taps, conv3d_reference
 from voxseg import autodiff as ad
 
 
@@ -72,7 +75,7 @@ def test_conv3d_constant_field_sum_one_kernel(rng):
     w = rng.random((3, 3, 3, 1, 1))
     w /= w.sum()
     fast = ad.conv3d(ad.tensor(x), ad.tensor(w), stride=1, padding=1).numpy()
-    ref = ad.conv3d_reference(x, w, stride=1, padding=1)
+    ref = conv3d_reference(x, w, stride=1, padding=1)
     np.testing.assert_allclose(fast, ref, rtol=1e-12)
     np.testing.assert_allclose(fast[1:-1, 1:-1, 1:-1], 3.25, rtol=1e-12)
 
@@ -82,38 +85,65 @@ def test_conv3d_matches_direct_reference(rng, stride, padding):
     x = rng.standard_normal((6, 5, 7, 3))
     w = rng.standard_normal((3, 2, 3, 3, 4))
     fast = ad.conv3d(ad.tensor(x), ad.tensor(w), stride=stride, padding=padding).numpy()
-    ref = ad.conv3d_reference(x, w, stride=stride, padding=padding)
+    ref = conv3d_reference(x, w, stride=stride, padding=padding)
     scale = np.abs(ref).max()
     assert np.abs(fast - ref).max() / scale < 1e-5
 
 
-def _conv3d_input_grad_taps(g, w, stride, padding, x_shape):
-    """Oracle for conv3d's input gradient: one strided scatter-add per tap."""
-    kdims = w.shape[:3]
-    (sh, sw, sd), (ph, pw, pd) = stride, padding
-    ho, wo, do = g.shape[:3]
-    h, wdt, d, cin = x_shape
-    gx = np.zeros((h + 2 * ph, wdt + 2 * pw, d + 2 * pd, cin), dtype=g.dtype)
-    for i in range(kdims[0]):
-        for j in range(kdims[1]):
-            for k in range(kdims[2]):
-                gx[i : i + sh * ho : sh, j : j + sw * wo : sw, k : k + sd * do : sd] += (
-                    g @ w[i, j, k].T
-                )
-    return gx[ph : ph + h, pw : pw + wdt, pd : pd + d]
+def _check_conv3d_f32(rng, dims, cin, cout, kdims, padding):
+    """f32 forward, kernel and input gradients of a stride-1 conv3d against
+    the f64 loop oracles, rtol 1e-5 and atol 1e-5 * max|ref|."""
+    padding = (padding,) * 3 if isinstance(padding, int) else padding
+    x = rng.standard_normal(dims + (cin,)).astype(np.float32)
+    w = (rng.standard_normal(kdims + (cin, cout)) * 0.05).astype(np.float32)
+    xt = ad.tensor(x, requires_grad=True, dtype=np.float32)
+    wt = ad.tensor(w, requires_grad=True, dtype=np.float32)
+    out = ad.conv3d(xt, wt, stride=1, padding=padding)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=np.float32))))
+    x64, w64, g64 = (a.astype(np.float64) for a in (x, w, g))
+    unit = (1, 1, 1)
+    for got, ref in (
+        (out.numpy(), conv3d_reference(x64, w64, stride=1, padding=padding)),
+        (wt.grad, conv3d_kernel_grad_taps(x64, g64, kdims, unit, padding)),
+        (xt.grad, conv3d_input_grad_taps(g64, w64, unit, padding, x.shape)),
+    ):
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
 
 
 def test_conv3d_input_grad_matches_tap_loop_f32(rng):
-    """Stride-1 input gradient (one GEMM) at the desk fuse shape, 16^3, 80->16."""
-    x = rng.standard_normal((16, 16, 16, 80)).astype(np.float32)
-    w = (rng.standard_normal((3, 3, 3, 80, 16)) * 0.05).astype(np.float32)
-    g = rng.standard_normal((16, 16, 16, 16)).astype(np.float32)
-    xt = ad.tensor(x, requires_grad=True, dtype=np.float32)
-    out = ad.conv3d(xt, ad.tensor(w, dtype=np.float32), stride=1, padding=1)
-    ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=np.float32))))
-    ref = _conv3d_input_grad_taps(g, w, (1, 1, 1), (1, 1, 1), x.shape)
-    assert xt.grad.dtype == np.float32
-    np.testing.assert_allclose(xt.grad, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
+    """Desk fuse shape 16^3, 80->16: the input gradient takes the patch GEMM."""
+    _check_conv3d_f32(rng, (16, 16, 16), 80, 16, (3, 3, 3), 1)
+
+
+@pytest.mark.parametrize("dims,cin,cout,kdims,padding", [
+    ((32, 32, 32), 16, 16, (3, 3, 3), 1),  # desk head block: shifted rows only
+    ((9, 7, 8), 5, 7, (3, 2, 3), (0, 1, 2)),  # anisotropic kernel and padding
+    ((6, 5, 7), 6, 3, (2, 3, 2), (2, 3, 3)),  # padding larger than k-1
+    ((32, 32, 32), 16, 1, (1, 1, 1), 0),  # desk projection
+])
+def test_conv3d_stride1_f32_matches_oracles(rng, dims, cin, cout, kdims, padding):
+    _check_conv3d_f32(rng, dims, cin, cout, kdims, padding)
+
+
+def test_conv3d_stride1_builds_no_patch_matrix(rng):
+    """Forward plus backward at 32^3, 16->16 stays below one im2col matrix."""
+    x = rng.standard_normal((32, 32, 32, 16)).astype(np.float32)
+    w = (rng.standard_normal((3, 3, 3, 16, 16)) * 0.05).astype(np.float32)
+    g = rng.standard_normal((32, 32, 32, 16)).astype(np.float32)
+    patch_bytes = 32**3 * 27 * 16 * 4  # 56.6 MB
+    tracemalloc.start()
+    try:
+        xt = ad.tensor(x, requires_grad=True, dtype=np.float32)
+        wt = ad.tensor(w, requires_grad=True, dtype=np.float32)
+        out = ad.conv3d(xt, wt, stride=1, padding=1)
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=np.float32))))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert xt.grad.shape == x.shape and wt.grad.shape == w.shape
+    assert peak < patch_bytes
 
 
 def test_conv3d_channel_mismatch(rng):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conv_oracles import conv3d_reference
 from voxseg import autodiff as ad
 from voxseg import patch_embed as pe
 
@@ -54,7 +55,7 @@ def test_depth1_identity_kernel_equals_slicewise_2d(rng):
     expected = np.zeros((4, 4, 6, 8))
     for d in range(6):
         sl = x[:, :, d : d + 1, :]
-        expected[:, :, d : d + 1, :] = ad.conv3d_reference(sl, w2d, (4, 4, 1), 0)
+        expected[:, :, d : d + 1, :] = conv3d_reference(sl, w2d, (4, 4, 1), 0)
     np.testing.assert_allclose(fm.data.numpy(), expected, rtol=1e-12, atol=1e-12)
 
 

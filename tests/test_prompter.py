@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from voxseg import autodiff as ad
 from voxseg import model as mdl
 from voxseg import prompter as pr
+from voxseg.autodiff.tensor import _topo
 from voxseg.patch_embed import FeatureMap
 from voxseg.verify import _mini_prompter_params
 
@@ -160,6 +161,23 @@ class TestDualPrompt:
             lambda x: pr.dual_prompt(x, p, CFG), rng.standard_normal((8, 4))
         )
         assert rep.passed and rep.max_rel_error < 1e-4
+
+
+    def test_shared_products_computed_once(self, rng):
+        """Shared W_q / W_k: both branches read one Z@W_q and one Z@W_k node,
+        and the result equals the two standalone branches' fusion."""
+        p = _mini_prompter_params(rng)
+        z = ad.tensor(rng.standard_normal((8, 4)), requires_grad=True)
+        out = pr.dual_prompt(z, p, CFG)
+        sa = pr.spatial_attention(z, p, CFG)
+        ca = pr.channel_attention(z, p, scaling=CFG.attn_scaling)
+        fused = np.concatenate([sa.numpy() @ p.down_sa.numpy(),
+                                ca.numpy() @ p.down_ca.numpy()], axis=1)
+        np.testing.assert_allclose(out.numpy(), z.numpy() + fused, rtol=1e-12)
+        unshared = dataclasses.replace(p, wq_ca=ad.tensor(p.wq_ca.numpy()),
+                                       wk_ca=ad.tensor(p.wk_ca.numpy()))
+        nodes = len(_topo(out))
+        assert len(_topo(pr.dual_prompt(z, unshared, CFG))) == nodes + 2
 
 
 class TestAttach:
