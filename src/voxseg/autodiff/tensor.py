@@ -18,11 +18,14 @@ Conventions baked into the derivatives:
   * gelu is the tanh approximation
 
 Fused op: ``attention(q, k, v, scale)`` computes
-P = softmax(scale * q k^T over keys) and returns P v as a single node whose
-closure keeps only P, not the scores. Its inputs are all rank 2
-(tokens, dim) or all rank 3 (heads, tokens, dim); it is the only softmax
-in the op set. Its derivative, with g the output gradient: dV = P^T g,
-dS = P * (g V^T - rowsum(g V^T * P)) * scale, dQ = dS K, dK = dS^T Q.
+P = softmax(scale * q k^T over keys) and returns P v as a single node. Its
+inputs are all rank 2 (tokens, dim) or all rank 3 (heads, tokens, dim);
+it is the only softmax in the op set. It runs over blocks of query rows
+and keeps only the row log-sum-exp L, never P or the scores, so what it
+retains grows linearly with the token count. Its backward recomputes
+each block's P = exp(scale * q k^T - L); with g the output gradient and
+D = rowsum(g * out): dV = P^T g, dS = P * (g V^T - D) * scale,
+dQ = dS K, dK = dS^T Q.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ def no_grad():
 class Tensor:
     """n-dimensional array node in a differentiable computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype or _default_dtype)
@@ -135,9 +138,6 @@ class Tensor:
         if self.data.size != 1:
             raise GraphError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
-
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
 
     def zero_grad(self):
         self.grad = None
@@ -461,19 +461,33 @@ def matmul(a, b):
     return _make(data, (a, b), bw)
 
 
+# Query rows per attention block: a (heads, rows, keys) block of scores
+# holds at most this many elements (512 KB in f32).
+ATTENTION_BLOCK_ELEMS = 2**17
+
+
+def _attention_operands(q, k, v):
+    """q, k, v and k^T as contiguous arrays, made once per pass so that no
+    block GEMM copies the permuted views the encoder passes."""
+    qd, kd, vd = (np.ascontiguousarray(t.data) for t in (q, k, v))
+    return qd, kd, vd, np.ascontiguousarray(kd.swapaxes(-1, -2))
+
+
 def attention(q, k, v, scale):
     """softmax(scale * q k^T, over keys) v as one graph node.
 
     q: (..., M, d); k: (..., N, d); v: (..., N, dv), where ``...`` is
     nothing (rank 2) or one heads dim shared by all three (rank 3). The
-    scores are built in one (..., M, N) buffer that is turned into the
-    probabilities P in place, in the order scale, subtract row max, exp,
-    divide by row sum; P is the only array the backward closure keeps.
-    With g the output gradient, the backward reuses one dP buffer:
-        dV = P^T g,  dP = g V^T,  dS = P * (dP - rowsum(dP * P)) * scale,
-        dQ = dS K,  dK = (Q^T dS)^T.
-    dK is formed as (Q^T dS)^T, the product a matmul(q, permute(k)) graph
-    computes, so f32 gradients round exactly as they do through those ops.
+    queries run in blocks of rows sized from the shape alone, so that
+    heads * rows * N <= ATTENTION_BLOCK_ELEMS. Each block's scores are
+    turned into probabilities P in place (scale, subtract row max, exp,
+    divide by row sum) and multiplied into the output. The closure keeps
+    the input tensors, the output and the row log-sum-exp L = max +
+    log(sum), nothing of size M * N. With g the output gradient and
+    D = rowsum(g * out), the backward recomputes each block's
+    P = exp(scale * q k^T - L) and accumulates
+        dV += P^T g,  dS = P * (g V^T - D) * scale,
+        dQ = dS K,  dK += dS^T Q.
     """
     _check_inputs("attention", q, k, v)
     if not q.data.ndim == k.data.ndim == v.data.ndim or q.data.ndim not in (2, 3):
@@ -487,26 +501,51 @@ def attention(q, k, v, scale):
             f"attention: q {q.data.shape}, k {k.data.shape}, v {v.data.shape} do not fit"
         )
     s = np.asarray(float(scale), dtype=q.data.dtype)
-    probs = q.data @ k.data.swapaxes(-1, -2)
-    probs *= s
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    data = probs @ v.data
+    qd, kd, vd, kt = _attention_operands(q, k, v)
+    m, n = qd.shape[-2], kd.shape[-2]
+    heads = qd.shape[0] if qd.ndim == 3 else 1
+    rows = max(1, ATTENTION_BLOCK_ELEMS // (heads * n))
+    blocks = [slice(lo, min(m, lo + rows)) for lo in range(0, m, rows)]
+    data = np.empty(qd.shape[:-1] + vd.shape[-1:], dtype=qd.dtype)
+    lse = np.empty(qd.shape[:-1] + (1,), dtype=qd.dtype)
+    for blk in blocks:
+        p = qd[..., blk, :] @ kt
+        p *= s
+        row_max = p.max(axis=-1, keepdims=True)
+        p -= row_max
+        np.exp(p, out=p)
+        row_sum = p.sum(axis=-1, keepdims=True)
+        p /= row_sum
+        data[..., blk, :] = p @ vd
+        lse[..., blk, :] = row_max + np.log(row_sum)
 
     def bw(g):
-        if v.requires_grad:
-            v._accum(probs.swapaxes(-1, -2) @ g, owned=True)
-        if not (q.requires_grad or k.requires_grad):
-            return
-        dp = g @ v.data.swapaxes(-1, -2)
-        dp -= (dp * probs).sum(axis=-1, keepdims=True)
-        dp *= probs
-        dp *= s
+        qd, kd, vd, kt = _attention_operands(q, k, v)
+        vt = np.ascontiguousarray(vd.swapaxes(-1, -2))
+        g = np.ascontiguousarray(g)
+        d_row = (g * data).sum(axis=-1, keepdims=True)
+        dq = np.empty_like(qd)
+        dk = np.zeros_like(kd)
+        dv = np.zeros_like(vd)
+        for blk in blocks:
+            p = qd[..., blk, :] @ kt
+            p *= s
+            p -= lse[..., blk, :]
+            np.exp(p, out=p)
+            gb = g[..., blk, :]
+            dv += p.swapaxes(-1, -2) @ gb
+            dp = gb @ vt
+            dp -= d_row[..., blk, :]
+            dp *= p
+            dp *= s
+            dq[..., blk, :] = dp @ kd
+            dk += dp.swapaxes(-1, -2) @ qd[..., blk, :]
         if q.requires_grad:
-            q._accum(dp @ k.data, owned=True)
+            q._accum(dq, owned=True)
         if k.requires_grad:
-            k._accum((q.data.swapaxes(-1, -2) @ dp).swapaxes(-1, -2), owned=True)
+            k._accum(dk, owned=True)
+        if v.requires_grad:
+            v._accum(dv, owned=True)
 
     return _make(data, (q, k, v), bw)
 

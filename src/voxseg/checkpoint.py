@@ -5,7 +5,8 @@ resolved-config echo, one line per parameter entry), then a raw
 little-endian payload holding every parameter array in declared order
 followed by the optimizer's first/second moments for each trainable
 entry in the same order. Loading restores training bit-exactly at a
-fixed thread count.
+fixed thread count. A save replaces the file only once it is complete,
+so a crash mid-write leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import ParameterStore, tensor
+from .volume_io import atomic_write
 
 _MAGIC = b"DEAPCKPT1"
 _TAGS = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
@@ -42,7 +44,7 @@ def save_checkpoint(path, store: ParameterStore, optimizer=None, step=0,
         header.append(f"{name} {int(frozen)} {tag} {ndim}{' ' + dims if dims else ''}")
     has_moments = optimizer is not None
     header.append(f"moments {len(trainable) if has_moments else 0}")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(("\n".join(header) + "\n").encode("utf-8"))
         for _, t, _ in entries:
             fh.write(np.ascontiguousarray(t.data, dtype=_le(t.data.dtype)).tobytes())

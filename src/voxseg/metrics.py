@@ -9,8 +9,8 @@ boundary, symmetrized:
     ( |{p in ∂P : d(p, ∂G) <= tau}| + |{g in ∂G : d(g, ∂P) <= tau}| )
     / (|∂P| + |∂G|)
 
-The shipped nsd() uses an exact distance transform; nsd_bruteforce()
-recomputes it from all boundary-pair distances and must agree exactly.
+nsd() uses an exact distance transform; the tests hold an all-pairs
+oracle that must agree with it exactly.
 """
 
 from __future__ import annotations
@@ -94,35 +94,6 @@ def nsd(pred, gt, tau=1.0) -> float:
     hits_p = int((dist_to_g[bp] <= tau).sum())
     hits_g = int((dist_to_p[bg] <= tau).sum())
     return (hits_p + hits_g) / (np_ + ng)
-
-
-def nsd_bruteforce(pred, gt, tau=1.0) -> float:
-    """All-pairs surface-distance oracle; intended for small grids."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    p, g = _check_pair(pred, gt)
-    bp = np.argwhere(boundary_mask(p))
-    bg = np.argwhere(boundary_mask(g))
-    if len(bp) == 0 and len(bg) == 0:
-        return 1.0
-    if len(bp) == 0 or len(bg) == 0:
-        return 0.0
-    diff = bp[:, None, :].astype(np.int64) - bg[None, :, :].astype(np.int64)
-    sq = (diff * diff).sum(axis=2)
-    d_p = np.sqrt(sq.min(axis=1))
-    d_g = np.sqrt(sq.min(axis=0))
-    hits = int((d_p <= tau).sum()) + int((d_g <= tau).sum())
-    return hits / (len(bp) + len(bg))
-
-
-def dice_bruteforce(pred, gt) -> float:
-    """Voxel-counting oracle for dice_score."""
-    p, g = _check_pair(pred, gt)
-    inter = total = 0
-    for pv, gv in zip(p.reshape(-1), g.reshape(-1)):
-        inter += 1 if (pv and gv) else 0
-        total += (1 if pv else 0) + (1 if gv else 0)
-    return 1.0 if total == 0 else 2.0 * inter / total
 
 
 def evaluate_case(prob, gt_mask, tau=1.0) -> MetricReport:

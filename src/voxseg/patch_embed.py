@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import ShapeMismatchError, Tensor
 
@@ -90,32 +88,3 @@ def add_positional(fm: FeatureMap, pos: Tensor) -> FeatureMap:
             f"positional embedding {pos.shape} does not match feature map {fm.data.shape}"
         )
     return FeatureMap.wrap(ad.add(fm.data, pos))
-
-
-# -- helpers for relating the two routes -------------------------------------
-
-
-def separable_to_true3d(w2d: np.ndarray, wdepth: np.ndarray) -> np.ndarray:
-    """Assemble the dense 3D kernel a given pseudo3d parameterization equals."""
-    w2 = np.asarray(w2d)[:, :, 0]  # (p_h, p_w, N, C)
-    kd = np.asarray(wdepth)  # (p_d, C)
-    return np.einsum("ijnc,kc->ijknc", w2, kd)
-
-
-def best_separable_factors(w3d: np.ndarray):
-    """Per-channel rank-1 (in-plane x depth) approximation of a 3D kernel.
-
-    Returns (w2d, wdepth) shaped for pseudo3d_patch_embed. For genuinely
-    non-separable kernels the reconstruction error is the representation
-    gap of the slice-wise route.
-    """
-    w3 = np.asarray(w3d, dtype=np.float64)
-    ph, pw, pd, n, c = w3.shape
-    w2d = np.zeros((ph, pw, 1, n, c))
-    wdepth = np.zeros((pd, c))
-    for ch in range(c):
-        flat = w3[..., ch].transpose(0, 1, 3, 2).reshape(ph * pw * n, pd)
-        u, s, vt = np.linalg.svd(flat, full_matrices=False)
-        w2d[:, :, 0, :, ch] = (u[:, 0] * s[0]).reshape(ph, pw, n)
-        wdepth[:, ch] = vt[0]
-    return w2d, wdepth

@@ -5,6 +5,12 @@ statelessly from (seed, epoch/step) seed sequences, so a run is a pure
 function of its configuration and checkpoint resume reproduces the
 uninterrupted run bit-for-bit at a fixed thread count.
 
+A step runs its cases one at a time: each case's forward, loss and
+backward (its loss scaled by 1/batch) finish, and its graph is freed,
+before the next case starts; the gradients accumulate on the leaves and
+the optimizer steps once. At most one case's graph is alive, so peak
+memory does not grow with the batch size.
+
 Dataset layout: a directory of DEAPVOL1 pairs
     <case_id>.img.dvol   (f32 volume)
     <case_id>.msk.dvol   (u8 mask)
@@ -176,6 +182,23 @@ def _check_resume_config(path, saved_lines, current_lines):
         )
 
 
+def _train_case(spec, store, vdata, mdata, loss_cfg, weight):
+    """Forward, loss and backward of one case; returns (loss, dice).
+
+    The case's gradient, scaled by ``weight``, accumulates into the leaf
+    ``.grad`` buffers. Its graph dies when this returns, so no more than
+    one case's graph is alive at any time.
+    """
+    prob = mdl.forward(spec, store, vdata)
+    loss = combined_loss(prob, mdata, loss_cfg)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise ad.NonFiniteError(f"loss is {value}")
+    dice = mx.dice_score(mx.threshold_probabilities(prob.numpy()), mdata)
+    ad.backward(ad.scale(loss, weight))
+    return value, dice
+
+
 def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResult:
     """Train per config on a dataset directory; checkpoints into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
@@ -245,24 +268,16 @@ def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResul
             # Every way a step can diverge ends here, before the optimizer has
             # touched the parameters, so last.ckpt keeps the last good state.
             try:
-                case_losses = []
+                case_values = []
                 for slot, cid in enumerate(ids):
                     vol, mask = cache[cid]
                     axes = _flip_axes(seed, global_step, slot, flip_probs)
                     vdata, mdata = _apply_flips(vol.data, mask.data, axes)
-                    prob = mdl.forward(spec, store, vdata)
-                    case_losses.append(combined_loss(prob, mdata, loss_cfg))
-                    epoch_dices.append(
-                        mx.dice_score(mx.threshold_probabilities(prob.numpy()), mdata)
-                    )
-                total = case_losses[0]
-                for cl in case_losses[1:]:
-                    total = ad.add(total, cl)
-                loss = ad.scale(total, 1.0 / len(case_losses))
-                loss_value = loss.item()
-                if not math.isfinite(loss_value):
-                    raise ad.NonFiniteError(f"loss is {loss_value}")
-                ad.backward(loss)
+                    value, dice = _train_case(spec, store, vdata, mdata, loss_cfg,
+                                              1.0 / len(ids))
+                    case_values.append(value)
+                    epoch_dices.append(dice)
+                loss_value = float(np.mean(np.asarray(case_values, dtype=ad.default_dtype())))
                 if not optimizer.step():
                     raise ad.NonFiniteError("non-finite gradient")
             except ad.NonFiniteError as exc:

@@ -18,6 +18,7 @@ from . import decoder as dec
 from . import encoder as enc
 from . import patch_embed as pe
 from . import prompter as pr
+from .autodiff.tensor import ATTENTION_BLOCK_ELEMS
 from .objectives import combined_loss
 
 DEFAULT_TOL = 1e-4  # gradient-check tolerance in 64-bit mode
@@ -108,21 +109,35 @@ def _case_sigmoid(rng):
     return ad.sigmoid, rng.standard_normal(tuple(rng.integers(2, 5, 2)))
 
 
-def _case_attention(rng):
-    """x feeds q, k and v through three fixed maps: one check covers all three.
-
-    Each instance is rank 2 (tokens, dim) or rank 3 (heads, tokens, dim).
-    """
-    heads = (int(rng.integers(1, 4)),) if rng.random() < 0.5 else ()
-    l, d = int(rng.integers(2, 4)), int(rng.integers(1, 5))
-    m = int(rng.integers(2, 5))
-    n = m + int(rng.integers(1, 3))  # query count != key count
+def _attention_through_maps(rng, heads, l, d, m, n):
+    """x (heads, l, d) feeds q, k and v through three fixed maps to m
+    queries and n keys: one check covers all three inputs."""
     aq, ak, av = _t(rng, *heads, m, l), _t(rng, *heads, n, l), _t(rng, *heads, n, l)
     s = float(rng.uniform(0.3, 1.5))
     return (
         lambda x: ad.attention(ad.matmul(aq, x), ad.matmul(ak, x), ad.matmul(av, x), s),
         rng.standard_normal(heads + (l, d)),
     )
+
+
+def _case_attention(rng):
+    """Each instance is rank 2 (tokens, dim) or rank 3 (heads, tokens, dim)."""
+    heads = (int(rng.integers(1, 4)),) if rng.random() < 0.5 else ()
+    l, d = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+    m = int(rng.integers(2, 5))
+    n = m + int(rng.integers(1, 3))  # query count != key count
+    return _attention_through_maps(rng, heads, l, d, m, n)
+
+
+def _case_attention_blocked(rng):
+    """M and N large enough for several query blocks, the last ragged; x
+    stays (l, d)-sized, so the check stays cheap."""
+    heads = (int(rng.integers(1, 3)),) if rng.random() < 0.5 else ()
+    l, d = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+    n = int(rng.integers(300, 600))
+    rows = ATTENTION_BLOCK_ELEMS // (int(np.prod(heads)) * n)
+    m = rows * int(rng.integers(1, 3)) + int(rng.integers(1, rows))
+    return _attention_through_maps(rng, heads, l, d, m, n)
 
 
 def _case_layer_norm(rng):
@@ -459,6 +474,7 @@ OP_CASES = [
     ("gelu", _case_gelu),
     ("sigmoid", _case_sigmoid),
     ("attention", _case_attention),
+    ("attention_blocked", _case_attention_blocked),
     ("layer_norm", _case_layer_norm),
     ("instance_norm", _case_instance_norm),
     ("concat", _case_concat),

@@ -11,12 +11,15 @@ text header lines followed by a raw little-endian payload.
     dtype f32|u8
 
 Payload order is H-major, then W, then D, then channel (C-order of an
-(H, W, D, N) array). Masks use the same container with dtype u8.
+(H, W, D, N) array). Masks use the same container with dtype u8. Writes
+are atomic (``atomic_write``): a file is either its old or its new bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +96,27 @@ def _format_spacing(s):
     return " ".join(repr(float(v)) for v in s)
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Binary file handle whose contents replace ``path`` only when complete.
+
+    Writes go to ``<path>.tmp`` in the same directory, which is fsynced and
+    then renamed over ``path``; if the block raises, the temp file is
+    removed and ``path`` keeps its old bytes.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_container(path, dims, channels, spacing, tag, payload):
     header = (
         _MAGIC
@@ -102,7 +126,7 @@ def _write_container(path, dims, channels, spacing, tag, payload):
         + f"spacing {_format_spacing(spacing)}\n".encode()
         + f"dtype {tag}\n".encode()
     )
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(header)
         fh.write(payload.astype(_DTYPE_TAGS[tag], copy=False).tobytes(order="C"))
 

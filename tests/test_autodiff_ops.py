@@ -7,6 +7,7 @@ import pytest
 
 from conv_oracles import conv3d_input_grad_taps, conv3d_kernel_grad_taps, conv3d_reference
 from voxseg import autodiff as ad
+from voxseg.autodiff.tensor import ATTENTION_BLOCK_ELEMS
 
 
 @pytest.fixture(autouse=True)
@@ -53,6 +54,50 @@ def test_attention_large_logits_stay_finite(rng, dtype):
     got = ad.attention(*(ad.tensor(a, dtype=dtype) for a in (q, k, v)), 1.0).numpy()
     assert np.isfinite(got).all()
     np.testing.assert_allclose(got, _attention_oracle(q, k, v, 1.0), rtol=0, atol=1e-5)
+
+
+def _attention_grads_oracle(q, k, v, scale, g):
+    """Unblocked f64 (dQ, dK, dV) of sum(g * attention(q, k, v))."""
+    q, k, v, g = (np.asarray(a, dtype=np.float64) for a in (q, k, v, g))
+    logits = scale * (q @ k.swapaxes(-1, -2))
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    dp = g @ v.swapaxes(-1, -2)
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+    return ds @ k, ds.swapaxes(-1, -2) @ q, p.swapaxes(-1, -2) @ g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_blocked_matches_oracle(rng, dtype):
+    """(2, 700, 4) queries against 700 keys run in several query blocks,
+    the last one ragged; forward and gradients match the unblocked oracle."""
+    heads, m, d = 2, 700, 4
+    rows = ATTENTION_BLOCK_ELEMS // (heads * m)
+    assert m // rows >= 2 and m % rows  # several blocks, the last ragged
+    q, k, v, g = (rng.standard_normal((heads, m, d)).astype(dtype) for _ in range(4))
+    ts = [ad.tensor(a, requires_grad=True, dtype=dtype) for a in (q, k, v)]
+    out = ad.attention(*ts, 0.5)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=dtype))))
+    refs = [_attention_oracle(q, k, v, 0.5)] + list(_attention_grads_oracle(q, k, v, 0.5, g))
+    for got, ref in zip([out.numpy()] + [t.grad for t in ts], refs):
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
+
+
+def test_attention_closure_keeps_no_probabilities(rng):
+    """At (4, 2048, 16) f32 the backward closure holds under 2 MB of arrays
+    (the output and the row log-sum-exp); the probabilities alone are 64 MB."""
+    ts = [ad.tensor(rng.standard_normal((4, 2048, 16)), requires_grad=True,
+                    dtype=np.float32) for _ in range(3)]
+    out = ad.attention(*ts, 0.25)
+    held = {}
+    for cell in out._backward.__closure__:
+        arr = cell.cell_contents
+        if isinstance(arr, np.ndarray):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            held[id(arr)] = arr.nbytes
+    assert 0 < sum(held.values()) < 2 * 2**20
 
 
 def test_attention_shape_mismatch():

@@ -1,5 +1,7 @@
 """Config parsing/echo and checkpoint round trips."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,23 @@ class TestCheckpoint:
         rebuilt = ckpt.store_from_entries(entries)
         assert rebuilt.names() == store.names()
         assert rebuilt.trainable_params() == store.trainable_params()
+
+    def test_failed_save_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        """A save that fails part-way leaves the previous file byte for byte."""
+        spec, store = _tiny_store()
+        opt = AdamW(store, AdamWConfig())
+        path = tmp_path / "last.ckpt"
+        ckpt.save_checkpoint(path, store, opt)
+        before = path.read_bytes()
+        for _, t in store.trainable():
+            t.grad = np.ones_like(t.data)
+        opt.step()
+        # no moments: the write fails after the header and every parameter
+        monkeypatch.setattr(opt, "state", lambda: {"step": 1, "m": {}, "v": {}})
+        with pytest.raises(KeyError):
+            ckpt.save_checkpoint(path, store, opt)
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["last.ckpt"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -16,6 +16,35 @@ def _f64():
         yield
 
 
+def _nsd_bruteforce(pred, gt, tau=1.0) -> float:
+    """All-pairs surface-distance oracle; intended for small grids."""
+    if tau < 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
+    p, g = mx._check_pair(pred, gt)
+    bp = np.argwhere(mx.boundary_mask(p))
+    bg = np.argwhere(mx.boundary_mask(g))
+    if len(bp) == 0 and len(bg) == 0:
+        return 1.0
+    if len(bp) == 0 or len(bg) == 0:
+        return 0.0
+    diff = bp[:, None, :].astype(np.int64) - bg[None, :, :].astype(np.int64)
+    sq = (diff * diff).sum(axis=2)
+    d_p = np.sqrt(sq.min(axis=1))
+    d_g = np.sqrt(sq.min(axis=0))
+    hits = int((d_p <= tau).sum()) + int((d_g <= tau).sum())
+    return hits / (len(bp) + len(bg))
+
+
+def _dice_bruteforce(pred, gt) -> float:
+    """Voxel-counting oracle for dice_score."""
+    p, g = mx._check_pair(pred, gt)
+    inter = total = 0
+    for pv, gv in zip(p.reshape(-1), g.reshape(-1)):
+        inter += 1 if (pv and gv) else 0
+        total += (1 if pv else 0) + (1 if gv else 0)
+    return 1.0 if total == 0 else 2.0 * inter / total
+
+
 class TestLoss:
     def test_perfect_prediction_near_zero(self):
         gt = np.zeros((4, 4, 4))
@@ -153,8 +182,8 @@ class TestNSD:
         p = (rng.random(shape) < 0.35).astype(np.uint8)
         g = (rng.random(shape) < 0.35).astype(np.uint8)
         tau = float(rng.choice([0.0, 1.0, 1.5, 2.0, 3.0]))
-        assert mx.nsd(p, g, tau) == mx.nsd_bruteforce(p, g, tau)
-        assert mx.dice_score(p, g) == mx.dice_bruteforce(p, g)
+        assert mx.nsd(p, g, tau) == _nsd_bruteforce(p, g, tau)
+        assert mx.dice_score(p, g) == _dice_bruteforce(p, g)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31))

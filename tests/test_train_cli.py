@@ -3,12 +3,15 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from voxseg import checkpoint as ckpt
 from voxseg import metrics as mx
+from voxseg import model as mdl
 from voxseg.cli import main as cli_main
 from voxseg.config import Config
 from voxseg.train import (
@@ -94,6 +97,36 @@ class TestTrainLoop:
         assert cli_main(["train", "--config", str(cfg_path), "--data", data_dir,
                          "--out", str(tmp_path / "cli")]) == 1
         assert os.path.exists(tmp_path / "cli" / "last.ckpt")
+
+    def test_case_graph_dies_before_next_forward(self, tiny_dataset, tmp_path, monkeypatch):
+        """When a case's forward begins, no earlier case's output is alive,
+        in the same step or from the step before."""
+        data_dir, _ = tiny_dataset
+        outputs, alive = [], []
+        forward = mdl.forward
+
+        def tracked(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in outputs))
+            prob = forward(*args, **kwargs)
+            outputs.append(weakref.ref(prob))
+            return prob
+
+        monkeypatch.setattr(mdl, "forward", tracked)
+        train(tiny_config(**{"train.max_steps": 2}), data_dir, str(tmp_path / "run"))
+        assert alive == [0, 0, 0, 0]  # 2 steps of batch 2
+
+    def test_peak_memory_does_not_grow_with_batch(self, tiny_dataset, tmp_path):
+        data_dir, _ = tiny_dataset
+        peaks = {}
+        for batch in (2, 4):
+            cfg = tiny_config(**{"train.batch_size": batch, "train.max_steps": 1})
+            tracemalloc.start()
+            try:
+                train(cfg, data_dir, str(tmp_path / f"batch{batch}"))
+                peaks[batch] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4] <= 1.1 * peaks[2], peaks
 
     def test_flip_augmentation_deterministic(self):
         a = _flip_axes(seed=3, step=10, slot=0, probs=(0.5, 0.5, 0.5))

@@ -127,6 +127,21 @@ class TestContainer:
             vio.write_volume(vol, tmp_path / "nan.dvol")
         assert err.value.code == "non_finite"
 
+    def test_failed_write_keeps_old_volume(self, tmp_path, monkeypatch):
+        """A write that fails before it is committed leaves the old file."""
+        path = tmp_path / "c.img.dvol"
+        vio.write_volume(_phantom(seed=5)[0], path)
+        before = path.read_bytes()
+
+        def crash(fd):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "fsync", crash)
+        with pytest.raises(OSError, match="disk gone"):
+            vio.write_volume(_phantom(seed=6)[0], path)
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["c.img.dvol"]
+
     def test_mask_dtype_routing(self, tmp_path):
         vol, mask = _phantom(seed=5)
         vp, mp = tmp_path / "v.dvol", tmp_path / "m.dvol"
