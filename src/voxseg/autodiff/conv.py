@@ -13,18 +13,45 @@ cropped (implicit GEMM, Chetlur et al. 2014, arXiv:1410.0759). The rows
 with b >= Wo or c >= Do are computed and discarded: 13% more rows than
 outputs at 32^3, 27% at 16^3 (3x3x3, padding 1).
 
+How the taps accumulate is chosen from the shape alone
+(``_blas_accumulates``). Where it pays, each tap is one gemm with
+beta = 1 from numpy's own OpenBLAS (the library and thread pool that
+serve ``np.matmul``, reached through ctypes), which adds its product
+straight into the accumulator rows. Elsewhere, and wherever that symbol
+is missing, each product is a numpy temporary added into the
+accumulator. At every stride-1 conv shape of the desk and tiny models
+the two give bit-identical results (tested). Shifted-row correlation of
+a 3x3x3 conv, padding 1, f32, 2 BLAS threads, median ms:
+
+    grid  Cin->Cout  numpy   gemm      grid  Cin->Cout  numpy   gemm
+    8^3     8->8      0.28   0.47      16^3   16->16     2.43   1.54
+    8^3    16->16     0.41   0.40      16^3   16->80    11.32   7.71
+    14^3   16->16     1.34   1.19      16^3   64->16     5.13   4.10
+    16^3    8->8      1.15   2.06      24^3    8->8      3.88   2.44
+    16^3   12->12     1.58   2.67      32^3    8->8     10.01   5.54
+    20^3    8->8      2.08   3.83      32^3   16->16    20.13  10.59
+    32^3    4->4      4.89  14.04
+
+gemm with beta = 1 loses where Cout is under 16 on grids up to 20^3,
+and where Cout is 4 even at 32^3 (OpenBLAS's paths for skinny C), and
+gains little below 16^3; so it runs for Cout >= 16 over >= 4096 rows,
+or Cout >= 8 over >= 12288 rows (the left column keeps numpy adds, the
+right one takes gemm). That keeps every conv of the tiny model (8
+channels, grids up to 16^3) on numpy adds and every 3x3x3 conv of the
+desk model on gemm; 16->80 is the desk fuse conv's input gradient.
+
 Backward of a stride-1 conv3d:
   * kernel gradient: the output gradient embedded in the same row grid,
     zeros at the discarded rows; each tap is one GEMM, the tap's row
     slice of the padded input transposed times that grid;
   * input gradient: the transposed convolution, i.e. the output gradient
     padded by k-1-p per side (cropped where p > k-1) and correlated with
-    the spatially flipped kernel, Cin and Cout swapped. When Cin <= Cout
-    this runs as the shifted-row GEMMs above. When Cin > Cout it is one
-    GEMM over the im2col patch matrix of the padded output gradient:
-    those patches are only Cout wide, while the shifted rows would
-    accumulate 27 Cin-wide products, which measured about twice as slow
-    at the decoder's 64 -> 16 and 80 -> 16 fuse convs.
+    the spatially flipped kernel, Cin and Cout swapped. It runs as the
+    shifted-row GEMMs above, except when Cin > Cout and those would
+    accumulate through numpy adds: then it is one GEMM over the im2col
+    patch matrix of the padded output gradient, whose patches are only
+    Cout wide (8^3, 24->8: 0.28 ms against 0.63 ms for 27 Cin-wide
+    numpy accumulations; 16^3, 64->16 on gemm: 3.8 ms against 4.1 ms).
 
 Strided convs (the patch embedding and the first conv of each image
 branch, which read the raw volume) lower to one GEMM over the im2col
@@ -36,6 +63,10 @@ the strides.
 """
 
 from __future__ import annotations
+
+import ctypes
+import glob
+import os
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -88,6 +119,65 @@ def _im2col(xp, kdims, stride, out_dims):
     return np.ascontiguousarray(cols).reshape(n, -1)
 
 
+def _load_gemm():
+    """cblas_{s,d}gemm of numpy's own bundled OpenBLAS (64-bit ints), keyed
+    by dtype; empty where that library or its symbols are not found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            fns = {np.dtype(np.float32): (lib.scipy_cblas_sgemm64_, ctypes.c_float),
+                   np.dtype(np.float64): (lib.scipy_cblas_dgemm64_, ctypes.c_double)}
+        except (OSError, AttributeError):
+            continue
+        i64 = ctypes.c_int64
+        for fn, real in fns.values():
+            fn.restype = None
+            fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, i64, i64, i64, real,
+                           ctypes.c_void_p, i64, ctypes.c_void_p, i64, real,
+                           ctypes.c_void_p, i64]
+        return {dt: fn for dt, (fn, _) in fns.items()}
+    return {}
+
+
+_GEMM = _load_gemm()
+_ROW_MAJOR, _NO_TRANS = 101, 111  # CBLAS enum values
+
+
+def _blas_accumulates(rows, cout):
+    """Whether the taps of a correlation into (rows, cout) accumulate inside
+    gemm (beta = 1) rather than as numpy temporaries added into the
+    accumulator: a rule on the shape alone, from the module's table."""
+    return (cout >= 16 and rows >= 4096) or (cout >= 8 and rows >= 12288)
+
+
+def _accumulate_taps(acc, flat, offs, taps):
+    """acc += flat[off : off + len(acc)] @ tap for every (off, tap), in place.
+
+    acc: (rows, Co); flat: (R, Ci); taps: (T, Ci, Co). Where
+    ``_blas_accumulates`` says so and numpy's OpenBLAS exports gemm, each
+    tap is one gemm with beta = 1 that reads its rows of flat and adds its
+    product straight into acc; otherwise each product is a numpy
+    temporary added into acc.
+    """
+    rows, co = acc.shape
+    ci = flat.shape[1]
+    gemm = _GEMM.get(acc.dtype) if _blas_accumulates(rows, co) else None
+    if gemm is None:
+        for off, tap in zip(offs, taps):
+            acc += flat[off : off + rows] @ tap
+        return
+    flat, taps = np.ascontiguousarray(flat), np.ascontiguousarray(taps)
+    if not (acc.flags.c_contiguous and flat.dtype == taps.dtype == acc.dtype
+            and taps.shape == (len(offs), ci, co) and max(offs) + rows <= len(flat)):
+        raise ValueError("gemm operands do not fit the accumulator")  # before any pointer
+    size = acc.itemsize
+    a0, b0, c0 = flat.ctypes.data, taps.ctypes.data, acc.ctypes.data
+    for t, off in enumerate(offs):
+        gemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, rows, co, ci, 1.0,
+             a0 + off * ci * size, ci, b0 + t * ci * co * size, co, 1.0, c0, co)
+
+
 def _tap_rows(padded_dims, kdims):
     """Row offset of each kernel tap in the flattened padded grid, and the
     row count every tap can read (the last valid output row plus one)."""
@@ -105,8 +195,7 @@ def _correlate_stride1(xp, w, out_dims):
     offs, span = _tap_rows(xp.shape[:3], w.shape[:3])
     flat = xp.reshape(-1, ci)
     acc = np.zeros((ho * wp * dp, w.shape[4]), dtype=xp.dtype)
-    for off, tap in zip(offs, w.reshape(len(offs), ci, -1)):
-        acc[:span] += flat[off : off + span] @ tap
+    _accumulate_taps(acc[:span], flat, offs, w.reshape(len(offs), ci, -1))
     return np.ascontiguousarray(acc.reshape(ho, wp, dp, -1)[:, :wo, :do])
 
 
@@ -140,7 +229,8 @@ def _input_grad_stride1(g, w, padding, x_shape):
     gp = _pad_spatial(g, tuple(max(e, 0) for e in edge))
     wt = w[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)  # (kh, kw, kd, Cout, Cin)
     cin, cout = w.shape[3], w.shape[4]
-    if cin > cout:  # Cout-wide patches beat 27 Cin-wide accumulations
+    rows = x_shape[0] * gp.shape[1] * gp.shape[2]  # the shifted-row accumulator's
+    if cin > cout and not _blas_accumulates(rows, cin):
         cols = _im2col(gp, kdims, (1, 1, 1), x_shape[:3])
         return (cols @ wt.reshape(-1, cin)).reshape(x_shape)
     return _correlate_stride1(gp, wt, x_shape[:3])

@@ -22,10 +22,14 @@ P = softmax(scale * q k^T over keys) and returns P v as a single node. Its
 inputs are all rank 2 (tokens, dim) or all rank 3 (heads, tokens, dim);
 it is the only softmax in the op set. It runs over blocks of query rows
 and keeps only the row log-sum-exp L, never P or the scores, so what it
-retains grows linearly with the token count. Its backward recomputes
-each block's P = exp(scale * q k^T - L); with g the output gradient and
-D = rowsum(g * out): dV = P^T g, dS = P * (g V^T - D) * scale,
-dQ = dS K, dK = dS^T Q.
+retains grows linearly with the token count. Its bookkeeping rides in
+its GEMMs: the scale in q, the row sum as a ones column appended to v
+(the output is divided by it, not P), and in the backward -L and
+-D = -rowsum(g * out) as extra columns of the score and dP GEMMs:
+P = exp([scale q, -L] [k, 1]^T), dS = P * ([g, -D] [v, 1]^T),
+dV = P^T g, dQ = dS (scale k), dK = dS^T (scale q). That leaves three
+elementwise passes over each block of scores in the forward (row max,
+shift, exp) and two in the backward (exp, the product with P).
 """
 
 from __future__ import annotations
@@ -109,7 +113,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype or _default_dtype)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor initialized with non-finite values")
         self.data = arr
         self.grad = None
@@ -225,7 +229,7 @@ def _check_inputs(op, *tensors):
             raise DtypeMismatchError(
                 f"{op}: mixed dtypes {dt} and {t.data.dtype} in one graph"
             )
-        if not np.all(np.isfinite(t.data)):
+        if not np.isfinite(t.data).all():
             raise NonFiniteError(f"{op}: non-finite input")
 
 
@@ -466,11 +470,26 @@ def matmul(a, b):
 ATTENTION_BLOCK_ELEMS = 2**17
 
 
-def _attention_operands(q, k, v):
-    """q, k, v and k^T as contiguous arrays, made once per pass so that no
-    block GEMM copies the permuted views the encoder passes."""
-    qd, kd, vd = (np.ascontiguousarray(t.data) for t in (q, k, v))
-    return qd, kd, vd, np.ascontiguousarray(kd.swapaxes(-1, -2))
+# index of all but the last, and of the last, column (-1) or row (-2)
+_HEAD = {-1: (Ellipsis, slice(None, -1)), -2: (Ellipsis, slice(None, -1), slice(None))}
+_TAIL = {-1: (Ellipsis, slice(-1, None)), -2: (Ellipsis, slice(-1, None), slice(None))}
+
+
+def _augment(x, fill, axis=-1):
+    """[x, fill] as a new contiguous array with one more column (axis -1)
+    or row (axis -2): x may be any view; fill is a scalar, or an array
+    of extent 1 on that axis."""
+    shape = list(x.shape)
+    shape[axis] += 1
+    out = np.empty(shape, dtype=x.dtype)
+    out[_HEAD[axis]] = x
+    out[_TAIL[axis]] = fill
+    return out
+
+
+def _join_rows(parts):
+    """Concatenate per-block results along the query axis."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
 
 
 def attention(q, k, v, scale):
@@ -479,15 +498,18 @@ def attention(q, k, v, scale):
     q: (..., M, d); k: (..., N, d); v: (..., N, dv), where ``...`` is
     nothing (rank 2) or one heads dim shared by all three (rank 3). The
     queries run in blocks of rows sized from the shape alone, so that
-    heads * rows * N <= ATTENTION_BLOCK_ELEMS. Each block's scores are
-    turned into probabilities P in place (scale, subtract row max, exp,
-    divide by row sum) and multiplied into the output. The closure keeps
-    the input tensors, the output and the row log-sum-exp L = max +
-    log(sum), nothing of size M * N. With g the output gradient and
-    D = rowsum(g * out), the backward recomputes each block's
-    P = exp(scale * q k^T - L) and accumulates
-        dV += P^T g,  dS = P * (g V^T - D) * scale,
-        dQ = dS K,  dK += dS^T Q.
+    heads * rows * N <= ATTENTION_BLOCK_ELEMS. The scale rides in q, so a
+    block's scores S = (scale * q) k^T come straight out of the GEMM; the
+    row max is subtracted and E = exp(S - max) taken in place, and one
+    GEMM E [v, 1] yields both the unnormalized output and the row sum in
+    its last column. The output is that product divided by the row sum.
+    The closure keeps the input tensors, the output and the row
+    log-sum-exp L = max + log(sum), nothing of size M * N. With g the
+    output gradient and D = rowsum(g * out), the backward recomputes each
+    block's P = exp([scale * q, -L] [k, 1]^T) and accumulates
+        dV += P^T g,  dS = P * ([g, -D] [v, 1]^T),
+        dQ = dS (scale * k),  dK += dS^T (scale * q),
+    so the shifts by L and D are GEMM columns, not passes over the scores.
     """
     _check_inputs("attention", q, k, v)
     if not q.data.ndim == k.data.ndim == v.data.ndim or q.data.ndim not in (2, 3):
@@ -501,47 +523,50 @@ def attention(q, k, v, scale):
             f"attention: q {q.data.shape}, k {k.data.shape}, v {v.data.shape} do not fit"
         )
     s = np.asarray(float(scale), dtype=q.data.dtype)
-    qd, kd, vd, kt = _attention_operands(q, k, v)
-    m, n = qd.shape[-2], kd.shape[-2]
-    heads = qd.shape[0] if qd.ndim == 3 else 1
+    m, n = q.data.shape[-2], k.data.shape[-2]
+    heads = q.data.shape[0] if q.data.ndim == 3 else 1
     rows = max(1, ATTENTION_BLOCK_ELEMS // (heads * n))
-    blocks = [slice(lo, min(m, lo + rows)) for lo in range(0, m, rows)]
-    data = np.empty(qd.shape[:-1] + vd.shape[-1:], dtype=qd.dtype)
-    lse = np.empty(qd.shape[:-1] + (1,), dtype=qd.dtype)
+    blocks = [slice(lo, lo + rows) for lo in range(0, max(m, 1), rows)]
+    # Each operand is built from the (often permuted) input views in one
+    # pass, in a layout the GEMMs read without copying; the transposes are
+    # made contiguous because batched GEMMs on transposed slices run slow.
+    sq = q.data * s
+    kt = np.ascontiguousarray(k.data.swapaxes(-1, -2))
+    v1 = _augment(v.data, 1)
+    outs, lses = [], []
     for blk in blocks:
-        p = qd[..., blk, :] @ kt
-        p *= s
-        row_max = p.max(axis=-1, keepdims=True)
-        p -= row_max
-        np.exp(p, out=p)
-        row_sum = p.sum(axis=-1, keepdims=True)
-        p /= row_sum
-        data[..., blk, :] = p @ vd
-        lse[..., blk, :] = row_max + np.log(row_sum)
+        e = sq[..., blk, :] @ kt
+        row_max = e.max(axis=-1, keepdims=True)
+        e -= row_max
+        np.exp(e, out=e)
+        o = e @ v1
+        row_sum = o[..., -1:]
+        outs.append(o[..., :-1] / row_sum)
+        lses.append(np.log(row_sum) + row_max)
+    data, lse = _join_rows(outs), _join_rows(lses)
 
     def bw(g):
-        qd, kd, vd, kt = _attention_operands(q, k, v)
-        vt = np.ascontiguousarray(vd.swapaxes(-1, -2))
-        g = np.ascontiguousarray(g)
-        d_row = (g * data).sum(axis=-1, keepdims=True)
-        dq = np.empty_like(qd)
-        dk = np.zeros_like(kd)
-        dv = np.zeros_like(vd)
+        q1 = _augment(q.data * s, -lse)
+        k1t = _augment(k.data.swapaxes(-1, -2), 1, axis=-2)
+        g1 = _augment(g, -np.einsum("...j,...j->...", g, data)[..., None])
+        v1t = _augment(v.data.swapaxes(-1, -2), 1, axis=-2)
+        sk = k.data * s
+        dqs, dk, dv = [], None, None
         for blk in blocks:
-            p = qd[..., blk, :] @ kt
-            p *= s
-            p -= lse[..., blk, :]
+            qb, gb = q1[..., blk, :], g1[..., blk, :]
+            p = qb @ k1t
             np.exp(p, out=p)
-            gb = g[..., blk, :]
-            dv += p.swapaxes(-1, -2) @ gb
-            dp = gb @ vt
-            dp -= d_row[..., blk, :]
-            dp *= p
-            dp *= s
-            dq[..., blk, :] = dp @ kd
-            dk += dp.swapaxes(-1, -2) @ qd[..., blk, :]
+            ds = gb @ v1t
+            ds *= p
+            dqs.append(ds @ sk)
+            p, ds = p.swapaxes(-1, -2), ds.swapaxes(-1, -2)
+            if dv is None:
+                dv, dk = p @ gb[..., :-1], ds @ qb[..., :-1]
+            else:
+                dv += p @ gb[..., :-1]
+                dk += ds @ qb[..., :-1]
         if q.requires_grad:
-            q._accum(dq, owned=True)
+            q._accum(_join_rows(dqs), owned=True)
         if k.requires_grad:
             k._accum(dk, owned=True)
         if v.requires_grad:

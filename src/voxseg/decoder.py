@@ -3,10 +3,11 @@ features convolved straight off the original volume, and a prediction
 head emits a full-resolution probability map.
 
 Per enhancer:  E = ConvBlock(Concat(Upsample(Z_tap), ConvPyramid(I))),
-all branches meeting at (2H, 2W, 2D). The prediction head concatenates
-the four enhancer outputs, applies a conv block, upsamples to the input
-resolution, smooths with one 3x3x3 conv, projects to a single channel
-and applies a sigmoid.
+all branches meeting at (2H, 2W, 2D); a shared image branch
+(``share_image_branch``) runs once per forward and feeds all four
+enhancers. The prediction head concatenates the four enhancer outputs,
+applies a conv block, upsamples to the input resolution, smooths with
+one 3x3x3 conv, projects to a single channel and applies a sigmoid.
 
 A conv block is (conv3x3x3 -> instance norm -> relu) twice; pyramid
 stages use stride 2 on their first conv. ``no_image_branch`` replaces
@@ -91,26 +92,35 @@ def pyramid_stages(vol_dims, target_dims):
     return max(1, r.bit_length() - 1)  # log2(r) stages, min 1
 
 
-def original_feature_enhancer(z: FeatureMap, image: Tensor, p: EnhancerParams) -> FeatureMap:
-    """Upsample one tap to (2H, 2W, 2D), fuse with image-branch features."""
+def image_features(image: Tensor, p: EnhancerParams) -> Tensor:
+    """The image branch: the conv pyramid over the volume, down to
+    (2H, 2W, 2D), or zeros of that shape with ``no_image_branch``."""
+    if p.no_image_branch:
+        cout = p.image_stages[-1].conv2_w.shape[4]
+        return ad.tensor(np.zeros(tuple(p.target_dims) + (cout,)), dtype=image.data.dtype)
+    img_feat = image
+    for stage in p.image_stages:
+        img_feat = conv_block(img_feat, stage)
+    if tuple(img_feat.shape[:3]) != tuple(p.target_dims):
+        raise ShapeMismatchError(
+            f"image branch produced {img_feat.shape[:3]}, expected {p.target_dims}"
+        )
+    return img_feat
+
+
+def original_feature_enhancer(z: FeatureMap, image: Tensor, p: EnhancerParams,
+                              features: Tensor | None = None) -> FeatureMap:
+    """Upsample one tap to (2H, 2W, 2D), fuse with image-branch features.
+
+    ``features`` is the image branch already computed by the caller (a
+    shared branch runs once per forward); when None it runs here.
+    """
     up = ad.trilinear_upsample(z.data, 2)  # (2H, 2W, 2D, C)
     if tuple(up.shape[:3]) != tuple(p.target_dims):
         raise ShapeMismatchError(
             f"enhancer target {p.target_dims} != upsampled tap {up.shape[:3]}"
         )
-    if p.no_image_branch:
-        cout = p.image_stages[-1].conv2_w.shape[4]
-        img_feat = ad.tensor(
-            np.zeros(tuple(p.target_dims) + (cout,)), dtype=up.data.dtype
-        )
-    else:
-        img_feat = image
-        for stage in p.image_stages:
-            img_feat = conv_block(img_feat, stage)
-        if tuple(img_feat.shape[:3]) != tuple(p.target_dims):
-            raise ShapeMismatchError(
-                f"image branch produced {img_feat.shape[:3]}, expected {p.target_dims}"
-            )
+    img_feat = image_features(image, p) if features is None else features
     fused = conv_block(ad.concat([up, img_feat], axis=3), p.fuse)
     return FeatureMap.wrap(fused)
 

@@ -188,14 +188,17 @@ def forward(spec: ModelSpec, store, volume, return_trace=False):
     taps = enc.encode(fm, spec.encoder_config(), store)
     pparams = pr.PrompterParams.from_store(store, spec.share_qk)
     prompted = pr.attach_prompter(taps, pparams, spec.prompter_config())
-    enhanced = []
+    enhanced, shared = [], None
     for j, tap_index in enumerate(sorted(prompted), start=1):
         ep = dec.enhancer_from_store(
             store, j, spec.vol_dims, spec.grid_dims,
             no_image_branch=spec.no_image_branch,
             share_image_branch=spec.share_image_branch,
         )
-        enhanced.append(dec.original_feature_enhancer(prompted[tap_index], x, ep))
+        if spec.share_image_branch and shared is None:
+            shared = dec.image_features(x, ep)  # one branch feeds every enhancer
+        enhanced.append(dec.original_feature_enhancer(prompted[tap_index], x, ep,
+                                                      features=shared))
     pp = dec.predict_from_store(store, spec.vol_dims, spec.grid_dims)
     prob = dec.predict(enhanced, pp)
     if return_trace:

@@ -3,7 +3,9 @@
 All per-step randomness (epoch shuffles, flip augmentation) is derived
 statelessly from (seed, epoch/step) seed sequences, so a run is a pure
 function of its configuration and checkpoint resume reproduces the
-uninterrupted run bit-for-bit at a fixed thread count.
+uninterrupted run bit-for-bit at a fixed thread count. That includes
+best.ckpt: a run resumed into a directory that holds one re-scores it
+on the validation split, and replaces it only with a better model.
 
 A step runs its cases one at a time: each case's forward, loss and
 backward (its loss scaled by 1/batch) finish, and its graph is freed,
@@ -248,6 +250,14 @@ def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResul
     last_path = os.path.join(out_dir, "last.ckpt")
     best_path = os.path.join(out_dir, "best.ckpt")
     best_val = -1.0
+    if resume is not None and val_ids and os.path.exists(best_path):
+        # the best-so-far of the interrupted run: re-scored, so the first
+        # validation after the resume only replaces it with a better model
+        best_store = mdl.init_store(spec, seed)
+        ckpt.restore_into(best_store, ckpt.load_checkpoint(best_path)[2])
+        reports = evaluate_cases(spec, best_store, data_dir, val_ids, tau=tau)
+        best_val = float(np.mean([r.dice for _, r in reports]))
+        result.best_checkpoint = best_path
     config_lines = cfg.resolved_lines()
 
     def save(path):

@@ -1,0 +1,197 @@
+"""Shape-fuzzed differential tests of the kernels' fast paths.
+
+Each stride-1 conv3d correlation accumulates its taps either inside gemm
+(beta = 1, numpy's own OpenBLAS through ctypes) or as numpy temporaries,
+chosen by ``conv._blas_accumulates`` from the shape. The properties below
+force each form on every draw and compare against the loop oracles; the
+attention properties cover ranks 2 and 3, one query block and several
+(the last ragged), and logits up to 1e4, against an f64 oracle.
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conv_oracles import conv3d_input_grad_taps, conv3d_kernel_grad_taps, conv3d_reference
+from voxseg import autodiff as ad
+from voxseg.autodiff import conv
+from voxseg.autodiff.tensor import ATTENTION_BLOCK_ELEMS
+from voxseg.verify import OP_CASES, case_rng
+
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
+needs_gemm = pytest.mark.skipif(not conv._GEMM, reason="numpy's OpenBLAS gemm not found")
+
+
+def _close(got, ref):
+    np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
+
+
+@contextlib.contextmanager
+def accumulation(form):
+    """Every correlation through gemm, every one through the numpy adds
+    (gemm symbol hidden), or the form the shape rule picks (which keeps
+    the Cin > Cout input gradient on the im2col patch GEMM at these sizes)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if form == "gemm":
+            mp.setattr(conv, "_blas_accumulates", lambda rows, cout: True)
+        elif form == "numpy":
+            mp.setattr(conv, "_GEMM", {})
+            mp.setattr(conv, "_blas_accumulates", lambda rows, cout: True)
+        yield
+
+
+conv_draws = st.tuples(
+    st.tuples(*[st.integers(1, 9)] * 3),  # input dims
+    st.tuples(*[st.integers(1, 3)] * 3),  # kernel dims
+    st.tuples(*[st.integers(0, 3)] * 3),  # padding, up to more than k - 1
+    st.integers(1, 6),  # Cin
+    st.integers(1, 6),  # Cout
+    st.integers(0, 2**32 - 1),  # data seed
+).filter(lambda d: all(n + 2 * p >= k for n, k, p in zip(d[0], d[1], d[2])))
+
+
+@pytest.mark.parametrize("form", [pytest.param("gemm", marks=needs_gemm), "numpy", "by_shape"])
+@PROPERTY
+@given(draw=conv_draws)
+def test_conv3d_stride1_matches_oracles(form, draw):
+    """f32 forward, kernel gradient and input gradient of a stride-1
+    conv3d against the f64 loop oracles, rtol 1e-5, atol 1e-5 * max|ref|."""
+    dims, kdims, padding, cin, cout, seed = draw
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(dims + (cin,))
+    w = rng.standard_normal(kdims + (cin, cout)) * 0.2
+    xt, wt = (ad.tensor(a, requires_grad=True, dtype=np.float32) for a in (x, w))
+    with accumulation(form):
+        out = ad.conv3d(xt, wt, stride=1, padding=padding)
+        g = rng.standard_normal(out.shape)
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=np.float32))))
+    x, w, g = (a.astype(np.float32).astype(np.float64) for a in (x, w, g))
+    unit = (1, 1, 1)
+    _close(out.numpy(), conv3d_reference(x, w, stride=1, padding=padding))
+    _close(wt.grad, conv3d_kernel_grad_taps(x, g, kdims, unit, padding))
+    _close(xt.grad, conv3d_input_grad_taps(g, w, unit, padding, x.shape))
+
+
+@needs_gemm
+@PROPERTY
+@given(rows=st.integers(1, 300), ci=st.integers(1, 24), co=st.integers(1, 24),
+       taps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_accumulate_taps_gemm_equals_numpy(rows, ci, co, taps, seed, dtype):
+    """The helper itself: gemm with beta = 1 and the numpy adds leave the
+    same accumulator, from a non-zero start, at any row offsets."""
+    rng = np.random.default_rng(seed)
+    flat = rng.standard_normal((rows + 40, ci)).astype(dtype)
+    offs = [int(o) for o in rng.integers(0, 41, taps)]
+    w = rng.standard_normal((taps, ci, co)).astype(dtype)
+    start = rng.standard_normal((rows, co)).astype(dtype)
+    got, ref = start.copy(), start.copy()
+    with accumulation("gemm"):
+        conv._accumulate_taps(got, flat, offs, w)
+    with accumulation("numpy"):
+        conv._accumulate_taps(ref, flat, offs, w)
+    np.testing.assert_allclose(got, ref, rtol=1e-5 if dtype == np.float32 else 1e-12,
+                               atol=1e-6 * np.abs(ref).max())
+
+
+MODEL_CONVS = [  # (grid, Cin, Cout, kernel) of every stride-1 conv of both models
+    (16, 16, 16, 3), (16, 80, 16, 3), (16, 64, 16, 3), (32, 16, 16, 3), (32, 16, 1, 1),
+    (8, 8, 8, 3), (8, 24, 8, 3), (8, 32, 8, 3), (16, 8, 8, 3), (16, 8, 1, 1),
+]
+
+
+@needs_gemm
+@pytest.mark.parametrize("grid,cin,cout,k", MODEL_CONVS)
+def test_model_conv_forward_is_bit_identical_to_numpy_adds(rng, grid, cin, cout, k):
+    """Every stride-1 conv shape of the desk and tiny models: the forward the
+    shape rule picks equals the numpy-adds forward bit for bit."""
+    x = ad.tensor(rng.standard_normal((grid,) * 3 + (cin,)), dtype=np.float32)
+    w = ad.tensor(rng.standard_normal((k,) * 3 + (cin, cout)) * 0.1, dtype=np.float32)
+    got = ad.conv3d(x, w, stride=1, padding=k // 2).numpy()
+    with accumulation("numpy"):
+        ref = ad.conv3d(x, w, stride=1, padding=k // 2).numpy()
+    assert np.array_equal(got, ref)
+
+
+def test_model_conv_paths_follow_the_shape_rule():
+    """The desk model's 3x3x3 convs accumulate in gemm, the tiny model's
+    8-channel convs through numpy adds."""
+    rows = lambda grid: grid * (grid + 2) ** 2
+    assert conv._blas_accumulates(rows(16), 16) and conv._blas_accumulates(rows(32), 16)
+    assert not any(conv._blas_accumulates(rows(g), 8) for g in (8, 16))
+
+
+@needs_gemm
+def test_gradcheck_draws_a_gemm_conv(monkeypatch):
+    """The default ``voxseg gradcheck`` (20 instances, seed 0) checks at least
+    one f64 stride-1 conv3d whose forward accumulates inside gemm."""
+    calls = []
+    gemm = conv._GEMM[np.dtype(np.float64)]
+    monkeypatch.setitem(conv._GEMM, np.dtype(np.float64),
+                        lambda *args: calls.append(None) or gemm(*args))
+    maker = dict(OP_CASES)["conv3d_stride1"]
+    rng = case_rng("conv3d_stride1", seed=0)
+    with ad.precision("f64"):
+        for _ in range(20):
+            f, x0 = maker(rng)
+            f(ad.tensor(x0))
+    assert calls
+
+
+def _attention_oracle(q, k, v, scale, g):
+    """f64 softmax(scale q k^T) v and its (dQ, dK, dV) under output gradient g."""
+    logits = scale * (q @ k.swapaxes(-1, -2))
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    dp = g @ v.swapaxes(-1, -2)
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+    return p @ v, ds @ k, ds.swapaxes(-1, -2) @ q, p.swapaxes(-1, -2) @ g
+
+
+@st.composite
+def attention_draws(draw):
+    heads = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    h = int(np.prod(heads))
+    d, dv = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    if draw(st.booleans()):  # one block
+        n = draw(st.integers(1, 64))
+        m = draw(st.integers(1, 96))
+    else:  # several blocks, the last ragged or full
+        n = draw(st.integers(300, 600))
+        rows = ATTENTION_BLOCK_ELEMS // (h * n)
+        m = rows * draw(st.integers(1, 2)) + draw(st.integers(0, rows - 1))
+        m = max(m, rows + 1)
+    return heads, m, n, d, dv, draw(st.integers(0, 2**32 - 1))
+
+
+def _attention_case(draw, dtype, max_logit):
+    heads, m, n, d, dv, seed = draw
+    rng = np.random.default_rng(seed)
+    q, k = rng.standard_normal(heads + (m, d)), rng.standard_normal(heads + (n, d))
+    v, g = rng.standard_normal(heads + (n, dv)), rng.standard_normal(heads + (m, dv))
+    scale = 0.5
+    q *= max_logit / max(np.abs(scale * q @ k.swapaxes(-1, -2)).max(), 1e-12)
+    q, k, v, g = (a.astype(dtype) for a in (q, k, v, g))
+    ts = [ad.tensor(a, requires_grad=True, dtype=dtype) for a in (q, k, v)]
+    out = ad.attention(*ts, scale)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=dtype))))
+    refs = _attention_oracle(*(a.astype(np.float64) for a in (q, k, v)), scale,
+                             g.astype(np.float64))
+    for got, ref in zip([out.numpy()] + [t.grad for t in ts], refs):
+        assert got.dtype == dtype
+        _close(got, ref)
+
+
+@PROPERTY
+@given(draw=attention_draws(), max_logit=st.sampled_from([1.0, 10.0]))
+def test_attention_f32_matches_f64_oracle(draw, max_logit):
+    _attention_case(draw, np.float32, max_logit)
+
+
+@PROPERTY
+@given(draw=attention_draws(), max_logit=st.sampled_from([1.0, 1e2, 1e4]))
+def test_attention_f64_matches_oracle_up_to_large_logits(draw, max_logit):
+    _attention_case(draw, np.float64, max_logit)

@@ -12,6 +12,8 @@ import pytest
 from voxseg import checkpoint as ckpt
 from voxseg import metrics as mx
 from voxseg import model as mdl
+from voxseg import train as train_mod
+from voxseg.autodiff import NonFiniteError
 from voxseg.cli import main as cli_main
 from voxseg.config import Config
 from voxseg.train import (
@@ -68,6 +70,36 @@ class TestTrainLoop:
         # parameters after resume match the uninterrupted run bitwise
         for name, t, _ in full.store.items():
             assert np.array_equal(t.data, resumed.store[name].data), name
+
+    def test_resume_keeps_best_so_far(self, tmp_path, monkeypatch):
+        """A run interrupted after its best validation and resumed into the
+        same directory leaves the same best.ckpt bytes as the uninterrupted
+        run: the first validation after the resume does not replace the
+        best model with an equal or worse one."""
+        data_dir = str(tmp_path / "data10")
+        synthesize_dataset(data_dir, cases=10, seed=11, dims=(16, 16, 16))
+        cfg = tiny_config(**{"train.epochs": 2})  # 7 train cases: 4 steps an epoch
+        full = train(cfg, data_dir, str(tmp_path / "full"))
+        assert [row["val_dice"] for row in full.history] == [0.0, 0.0]  # epoch 0 is best
+
+        calls, train_case = [], train_mod._train_case
+
+        def interrupted(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 11:  # first case of step 5, inside epoch 1
+                raise NonFiniteError("interrupted")
+            return train_case(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "_train_case", interrupted)
+        out_dir = str(tmp_path / "run")
+        half = train(cfg, data_dir, out_dir)
+        assert half.aborted and len(half.loss_trace) == 5
+        monkeypatch.setattr(train_mod, "_train_case", train_case)
+        resumed = train(cfg, data_dir, out_dir, resume=half.last_checkpoint)
+        assert half.loss_trace + resumed.loss_trace == full.loss_trace
+        assert resumed.best_checkpoint == os.path.join(out_dir, "best.ckpt")
+        with open(full.best_checkpoint, "rb") as a, open(resumed.best_checkpoint, "rb") as b:
+            assert a.read() == b.read()
 
     def test_resume_rejects_config_drift(self, tiny_dataset, tmp_path):
         data_dir, _ = tiny_dataset
