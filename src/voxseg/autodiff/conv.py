@@ -295,7 +295,7 @@ def conv3d(x, w, stride=1, padding=0):
             h, wdt, d = x.data.shape[:3]
             x._accum(gx[ph : ph + h, pw : pw + wdt, pd : pd + d])
 
-    return _make(data, (x, w), bw)
+    return _make("conv3d", data, (x, w), bw)
 
 
 def _interp_weights(n_in, factor):
@@ -326,7 +326,6 @@ def _apply_axis(mat, arr, axis):
 
 def trilinear_upsample(x, factor):
     """Upsample (H, W, D, C) by integer per-axis factors, trilinear."""
-    _check_inputs("trilinear_upsample", x)
     if x.data.ndim != 4:
         raise ShapeMismatchError("trilinear_upsample: expected rank-4 input")
     fh, fw, fd = _triple(factor, "factor")
@@ -350,4 +349,4 @@ def trilinear_upsample(x, factor):
                 gx = _apply_axis(mat.T, gx, axis)
         x._accum(np.ascontiguousarray(gx))
 
-    return _make(data, (x,), bw)
+    return _make("trilinear_upsample", data, (x,), bw)

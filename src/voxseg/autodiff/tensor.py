@@ -12,6 +12,11 @@ Two precision modes exist: float32 (training) and float64 (gradient
 checking). The mode is a process-global default applied when leaf tensors
 are created; mixing dtypes inside one graph is rejected.
 
+Non-finite values are caught where they appear: leaves when created
+(``Tensor.__init__``) and every op's output in ``_make``, which raises
+``NonFiniteError("<op>: non-finite output")``; op inputs are not
+scanned. ``scope(name)`` prefixes such an error with ``name/``.
+
 Conventions baked into the derivatives:
   * relu'(0) = 0
   * clamp passes gradient only strictly inside [lo, hi]
@@ -104,6 +109,16 @@ def no_grad():
         yield
     finally:
         _grad_enabled = saved
+
+
+@contextlib.contextmanager
+def scope(name):
+    """Name a block of ops: a ``NonFiniteError`` raised inside it is re-raised
+    as ``"{name}/{message}"``, so nested scopes read outermost first."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{name}/{exc}") from exc
 
 
 class Tensor:
@@ -229,12 +244,13 @@ def _check_inputs(op, *tensors):
             raise DtypeMismatchError(
                 f"{op}: mixed dtypes {dt} and {t.data.dtype} in one graph"
             )
-        if not np.isfinite(t.data).all():
-            raise NonFiniteError(f"{op}: non-finite input")
 
 
-def _make(data, parents, backward_fn):
-    """Wrap an op result; records graph edges only toward grad-requiring parents."""
+def _make(op, data, parents, backward_fn):
+    """Wrap ``op``'s result, rejecting non-finite values; records graph
+    edges only toward grad-requiring parents."""
+    if not np.isfinite(data).all():
+        raise NonFiniteError(f"{op}: non-finite output")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -322,7 +338,7 @@ def _binary(op_name, a, b, fwd, da_fn, db_fn):
             gb = _unbroadcast(db_fn(g, a.data, b.data), b.data.shape)
             b._accum(gb, owned=gb is not g)
 
-    return _make(data, (a, b), bw)
+    return _make(op_name, data, (a, b), bw)
 
 
 def add(a, b):
@@ -347,14 +363,13 @@ def div(a, b):
 
 def scale(x, s):
     """Multiply by a plain python scalar constant."""
-    _check_inputs("scale", x)
     s = float(s)
     data = x.data * np.asarray(s, dtype=x.data.dtype)
 
     def bw(g):
         x._accum(g * np.asarray(s, dtype=x.data.dtype), owned=True)
 
-    return _make(data, (x,), bw)
+    return _make("scale", data, (x,), bw)
 
 
 def neg(x):
@@ -362,14 +377,13 @@ def neg(x):
 
 
 def relu(x):
-    _check_inputs("relu", x)
     mask = x.data > 0
-    data = np.where(mask, x.data, np.asarray(0, dtype=x.data.dtype))
+    data = x.data * mask  # a non-finite input stays non-finite here
 
     def bw(g):
         x._accum(g * mask, owned=True)
 
-    return _make(data, (x,), bw)
+    return _make("relu", data, (x,), bw)
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -378,7 +392,6 @@ _GELU_A = 0.044715
 
 def gelu(x):
     """Tanh-approximated gelu."""
-    _check_inputs("gelu", x)
     xd = x.data
     c = np.asarray(_GELU_C, dtype=xd.dtype)
     a = np.asarray(_GELU_A, dtype=xd.dtype)
@@ -392,11 +405,10 @@ def gelu(x):
         d = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * c * (1.0 + 3.0 * a * xd * xd)
         x._accum(g * d.astype(xd.dtype, copy=False), owned=True)
 
-    return _make(data, (x,), bw)
+    return _make("gelu", data, (x,), bw)
 
 
 def sigmoid(x):
-    _check_inputs("sigmoid", x)
     xd = x.data
     out = np.empty_like(xd)
     pos = xd >= 0
@@ -407,11 +419,10 @@ def sigmoid(x):
     def bw(g):
         x._accum(g * (out * (1.0 - out)), owned=True)
 
-    return _make(out, (x,), bw)
+    return _make("sigmoid", out, (x,), bw)
 
 
 def log(x):
-    _check_inputs("log", x)
     if np.any(x.data <= 0):
         raise NonFiniteError("log: non-positive input")
     data = np.log(x.data)
@@ -419,19 +430,18 @@ def log(x):
     def bw(g):
         x._accum(g / x.data, owned=True)
 
-    return _make(data, (x,), bw)
+    return _make("log", data, (x,), bw)
 
 
 def clamp(x, lo, hi):
     """Clip values to [lo, hi]; gradient is zero at and outside the bounds."""
-    _check_inputs("clamp", x)
     data = np.clip(x.data, lo, hi)
     mask = (x.data > lo) & (x.data < hi)
 
     def bw(g):
         x._accum(g * mask, owned=True)
 
-    return _make(data, (x,), bw)
+    return _make("clamp", data, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +472,7 @@ def matmul(a, b):
         if b.requires_grad:
             b._accum(a.data.swapaxes(-1, -2) @ g, owned=True)
 
-    return _make(data, (a, b), bw)
+    return _make("matmul", data, (a, b), bw)
 
 
 # Query rows per attention block: a (heads, rows, keys) block of scores
@@ -572,7 +582,7 @@ def attention(q, k, v, scale):
         if v.requires_grad:
             v._accum(dv, owned=True)
 
-    return _make(data, (q, k, v), bw)
+    return _make("attention", data, (q, k, v), bw)
 
 
 def _valid_axis(x, axis, op):
@@ -585,7 +595,6 @@ def _valid_axis(x, axis, op):
 
 def _normalize(x, axes, eps, op):
     """Shared zero-mean unit-variance core of layer_norm / instance_norm."""
-    _check_inputs(op, x)
     xd = x.data
     mu = xd.mean(axis=axes, keepdims=True)
     centered = xd - mu
@@ -598,7 +607,7 @@ def _normalize(x, axes, eps, op):
         gy = (g * data).mean(axis=axes, keepdims=True)
         x._accum(inv * (g - gm - data * gy), owned=True)
 
-    return _make(data, (x,), bw)
+    return _make(op, data, (x,), bw)
 
 
 def layer_norm(x, axis=-1, eps=1e-6):
@@ -609,7 +618,6 @@ def layer_norm(x, axis=-1, eps=1e-6):
 
 def instance_norm(x, eps=1e-5):
     """Normalize each channel (last axis) over all remaining axes."""
-    _check_inputs("instance_norm", x)
     if x.data.ndim < 2:
         raise ShapeMismatchError("instance_norm: rank must be >= 2")
     axes = tuple(range(x.data.ndim - 1))
@@ -622,7 +630,6 @@ def instance_norm(x, eps=1e-5):
 
 
 def reshape(x, shape):
-    _check_inputs("reshape", x)
     shape = tuple(int(s) for s in shape)
     try:
         data = x.data.reshape(shape)
@@ -632,11 +639,10 @@ def reshape(x, shape):
     def bw(g):
         x._accum(g.reshape(x.data.shape))
 
-    return _make(data, (x,), bw)
+    return _make("reshape", data, (x,), bw)
 
 
 def permute(x, axes):
-    _check_inputs("permute", x)
     axes = tuple(int(a) for a in axes)
     if sorted(axes) != list(range(x.data.ndim)):
         raise InvalidAxisError(f"permute: {axes} is not a permutation of rank {x.data.ndim}")
@@ -646,7 +652,7 @@ def permute(x, axes):
     def bw(g):
         x._accum(g.transpose(inverse))
 
-    return _make(data, (x,), bw)
+    return _make("permute", data, (x,), bw)
 
 
 def concat(tensors, axis):
@@ -673,22 +679,20 @@ def concat(tensors, axis):
                 idx[ax] = slice(lo, hi)
                 t._accum(g[tuple(idx)])
 
-    return _make(data, tuple(tensors), bw)
+    return _make("concat", data, tuple(tensors), bw)
 
 
 def reduce_sum(x, axis=None):
-    _check_inputs("reduce_sum", x)
     axes = _reduce_axes(x, axis, "reduce_sum")
     data = x.data.sum(axis=axes)
 
     def bw(g):
         x._accum(np.broadcast_to(_restore_dims(g, x.data.shape, axes), x.data.shape))
 
-    return _make(np.asarray(data, dtype=x.data.dtype), (x,), bw)
+    return _make("reduce_sum", np.asarray(data, dtype=x.data.dtype), (x,), bw)
 
 
 def reduce_mean(x, axis=None):
-    _check_inputs("reduce_mean", x)
     axes = _reduce_axes(x, axis, "reduce_mean")
     data = x.data.mean(axis=axes)
     count = 1
@@ -699,7 +703,7 @@ def reduce_mean(x, axis=None):
         gg = _restore_dims(g, x.data.shape, axes) / np.asarray(count, dtype=x.data.dtype)
         x._accum(np.broadcast_to(gg, x.data.shape))
 
-    return _make(np.asarray(data, dtype=x.data.dtype), (x,), bw)
+    return _make("reduce_mean", np.asarray(data, dtype=x.data.dtype), (x,), bw)
 
 
 def _reduce_axes(x, axis, op):

@@ -13,8 +13,11 @@ layer; ``s`` is a fixed scale coefficient. Attention is full (global)
 multi-head self-attention over all H*W*D tokens: at desk-scale token
 counts windowing buys nothing and global attention is exact. Each layer's
 softmax(q k^T / sqrt(d)) v is one fused autodiff op (``ad.attention``)
-that keeps only its (heads, M, M) probabilities for the backward pass,
-not the scores or any intermediate of the softmax.
+that keeps only its output and the row log-sum-exp (heads, M, 1) for the
+backward pass, never the (heads, M, M) scores or probabilities.
+
+A non-finite value is named by layer and sub-step through ``ad.scope``
+(``layer03/layer_forward/mlp/matmul: non-finite output``).
 """
 
 from __future__ import annotations
@@ -22,10 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
-from .autodiff import NonFiniteError, ShapeMismatchError, Tensor
+from .autodiff import ShapeMismatchError, Tensor
 from .patch_embed import FeatureMap
 
 
@@ -123,17 +124,6 @@ def param_specs(cfg: EncoderConfig, embed_dim):
     return specs
 
 
-def _stage(step, fn):
-    """Run one layer sub-step; non-finite failures name the step."""
-    try:
-        out = fn()
-    except NonFiniteError as exc:
-        raise NonFiniteError(f"layer_forward/{step}: {exc}") from exc
-    if not np.all(np.isfinite(out.data)):
-        raise NonFiniteError(f"layer_forward/{step}: non-finite values")
-    return out
-
-
 def _affine(x, g, b):
     return ad.add(ad.mul(x, g), b)
 
@@ -179,15 +169,19 @@ def mlp_forward(z: Tensor, p: LayerParams, activation):
 def layer_forward(fm: FeatureMap, p: LayerParams, s, heads, activation="gelu"):
     """One full transformer layer on a feature map; shape preserved."""
     z_prev = fm.tokens()
-    z_dot = _stage("norm1", lambda: _affine(ad.layer_norm(z_prev, axis=-1),
-                                            p.norm1_g, p.norm1_b))
-    attn = _stage("attention", lambda: attention_forward(z_dot, p, heads))
+    with ad.scope("layer_forward/norm1"):
+        z_dot = _affine(ad.layer_norm(z_prev, axis=-1), p.norm1_g, p.norm1_b)
+    with ad.scope("layer_forward/attention"):
+        attn = attention_forward(z_dot, p, heads)
     z_hat = ad.add(z_prev, attn)
-    z_ddot = _stage("norm2", lambda: _affine(ad.layer_norm(z_hat, axis=-1),
-                                             p.norm2_g, p.norm2_b))
-    mlp = _stage("mlp", lambda: mlp_forward(z_ddot, p, activation))
-    adapter = _stage("adapter", lambda: adapter_forward(z_ddot, p))
-    z_out = _stage("output", lambda: ad.add(mlp, ad.scale(adapter, s)))
+    with ad.scope("layer_forward/norm2"):
+        z_ddot = _affine(ad.layer_norm(z_hat, axis=-1), p.norm2_g, p.norm2_b)
+    with ad.scope("layer_forward/mlp"):
+        mlp = mlp_forward(z_ddot, p, activation)
+    with ad.scope("layer_forward/adapter"):
+        adapter = adapter_forward(z_ddot, p)
+    with ad.scope("layer_forward/output"):
+        z_out = ad.add(mlp, ad.scale(adapter, s))
     return fm.with_tokens(z_out)
 
 
@@ -201,7 +195,8 @@ def encode(fm: FeatureMap, cfg: EncoderConfig, store):
         if f"{name}.wq" not in store:
             raise ad.GraphError(f"missing parameters for encoder layer {i}")
         p = LayerParams.from_store(store, i)
-        z = layer_forward(z, p, cfg.scale, cfg.heads, cfg.activation)
+        with ad.scope(f"layer{i:02d}"):
+            z = layer_forward(z, p, cfg.scale, cfg.heads, cfg.activation)
         if i in cfg.taps:
             taps[i] = z
     return taps

@@ -9,7 +9,7 @@ is applied at build time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,15 +156,6 @@ def init_store(spec: ModelSpec, seed) -> ParameterStore:
     return store
 
 
-@dataclass
-class ForwardTrace:
-    """Intermediate products handed back alongside the probability map."""
-
-    taps: dict = field(default_factory=dict)
-    prompted: dict = field(default_factory=dict)
-    enhanced: list = field(default_factory=list)
-
-
 def embed_volume(x: Tensor, spec: ModelSpec, store) -> pe.FeatureMap:
     if spec.patch_mode == "pseudo3d":
         fm = pe.pseudo3d_patch_embed(
@@ -175,8 +166,11 @@ def embed_volume(x: Tensor, spec: ModelSpec, store) -> pe.FeatureMap:
     return pe.add_positional(fm, store["patch.pos"])
 
 
-def forward(spec: ModelSpec, store, volume, return_trace=False):
-    """Volume (or raw (H̄, W̄, D̄, N) array) -> probability Tensor (H̄, W̄, D̄)."""
+def forward(spec: ModelSpec, store, volume):
+    """Volume (or raw (H̄, W̄, D̄, N) array) -> probability Tensor (H̄, W̄, D̄).
+
+    A ``NonFiniteError`` is prefixed with the module scope that raised it.
+    """
     data = volume.data if isinstance(volume, Volume) else np.asarray(volume)
     if data.shape != tuple(spec.vol_dims) + (spec.in_channels,):
         raise ad.ShapeMismatchError(
@@ -184,10 +178,13 @@ def forward(spec: ModelSpec, store, volume, return_trace=False):
             f"{tuple(spec.vol_dims) + (spec.in_channels,)}"
         )
     x = ad.tensor(data)
-    fm = embed_volume(x, spec, store)
-    taps = enc.encode(fm, spec.encoder_config(), store)
+    with ad.scope("patch"):
+        fm = embed_volume(x, spec, store)
+    with ad.scope("encoder"):
+        taps = enc.encode(fm, spec.encoder_config(), store)
     pparams = pr.PrompterParams.from_store(store, spec.share_qk)
-    prompted = pr.attach_prompter(taps, pparams, spec.prompter_config())
+    with ad.scope("prompter"):
+        prompted = pr.attach_prompter(taps, pparams, spec.prompter_config())
     enhanced, shared = [], None
     for j, tap_index in enumerate(sorted(prompted), start=1):
         ep = dec.enhancer_from_store(
@@ -195,12 +192,11 @@ def forward(spec: ModelSpec, store, volume, return_trace=False):
             no_image_branch=spec.no_image_branch,
             share_image_branch=spec.share_image_branch,
         )
-        if spec.share_image_branch and shared is None:
-            shared = dec.image_features(x, ep)  # one branch feeds every enhancer
-        enhanced.append(dec.original_feature_enhancer(prompted[tap_index], x, ep,
-                                                      features=shared))
+        with ad.scope(f"decoder.enh{j}"):
+            if spec.share_image_branch and shared is None:
+                shared = dec.image_features(x, ep)  # one branch feeds every enhancer
+            enhanced.append(dec.original_feature_enhancer(prompted[tap_index], x, ep,
+                                                          features=shared))
     pp = dec.predict_from_store(store, spec.vol_dims, spec.grid_dims)
-    prob = dec.predict(enhanced, pp)
-    if return_trace:
-        return prob, ForwardTrace(taps=taps, prompted=prompted, enhanced=enhanced)
-    return prob
+    with ad.scope("decoder.head"):
+        return dec.predict(enhanced, pp)

@@ -9,6 +9,7 @@ import pytest
 from voxseg import autodiff as ad
 from voxseg import decoder as dec
 from voxseg import model as mdl
+from voxseg import prompter as pr
 from voxseg.patch_embed import FeatureMap
 from voxseg.verify import _mini_conv_block, _mini_enhancer, _mini_predict
 
@@ -139,18 +140,31 @@ class TestPredict:
 
 
 class TestModelLevel:
-    def test_forward_trace_shapes(self, rng):
+    def test_forward_trace_shapes(self, rng, monkeypatch):
         spec = mdl.ModelSpec(
             vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=16, heads=2,
             adapter_dim=4, prompt_n=16, dec_channels=8,
         ).validate()
+        seen = {}
+        attach_prompter, predict = pr.attach_prompter, dec.predict
+
+        def capture_prompted(*args, **kwargs):
+            seen["prompted"] = attach_prompter(*args, **kwargs)
+            return seen["prompted"]
+
+        def capture_enhanced(enhanced, *args, **kwargs):
+            seen["enhanced"] = enhanced
+            return predict(enhanced, *args, **kwargs)
+
+        monkeypatch.setattr(pr, "attach_prompter", capture_prompted)
+        monkeypatch.setattr(dec, "predict", capture_enhanced)
         with ad.precision("f32"):
             store = mdl.init_store(spec, seed=0)
             vol = rng.random((16, 16, 16, 1)).astype(np.float32)
-            prob, trace = mdl.forward(spec, store, vol, return_trace=True)
+            prob = mdl.forward(spec, store, vol)
         assert prob.shape == (16, 16, 16)
-        assert sorted(trace.prompted) == [3, 6, 9, 12]
-        assert all(e.data.shape == (8, 8, 8, 8) for e in trace.enhanced)
+        assert sorted(seen["prompted"]) == [3, 6, 9, 12]
+        assert all(e.data.shape == (8, 8, 8, 8) for e in seen["enhanced"])
         vals = prob.numpy()
         assert vals.min() >= 0 and vals.max() <= 1
 

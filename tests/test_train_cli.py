@@ -1,6 +1,8 @@
 """Training loop determinism, resumption, cross-validation, and the CLI."""
 
+import logging
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -113,11 +115,17 @@ class TestTrainLoop:
         assert "train.lr" in str(err.value)
         assert "train.max_steps" not in str(err.value)
 
-    def test_divergence_aborts_with_last_good_checkpoint(self, tiny_dataset, tmp_path):
+    def test_divergence_aborts_with_last_good_checkpoint(self, tiny_dataset, tmp_path,
+                                                          caplog):
         data_dir, _ = tiny_dataset
         cfg = tiny_config(**{"train.lr": 1e6})
-        res = train(cfg, data_dir, str(tmp_path / "run"))
+        with caplog.at_level(logging.ERROR, logger=train_mod.__name__):
+            res = train(cfg, data_dir, str(tmp_path / "run"))
         assert res.aborted
+        # the abort names the op that made the non-finite value and its module
+        [record] = [r for r in caplog.records if "diverged" in r.getMessage()]
+        assert re.search(r"\(decoder\.[\w.]+/(\S+/)?conv3d: non-finite output\)",
+                         record.getMessage()), record.getMessage()
         assert res.last_checkpoint == str(tmp_path / "run" / "last.ckpt")
         _, _, entries, _ = ckpt.load_checkpoint(res.last_checkpoint)
         assert [name for name, _, _ in entries] == res.store.names()
