@@ -66,13 +66,6 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 
-def _parse_bool(raw):
-    try:
-        return _BOOL[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"cannot parse boolean from {raw!r}") from None
-
-
 @dataclass
 class Config:
     values: dict
@@ -122,7 +115,10 @@ class Config:
             raise ConfigError(f"{key}: cannot parse float from {self.raw(key)!r}") from None
 
     def get_bool(self, key):
-        return _parse_bool(self.raw(key))
+        try:
+            return _BOOL[self.raw(key).strip().lower()]
+        except KeyError:
+            raise ConfigError(f"{key}: cannot parse boolean from {self.raw(key)!r}") from None
 
     def get_str(self, key):
         return self.raw(key)
@@ -147,8 +143,8 @@ def model_spec_from_config(cfg: Config):
     from .model import ModelSpec
 
     embed = cfg.get_int("model.embed_dim")
-    adapter_raw = cfg.get_str("encoder.adapter_dim")
-    adapter = embed // 4 if adapter_raw == "auto" else int(adapter_raw)
+    auto = cfg.get_str("encoder.adapter_dim") == "auto"
+    adapter = embed // 4 if auto else cfg.get_int("encoder.adapter_dim")
     return ModelSpec(
         vol_dims=cfg.get_int_tuple("data.dims"),
         in_channels=cfg.get_int("data.channels"),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import decoder as dec
 from .model import ModelSpec
 
 PROMPTER_VARIANTS = ("spatial", "dual-shared", "dual-full")
@@ -187,13 +188,12 @@ def _conv_block_items(module, name, voxels_out, cin, cout, k=27):
 
 def decoder_items(spec: ModelSpec):
     c, cdec = spec.embed_dim, spec.dec_channels
-    h, w, d = spec.grid_dims
-    target = (2 * h, 2 * w, 2 * d)
-    tvox = target[0] * target[1] * target[2]
+    th, tw, td = spec.feature_dims
+    tvox = th * tw * td
     vvox = spec.vol_dims[0] * spec.vol_dims[1] * spec.vol_dims[2]
     n_taps = len(spec.taps)
-    ratio = spec.vol_dims[0] // target[0]
-    n_stages = max(1, ratio.bit_length() - 1)
+    strided = tuple(spec.vol_dims) != spec.feature_dims
+    n_stages = dec.pyramid_stages(spec.vol_dims, spec.feature_dims)
 
     items = []
 
@@ -202,7 +202,7 @@ def decoder_items(spec: ModelSpec):
         cin = spec.in_channels
         vox = vvox
         for s in range(n_stages):
-            if ratio > 1:
+            if strided:
                 vox //= 8  # stride-2 stage halves each axis
             out += _conv_block_items("decoder", f"{tag}.s{s}", vox, cin, cdec)
             cin = cdec

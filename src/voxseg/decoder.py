@@ -158,31 +158,28 @@ def _conv_block_specs(prefix, cin, cout):
     ]
 
 
-def param_specs(vol_dims, in_channels, grid_dims, embed_dim, dec_channels,
-                n_taps=4, share_image_branch=False):
-    """(name, shape, frozen, init) for the whole decoder."""
-    target = tuple(2 * g for g in grid_dims)
-    n_stages = pyramid_stages(vol_dims, target)
+def param_specs(spec):
+    """(name, shape, frozen, init) for the whole decoder of a ModelSpec."""
+    n_stages = pyramid_stages(spec.vol_dims, spec.feature_dims)
+    cdec, n_taps = spec.dec_channels, len(spec.taps)
     specs = []
 
     def image_branch(prefix):
         out = []
-        cin = in_channels
+        cin = spec.in_channels
         for s in range(n_stages):
-            out += _conv_block_specs(f"{prefix}.s{s}", cin, dec_channels)
-            cin = dec_channels
+            out += _conv_block_specs(f"{prefix}.s{s}", cin, cdec)
+            cin = cdec
         return out
 
-    if share_image_branch:
+    if spec.share_image_branch:
         specs += image_branch("decoder.imgshared")
     for j in range(1, n_taps + 1):
-        if not share_image_branch:
+        if not spec.share_image_branch:
             specs += image_branch(f"decoder.enh{j}.img")
-        specs += _conv_block_specs(
-            f"decoder.enh{j}.fuse", embed_dim + dec_channels, dec_channels
-        )
-    head_c = dec_channels
-    specs += _conv_block_specs("decoder.head", n_taps * dec_channels, head_c)
+        specs += _conv_block_specs(f"decoder.enh{j}.fuse", spec.embed_dim + cdec, cdec)
+    head_c = cdec
+    specs += _conv_block_specs("decoder.head", n_taps * cdec, head_c)
     specs += [
         ("decoder.smooth_w", (3, 3, 3, head_c, head_c), False, "he"),
         ("decoder.smooth_b", (head_c,), False, "zeros"),
@@ -194,29 +191,25 @@ def param_specs(vol_dims, in_channels, grid_dims, embed_dim, dec_channels,
     return specs
 
 
-def enhancer_from_store(store, j, vol_dims, grid_dims, no_image_branch=False,
-                        share_image_branch=False):
-    target = tuple(2 * g for g in grid_dims)
-    n_stages = pyramid_stages(vol_dims, target)
-    ratio = vol_dims[0] // target[0]
-    stage_stride = 2 if ratio > 1 else 1
-    img_prefix = "decoder.imgshared" if share_image_branch else f"decoder.enh{j}.img"
+def enhancer_from_store(store, j, spec):
+    """Enhancer ``j``'s parameters (1-based) for a ModelSpec."""
+    target = spec.feature_dims
+    stage_stride = 2 if tuple(spec.vol_dims) != target else 1
+    img_prefix = "decoder.imgshared" if spec.share_image_branch else f"decoder.enh{j}.img"
     stages = [
         ConvBlockParams.from_store(store, f"{img_prefix}.s{s}", stride1=stage_stride)
-        for s in range(n_stages)
+        for s in range(pyramid_stages(spec.vol_dims, target))
     ]
-    fuse = ConvBlockParams.from_store(store, f"decoder.enh{j}.fuse")
     return EnhancerParams(
         image_stages=stages,
-        fuse=fuse,
+        fuse=ConvBlockParams.from_store(store, f"decoder.enh{j}.fuse"),
         target_dims=target,
-        no_image_branch=no_image_branch,
+        no_image_branch=spec.no_image_branch,
     )
 
 
-def predict_from_store(store, vol_dims, grid_dims):
-    target = tuple(2 * g for g in grid_dims)
-    factor = tuple(v // t for v, t in zip(vol_dims, target))
+def predict_from_store(store, spec):
+    factor = tuple(v // t for v, t in zip(spec.vol_dims, spec.feature_dims))
     return PredictParams(
         head=ConvBlockParams.from_store(store, "decoder.head"),
         upsample_factor=factor,

@@ -30,32 +30,6 @@ from .autodiff import ShapeMismatchError, Tensor
 from .patch_embed import FeatureMap
 
 
-@dataclass(frozen=True)
-class EncoderConfig:
-    heads: int
-    adapter_dim: int
-    scale: float = 1.0
-    layers: int = 12
-    taps: tuple[int, ...] = (3, 6, 9, 12)
-    mlp_ratio: int = 4
-    activation: str = "gelu"  # frozen-MLP activation; unpinned choice
-
-    def validate(self, embed_dim):
-        if self.heads < 1 or embed_dim % self.heads != 0:
-            raise ValueError(f"heads {self.heads} must divide embed dim {embed_dim}")
-        if not 1 <= self.adapter_dim:
-            raise ValueError("adapter_dim must be >= 1")
-        if self.adapter_dim >= embed_dim:
-            raise ValueError("adapter_dim must be smaller than the embed dim")
-        if not all(1 <= t <= self.layers for t in self.taps):
-            raise ValueError(f"taps {self.taps} outside 1..{self.layers}")
-        if not math.isfinite(self.scale):
-            raise ValueError("scale must be finite")
-        if self.activation not in ("gelu", "relu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
-        return self
-
-
 @dataclass
 class LayerParams:
     """One layer's tensors; attention/MLP/norm affines frozen, adapter not."""
@@ -95,11 +69,11 @@ def layer_name(i):
     return f"encoder.layer{i:02d}"
 
 
-def param_specs(cfg: EncoderConfig, embed_dim):
-    """(name, shape, frozen, init) for all encoder parameters."""
-    c, l, r = embed_dim, cfg.adapter_dim, cfg.mlp_ratio
+def param_specs(spec):
+    """(name, shape, frozen, init) for all encoder parameters of a ModelSpec."""
+    c, l, r = spec.embed_dim, spec.adapter_dim, spec.mlp_ratio
     specs = []
-    for i in range(1, cfg.layers + 1):
+    for i in range(1, spec.layers + 1):
         p = layer_name(i)
         specs += [
             (f"{p}.norm1_g", (c,), True, "ones"),
@@ -185,19 +159,16 @@ def layer_forward(fm: FeatureMap, p: LayerParams, s, heads, activation="gelu"):
     return fm.with_tokens(z_out)
 
 
-def encode(fm: FeatureMap, cfg: EncoderConfig, store):
-    """Run all layers; return {tap_index: FeatureMap} for cfg.taps."""
-    cfg.validate(fm.channels)
+def encode(fm: FeatureMap, spec, store):
+    """Run ``spec.layers`` layers; return {tap_index: FeatureMap} for
+    ``spec.taps``. A layer missing from ``store`` raises ``GraphError``."""
     taps = {}
     z = fm
-    for i in range(1, cfg.layers + 1):
-        name = layer_name(i)
-        if f"{name}.wq" not in store:
-            raise ad.GraphError(f"missing parameters for encoder layer {i}")
+    for i in range(1, spec.layers + 1):
         p = LayerParams.from_store(store, i)
         with ad.scope(f"layer{i:02d}"):
-            z = layer_forward(z, p, cfg.scale, cfg.heads, cfg.activation)
-        if i in cfg.taps:
+            z = layer_forward(z, p, spec.adapter_scale, spec.heads, spec.activation)
+        if i in spec.taps:
             taps[i] = z
     return taps
 

@@ -1,6 +1,11 @@
 """Model assembly: parameter creation, initialization, and the full
 volume -> probability-map forward pass.
 
+``ModelSpec`` is the one architecture record: the encoder, prompter and
+decoder read their sizes and switches from it directly, and
+``ModelSpec.validate`` is the one place an architecture is rejected.
+Modules keep only the runtime shape checks on the tensors they receive.
+
 Every module contributes (name, shape, frozen, init) parameter specs;
 ``init_store`` materializes them from one seeded stream in a fixed
 order, so identical seeds give bit-identical stores. The freeze policy
@@ -9,6 +14,7 @@ is applied at build time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +30,7 @@ from .volume_io import Volume
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Complete architectural record for one build."""
+    """Complete architectural record for one build; see ``validate``."""
 
     vol_dims: tuple[int, int, int] = (32, 32, 32)
     in_channels: int = 1
@@ -51,46 +57,52 @@ class ModelSpec:
         return tuple(v // p for v, p in zip(self.vol_dims, self.patch))
 
     @property
+    def feature_dims(self):
+        """(2H, 2W, 2D): the grid where the decoder meets taps and image."""
+        return tuple(2 * g for g in self.grid_dims)
+
+    @property
     def token_count(self):
         h, w, d = self.grid_dims
         return h * w * d
 
-    def encoder_config(self):
-        return enc.EncoderConfig(
-            heads=self.heads,
-            adapter_dim=self.adapter_dim,
-            scale=self.adapter_scale,
-            layers=self.layers,
-            taps=self.taps,
-            mlp_ratio=self.mlp_ratio,
-            activation=self.activation,
-        ).validate(self.embed_dim)
-
-    def prompter_config(self):
-        return pr.PrompterConfig(
-            reduced_tokens=self.prompt_n,
-            share_qk=self.share_qk,
-            prompt_layer=self.prompt_layer,
-            attn_scaling=self.attn_scaling,
-        ).validate(self.taps)
-
     def validate(self):
+        """Reject any architecture the modules cannot build; returns self."""
+        for name in ("vol_dims", "patch"):
+            if len(getattr(self, name)) != 3:
+                raise ValueError(f"{name} needs 3 entries, got {getattr(self, name)}")
         if self.patch_mode not in ("pseudo3d", "true3d"):
-            raise ValueError(f"unknown patch mode {self.patch_mode!r}")
+            raise ValueError(f"unknown patch_mode {self.patch_mode!r}")
         if any(p < 1 for p in self.patch):
             raise ValueError(f"patch sizes must be positive, got {self.patch}")
-        if self.embed_dim < 8:
-            raise ValueError(f"embed_dim must be >= 8, got {self.embed_dim}")
         for v, p in zip(self.vol_dims, self.patch):
             if v % p != 0:
-                raise ValueError(f"volume dims {self.vol_dims} not divisible by patch {self.patch}")
-        self.encoder_config()
-        self.prompter_config()
+                raise ValueError(f"vol_dims {self.vol_dims} not divisible by patch {self.patch}")
+        for name in ("in_channels", "heads", "mlp_ratio", "adapter_dim", "prompt_n",
+                     "dec_channels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.embed_dim < 8 or self.embed_dim % 2 != 0:
+            raise ValueError(f"embed_dim must be even and >= 8, got {self.embed_dim}")
+        if self.embed_dim % self.heads != 0:
+            raise ValueError(f"heads {self.heads} must divide embed_dim {self.embed_dim}")
+        if self.adapter_dim >= self.embed_dim:
+            raise ValueError("adapter_dim must be smaller than embed_dim")
+        if not math.isfinite(self.adapter_scale):
+            raise ValueError("adapter_scale must be finite")
+        if self.activation not in ("gelu", "relu"):
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if not all(1 <= t <= self.layers for t in self.taps):
+            raise ValueError(f"taps {self.taps} outside 1..{self.layers}")
+        if len(set(self.taps)) != len(self.taps):
+            raise ValueError(f"taps {self.taps} must be distinct")
+        if self.prompt_layer not in self.taps:
+            raise ValueError(f"prompt_layer {self.prompt_layer} not among taps {self.taps}")
         if self.prompt_n > self.token_count:
             raise ValueError(
-                f"reduced tokens {self.prompt_n} exceed token count {self.token_count}"
+                f"prompt_n {self.prompt_n} exceeds token count {self.token_count}"
             )
-        dec.pyramid_stages(self.vol_dims, tuple(2 * g for g in self.grid_dims))
+        dec.pyramid_stages(self.vol_dims, self.feature_dims)
         return self
 
 
@@ -113,19 +125,8 @@ def _patch_param_specs(spec: ModelSpec):
 
 
 def param_specs(spec: ModelSpec):
-    specs = _patch_param_specs(spec)
-    specs += enc.param_specs(spec.encoder_config(), spec.embed_dim)
-    specs += pr.param_specs(spec.prompter_config(), spec.embed_dim, spec.token_count)
-    specs += dec.param_specs(
-        spec.vol_dims,
-        spec.in_channels,
-        spec.grid_dims,
-        spec.embed_dim,
-        spec.dec_channels,
-        n_taps=len(spec.taps),
-        share_image_branch=spec.share_image_branch,
-    )
-    return specs
+    return (_patch_param_specs(spec) + enc.param_specs(spec) + pr.param_specs(spec)
+            + dec.param_specs(spec))
 
 
 def _init_array(rng, shape, init):
@@ -181,22 +182,18 @@ def forward(spec: ModelSpec, store, volume):
     with ad.scope("patch"):
         fm = embed_volume(x, spec, store)
     with ad.scope("encoder"):
-        taps = enc.encode(fm, spec.encoder_config(), store)
+        taps = enc.encode(fm, spec, store)
     pparams = pr.PrompterParams.from_store(store, spec.share_qk)
     with ad.scope("prompter"):
-        prompted = pr.attach_prompter(taps, pparams, spec.prompter_config())
+        prompted = pr.attach_prompter(taps, pparams, spec.prompt_layer, spec.attn_scaling)
     enhanced, shared = [], None
     for j, tap_index in enumerate(sorted(prompted), start=1):
-        ep = dec.enhancer_from_store(
-            store, j, spec.vol_dims, spec.grid_dims,
-            no_image_branch=spec.no_image_branch,
-            share_image_branch=spec.share_image_branch,
-        )
+        ep = dec.enhancer_from_store(store, j, spec)
         with ad.scope(f"decoder.enh{j}"):
             if spec.share_image_branch and shared is None:
                 shared = dec.image_features(x, ep)  # one branch feeds every enhancer
             enhanced.append(dec.original_feature_enhancer(prompted[tap_index], x, ep,
                                                           features=shared))
-    pp = dec.predict_from_store(store, spec.vol_dims, spec.grid_dims)
+    pp = dec.predict_from_store(store, spec)
     with ad.scope("decoder.head"):
         return dec.predict(enhanced, pp)

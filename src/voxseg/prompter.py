@@ -30,23 +30,6 @@ from .autodiff import ShapeMismatchError, Tensor
 from .patch_embed import FeatureMap
 
 
-@dataclass(frozen=True)
-class PrompterConfig:
-    reduced_tokens: int = 64
-    share_qk: bool = True
-    prompt_layer: int = 12
-    attn_scaling: bool = True
-
-    def validate(self, taps=(3, 6, 9, 12)):
-        if self.reduced_tokens < 1:
-            raise ValueError("reduced_tokens must be >= 1")
-        if self.prompt_layer not in taps:
-            raise ValueError(
-                f"prompt_layer {self.prompt_layer} not among taps {tuple(taps)}"
-            )
-        return self
-
-
 @dataclass
 class PrompterParams:
     wq_sa: Tensor
@@ -97,14 +80,10 @@ class PrompterParams:
         )
 
 
-def param_specs(cfg: PrompterConfig, embed_dim, token_count):
-    """(name, shape, frozen, init) for prompter parameters."""
-    c, n, m = embed_dim, cfg.reduced_tokens, token_count
-    if c % 2 != 0:
-        raise ValueError(f"prompter needs an even channel count, got {c}")
-    if n > m:
-        raise ValueError(f"reduced tokens {n} exceed token count {m}")
-    if cfg.share_qk:
+def param_specs(spec):
+    """(name, shape, frozen, init) for the prompter parameters of a ModelSpec."""
+    c, n, m = spec.embed_dim, spec.prompt_n, spec.token_count
+    if spec.share_qk:
         specs = [
             ("prompter.wq", (c, c), False, "trunc002"),
             ("prompter.wk", (c, c), False, "trunc002"),
@@ -145,7 +124,7 @@ def _rewrap(out, fm):
     return fm.with_tokens(out) if fm is not None else out
 
 
-def spatial_attention(x, p: PrompterParams, cfg: PrompterConfig, zq=None, zk=None):
+def spatial_attention(x, p: PrompterParams, scaling=True, zq=None, zk=None):
     """Linear-complexity token attention; shape preserved.
 
     With identity reducers and n = M this is exactly full self-attention
@@ -166,7 +145,7 @@ def spatial_attention(x, p: PrompterParams, cfg: PrompterConfig, zq=None, zk=Non
     q = _normed(zq, p.norm_q_sa_g, p.norm_q_sa_b)  # (M, C)
     k_hat = ad.matmul(p.reduce_k, zk)  # (n, C)
     v_hat = ad.matmul(p.reduce_v, ad.matmul(z, p.wv_sa))  # (n, C)
-    scale = 1.0 / math.sqrt(c) if cfg.attn_scaling else 1.0
+    scale = 1.0 / math.sqrt(c) if scaling else 1.0
     out = ad.attention(q, k_hat, v_hat, scale)  # each query over the n keys
     return _rewrap(out, fm)
 
@@ -196,16 +175,16 @@ def channel_attention(x, p: PrompterParams, scaling=True, zq=None, zk=None):
     return _rewrap(out, fm)
 
 
-def dual_prompt(x, p: PrompterParams, cfg: PrompterConfig):
+def dual_prompt(x, p: PrompterParams, scaling=True):
     """Residual fusion of the two down-projected attention branches."""
     z, fm = _tokens_of(x)
     _, c = z.shape
     if c % 2 != 0:
         raise ShapeMismatchError(f"dual prompt requires an even channel count, got {c}")
     zq, zk = ad.matmul(z, p.wq_sa), ad.matmul(z, p.wk_sa)
-    sa = spatial_attention(z, p, cfg, zq, zk)
+    sa = spatial_attention(z, p, scaling, zq, zk)
     # shared W_q / W_k: the channel branch reads the same products
-    ca = channel_attention(z, p, cfg.attn_scaling,
+    ca = channel_attention(z, p, scaling,
                            zq if p.wq_ca is p.wq_sa else None,
                            zk if p.wk_ca is p.wk_sa else None)
     fused = ad.concat([ad.matmul(sa, p.down_sa), ad.matmul(ca, p.down_ca)], axis=1)
@@ -213,12 +192,10 @@ def dual_prompt(x, p: PrompterParams, cfg: PrompterConfig):
     return _rewrap(out, fm)
 
 
-def attach_prompter(taps: dict, p: PrompterParams, cfg: PrompterConfig):
-    """Replace exactly the configured tap with its prompted version."""
-    if cfg.prompt_layer not in taps:
-        raise ShapeMismatchError(
-            f"prompt layer {cfg.prompt_layer} not among taps {sorted(taps)}"
-        )
+def attach_prompter(taps: dict, p: PrompterParams, layer, scaling=True):
+    """Replace exactly tap ``layer`` with its prompted version."""
+    if layer not in taps:
+        raise ShapeMismatchError(f"prompt layer {layer} not among taps {sorted(taps)}")
     out = dict(taps)
-    out[cfg.prompt_layer] = dual_prompt(taps[cfg.prompt_layer], p, cfg)
+    out[layer] = dual_prompt(taps[layer], p, scaling)
     return out

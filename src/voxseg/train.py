@@ -113,6 +113,12 @@ def synthesize_dataset(data_dir, cases, seed, dims=(32, 32, 32), lesions=1,
 
 @dataclass
 class TrainResult:
+    """What one ``train()`` call produced.
+
+    After a resume, ``history`` and ``loss_trace`` hold only the steps of
+    this call, not those before the checkpoint it resumed from.
+    """
+
     spec: mdl.ModelSpec
     store: object
     history: list = field(default_factory=list)

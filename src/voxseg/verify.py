@@ -360,19 +360,16 @@ def _mini_prompter_params(rng, c=4, n=3, m=8):
     )
 
 
-_PCFG = pr.PrompterConfig(reduced_tokens=3, prompt_layer=12)
-
-
 def _case_spatial_attention(rng):
     p = _mini_prompter_params(rng)
-    return (lambda x: pr.spatial_attention(x, p, _PCFG)), rng.standard_normal((8, 4))
+    return (lambda x: pr.spatial_attention(x, p)), rng.standard_normal((8, 4))
 
 
 def _case_spatial_wrt_reducer(rng):
     p = _mini_prompter_params(rng)
     x = _t(rng, 8, 4)
     return (
-        lambda w: pr.spatial_attention(x, dataclasses.replace(p, reduce_k=w), _PCFG),
+        lambda w: pr.spatial_attention(x, dataclasses.replace(p, reduce_k=w)),
         rng.standard_normal((3, 8)),
     )
 
@@ -384,14 +381,14 @@ def _case_channel_attention(rng):
 
 def _case_dual_prompt(rng):
     p = _mini_prompter_params(rng)
-    return (lambda x: pr.dual_prompt(x, p, _PCFG)), rng.standard_normal((8, 4))
+    return (lambda x: pr.dual_prompt(x, p)), rng.standard_normal((8, 4))
 
 
 def _case_dual_prompt_wrt_down(rng):
     p = _mini_prompter_params(rng)
     x = _t(rng, 8, 4)
     return (
-        lambda w: pr.dual_prompt(x, dataclasses.replace(p, down_ca=w), _PCFG),
+        lambda w: pr.dual_prompt(x, dataclasses.replace(p, down_ca=w)),
         rng.standard_normal((4, 2)),
     )
 

@@ -61,15 +61,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.get_int("model.embed_dim")
         cfg2 = Config.default().override("prompter.share_qk", "maybe")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^prompter\.share_qk: "):
             cfg2.get_bool("prompter.share_qk")
+        cfg3 = Config.default().override("encoder.adapter_dim", "abc")
+        with pytest.raises(ConfigError, match=r"^encoder\.adapter_dim: "):
+            model_spec_from_config(cfg3)
 
     @pytest.mark.parametrize("field", [
         {"patch_mode": "bogus"}, {"patch": (0, 4, 4)}, {"embed_dim": 4},
+        {"taps": (3, 3, 6, 12)}, {"dec_channels": 0}, {"in_channels": 0},
+        {"mlp_ratio": 0}, {"vol_dims": (16, 16), "patch": (4, 4)},
     ])
     def test_model_spec_rejects_bad_patch_fields(self, field):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             mdl.ModelSpec(**field).validate()
+        assert any(name in str(info.value) for name in field), info.value
 
     def test_model_spec_from_config_auto_adapter(self):
         spec = model_spec_from_config(Config.default())

@@ -62,6 +62,8 @@ class TestAccountantVsStore:
         # non-strided stage
         {"vol_dims": (16, 16, 16), "patch": (2, 2, 2), "embed_dim": 32, "heads": 4,
          "adapter_dim": 8, "prompt_n": 32, "dec_channels": 8},
+        # patch 8: volume/target ratio 4, two strided pyramid stages
+        {"vol_dims": (32, 32, 32), "patch": (8, 8, 8), "prompt_n": 64},
     ])
     def test_params_equal_store_enumeration(self, kwargs):
         spec = mdl.ModelSpec(**kwargs).validate()

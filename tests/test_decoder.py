@@ -38,7 +38,7 @@ class TestEnhancer:
     def test_output_shape_desk_grid(self, rng):
         spec = mdl.ModelSpec().validate()
         store = mdl.init_store(spec, seed=0)
-        p = dec.enhancer_from_store(store, 1, spec.vol_dims, spec.grid_dims)
+        p = dec.enhancer_from_store(store, 1, spec)
         tap = _fm(rng.standard_normal((8, 8, 8, 64)))
         image = ad.tensor(rng.random((32, 32, 32, 1)))
         out = dec.original_feature_enhancer(tap, image, p)

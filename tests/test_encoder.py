@@ -235,7 +235,7 @@ def test_encode_taps_shapes_and_structure(rng):
     spec = _tiny_spec()
     store = mdl.init_store(spec, seed=0)
     fm = _fm(rng.standard_normal((4, 4, 4, 16)))
-    taps = enc.encode(fm, spec.encoder_config(), store)
+    taps = enc.encode(fm, spec, store)
     assert sorted(taps) == [3, 6, 9, 12]
     for t in taps.values():
         assert t.data.shape == (4, 4, 4, 16)
@@ -245,9 +245,9 @@ def test_encode_missing_layer_rejected(rng):
     spec = _tiny_spec()
     store = mdl.init_store(spec, seed=0)
     fm = _fm(rng.standard_normal((4, 4, 4, 16)))
-    bad_cfg = dataclasses.replace(spec.encoder_config(), layers=13, taps=(3, 6, 9, 12))
+    bad_spec = dataclasses.replace(spec, layers=13)
     with pytest.raises(ad.GraphError):
-        enc.encode(fm, bad_cfg, store)
+        enc.encode(fm, bad_spec, store)
 
 
 def test_encode_zeroed_frozen_weights_literal_flow(rng):
@@ -259,9 +259,9 @@ def test_encode_zeroed_frozen_weights_literal_flow(rng):
     for name, t, frozen in store.items():
         if frozen and not name.endswith(("norm1_g", "norm2_g")):
             t.data[...] = 0.0
-    cfg = dataclasses.replace(spec.encoder_config(), scale=0.0)
+    zero_scale = dataclasses.replace(spec, adapter_scale=0.0)
     fm = _fm(rng.standard_normal((4, 4, 4, 16)))
-    taps = enc.encode(fm, cfg, store)
+    taps = enc.encode(fm, zero_scale, store)
     for t in taps.values():
         np.testing.assert_array_equal(t.data.numpy(), 0.0)
 
@@ -270,7 +270,7 @@ def test_gradient_reaches_adapters_not_frozen(rng):
     spec = _tiny_spec()
     store = mdl.init_store(spec, seed=0)
     fm = _fm(rng.standard_normal((4, 4, 4, 16)))
-    taps = enc.encode(fm, spec.encoder_config(), store)
+    taps = enc.encode(fm, spec, store)
     loss = ad.reduce_mean(ad.mul(taps[12].data, taps[12].data))
     ad.backward(loss)
     down = store["encoder.layer01.adapter_down"]

@@ -3,7 +3,9 @@
 Each stride-1 conv3d correlation accumulates its taps either inside gemm
 (beta = 1, numpy's own OpenBLAS through ctypes) or as numpy temporaries,
 chosen by ``conv._blas_accumulates`` from the shape. The properties below
-force each form on every draw and compare against the loop oracles; the
+force each form on every draw and compare against the loop oracles, as
+they do the strided path (im2col forward and kernel gradient, tap
+scatter-add input gradient) with stride 2 on at least one axis; the
 attention properties cover ranks 2 and 3, one query block and several
 (the last ragged), and logits up to 1e4, against an f64 oracle.
 """
@@ -53,26 +55,37 @@ conv_draws = st.tuples(
 ).filter(lambda d: all(n + 2 * p >= k for n, k, p in zip(d[0], d[1], d[2])))
 
 
-@pytest.mark.parametrize("form", [pytest.param("gemm", marks=needs_gemm), "numpy", "by_shape"])
-@PROPERTY
-@given(draw=conv_draws)
-def test_conv3d_stride1_matches_oracles(form, draw):
-    """f32 forward, kernel gradient and input gradient of a stride-1
-    conv3d against the f64 loop oracles, rtol 1e-5, atol 1e-5 * max|ref|."""
+def _conv_matches_oracles(draw, stride, form="by_shape"):
+    """f32 forward, kernel gradient and input gradient of one conv3d draw
+    against the f64 loop oracles, rtol 1e-5, atol 1e-5 * max|ref|."""
     dims, kdims, padding, cin, cout, seed = draw
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(dims + (cin,))
     w = rng.standard_normal(kdims + (cin, cout)) * 0.2
     xt, wt = (ad.tensor(a, requires_grad=True, dtype=np.float32) for a in (x, w))
     with accumulation(form):
-        out = ad.conv3d(xt, wt, stride=1, padding=padding)
+        out = ad.conv3d(xt, wt, stride=stride, padding=padding)
         g = rng.standard_normal(out.shape)
         ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=np.float32))))
     x, w, g = (a.astype(np.float32).astype(np.float64) for a in (x, w, g))
-    unit = (1, 1, 1)
-    _close(out.numpy(), conv3d_reference(x, w, stride=1, padding=padding))
-    _close(wt.grad, conv3d_kernel_grad_taps(x, g, kdims, unit, padding))
-    _close(xt.grad, conv3d_input_grad_taps(g, w, unit, padding, x.shape))
+    _close(out.numpy(), conv3d_reference(x, w, stride=stride, padding=padding))
+    _close(wt.grad, conv3d_kernel_grad_taps(x, g, kdims, stride, padding))
+    _close(xt.grad, conv3d_input_grad_taps(g, w, stride, padding, x.shape))
+
+
+@pytest.mark.parametrize("form", [pytest.param("gemm", marks=needs_gemm), "numpy", "by_shape"])
+@PROPERTY
+@given(draw=conv_draws)
+def test_conv3d_stride1_matches_oracles(form, draw):
+    _conv_matches_oracles(draw, (1, 1, 1), form)
+
+
+@PROPERTY
+@given(draw=conv_draws, stride=st.tuples(*[st.integers(1, 2)] * 3).filter(lambda s: 2 in s))
+def test_conv3d_strided_matches_oracles(draw, stride):
+    """Any stride 2: the im2col forward and kernel gradient and the tap
+    scatter-add input gradient."""
+    _conv_matches_oracles(draw, stride)
 
 
 @needs_gemm

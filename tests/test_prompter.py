@@ -16,9 +16,6 @@ from voxseg.autodiff.tensor import _topo
 from voxseg.patch_embed import FeatureMap
 from voxseg.verify import _mini_prompter_params
 
-CFG = pr.PrompterConfig(reduced_tokens=3, prompt_layer=12)
-
-
 @pytest.fixture(autouse=True)
 def _f64():
     with ad.precision("f64"):
@@ -55,7 +52,7 @@ class TestSpatialAttention:
         row = rng.standard_normal((1, 8))
         p = dataclasses.replace(p, reduce_v=ad.tensor(np.tile(row, (3, 1))))
         z = rng.standard_normal((8, 4))
-        out = pr.spatial_attention(ad.tensor(z), p, CFG).numpy()
+        out = pr.spatial_attention(ad.tensor(z), p).numpy()
         value = row @ z @ p.wv_sa.numpy()
         np.testing.assert_allclose(out, np.tile(value, (8, 1)), atol=1e-6)
 
@@ -66,28 +63,26 @@ class TestSpatialAttention:
         rng = np.random.default_rng(seed)
         with ad.precision("f64"):
             p = _identity_reducer_params(rng, c, m)
-            cfg = pr.PrompterConfig(reduced_tokens=m, prompt_layer=12,
-                                    attn_scaling=scaling)
             z = rng.standard_normal((m, c))
-            out = pr.spatial_attention(ad.tensor(z), p, cfg).numpy()
+            out = pr.spatial_attention(ad.tensor(z), p, scaling=scaling).numpy()
             oracle = _full_attention_oracle(z, p, scaling)
         assert np.abs(out - oracle).max() < 1e-6
 
     def test_constant_tokens_give_constant_output(self, rng):
         p = _mini_prompter_params(rng)
         z = np.tile(rng.standard_normal((1, 4)), (8, 1))
-        out = pr.spatial_attention(ad.tensor(z), p, CFG).numpy()
+        out = pr.spatial_attention(ad.tensor(z), p).numpy()
         assert np.abs(out - out[0]).max() < 1e-9
 
     def test_n_exceeding_tokens_rejected(self, rng):
         p = _mini_prompter_params(rng, c=4, n=9, m=8)
         with pytest.raises(ad.ShapeMismatchError):
-            pr.spatial_attention(ad.tensor(rng.standard_normal((8, 4))), p, CFG)
+            pr.spatial_attention(ad.tensor(rng.standard_normal((8, 4))), p)
 
     def test_feature_map_round_trip(self, rng):
         p = _mini_prompter_params(rng)
         fm = FeatureMap.wrap(ad.tensor(rng.standard_normal((2, 2, 2, 4))))
-        out = pr.spatial_attention(fm, p, CFG)
+        out = pr.spatial_attention(fm, p)
         assert isinstance(out, FeatureMap)
         assert out.data.shape == fm.data.shape
 
@@ -141,24 +136,23 @@ class TestDualPrompt:
         p = dataclasses.replace(p, down_sa=ad.tensor(np.zeros((4, 2))),
                                 down_ca=ad.tensor(np.zeros((4, 2))))
         z = rng.standard_normal((8, 4))
-        out = pr.dual_prompt(ad.tensor(z), p, CFG).numpy()
+        out = pr.dual_prompt(ad.tensor(z), p).numpy()
         np.testing.assert_array_equal(out, z)
 
     def test_shape_preserved(self, rng):
         p = _mini_prompter_params(rng)
         fm = FeatureMap.wrap(ad.tensor(rng.standard_normal((2, 2, 2, 4))))
-        out = pr.dual_prompt(fm, p, CFG)
+        out = pr.dual_prompt(fm, p)
         assert out.data.shape == fm.data.shape
 
     def test_odd_channels_rejected_at_config_time(self):
         with pytest.raises(ValueError):
-            pr.param_specs(pr.PrompterConfig(reduced_tokens=2), embed_dim=5,
-                           token_count=8)
+            mdl.ModelSpec(embed_dim=9, heads=3, adapter_dim=2).validate()
 
     def test_gradcheck(self, rng):
         p = _mini_prompter_params(rng)
         rep = ad.gradient_check(
-            lambda x: pr.dual_prompt(x, p, CFG), rng.standard_normal((8, 4))
+            lambda x: pr.dual_prompt(x, p), rng.standard_normal((8, 4))
         )
         assert rep.passed and rep.max_rel_error < 1e-4
 
@@ -168,16 +162,16 @@ class TestDualPrompt:
         and the result equals the two standalone branches' fusion."""
         p = _mini_prompter_params(rng)
         z = ad.tensor(rng.standard_normal((8, 4)), requires_grad=True)
-        out = pr.dual_prompt(z, p, CFG)
-        sa = pr.spatial_attention(z, p, CFG)
-        ca = pr.channel_attention(z, p, scaling=CFG.attn_scaling)
+        out = pr.dual_prompt(z, p)
+        sa = pr.spatial_attention(z, p)
+        ca = pr.channel_attention(z, p)
         fused = np.concatenate([sa.numpy() @ p.down_sa.numpy(),
                                 ca.numpy() @ p.down_ca.numpy()], axis=1)
         np.testing.assert_allclose(out.numpy(), z.numpy() + fused, rtol=1e-12)
         unshared = dataclasses.replace(p, wq_ca=ad.tensor(p.wq_ca.numpy()),
                                        wk_ca=ad.tensor(p.wk_ca.numpy()))
         nodes = len(_topo(out))
-        assert len(_topo(pr.dual_prompt(z, unshared, CFG))) == nodes + 2
+        assert len(_topo(pr.dual_prompt(z, unshared))) == nodes + 2
 
 
 class TestAttach:
@@ -190,8 +184,7 @@ class TestAttach:
     def test_default_modifies_only_layer12(self, rng):
         p = _mini_prompter_params(rng)
         taps = self._taps(rng)
-        cfg = pr.PrompterConfig(reduced_tokens=3, prompt_layer=12)
-        out = pr.attach_prompter(taps, p, cfg)
+        out = pr.attach_prompter(taps, p, 12)
         for i in (3, 6, 9):
             assert out[i] is taps[i]  # untouched, bitwise identical
         assert out[12] is not taps[12]
@@ -200,9 +193,7 @@ class TestAttach:
     def test_each_placement_modifies_exactly_one(self, rng, layer):
         p = _mini_prompter_params(rng)
         taps = self._taps(rng)
-        out = pr.attach_prompter(
-            taps, p, pr.PrompterConfig(reduced_tokens=3, prompt_layer=layer)
-        )
+        out = pr.attach_prompter(taps, p, layer)
         for i in (3, 6, 9, 12):
             if i == layer:
                 assert out[i] is not taps[i]
@@ -214,12 +205,12 @@ class TestAttach:
         p = dataclasses.replace(p, down_sa=ad.tensor(np.zeros((4, 2))),
                                 down_ca=ad.tensor(np.zeros((4, 2))))
         taps = self._taps(rng)
-        out = pr.attach_prompter(taps, p, CFG)
+        out = pr.attach_prompter(taps, p, 12)
         np.testing.assert_array_equal(out[12].data.numpy(), taps[12].data.numpy())
 
     def test_invalid_layer_rejected(self, rng):
         with pytest.raises(ValueError):
-            pr.PrompterConfig(reduced_tokens=3, prompt_layer=5).validate()
+            mdl.ModelSpec(prompt_layer=5).validate()
 
 
 class TestWeightSharing:
