@@ -40,6 +40,12 @@ right one takes gemm). That keeps every conv of the tiny model (8
 channels, grids up to 16^3) on numpy adds and every 3x3x3 conv of the
 desk model on gemm; 16->80 is the desk fuse conv's input gradient.
 
+The closure keeps x, not its padded copy: the backward re-pads x (zeros
+plus one slice assignment, without ``np.pad``'s per-call Python cost)
+wherever the kernel gradient reads it, at every stride. An optional
+bias (Cout,) is added in place on the output and its gradient is the
+output gradient summed over the voxels.
+
 Backward of a stride-1 conv3d:
   * kernel gradient: the output gradient embedded in the same row grid,
     zeros at the discarded rows; each tap is one GEMM, the tap's row
@@ -55,7 +61,8 @@ Backward of a stride-1 conv3d:
 
 Strided convs (the patch embedding and the first conv of each image
 branch, which read the raw volume) lower to one GEMM over the im2col
-patch matrix (Ho*Wo*Do, kh*kw*kd*Cin), rebuilt for the kernel gradient;
+patch matrix (Ho*Wo*Do, kh*kw*kd*Cin), rebuilt from the re-padded input
+for the kernel gradient;
 their input gradient is a loop over the kernel taps, each a strided
 scatter-add of (output gradient @ tap^T). The transposed-convolution
 form would need zero insertion, multiplying its work by the product of
@@ -75,7 +82,9 @@ from .tensor import (
     InvalidAxisError,
     ShapeMismatchError,
     Tensor,
+    _accum_unbroadcast,
     _check_inputs,
+    _check_vector,
     _make,
 )
 
@@ -101,11 +110,21 @@ def _conv_out_dims(in_dims, kdims, stride, padding):
     return tuple(out)
 
 
+def _padded_shape(shape, padding):
+    return tuple(n + 2 * p for n, p in zip(shape[:3], padding)) + tuple(shape[3:])
+
+
 def _pad_spatial(x, padding):
+    """Zero-pad the three spatial axes of (H, W, D, C) ``x`` (``x`` itself
+    when there is no padding): zeros with x assigned into the middle,
+    bit-identical to ``np.pad`` without its per-call Python cost."""
     ph, pw, pd = padding
     if ph == pw == pd == 0:
         return x
-    return np.pad(x, ((ph, ph), (pw, pw), (pd, pd), (0, 0)))
+    xp = np.zeros(_padded_shape(x.shape, padding), dtype=x.dtype)
+    h, w, d = x.shape[:3]
+    xp[ph : ph + h, pw : pw + w, pd : pd + d] = x
+    return xp
 
 
 def _im2col(xp, kdims, stride, out_dims):
@@ -236,13 +255,15 @@ def _input_grad_stride1(g, w, padding, x_shape):
     return _correlate_stride1(gp, wt, x_shape[:3])
 
 
-def conv3d(x, w, stride=1, padding=0):
+def conv3d(x, w, stride=1, padding=0, bias=None):
     """Strided 3D convolution (cross-correlation), channels-last.
 
-    x: (H, W, D, Cin); w: (kh, kw, kd, Cin, Cout). Output dims follow the
-    floor convention (H + 2p - k) // s + 1.
+    x: (H, W, D, Cin); w: (kh, kw, kd, Cin, Cout); optional bias (Cout,),
+    added in place to every output voxel. Output dims follow the floor
+    convention (H + 2p - k) // s + 1.
     """
-    _check_inputs("conv3d", x, w)
+    extra = () if bias is None else (bias,)
+    _check_inputs("conv3d", x, w, *extra)
     if x.data.ndim != 4 or w.data.ndim != 5:
         raise ShapeMismatchError(
             f"conv3d: expected rank-4 input and rank-5 kernel, got {x.data.ndim}/{w.data.ndim}"
@@ -257,6 +278,8 @@ def conv3d(x, w, stride=1, padding=0):
         raise InvalidAxisError("conv3d: stride components must be >= 1")
     kdims = w.data.shape[:3]
     cout = w.data.shape[4]
+    if bias is not None:
+        _check_vector("conv3d", "bias", bias, cout)
     out_dims = _conv_out_dims(x.data.shape[:3], kdims, stride, padding)
     unit = stride == (1, 1, 1)
 
@@ -266,19 +289,25 @@ def conv3d(x, w, stride=1, padding=0):
     else:
         cols = _im2col(xp, kdims, stride, out_dims)
         data = (cols @ w.data.reshape(-1, cout)).reshape(out_dims + (cout,))
+    if bias is not None:
+        data += bias.data
 
     def bw(g):
-        if w.requires_grad and unit:
-            w._accum(_kernel_grad_stride1(xp, g, kdims), owned=True)
-        elif w.requires_grad:
-            # im2col is recomputed from the cached padded input: trades one
-            # patch-copy for not holding the (N, K) matrix across the step.
-            gw = _im2col(xp, kdims, stride, out_dims).T @ g.reshape(-1, cout)
+        if w.requires_grad:
+            # rebuilt from x, not kept from the forward: the padded input,
+            # and for strides the (N, K) patch matrix
+            xp = _pad_spatial(x.data, padding)
+            if unit:
+                gw = _kernel_grad_stride1(xp, g, kdims)
+            else:
+                gw = _im2col(xp, kdims, stride, out_dims).T @ g.reshape(-1, cout)
             w._accum(gw.reshape(w.data.shape), owned=True)
+        if bias is not None and bias.requires_grad:
+            _accum_unbroadcast(bias, g, g)
         if x.requires_grad and unit:
             x._accum(_input_grad_stride1(g, w.data, padding, x.data.shape), owned=True)
         elif x.requires_grad:
-            gx = np.zeros_like(xp)
+            gx = np.zeros(_padded_shape(x.data.shape, padding), dtype=x.data.dtype)
             gout = g  # (Ho, Wo, Do, Cout)
             sh, sw, sd = stride
             ho, wo, do = out_dims
@@ -295,7 +324,7 @@ def conv3d(x, w, stride=1, padding=0):
             h, wdt, d = x.data.shape[:3]
             x._accum(gx[ph : ph + h, pw : pw + wdt, pd : pd + d])
 
-    return _make("conv3d", data, (x, w), bw)
+    return _make("conv3d", data, (x, w) + extra, bw)
 
 
 def _interp_weights(n_in, factor):

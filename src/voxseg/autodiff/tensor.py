@@ -8,6 +8,16 @@ visits every node exactly once. Leaf ``.grad`` accumulates across repeated
 calls; an interior node's gradient is dropped as soon as its closure has
 consumed it, so interior ``.grad`` is ``None`` after every pass.
 
+A node's closure keeps only what its backward reads, and every node's
+output lives until the case's backward ends, so a layer primitive is one
+node: ``matmul`` takes an optional ``bias``, ``conv3d`` too, and
+``layer_norm`` / ``instance_norm`` an optional ``gain`` and ``shift``,
+each added in place on the op's fresh output with the same float
+expressions as separate ``add`` / ``mul`` nodes. Values that cost one
+elementwise pass over a parent's data are recomputed in the backward,
+not kept: relu's mask (x > 0), gelu's tanh, and conv3d's padded input
+(Chen et al. 2016, arXiv:1604.06174, applied only to these).
+
 Two precision modes exist: float32 (training) and float64 (gradient
 checking). The mode is a process-global default applied when leaf tensors
 are created; mixing dtypes inside one graph is rejected.
@@ -320,6 +330,20 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _accum_unbroadcast(t, d, g):
+    """Add ``d``, a gradient in the broadcast shape, into ``t.grad`` summed
+    down to t's shape. It is handed over without a copy unless it is still
+    the upstream gradient ``g``, which reaches other parents too."""
+    d = _unbroadcast(d, t.data.shape)
+    t._accum(d, owned=d is not g)
+
+
+def _check_vector(op, name, t, n):
+    """A per-channel operand (bias, gain, shift) must have shape (n,)."""
+    if t.data.shape != (n,):
+        raise ShapeMismatchError(f"{op}: {name} has shape {t.data.shape}, expected ({n},)")
+
+
 def _binary(op_name, a, b, fwd, da_fn, db_fn):
     a = a if isinstance(a, Tensor) else Tensor(np.asarray(a), dtype=b.data.dtype)
     b = b if isinstance(b, Tensor) else Tensor(np.asarray(b), dtype=a.data.dtype)
@@ -332,11 +356,9 @@ def _binary(op_name, a, b, fwd, da_fn, db_fn):
     def bw(g):
         # a derivative that is g itself (add, sub) reaches both parents
         if a.requires_grad:
-            ga = _unbroadcast(da_fn(g, a.data, b.data), a.data.shape)
-            a._accum(ga, owned=ga is not g)
+            _accum_unbroadcast(a, da_fn(g, a.data, b.data), g)
         if b.requires_grad:
-            gb = _unbroadcast(db_fn(g, a.data, b.data), b.data.shape)
-            b._accum(gb, owned=gb is not g)
+            _accum_unbroadcast(b, db_fn(g, a.data, b.data), g)
 
     return _make(op_name, data, (a, b), bw)
 
@@ -377,11 +399,10 @@ def neg(x):
 
 
 def relu(x):
-    mask = x.data > 0
-    data = x.data * mask  # a non-finite input stays non-finite here
+    data = x.data * (x.data > 0)  # a non-finite input stays non-finite here
 
     def bw(g):
-        x._accum(g * mask, owned=True)
+        x._accum(g * (x.data > 0), owned=True)
 
     return _make("relu", data, (x,), bw)
 
@@ -391,19 +412,24 @@ _GELU_A = 0.044715
 
 
 def gelu(x):
-    """Tanh-approximated gelu."""
-    xd = x.data
-    c = np.asarray(_GELU_C, dtype=xd.dtype)
-    a = np.asarray(_GELU_A, dtype=xd.dtype)
-    inner = c * (xd + a * (xd * xd * xd))  # f32 `** 3` is a slow generic pow
-    t = np.tanh(inner)
-    data = 0.5 * xd * (1.0 + t)
-    data = data.astype(xd.dtype, copy=False)
+    """Tanh-approximated gelu. The backward recomputes the tanh from the
+    input rather than keep it."""
+    dtype = x.data.dtype
+    c = np.asarray(_GELU_C, dtype=dtype)
+    a = np.asarray(_GELU_A, dtype=dtype)
+
+    def tanh_inner(xd):
+        return np.tanh(c * (xd + a * (xd * xd * xd)))  # f32 `** 3` is a slow generic pow
+
+    data = 0.5 * x.data * (1.0 + tanh_inner(x.data))
+    data = data.astype(dtype, copy=False)
 
     def bw(g):
+        xd = x.data
+        t = tanh_inner(xd)
         sech2 = 1.0 - t * t
         d = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * c * (1.0 + 3.0 * a * xd * xd)
-        x._accum(g * d.astype(xd.dtype, copy=False), owned=True)
+        x._accum(g * d.astype(dtype, copy=False), owned=True)
 
     return _make("gelu", data, (x,), bw)
 
@@ -449,11 +475,14 @@ def clamp(x, lo, hi):
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b):
-    """2-D matmul or batched 3-D matmul with equal leading dims."""
+def matmul(a, b, bias=None):
+    """2-D matmul or batched 3-D matmul with equal leading dims, plus an
+    optional ``bias`` of shape (N,), N the product's column count, added
+    to every row of the product in place."""
     a = a if isinstance(a, Tensor) else Tensor(np.asarray(a))
     b = b if isinstance(b, Tensor) else Tensor(np.asarray(b))
-    _check_inputs("matmul", a, b)
+    extra = () if bias is None else (bias,)
+    _check_inputs("matmul", a, b, *extra)
     if a.data.ndim != b.data.ndim or a.data.ndim not in (2, 3):
         raise ShapeMismatchError(
             f"matmul: unsupported ranks {a.data.ndim} and {b.data.ndim}"
@@ -464,15 +493,21 @@ def matmul(a, b):
         raise ShapeMismatchError(
             f"matmul: inner dims {a.data.shape} x {b.data.shape}"
         )
+    if bias is not None:
+        _check_vector("matmul", "bias", bias, b.data.shape[-1])
     data = a.data @ b.data
+    if bias is not None:
+        data += bias.data
 
     def bw(g):
         if a.requires_grad:
             a._accum(g @ b.data.swapaxes(-1, -2), owned=True)
         if b.requires_grad:
             b._accum(a.data.swapaxes(-1, -2) @ g, owned=True)
+        if bias is not None and bias.requires_grad:
+            _accum_unbroadcast(bias, g, g)
 
-    return _make("matmul", data, (a, b), bw)
+    return _make("matmul", data, (a, b) + extra, bw)
 
 
 # Query rows per attention block: a (heads, rows, keys) block of scores
@@ -593,35 +628,56 @@ def _valid_axis(x, axis, op):
     return int(axis) % x.data.ndim
 
 
-def _normalize(x, axes, eps, op):
-    """Shared zero-mean unit-variance core of layer_norm / instance_norm."""
+def _normalize(x, axes, eps, op, gain, shift):
+    """Shared core of layer_norm / instance_norm: x_hat = (x - mean) * inv,
+    inv = 1 / sqrt(var + eps), then x_hat * gain + shift when the per-channel
+    (last axis) affine is given. The closure keeps x_hat and inv."""
+    if (gain is None) != (shift is None):
+        raise GraphError(f"{op}: gain and shift are given together or not at all")
+    affine = () if gain is None else (gain, shift)
+    _check_inputs(op, x, *affine)
+    for name, t in zip(("gain", "shift"), affine):
+        _check_vector(op, name, t, x.data.shape[-1])
     xd = x.data
     mu = xd.mean(axis=axes, keepdims=True)
     centered = xd - mu
     var = (centered * centered).mean(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
-    data = centered * inv
+    xhat = centered * inv
+    data = xhat
+    if affine:
+        data = xhat * gain.data
+        data += shift.data
 
     def bw(g):
-        gm = g.mean(axis=axes, keepdims=True)
-        gy = (g * data).mean(axis=axes, keepdims=True)
-        x._accum(inv * (g - gm - data * gy), owned=True)
+        if affine:
+            if shift.requires_grad:
+                _accum_unbroadcast(shift, g, g)
+            if gain.requires_grad:
+                _accum_unbroadcast(gain, g * xhat, g)
+            g = g * gain.data
+        if x.requires_grad:
+            gm = g.mean(axis=axes, keepdims=True)
+            gy = (g * xhat).mean(axis=axes, keepdims=True)
+            x._accum(inv * (g - gm - xhat * gy), owned=True)
 
-    return _make(op, data, (x,), bw)
+    return _make(op, data, (x,) + affine, bw)
 
 
-def layer_norm(x, axis=-1, eps=1e-6):
-    """Normalize over one axis (no affine; apply scale/shift separately)."""
+def layer_norm(x, axis=-1, eps=1e-6, gain=None, shift=None):
+    """Normalize over one axis; with ``gain`` and ``shift`` (both (C,), C
+    the last axis) the output is x_hat * gain + shift."""
     ax = _valid_axis(x, axis, "layer_norm")
-    return _normalize(x, (ax,), eps, "layer_norm")
+    return _normalize(x, (ax,), eps, "layer_norm", gain, shift)
 
 
-def instance_norm(x, eps=1e-5):
-    """Normalize each channel (last axis) over all remaining axes."""
+def instance_norm(x, eps=1e-5, gain=None, shift=None):
+    """Normalize each channel (last axis) over all remaining axes; with
+    ``gain`` and ``shift`` (both (C,)) the output is x_hat * gain + shift."""
     if x.data.ndim < 2:
         raise ShapeMismatchError("instance_norm: rank must be >= 2")
     axes = tuple(range(x.data.ndim - 1))
-    return _normalize(x, axes, eps, "instance_norm")
+    return _normalize(x, axes, eps, "instance_norm", gain, shift)
 
 
 # ---------------------------------------------------------------------------

@@ -47,12 +47,10 @@ class ConvBlockParams:
 
 
 def conv_block(x: Tensor, p: ConvBlockParams) -> Tensor:
-    h = ad.conv3d(x, p.conv1_w, stride=p.stride1, padding=1)
-    h = ad.add(h, p.conv1_b)
-    h = ad.relu(ad.add(ad.mul(ad.instance_norm(h), p.in1_g), p.in1_b))
-    h = ad.conv3d(h, p.conv2_w, stride=1, padding=1)
-    h = ad.add(h, p.conv2_b)
-    return ad.relu(ad.add(ad.mul(ad.instance_norm(h), p.in2_g), p.in2_b))
+    h = ad.conv3d(x, p.conv1_w, stride=p.stride1, padding=1, bias=p.conv1_b)
+    h = ad.relu(ad.instance_norm(h, gain=p.in1_g, shift=p.in1_b))
+    h = ad.conv3d(h, p.conv2_w, stride=1, padding=1, bias=p.conv2_b)
+    return ad.relu(ad.instance_norm(h, gain=p.in2_g, shift=p.in2_b))
 
 
 @dataclass
@@ -133,8 +131,8 @@ def predict(enhanced: list[FeatureMap], p: PredictParams) -> Tensor:
     cat = ad.concat([e.data for e in enhanced], axis=3)
     h = conv_block(cat, p.head)
     h = ad.trilinear_upsample(h, p.upsample_factor)
-    h = ad.relu(ad.add(ad.conv3d(h, p.smooth_w, stride=1, padding=1), p.smooth_b))
-    logits = ad.add(ad.conv3d(h, p.proj_w, stride=1, padding=0), p.proj_b)
+    h = ad.relu(ad.conv3d(h, p.smooth_w, stride=1, padding=1, bias=p.smooth_b))
+    logits = ad.conv3d(h, p.proj_w, stride=1, padding=0, bias=p.proj_b)
     prob = ad.sigmoid(logits)
     dims = prob.shape[:3]
     return ad.reshape(prob, dims)

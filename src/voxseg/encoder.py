@@ -98,10 +98,6 @@ def param_specs(spec):
     return specs
 
 
-def _affine(x, g, b):
-    return ad.add(ad.mul(x, g), b)
-
-
 def adapter_forward(x, p: LayerParams):
     """relu(X @ W_down) @ W_up, token-wise; shape-preserving.
 
@@ -123,33 +119,33 @@ def attention_forward(z: Tensor, p: LayerParams, heads):
     if c % heads != 0:
         raise ShapeMismatchError(f"attention: heads {heads} must divide channels {c}")
     d = c // heads
-    q = ad.add(ad.matmul(z, p.wq), p.bq)
-    k = ad.add(ad.matmul(z, p.wk), p.bk)
-    v = ad.add(ad.matmul(z, p.wv), p.bv)
+    q = ad.matmul(z, p.wq, bias=p.bq)
+    k = ad.matmul(z, p.wk, bias=p.bk)
+    v = ad.matmul(z, p.wv, bias=p.bv)
     qh = ad.permute(ad.reshape(q, (m, heads, d)), (1, 0, 2))
     kh = ad.permute(ad.reshape(k, (m, heads, d)), (1, 0, 2))
     vh = ad.permute(ad.reshape(v, (m, heads, d)), (1, 0, 2))
     ctx = ad.attention(qh, kh, vh, 1.0 / math.sqrt(d))  # (heads, M, d)
     ctx = ad.reshape(ad.permute(ctx, (1, 0, 2)), (m, c))
-    return ad.add(ad.matmul(ctx, p.wo), p.bo)
+    return ad.matmul(ctx, p.wo, bias=p.bo)
 
 
 def mlp_forward(z: Tensor, p: LayerParams, activation):
-    h = ad.add(ad.matmul(z, p.mlp_w1), p.mlp_b1)
+    h = ad.matmul(z, p.mlp_w1, bias=p.mlp_b1)
     h = ad.gelu(h) if activation == "gelu" else ad.relu(h)
-    return ad.add(ad.matmul(h, p.mlp_w2), p.mlp_b2)
+    return ad.matmul(h, p.mlp_w2, bias=p.mlp_b2)
 
 
 def layer_forward(fm: FeatureMap, p: LayerParams, s, heads, activation="gelu"):
     """One full transformer layer on a feature map; shape preserved."""
     z_prev = fm.tokens()
     with ad.scope("layer_forward/norm1"):
-        z_dot = _affine(ad.layer_norm(z_prev, axis=-1), p.norm1_g, p.norm1_b)
+        z_dot = ad.layer_norm(z_prev, axis=-1, gain=p.norm1_g, shift=p.norm1_b)
     with ad.scope("layer_forward/attention"):
         attn = attention_forward(z_dot, p, heads)
     z_hat = ad.add(z_prev, attn)
     with ad.scope("layer_forward/norm2"):
-        z_ddot = _affine(ad.layer_norm(z_hat, axis=-1), p.norm2_g, p.norm2_b)
+        z_ddot = ad.layer_norm(z_hat, axis=-1, gain=p.norm2_g, shift=p.norm2_b)
     with ad.scope("layer_forward/mlp"):
         mlp = mlp_forward(z_ddot, p, activation)
     with ad.scope("layer_forward/adapter"):

@@ -65,8 +65,7 @@ def pseudo3d_patch_embed(x: Tensor, w2d: Tensor, b2d: Tensor, wdepth: Tensor,
     """
     ph, pw, pd = patch
     grid = _check_divisible(x.shape[:3], patch)
-    planar = ad.conv3d(x, w2d, stride=(ph, pw, 1), padding=0)  # (H, W, D̄, C)
-    planar = ad.add(planar, b2d)
+    planar = ad.conv3d(x, w2d, stride=(ph, pw, 1), padding=0, bias=b2d)  # (H, W, D̄, C)
     h, w, d = grid
     c = planar.shape[3]
     stacked = ad.reshape(planar, (h, w, d, pd, c))
@@ -77,8 +76,7 @@ def pseudo3d_patch_embed(x: Tensor, w2d: Tensor, b2d: Tensor, wdepth: Tensor,
 def true3d_patch_embed(x: Tensor, w3d: Tensor, b3d: Tensor, patch) -> FeatureMap:
     """Single dense 3D convolution with kernel = stride = patch."""
     _check_divisible(x.shape[:3], patch)
-    out = ad.conv3d(x, w3d, stride=patch, padding=0)
-    return FeatureMap.wrap(ad.add(out, b3d))
+    return FeatureMap.wrap(ad.conv3d(x, w3d, stride=patch, padding=0, bias=b3d))
 
 
 def add_positional(fm: FeatureMap, pos: Tensor) -> FeatureMap:

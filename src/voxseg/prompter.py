@@ -112,10 +112,6 @@ def param_specs(spec):
     return specs
 
 
-def _normed(zw, g, b):
-    return ad.add(ad.mul(ad.layer_norm(zw, axis=-1), g), b)
-
-
 def _tokens_of(x):
     return (x.tokens(), x) if isinstance(x, FeatureMap) else (x, None)
 
@@ -142,7 +138,7 @@ def spatial_attention(x, p: PrompterParams, scaling=True, zq=None, zk=None):
         )
     zq = ad.matmul(z, p.wq_sa) if zq is None else zq
     zk = ad.matmul(z, p.wk_sa) if zk is None else zk
-    q = _normed(zq, p.norm_q_sa_g, p.norm_q_sa_b)  # (M, C)
+    q = ad.layer_norm(zq, axis=-1, gain=p.norm_q_sa_g, shift=p.norm_q_sa_b)  # (M, C)
     k_hat = ad.matmul(p.reduce_k, zk)  # (n, C)
     v_hat = ad.matmul(p.reduce_v, ad.matmul(z, p.wv_sa))  # (n, C)
     scale = 1.0 / math.sqrt(c) if scaling else 1.0
@@ -166,8 +162,8 @@ def channel_attention(x, p: PrompterParams, scaling=True, zq=None, zk=None):
         )
     zq = ad.matmul(z, p.wq_ca) if zq is None else zq
     zk = ad.matmul(z, p.wk_ca) if zk is None else zk
-    q = _normed(zq, p.norm_q_ca_g, p.norm_q_ca_b)
-    k = _normed(zk, p.norm_k_ca_g, p.norm_k_ca_b)
+    q = ad.layer_norm(zq, axis=-1, gain=p.norm_q_ca_g, shift=p.norm_q_ca_b)
+    k = ad.layer_norm(zk, axis=-1, gain=p.norm_k_ca_g, shift=p.norm_k_ca_b)
     v = ad.matmul(z, p.wv_ca)
     scale = 1.0 / math.sqrt(c) if scaling else 1.0
     qt, kt, vt = (ad.permute(t, (1, 0)) for t in (q, k, v))  # (C, M)

@@ -54,6 +54,14 @@ def _case_matmul_batched(rng):
     return (lambda x: ad.matmul(x, b)), rng.standard_normal((h, m, k))
 
 
+def _case_matmul_bias_wrt_bias(rng):
+    """Rank 2 or batched rank 3: the bias gradient sums over every row."""
+    heads = (2,) if rng.random() < 0.5 else ()
+    m, k, n = (int(v) for v in rng.integers(2, 5, 3))
+    a, b = _t(rng, *heads, m, k), _t(rng, *heads, k, n)
+    return (lambda bias: ad.matmul(a, b, bias=bias)), rng.standard_normal(n)
+
+
 def _case_conv3d(rng):
     kd = tuple(rng.integers(1, 4, 3))
     cin, cout = rng.integers(1, 3), rng.integers(1, 4)
@@ -91,6 +99,20 @@ def _case_conv3d_wrt_kernel(rng):
     return (
         lambda w: ad.conv3d(x, w, stride=1, padding=1),
         rng.standard_normal((3, 3, 3, 2, 2)),
+    )
+
+
+def _case_conv3d_wrt_bias(rng):
+    """Stride 1 on most instances, stride 2 on some axis on about one in
+    three, so both the shifted-row and the im2col forms carry a bias."""
+    kd = tuple(int(k) for k in rng.integers(1, 4, 3))
+    stride = (1, 1, 1) if rng.random() < 0.65 else (2, 1, int(rng.integers(1, 3)))
+    cin, cout = (int(c) for c in rng.integers(1, 4, 2))
+    dims = tuple(k + s * int(rng.integers(1, 3)) for k, s in zip(kd, stride))
+    x, w = _t(rng, *dims, cin), _t(rng, *kd, cin, cout)
+    return (
+        lambda b: ad.conv3d(x, w, stride=stride, padding=1, bias=b),
+        rng.standard_normal(cout),
     )
 
 
@@ -152,6 +174,30 @@ def _case_layer_norm(rng):
 def _case_instance_norm(rng):
     shape = tuple(rng.integers(2, 4, 4))
     return ad.instance_norm, rng.standard_normal(shape)
+
+
+def _norm_affine_through_maps(rng, norm, shape):
+    """u (l, c) feeds the normalized input, the gain and the shift through
+    three fixed maps: one check covers all three inputs."""
+    c = shape[-1]
+    l = int(rng.integers(2, 4))
+    ax, ag, ab = _t(rng, int(np.prod(shape[:-1])), l), _t(rng, 1, l), _t(rng, 1, l)
+    return (
+        lambda u: norm(ad.reshape(ad.matmul(ax, u), shape),
+                       gain=ad.reshape(ad.matmul(ag, u), (c,)),
+                       shift=ad.reshape(ad.matmul(ab, u), (c,))),
+        rng.standard_normal((l, c)),
+    )
+
+
+def _case_layer_norm_affine(rng):
+    shape = tuple(int(n) for n in rng.integers(2, 5, 2))
+    return _norm_affine_through_maps(rng, ad.layer_norm, shape)  # axis -1
+
+
+def _case_instance_norm_affine(rng):
+    shape = tuple(int(n) for n in rng.integers(2, 4, 4))
+    return _norm_affine_through_maps(rng, ad.instance_norm, shape)
 
 
 def _case_concat(rng):
@@ -467,9 +513,11 @@ def _case_combined_loss(rng):
 OP_CASES = [
     ("matmul", _case_matmul),
     ("matmul_batched", _case_matmul_batched),
+    ("matmul_bias_wrt_bias", _case_matmul_bias_wrt_bias),
     ("conv3d", _case_conv3d),
     ("conv3d_stride1", _case_conv3d_stride1),
     ("conv3d_wrt_kernel", _case_conv3d_wrt_kernel),
+    ("conv3d_wrt_bias", _case_conv3d_wrt_bias),
     ("trilinear_upsample", _case_upsample),
     ("relu", _case_relu),
     ("gelu", _case_gelu),
@@ -478,6 +526,8 @@ OP_CASES = [
     ("attention_blocked", _case_attention_blocked),
     ("layer_norm", _case_layer_norm),
     ("instance_norm", _case_instance_norm),
+    ("layer_norm_affine", _case_layer_norm_affine),
+    ("instance_norm_affine", _case_instance_norm_affine),
     ("concat", _case_concat),
     ("add_broadcast", _case_add_broadcast),
     ("mul", _case_mul),

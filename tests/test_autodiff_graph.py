@@ -90,6 +90,37 @@ def test_first_gradients_never_alias_across_leaves_or_passes(rng):
     assert not np.shares_memory(x.grad, y.grad)
 
 
+def _held_arrays(fn):
+    """ndarrays a backward closure keeps, through nested helper functions."""
+    for cell in fn.__closure__ or ():
+        held = cell.cell_contents
+        if isinstance(held, np.ndarray):
+            yield held
+        elif callable(held) and getattr(held, "__closure__", None):
+            yield from _held_arrays(held)
+
+
+@pytest.mark.parametrize("stride", [1, (2, 1, 2)])
+def test_conv3d_closure_keeps_no_padded_input(rng, stride):
+    """The backward re-pads x; the (8, 7, 9, 2) padded copy dies with the forward."""
+    x = ad.tensor(rng.standard_normal((6, 5, 7, 2)), requires_grad=True)
+    w = ad.tensor(rng.standard_normal((3, 3, 3, 2, 3)), requires_grad=True)
+    out = ad.conv3d(x, w, stride=stride, padding=1)
+    assert all(a.shape != (8, 7, 9, 2) for a in _held_arrays(out._backward))
+
+
+def test_gelu_closure_keeps_only_its_input(rng):
+    """The tanh is recomputed in the backward, not kept."""
+    x = ad.tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    held = list(_held_arrays(ad.gelu(x)._backward))
+    assert all(a.shape != x.shape or a is x.data for a in held)
+
+
+def test_relu_closure_keeps_no_mask(rng):
+    x = ad.tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    assert not any(a.dtype == bool for a in _held_arrays(ad.relu(x)._backward))
+
+
 def test_shared_subgraph_visited_once():
     # z = (x + x) * x => dz/dx = 4x; a double visit would inflate this
     x = ad.tensor([2.0, -3.0], requires_grad=True)

@@ -7,6 +7,7 @@ import pytest
 
 from conv_oracles import conv3d_input_grad_taps, conv3d_kernel_grad_taps, conv3d_reference
 from voxseg import autodiff as ad
+from voxseg.autodiff import conv
 from voxseg.autodiff.tensor import ATTENTION_BLOCK_ELEMS
 
 
@@ -194,6 +195,84 @@ def test_conv3d_stride1_builds_no_patch_matrix(rng):
 def test_conv3d_channel_mismatch(rng):
     with pytest.raises(ad.ShapeMismatchError):
         ad.conv3d(ad.tensor(np.zeros((4, 4, 4, 2))), ad.tensor(np.zeros((3, 3, 3, 3, 1))))
+
+
+@pytest.mark.parametrize("shape,padding", [((4, 3, 5, 2), (1, 2, 0)), ((3, 3, 3, 1), 3)])
+def test_pad_spatial_equals_np_pad(rng, shape, padding):
+    x = rng.standard_normal(shape).astype(np.float32)[::-1]  # a strided view too
+    ph, pw, pd = conv._triple(padding, "padding")
+    ref = np.pad(x, ((ph, ph), (pw, pw), (pd, pd), (0, 0)))
+    got = conv._pad_spatial(x, (ph, pw, pd))
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def _biased(op, **kw):
+    """(fused, chain) of a linear op with a bias."""
+    return (lambda x, w, b: op(x, w, bias=b, **kw),
+            lambda x, w, b: ad.add(op(x, w, **kw), b))
+
+
+def _affine(norm):
+    """(fused, chain) of a norm with a gain and a shift."""
+    return (lambda x, g, s: norm(x, gain=g, shift=s),
+            lambda x, g, s: ad.add(ad.mul(norm(x), g), s))
+
+
+# input shapes, the fused op, and the add / mul chain it replaces
+FUSED_CHAINS = {
+    "matmul": (((5, 4), (4, 3), (3,)), *_biased(ad.matmul)),
+    "matmul_batched": (((2, 5, 4), (2, 4, 3), (3,)), *_biased(ad.matmul)),
+    "conv3d": (((5, 4, 6, 2), (3, 3, 3, 2, 3), (3,)), *_biased(ad.conv3d, padding=1)),
+    "conv3d_strided": (((5, 4, 6, 2), (3, 3, 3, 2, 3), (3,)),
+                       *_biased(ad.conv3d, stride=(2, 1, 2), padding=1)),
+    "layer_norm": (((6, 4), (4,), (4,)), *_affine(ad.layer_norm)),
+    "instance_norm": (((3, 4, 2, 5), (5,), (5,)), *_affine(ad.instance_norm)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_CHAINS))
+def test_fused_op_is_one_node_bit_identical_to_its_chain(rng, name):
+    """The fused op is one graph node straight on its leaves, and its f32
+    output and every input gradient equal those of the separate add / mul
+    nodes bit for bit."""
+    shapes, fused, chain = FUSED_CHAINS[name]
+    arrays = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    g = None
+    results = []
+    for build in (fused, chain):
+        ts = [ad.tensor(a, requires_grad=True, dtype=np.float32) for a in arrays]
+        out = build(*ts)
+        if g is None:
+            assert list(out._parents) == ts
+            g = ad.tensor(rng.standard_normal(out.shape), dtype=np.float32)
+        ad.backward(ad.reduce_sum(ad.mul(out, g)))
+        results.append([out.numpy()] + [t.grad for t in ts])
+    for got, ref in zip(*results):
+        assert got.dtype == np.float32 and np.array_equal(got, ref)
+
+
+def test_fused_operands_are_checked():
+    x, w = ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((3, 4)))
+    vol, k = ad.tensor(np.ones((3, 3, 3, 2))), ad.tensor(np.ones((1, 1, 1, 2, 4)))
+    for bad in (np.ones(3), np.ones((1, 4)), np.ones(5)):
+        with pytest.raises(ad.ShapeMismatchError, match="matmul: bias"):
+            ad.matmul(x, w, bias=ad.tensor(bad))
+        with pytest.raises(ad.ShapeMismatchError, match="conv3d: bias"):
+            ad.conv3d(vol, k, bias=ad.tensor(bad))
+    with pytest.raises(ad.DtypeMismatchError):
+        ad.matmul(x, w, bias=ad.tensor(np.ones(4), dtype=np.float32))
+    with pytest.raises(ad.DtypeMismatchError):
+        ad.conv3d(vol, k, bias=ad.tensor(np.ones(4), dtype=np.float32))
+    c = ad.tensor(np.ones(3))
+    for norm in (ad.layer_norm, ad.instance_norm):
+        with pytest.raises(ad.GraphError, match="together"):
+            norm(x, gain=c)
+        with pytest.raises(ad.GraphError, match="together"):
+            norm(x, shift=c)
+        with pytest.raises(ad.ShapeMismatchError, match="shift"):
+            norm(x, gain=c, shift=ad.tensor(np.ones(2)))
+        with pytest.raises(ad.DtypeMismatchError):
+            norm(x, gain=c, shift=ad.tensor(np.ones(3), dtype=np.float32))
 
 
 def test_trilinear_upsample_constant_and_factor1(rng):

@@ -190,9 +190,9 @@ def test_attention_graph_keeps_no_score_nodes(rng):
             if isinstance(held, np.ndarray) and held.shape == (heads, m, m):
                 square.add(id(held))
     assert not square
-    # z, then q/k/v as matmul + bias + reshape + permute each, then one attention
-    # node, then permute + reshape + matmul + bias: 1 + 12 + 1 + 4
-    assert len(nodes) == 18
+    # z, then q/k/v as biased matmul + reshape + permute each, then one
+    # attention node, then permute + reshape + biased matmul: 1 + 9 + 1 + 3
+    assert len(nodes) == 14
 
 
 def test_layer_names_attention_on_score_overflow():

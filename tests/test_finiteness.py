@@ -37,6 +37,24 @@ def test_op_names_the_non_finite_value_it_makes(op):
     assert str(err.value).startswith(f"{op}: non-finite output"), str(err.value)
 
 
+FUSED_OVERFLOWS = {  # the bias, gain or shift term is what overflows
+    "matmul": lambda: ad.matmul(_f32(1.0), _f32(BIG32 / 2), bias=_f32(BIG32, (2,))),
+    "conv3d": lambda: ad.conv3d(_f32(BIG32, (2, 2, 2, 1)), _f32(1.0, (1, 1, 1, 1, 1)),
+                                bias=_f32(BIG32, (1,))),
+    "layer_norm": lambda: ad.layer_norm(ad.tensor([[1.0, 2.0]], dtype=np.float32),
+                                        gain=_f32(BIG32, (2,)), shift=_f32(BIG32, (2,))),
+    "instance_norm": lambda: ad.instance_norm(ad.tensor([[1.0], [2.0]], dtype=np.float32),
+                                              gain=_f32(BIG32, (1,)), shift=_f32(BIG32, (1,))),
+}
+
+
+@pytest.mark.parametrize("op", sorted(FUSED_OVERFLOWS))
+def test_fused_op_names_its_own_overflow(op):
+    with np.errstate(all="ignore"), pytest.raises(ad.NonFiniteError) as err:
+        FUSED_OVERFLOWS[op]()
+    assert str(err.value).startswith(f"{op}: non-finite output"), str(err.value)
+
+
 def test_nested_scopes_prefix_outermost_first():
     with np.errstate(all="ignore"), pytest.raises(ad.NonFiniteError) as err:
         with ad.scope("outer"), ad.scope("inner"):

@@ -7,7 +7,9 @@ force each form on every draw and compare against the loop oracles, as
 they do the strided path (im2col forward and kernel gradient, tap
 scatter-add input gradient) with stride 2 on at least one axis; the
 attention properties cover ranks 2 and 3, one query block and several
-(the last ragged), and logits up to 1e4, against an f64 oracle.
+(the last ragged), and logits up to 1e4, against an f64 oracle. The
+aliasing property builds random graphs that reuse tensors, where a
+gradient handed over without a copy could end up shared between leaves.
 """
 
 import contextlib
@@ -208,3 +210,77 @@ def test_attention_f32_matches_f64_oracle(draw, max_logit):
 @given(draw=attention_draws(), max_logit=st.sampled_from([1.0, 1e2, 1e4]))
 def test_attention_f64_matches_oracle_up_to_large_logits(draw, max_logit):
     _attention_case(draw, np.float64, max_logit)
+
+
+# One step of a random program over a pool of (m, c) tensors that starts as
+# the leaves x and y: (op, i, j, u, v), where i and j pick pool entries and
+# u and v pick (c,) leaves among b, g and s. Any pool entry and any leaf may
+# be used any number of times.
+program_steps = st.lists(
+    st.tuples(st.sampled_from(["add", "sub", "reshape", "matmul", "norm"]),
+              st.integers(0, 99), st.integers(0, 99),
+              st.integers(0, 2), st.integers(0, 2)),
+    min_size=1, max_size=7)
+
+
+def _run_program(steps, proj, use, fused):
+    """The program's scalar loss. ``use(name)`` gives the tensor standing for
+    leaf ``name`` at one use; ``fused`` picks the fused ops or the add / mul
+    chain they replace."""
+    pool = [use("x"), use("y")]
+    vec = "bgs"
+    for op, i, j, u, v in steps:
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        if op == "add":
+            out = ad.add(a, b)
+        elif op == "sub":
+            out = ad.sub(a, b)
+        elif op == "reshape":
+            out = ad.reshape(ad.reshape(a, (-1,)), a.shape)
+        elif op == "matmul" and fused:
+            out = ad.matmul(a, use("w"), bias=use(vec[u]))
+        elif op == "matmul":
+            out = ad.add(ad.matmul(a, use("w")), use(vec[u]))
+        elif fused:
+            out = ad.layer_norm(a, gain=use(vec[u]), shift=use(vec[v]))
+        else:
+            out = ad.add(ad.mul(ad.layer_norm(a), use(vec[u])), use(vec[v]))
+        pool.append(out)
+    return ad.add(ad.reduce_sum(ad.mul(pool[-1], proj)),
+                  ad.reduce_sum(pool[len(pool) // 2]))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(steps=program_steps, m=st.integers(1, 4), c=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_reused_tensors_get_unaliased_exact_gradients(steps, m, c, seed):
+    """Leaf gradients of a graph that reuses tensors across add / sub /
+    reshape / biased matmul / affine layer_norm chains equal an f64
+    reference in which every use is a leaf of its own and nothing is fused,
+    on the first pass and accumulated on the second; no two leaves'
+    gradients share memory."""
+    rng = np.random.default_rng(seed)
+    shapes = {"x": (m, c), "y": (m, c), "w": (c, c), "b": (c,), "g": (c,), "s": (c,)}
+    data = {k: rng.standard_normal(v) for k, v in shapes.items()}
+    copies = {k: [] for k in data}
+
+    def use_copy(name):
+        copies[name].append(ad.tensor(data[name].copy(), requires_grad=True))
+        return copies[name][-1]
+
+    with ad.precision("f64"):
+        proj = ad.tensor(rng.standard_normal((m, c)))
+        leaves = {k: ad.tensor(a, requires_grad=True) for k, a in data.items()}
+        loss = _run_program(steps, proj, leaves.__getitem__, fused=True)
+        ad.backward(_run_program(steps, proj, use_copy, fused=False))
+        for passes in (1, 2):
+            ad.backward(loss)
+            for name, leaf in leaves.items():
+                ref = sum((t.grad for t in copies[name] if t.grad is not None),
+                          np.zeros(shapes[name]))
+                got = np.zeros(shapes[name]) if leaf.grad is None else leaf.grad
+                np.testing.assert_allclose(got, passes * ref, rtol=1e-9,
+                                           atol=1e-12 * max(1.0, np.abs(ref).max()))
+    grads = [t.grad for t in leaves.values() if t.grad is not None]
+    for i, a in enumerate(grads):
+        assert not any(np.shares_memory(a, b) for b in grads[i + 1:])
