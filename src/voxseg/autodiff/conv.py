@@ -42,9 +42,13 @@ desk model on gemm; 16->80 is the desk fuse conv's input gradient.
 
 The closure keeps x, not its padded copy: the backward re-pads x (zeros
 plus one slice assignment, without ``np.pad``'s per-call Python cost)
-wherever the kernel gradient reads it, at every stride. An optional
-bias (Cout,) is added in place on the output and its gradient is the
-output gradient summed over the voxels.
+wherever the kernel gradient reads it, at every stride. x may be a list
+of inputs, read as their concatenation along channels: each is written
+into its channel slice of that one padded buffer, so the GEMMs see the
+same operand as after a concat, and the input gradient over the whole
+Cin is split per input. An optional bias (Cout,) is added in place on
+the output and its gradient is the output gradient summed over the
+voxels.
 
 Backward of a stride-1 conv3d:
   * kernel gradient: the output gradient embedded in the same row grid,
@@ -255,22 +259,55 @@ def _input_grad_stride1(g, w, padding, x_shape):
     return _correlate_stride1(gp, wt, x_shape[:3])
 
 
+def _pad_inputs(xs, padding):
+    """The zero-padded channel concatenation of the inputs' data, (Hp, Wp,
+    Dp, sum of Ci): each input is written into its channel slice of one
+    buffer. A lone input is padded as is (itself when there is no padding)."""
+    if len(xs) == 1:
+        return _pad_spatial(xs[0].data, padding)
+    ph, pw, pd = padding
+    h, w, d = xs[0].data.shape[:3]
+    cin = sum(t.data.shape[3] for t in xs)
+    xp = np.zeros(_padded_shape((h, w, d, cin), padding), dtype=xs[0].data.dtype)
+    lo = 0
+    for t in xs:
+        hi = lo + t.data.shape[3]
+        xp[ph : ph + h, pw : pw + w, pd : pd + d, lo:hi] = t.data
+        lo = hi
+    return xp
+
+
 def conv3d(x, w, stride=1, padding=0, bias=None):
     """Strided 3D convolution (cross-correlation), channels-last.
 
-    x: (H, W, D, Cin); w: (kh, kw, kd, Cin, Cout); optional bias (Cout,),
-    added in place to every output voxel. Output dims follow the floor
-    convention (H + 2p - k) // s + 1.
+    x: (H, W, D, Cin), or a list of (H, W, D, Ci) inputs whose channels sum
+    to Cin, read as their concatenation along channels in list order
+    without building it (each is written into its channel slice of the
+    padded buffer, in the forward and again in the backward, and the
+    input gradient over the whole Cin is split per input);
+    w: (kh, kw, kd, Cin, Cout); optional bias (Cout,), added in place to
+    every output voxel. Output dims follow the floor convention
+    (H + 2p - k) // s + 1.
     """
+    xs = list(x) if isinstance(x, (list, tuple)) else [x]
+    if not xs:
+        raise ShapeMismatchError("conv3d: no inputs")
     extra = () if bias is None else (bias,)
-    _check_inputs("conv3d", x, w, *extra)
-    if x.data.ndim != 4 or w.data.ndim != 5:
+    _check_inputs("conv3d", *xs, w, *extra)
+    if any(t.data.ndim != 4 for t in xs) or w.data.ndim != 5:
         raise ShapeMismatchError(
-            f"conv3d: expected rank-4 input and rank-5 kernel, got {x.data.ndim}/{w.data.ndim}"
+            f"conv3d: expected rank-4 inputs and a rank-5 kernel, got "
+            f"{[t.data.ndim for t in xs]}/{w.data.ndim}"
         )
-    if x.data.shape[3] != w.data.shape[3]:
+    in_dims = xs[0].data.shape[:3]
+    if any(t.data.shape[:3] != in_dims for t in xs):
         raise ShapeMismatchError(
-            f"conv3d: input channels {x.data.shape[3]} != kernel channels {w.data.shape[3]}"
+            f"conv3d: inputs differ in spatial dims {[t.data.shape[:3] for t in xs]}"
+        )
+    widths = [t.data.shape[3] for t in xs]
+    if sum(widths) != w.data.shape[3]:
+        raise ShapeMismatchError(
+            f"conv3d: input channels {sum(widths)} != kernel channels {w.data.shape[3]}"
         )
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
@@ -280,10 +317,11 @@ def conv3d(x, w, stride=1, padding=0, bias=None):
     cout = w.data.shape[4]
     if bias is not None:
         _check_vector("conv3d", "bias", bias, cout)
-    out_dims = _conv_out_dims(x.data.shape[:3], kdims, stride, padding)
+    out_dims = _conv_out_dims(in_dims, kdims, stride, padding)
+    x_shape = in_dims + (sum(widths),)
     unit = stride == (1, 1, 1)
 
-    xp = _pad_spatial(x.data, padding)
+    xp = _pad_inputs(xs, padding)
     if unit:
         data = _correlate_stride1(xp, w.data, out_dims)
     else:
@@ -294,37 +332,47 @@ def conv3d(x, w, stride=1, padding=0, bias=None):
 
     def bw(g):
         if w.requires_grad:
-            # rebuilt from x, not kept from the forward: the padded input,
-            # and for strides the (N, K) patch matrix
-            xp = _pad_spatial(x.data, padding)
+            # rebuilt from the inputs, not kept from the forward: the padded
+            # input, and for strides the (N, K) patch matrix
+            xp = _pad_inputs(xs, padding)
             if unit:
                 gw = _kernel_grad_stride1(xp, g, kdims)
             else:
                 gw = _im2col(xp, kdims, stride, out_dims).T @ g.reshape(-1, cout)
+            del xp
             w._accum(gw.reshape(w.data.shape), owned=True)
         if bias is not None and bias.requires_grad:
             _accum_unbroadcast(bias, g, g)
-        if x.requires_grad and unit:
-            x._accum(_input_grad_stride1(g, w.data, padding, x.data.shape), owned=True)
-        elif x.requires_grad:
-            gx = np.zeros(_padded_shape(x.data.shape, padding), dtype=x.data.dtype)
-            gout = g  # (Ho, Wo, Do, Cout)
+        if not any(t.requires_grad for t in xs):
+            return
+        if unit:
+            gx, owned = _input_grad_stride1(g, w.data, padding, x_shape), True
+        else:
+            gx = np.zeros(_padded_shape(x_shape, padding), dtype=g.dtype)
             sh, sw, sd = stride
             ho, wo, do = out_dims
             for i in range(kdims[0]):
                 for j in range(kdims[1]):
                     for k in range(kdims[2]):
-                        contrib = gout @ w.data[i, j, k].T  # (Ho, Wo, Do, Cin)
+                        contrib = g @ w.data[i, j, k].T  # (Ho, Wo, Do, Cin)
                         gx[
                             i : i + sh * ho : sh,
                             j : j + sw * wo : sw,
                             k : k + sd * do : sd,
                         ] += contrib
             ph, pw, pd = padding
-            h, wdt, d = x.data.shape[:3]
-            x._accum(gx[ph : ph + h, pw : pw + wdt, pd : pd + d])
+            h, wdt, d = in_dims
+            gx, owned = gx[ph : ph + h, pw : pw + wdt, pd : pd + d], False
+        if len(xs) == 1:
+            xs[0]._accum(gx, owned=owned)
+            return
+        lo = 0
+        for t, width in zip(xs, widths):
+            if t.requires_grad:
+                t._accum(gx[..., lo : lo + width])  # a view of gx: copied
+            lo += width
 
-    return _make("conv3d", data, (x, w) + extra, bw)
+    return _make("conv3d", data, tuple(xs) + (w,) + extra, bw)
 
 
 def _interp_weights(n_in, factor):
@@ -376,6 +424,7 @@ def trilinear_upsample(x, factor):
         for axis, mat in enumerate(mats):
             if mat.shape[0] != mat.shape[1]:
                 gx = _apply_axis(mat.T, gx, axis)
-        x._accum(np.ascontiguousarray(gx))
+        gx = np.ascontiguousarray(gx)
+        x._accum(gx, owned=gx is not g)  # fresh unless every factor is 1
 
     return _make("trilinear_upsample", data, (x,), bw)

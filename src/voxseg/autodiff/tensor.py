@@ -13,10 +13,13 @@ output lives until the case's backward ends, so a layer primitive is one
 node: ``matmul`` takes an optional ``bias``, ``conv3d`` too, and
 ``layer_norm`` / ``instance_norm`` an optional ``gain`` and ``shift``,
 each added in place on the op's fresh output with the same float
-expressions as separate ``add`` / ``mul`` nodes. Values that cost one
-elementwise pass over a parent's data are recomputed in the backward,
-not kept: relu's mask (x > 0), gelu's tanh, and conv3d's padded input
-(Chen et al. 2016, arXiv:1604.06174, applied only to these).
+expressions as separate ``add`` / ``mul`` nodes; ``instance_norm`` also
+takes ``relu=True``, the relu applied in place on its output. Values
+that cost one elementwise pass over a parent's data are recomputed in
+the backward, not kept: relu's mask (x > 0), gelu's tanh, conv3d's
+padded input, and the norms' x_hat = (x - mu) * inv, of which only mu
+and inv are kept (Chen et al. 2016, arXiv:1604.06174, applied only to
+these).
 
 Two precision modes exist: float32 (training) and float64 (gradient
 checking). The mode is a process-global default applied when leaf tensors
@@ -628,10 +631,13 @@ def _valid_axis(x, axis, op):
     return int(axis) % x.data.ndim
 
 
-def _normalize(x, axes, eps, op, gain, shift):
-    """Shared core of layer_norm / instance_norm: x_hat = (x - mean) * inv,
+def _normalize(x, axes, eps, op, gain, shift, relu=False):
+    """Shared core of layer_norm / instance_norm: x_hat = (x - mu) * inv,
     inv = 1 / sqrt(var + eps), then x_hat * gain + shift when the per-channel
-    (last axis) affine is given. The closure keeps x_hat and inv."""
+    (last axis) affine is given, then, with ``relu``, the relu in place on
+    that output. The closure keeps only mu and inv: the backward rebuilds
+    x_hat from x with the forward's expression, and takes relu's mask from
+    the output, which is positive exactly where its pre-relu value was."""
     if (gain is None) != (shift is None):
         raise GraphError(f"{op}: gain and shift are given together or not at all")
     affine = () if gain is None else (gain, shift)
@@ -640,20 +646,27 @@ def _normalize(x, axes, eps, op, gain, shift):
         _check_vector(op, name, t, x.data.shape[-1])
     xd = x.data
     mu = xd.mean(axis=axes, keepdims=True)
-    centered = xd - mu
-    var = (centered * centered).mean(axis=axes, keepdims=True)
+    data = xd - mu
+    var = (data * data).mean(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
-    xhat = centered * inv
-    data = xhat
+    data *= inv  # x_hat
     if affine:
-        data = xhat * gain.data
+        data *= gain.data
         data += shift.data
+    out = None
+    if relu:
+        data *= data > 0  # relu's own expression, so a non-finite value stays
+        out = data
 
     def bw(g):
+        if relu:
+            g = g * (out > 0)
+        need_gain = affine and gain.requires_grad
+        xhat = (x.data - mu) * inv if need_gain or x.requires_grad else None
         if affine:
             if shift.requires_grad:
                 _accum_unbroadcast(shift, g, g)
-            if gain.requires_grad:
+            if need_gain:
                 _accum_unbroadcast(gain, g * xhat, g)
             g = g * gain.data
         if x.requires_grad:
@@ -671,13 +684,15 @@ def layer_norm(x, axis=-1, eps=1e-6, gain=None, shift=None):
     return _normalize(x, (ax,), eps, "layer_norm", gain, shift)
 
 
-def instance_norm(x, eps=1e-5, gain=None, shift=None):
+def instance_norm(x, eps=1e-5, gain=None, shift=None, relu=False):
     """Normalize each channel (last axis) over all remaining axes; with
-    ``gain`` and ``shift`` (both (C,)) the output is x_hat * gain + shift."""
+    ``gain`` and ``shift`` (both (C,)) the output is x_hat * gain + shift.
+    ``relu=True`` applies a relu to that output inside this one node, equal
+    bit for bit to ``relu(instance_norm(...))``."""
     if x.data.ndim < 2:
         raise ShapeMismatchError("instance_norm: rank must be >= 2")
     axes = tuple(range(x.data.ndim - 1))
-    return _normalize(x, axes, eps, "instance_norm", gain, shift)
+    return _normalize(x, axes, eps, "instance_norm", gain, shift, relu)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,12 @@ all branches meeting at (2H, 2W, 2D); a shared image branch
 enhancers. The prediction head concatenates the four enhancer outputs,
 applies a conv block, upsamples to the input resolution, smooths with
 one 3x3x3 conv, projects to a single channel and applies a sigmoid.
+Both concatenations are implicit: the block's first conv takes the list
+of inputs and writes each into its channel slice of the padded buffer it
+builds anyway, so no concatenated copy is made or kept.
 
-A conv block is (conv3x3x3 -> instance norm -> relu) twice; pyramid
+A conv block is (conv3x3x3 -> instance norm -> relu) twice, the norm and
+its relu one graph node (``instance_norm(..., relu=True)``); pyramid
 stages use stride 2 on their first conv. ``no_image_branch`` replaces
 the image features with zeros (identical shapes, decoder trains on taps
 alone).
@@ -46,11 +50,12 @@ class ConvBlockParams:
         return cls(**{f: store[f"{prefix}.{f}"] for f in cls._FIELDS}, stride1=stride1)
 
 
-def conv_block(x: Tensor, p: ConvBlockParams) -> Tensor:
+def conv_block(x: Tensor | list[Tensor], p: ConvBlockParams) -> Tensor:
+    """A list ``x`` is read by the first conv as its channel concatenation."""
     h = ad.conv3d(x, p.conv1_w, stride=p.stride1, padding=1, bias=p.conv1_b)
-    h = ad.relu(ad.instance_norm(h, gain=p.in1_g, shift=p.in1_b))
+    h = ad.instance_norm(h, gain=p.in1_g, shift=p.in1_b, relu=True)
     h = ad.conv3d(h, p.conv2_w, stride=1, padding=1, bias=p.conv2_b)
-    return ad.relu(ad.instance_norm(h, gain=p.in2_g, shift=p.in2_b))
+    return ad.instance_norm(h, gain=p.in2_g, shift=p.in2_b, relu=True)
 
 
 @dataclass
@@ -119,7 +124,7 @@ def original_feature_enhancer(z: FeatureMap, image: Tensor, p: EnhancerParams,
             f"enhancer target {p.target_dims} != upsampled tap {up.shape[:3]}"
         )
     img_feat = image_features(image, p) if features is None else features
-    fused = conv_block(ad.concat([up, img_feat], axis=3), p.fuse)
+    fused = conv_block([up, img_feat], p.fuse)
     return FeatureMap.wrap(fused)
 
 
@@ -128,8 +133,7 @@ def predict(enhanced: list[FeatureMap], p: PredictParams) -> Tensor:
     shapes = {tuple(e.data.shape) for e in enhanced}
     if len(shapes) != 1:
         raise ShapeMismatchError(f"enhancer outputs disagree in shape: {shapes}")
-    cat = ad.concat([e.data for e in enhanced], axis=3)
-    h = conv_block(cat, p.head)
+    h = conv_block([e.data for e in enhanced], p.head)
     h = ad.trilinear_upsample(h, p.upsample_factor)
     h = ad.relu(ad.conv3d(h, p.smooth_w, stride=1, padding=1, bias=p.smooth_b))
     logits = ad.conv3d(h, p.proj_w, stride=1, padding=0, bias=p.proj_b)

@@ -116,6 +116,32 @@ def _case_conv3d_wrt_bias(rng):
     )
 
 
+def _case_conv3d_multi_input(rng):
+    """A list of two or three inputs, one of them a constant that needs no
+    gradient; the others are x through fixed channel maps, so one check
+    covers every input's slice of the input gradient. Padding 0 or 1;
+    about one instance in three is strided."""
+    n_in = int(rng.integers(2, 4))
+    kd = tuple(int(k) for k in rng.integers(1, 4, 3))
+    stride = (1, 1, 1) if rng.random() < 0.65 else (2, 1, int(rng.integers(1, 3)))
+    padding = int(rng.integers(0, 2))
+    dims = tuple(k + s * int(rng.integers(1, 3)) for k, s in zip(kd, stride))
+    widths = [int(c) for c in rng.integers(1, 3, n_in)]
+    const = int(rng.integers(0, n_in))
+    c, cout = 2, int(rng.integers(1, 4))
+    maps = [_t(rng, c, ci) for ci in widths]
+    fixed = _t(rng, *dims, widths[const])
+    w = _t(rng, *kd, sum(widths), cout)
+
+    def f(x):
+        flat = ad.reshape(x, (-1, c))
+        xs = [fixed if i == const else ad.reshape(ad.matmul(flat, m), dims + (m.shape[1],))
+              for i, m in enumerate(maps)]
+        return ad.conv3d(xs, w, stride=stride, padding=padding)
+
+    return f, rng.standard_normal(dims + (c,))
+
+
 def _case_upsample(rng):
     dims = tuple(rng.integers(2, 4, 3))
     factor = tuple(rng.integers(1, 3, 3))
@@ -178,14 +204,15 @@ def _case_instance_norm(rng):
 
 def _norm_affine_through_maps(rng, norm, shape):
     """u (l, c) feeds the normalized input, the gain and the shift through
-    three fixed maps: one check covers all three inputs."""
+    three fixed maps: one check covers all three inputs. Keywords of the
+    returned function go to ``norm``."""
     c = shape[-1]
     l = int(rng.integers(2, 4))
     ax, ag, ab = _t(rng, int(np.prod(shape[:-1])), l), _t(rng, 1, l), _t(rng, 1, l)
     return (
-        lambda u: norm(ad.reshape(ad.matmul(ax, u), shape),
-                       gain=ad.reshape(ad.matmul(ag, u), (c,)),
-                       shift=ad.reshape(ad.matmul(ab, u), (c,))),
+        lambda u, **kw: norm(ad.reshape(ad.matmul(ax, u), shape),
+                             gain=ad.reshape(ad.matmul(ag, u), (c,)),
+                             shift=ad.reshape(ad.matmul(ab, u), (c,)), **kw),
         rng.standard_normal((l, c)),
     )
 
@@ -198,6 +225,16 @@ def _case_layer_norm_affine(rng):
 def _case_instance_norm_affine(rng):
     shape = tuple(int(n) for n in rng.integers(2, 4, 4))
     return _norm_affine_through_maps(rng, ad.instance_norm, shape)
+
+
+def _case_instance_norm_relu(rng):
+    """The fused relu after gain and shift, drawn again until every
+    pre-relu value is at least 0.01 from the kink."""
+    shape = tuple(int(n) for n in rng.integers(2, 4, 4))
+    while True:
+        f, u = _norm_affine_through_maps(rng, ad.instance_norm, shape)
+        if np.abs(f(ad.tensor(u, dtype=np.float64)).data).min() >= 0.01:
+            return (lambda x: f(x, relu=True)), u
 
 
 def _case_concat(rng):
@@ -518,6 +555,7 @@ OP_CASES = [
     ("conv3d_stride1", _case_conv3d_stride1),
     ("conv3d_wrt_kernel", _case_conv3d_wrt_kernel),
     ("conv3d_wrt_bias", _case_conv3d_wrt_bias),
+    ("conv3d_multi_input", _case_conv3d_multi_input),
     ("trilinear_upsample", _case_upsample),
     ("relu", _case_relu),
     ("gelu", _case_gelu),
@@ -528,6 +566,7 @@ OP_CASES = [
     ("instance_norm", _case_instance_norm),
     ("layer_norm_affine", _case_layer_norm_affine),
     ("instance_norm_affine", _case_instance_norm_affine),
+    ("instance_norm_relu", _case_instance_norm_relu),
     ("concat", _case_concat),
     ("add_broadcast", _case_add_broadcast),
     ("mul", _case_mul),

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 import voxseg
+import voxseg.decoder
+import voxseg.model
+import voxseg.patch_embed
 from voxseg import autodiff as ad
 from voxseg.autodiff import ParameterStore
 
@@ -119,6 +122,83 @@ def test_gelu_closure_keeps_only_its_input(rng):
 def test_relu_closure_keeps_no_mask(rng):
     x = ad.tensor(rng.standard_normal((4, 5)), requires_grad=True)
     assert not any(a.dtype == bool for a in _held_arrays(ad.relu(x)._backward))
+
+
+@pytest.mark.parametrize("norm,shape", [(ad.layer_norm, (4, 5)),
+                                        (ad.instance_norm, (3, 4, 2, 5))])
+@pytest.mark.parametrize("affine", [False, True])
+def test_norm_closure_keeps_only_mean_and_inverse_std(rng, norm, shape, affine):
+    """x_hat is rebuilt from x in the backward: the closure holds only mu and
+    inv, one value per normalized group, and no array of x's shape."""
+    x = ad.tensor(rng.standard_normal(shape), requires_grad=True)
+    kw = {"gain": ad.tensor(np.ones(shape[-1])), "shift": ad.tensor(np.zeros(shape[-1]))}
+    held = list(_held_arrays(norm(x, **(kw if affine else {}))._backward))
+    assert len(held) == 2
+    assert all(a.size < x.size and a.ndim == x.data.ndim for a in held)
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_instance_norm_relu_is_bit_identical_to_relu_of_norm(rng, affine):
+    """One node whose f32 output and every input gradient equal those of
+    relu(instance_norm(...)) bit for bit; its closure keeps no x-shaped
+    array but its own output."""
+    arrays = [rng.standard_normal((3, 4, 2, 5)).astype(np.float32),
+              rng.standard_normal(5).astype(np.float32),
+              rng.standard_normal(5).astype(np.float32)]
+    g = rng.standard_normal((3, 4, 2, 5)).astype(np.float32)
+    results = []
+    for fused in (True, False):
+        ts = [ad.tensor(a, requires_grad=True, dtype=np.float32) for a in arrays]
+        kw = {"gain": ts[1], "shift": ts[2]} if affine else {}
+        if fused:
+            out = ad.instance_norm(ts[0], relu=True, **kw)
+            assert list(out._parents) == ts[: len(out._parents)]
+            held = list(_held_arrays(out._backward))
+            assert all(a.shape != ts[0].shape or a is out.data for a in held)
+        else:
+            out = ad.relu(ad.instance_norm(ts[0], **kw))
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=np.float32))))
+        results.append([out.numpy()] + [t.grad for t in ts[: 3 if affine else 1]])
+    assert 0 < (results[0][0] > 0).mean() < 1
+    for got, ref in zip(*results):
+        assert got.dtype == np.float32 and np.array_equal(got, ref)
+
+
+def _op_of(node):
+    """The op that made an interior node, from its backward's qualified name."""
+    return node._backward.__qualname__.split(".")[0]
+
+
+def test_decoder_builds_no_concat_and_no_relu_after_a_norm(rng):
+    """One forward of the tiny decoder (four enhancers and the head) feeds
+    its lists of inputs straight to conv3d and applies every block's relu
+    inside the instance norm."""
+    spec = voxseg.model.ModelSpec(
+        vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=16, heads=2,
+        adapter_dim=4, prompt_n=16, dec_channels=8,
+    ).validate()
+    store = voxseg.model.init_store(spec, seed=0)
+    image = ad.tensor(rng.random((16, 16, 16, 1)))
+    enhanced = []
+    for j in range(1, len(spec.taps) + 1):
+        tap = voxseg.patch_embed.FeatureMap.wrap(
+            ad.tensor(rng.standard_normal((4, 4, 4, 16)), requires_grad=True))
+        ep = voxseg.decoder.enhancer_from_store(store, j, spec)
+        enhanced.append(voxseg.decoder.original_feature_enhancer(tap, image, ep))
+    prob = voxseg.decoder.predict(enhanced, voxseg.decoder.predict_from_store(store, spec))
+    nodes, stack, seen = [], [prob], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    ops = [_op_of(n) for n in nodes]
+    assert ops.count("conv3d") == 4 * 4 + 4 and ops.count("_normalize") == 4 * 4 + 2
+    assert "concat" not in ops
+    assert not any(_op_of(n) == "relu" and any(p._backward is not None
+                                                and _op_of(p) == "_normalize"
+                                                for p in n._parents) for n in nodes)
 
 
 def test_shared_subgraph_visited_once():

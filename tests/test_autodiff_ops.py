@@ -284,6 +284,40 @@ def test_trilinear_upsample_constant_and_factor1(rng):
     np.testing.assert_array_equal(same, x)
 
 
+@pytest.mark.parametrize("factor", [2, 1])
+def test_trilinear_upsample_gradient_handover(rng, factor):
+    """The input gradient is the adjoint of the upsampling (a dense Jacobian
+    built from unit inputs), handed over without a copy where it is fresh;
+    at factor 1 it is the upstream gradient itself, which x.grad must not
+    alias: a second pass then doubles x.grad and leaves g unchanged."""
+    shape = (2, 3, 2, 2)
+    x = ad.tensor(rng.standard_normal(shape), requires_grad=True)
+    out = ad.trilinear_upsample(x, factor)
+    eye = np.eye(x.size).reshape((x.size,) + shape)
+    jac = np.stack([ad.trilinear_upsample(ad.tensor(e), factor).numpy().ravel() for e in eye])
+    g = rng.standard_normal(out.shape)
+    g0 = g.copy()
+    out._backward(g)
+    np.testing.assert_allclose(x.grad, (jac @ g.ravel()).reshape(shape), rtol=1e-12)
+    assert not np.shares_memory(x.grad, g)
+    first = x.grad.copy()
+    out._backward(g)
+    assert np.array_equal(g, g0) and np.array_equal(x.grad, 2 * first)
+
+
+def test_conv3d_list_inputs_are_checked():
+    w = ad.tensor(np.ones((1, 1, 1, 3, 2)))
+    with pytest.raises(ad.ShapeMismatchError, match="no inputs"):
+        ad.conv3d([], w)
+    with pytest.raises(ad.ShapeMismatchError, match="input channels 4"):
+        ad.conv3d([ad.tensor(np.ones((2, 2, 2, 2)))] * 2, w)
+    with pytest.raises(ad.ShapeMismatchError, match="spatial dims"):
+        ad.conv3d([ad.tensor(np.ones((2, 2, 2, 1))), ad.tensor(np.ones((2, 3, 2, 2)))], w)
+    with pytest.raises(ad.DtypeMismatchError):
+        ad.conv3d([ad.tensor(np.ones((2, 2, 2, 1))),
+                   ad.tensor(np.ones((2, 2, 2, 2)), dtype=np.float32)], w)
+
+
 def test_trilinear_upsample_linear_ramp_interior():
     # linear functions are reproduced exactly away from the clamped edges
     n = 4

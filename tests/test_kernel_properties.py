@@ -5,11 +5,14 @@ Each stride-1 conv3d correlation accumulates its taps either inside gemm
 chosen by ``conv._blas_accumulates`` from the shape. The properties below
 force each form on every draw and compare against the loop oracles, as
 they do the strided path (im2col forward and kernel gradient, tap
-scatter-add input gradient) with stride 2 on at least one axis; the
-attention properties cover ranks 2 and 3, one query block and several
-(the last ragged), and logits up to 1e4, against an f64 oracle. The
-aliasing property builds random graphs that reuse tensors, where a
-gradient handed over without a copy could end up shared between leaves.
+scatter-add input gradient) with stride 2 on at least one axis. Each
+conv draw also splits its input along channels into a random list of
+inputs, which must give the output and gradients of the conv over their
+concatenation bit for bit. The attention properties cover ranks 2 and
+3, one query block and several (the last ragged), and logits up to 1e4,
+against an f64 oracle. The aliasing property builds random graphs that
+reuse tensors, where a gradient handed over without a copy could end up
+shared between leaves.
 """
 
 import contextlib
@@ -59,7 +62,9 @@ conv_draws = st.tuples(
 
 def _conv_matches_oracles(draw, stride, form="by_shape"):
     """f32 forward, kernel gradient and input gradient of one conv3d draw
-    against the f64 loop oracles, rtol 1e-5, atol 1e-5 * max|ref|."""
+    against the f64 loop oracles, rtol 1e-5, atol 1e-5 * max|ref|; and the
+    same conv over the input split along channels into a random list of
+    inputs equal to the conv over their concatenation, bit for bit."""
     dims, kdims, padding, cin, cout, seed = draw
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(dims + (cin,))
@@ -69,6 +74,17 @@ def _conv_matches_oracles(draw, stride, form="by_shape"):
         out = ad.conv3d(xt, wt, stride=stride, padding=padding)
         g = rng.standard_normal(out.shape)
         ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=np.float32))))
+    cuts = sorted(rng.choice(np.arange(1, cin), int(rng.integers(0, cin)), replace=False))
+    xs = [ad.tensor(a, requires_grad=True, dtype=np.float32)
+          for a in np.split(xt.numpy(), cuts, axis=3)]
+    wl = ad.tensor(wt.numpy(), requires_grad=True, dtype=np.float32)
+    with accumulation(form):
+        out_l = ad.conv3d(xs, wl, stride=stride, padding=padding)
+        ad.backward(ad.reduce_sum(ad.mul(out_l, ad.tensor(g, dtype=np.float32))))
+    assert np.array_equal(out_l.numpy(), out.numpy())
+    assert np.array_equal(wl.grad, wt.grad)
+    for part, ref in zip(xs, np.split(xt.grad, cuts, axis=3), strict=True):
+        assert np.array_equal(part.grad, ref)
     x, w, g = (a.astype(np.float32).astype(np.float64) for a in (x, w, g))
     _close(out.numpy(), conv3d_reference(x, w, stride=stride, padding=padding))
     _close(wt.grad, conv3d_kernel_grad_taps(x, g, kdims, stride, padding))
