@@ -40,9 +40,13 @@ right one takes gemm). That keeps every conv of the tiny model (8
 channels, grids up to 16^3) on numpy adds and every 3x3x3 conv of the
 desk model on gemm; 16->80 is the desk fuse conv's input gradient.
 
-The closure keeps x, not its padded copy: the backward re-pads x (zeros
-plus one slice assignment, without ``np.pad``'s per-call Python cost)
-wherever the kernel gradient reads it, at every stride. x may be a list
+Like every op's closure (see ``tensor``), conv3d's keeps only what its
+backward reads: the inputs' data when the kernel needs a gradient, the
+kernel when an input does, never the output or the padded copy. The
+backward re-pads x (zeros plus one slice assignment, without
+``np.pad``'s per-call Python cost) wherever the kernel gradient reads
+it, at every stride. The upsample keeps only its interpolation
+matrices. x may be a list
 of inputs, read as their concatenation along channels: each is written
 into its channel slice of that one padded buffer, so the GEMMs see the
 same operand as after a concat, and the input gradient over the whole
@@ -90,6 +94,7 @@ from .tensor import (
     _check_inputs,
     _check_vector,
     _make,
+    _rec,
 )
 
 
@@ -260,19 +265,19 @@ def _input_grad_stride1(g, w, padding, x_shape):
 
 
 def _pad_inputs(xs, padding):
-    """The zero-padded channel concatenation of the inputs' data, (Hp, Wp,
-    Dp, sum of Ci): each input is written into its channel slice of one
-    buffer. A lone input is padded as is (itself when there is no padding)."""
+    """The zero-padded channel concatenation of the arrays ``xs``, (Hp, Wp,
+    Dp, sum of Ci): each is written into its channel slice of one buffer.
+    A lone array is padded as is (itself when there is no padding)."""
     if len(xs) == 1:
-        return _pad_spatial(xs[0].data, padding)
+        return _pad_spatial(xs[0], padding)
     ph, pw, pd = padding
-    h, w, d = xs[0].data.shape[:3]
-    cin = sum(t.data.shape[3] for t in xs)
-    xp = np.zeros(_padded_shape((h, w, d, cin), padding), dtype=xs[0].data.dtype)
+    h, w, d = xs[0].shape[:3]
+    cin = sum(x.shape[3] for x in xs)
+    xp = np.zeros(_padded_shape((h, w, d, cin), padding), dtype=xs[0].dtype)
     lo = 0
-    for t in xs:
-        hi = lo + t.data.shape[3]
-        xp[ph : ph + h, pw : pw + w, pd : pd + d, lo:hi] = t.data
+    for x in xs:
+        hi = lo + x.shape[3]
+        xp[ph : ph + h, pw : pw + w, pd : pd + d, lo:hi] = x
         lo = hi
     return xp
 
@@ -321,7 +326,7 @@ def conv3d(x, w, stride=1, padding=0, bias=None):
     x_shape = in_dims + (sum(widths),)
     unit = stride == (1, 1, 1)
 
-    xp = _pad_inputs(xs, padding)
+    xp = _pad_inputs([t.data for t in xs], padding)
     if unit:
         data = _correlate_stride1(xp, w.data, out_dims)
     else:
@@ -329,24 +334,30 @@ def conv3d(x, w, stride=1, padding=0, bias=None):
         data = (cols @ w.data.reshape(-1, cout)).reshape(out_dims + (cout,))
     if bias is not None:
         data += bias.data
+    rxs, rw = [_rec(t) for t in xs], _rec(w)
+    rbias = None if bias is None else _rec(bias)
+    # the inputs' data only for the kernel gradient, the kernel only for
+    # the input gradient
+    xds = [t.data for t in xs] if rw is not None else None
+    wd = w.data if any(r is not None for r in rxs) else None
 
     def bw(g):
-        if w.requires_grad:
+        if rw is not None:
             # rebuilt from the inputs, not kept from the forward: the padded
             # input, and for strides the (N, K) patch matrix
-            xp = _pad_inputs(xs, padding)
+            xp = _pad_inputs(xds, padding)
             if unit:
                 gw = _kernel_grad_stride1(xp, g, kdims)
             else:
                 gw = _im2col(xp, kdims, stride, out_dims).T @ g.reshape(-1, cout)
             del xp
-            w._accum(gw.reshape(w.data.shape), owned=True)
-        if bias is not None and bias.requires_grad:
-            _accum_unbroadcast(bias, g, g)
-        if not any(t.requires_grad for t in xs):
+            rw._accum(gw.reshape(rw.shape), owned=True)
+        if rbias is not None:
+            _accum_unbroadcast(rbias, g, g)
+        if wd is None:
             return
         if unit:
-            gx, owned = _input_grad_stride1(g, w.data, padding, x_shape), True
+            gx, owned = _input_grad_stride1(g, wd, padding, x_shape), True
         else:
             gx = np.zeros(_padded_shape(x_shape, padding), dtype=g.dtype)
             sh, sw, sd = stride
@@ -354,7 +365,7 @@ def conv3d(x, w, stride=1, padding=0, bias=None):
             for i in range(kdims[0]):
                 for j in range(kdims[1]):
                     for k in range(kdims[2]):
-                        contrib = g @ w.data[i, j, k].T  # (Ho, Wo, Do, Cin)
+                        contrib = g @ wd[i, j, k].T  # (Ho, Wo, Do, Cin)
                         gx[
                             i : i + sh * ho : sh,
                             j : j + sw * wo : sw,
@@ -363,13 +374,13 @@ def conv3d(x, w, stride=1, padding=0, bias=None):
             ph, pw, pd = padding
             h, wdt, d = in_dims
             gx, owned = gx[ph : ph + h, pw : pw + wdt, pd : pd + d], False
-        if len(xs) == 1:
-            xs[0]._accum(gx, owned=owned)
+        if len(rxs) == 1:
+            rxs[0]._accum(gx, owned=owned)
             return
         lo = 0
-        for t, width in zip(xs, widths):
-            if t.requires_grad:
-                t._accum(gx[..., lo : lo + width])  # a view of gx: copied
+        for rec, width in zip(rxs, widths):
+            if rec is not None:
+                rec._accum(gx[..., lo : lo + width])  # a view of gx: copied
             lo += width
 
     return _make("conv3d", data, tuple(xs) + (w,) + extra, bw)
@@ -418,6 +429,7 @@ def trilinear_upsample(x, factor):
         if mat.shape[0] != mat.shape[1]:
             data = _apply_axis(mat, data, axis)
     data = data.copy() if data is x.data else np.ascontiguousarray(data)
+    rx = _rec(x)
 
     def bw(g):
         gx = g
@@ -425,6 +437,6 @@ def trilinear_upsample(x, factor):
             if mat.shape[0] != mat.shape[1]:
                 gx = _apply_axis(mat.T, gx, axis)
         gx = np.ascontiguousarray(gx)
-        x._accum(gx, owned=gx is not g)  # fresh unless every factor is 1
+        rx._accum(gx, owned=gx is not g)  # fresh unless every factor is 1
 
     return _make("trilinear_upsample", data, (x,), bw)

@@ -1,25 +1,32 @@
 """Reverse-mode differentiable tensors over flat numpy buffers.
 
-A Tensor wraps an ndarray plus an optional gradient buffer. Operations
-build an implicit acyclic graph by recording, on each result, the parents
-that require gradients and a closure that scatters the result's gradient
-back onto them. ``backward(loss)`` topologically sorts that graph and
-visits every node exactly once. Leaf ``.grad`` accumulates across repeated
-calls; an interior node's gradient is dropped as soon as its closure has
-consumed it, so interior ``.grad`` is ``None`` after every pass.
+A Tensor is a value: an ndarray plus, when it needs a gradient, a
+``Record``, the node of the graph. The record holds the gradient slot,
+the records of the grad-requiring parents and the closure that scatters
+the result's gradient back onto them; it reaches the value only through
+a weak reference. Graph edges and closures point at records, never at
+Tensors, and each closure saves exactly the arrays its backward reads:
+``matmul`` keeps ``a``'s data only when ``b`` needs a gradient and
+``b``'s only when ``a`` does; add, sub, scale, permute and concat keep
+no array, reshape and the reductions only shapes. So a value dies during
+the forward, as soon as neither the caller nor a closure holds it
+(autograd that saves only what the backward needs, Paszke et al. 2019,
+arXiv:1912.01703). ``backward(loss)`` topologically sorts the records
+and visits each exactly once. Leaf ``.grad`` accumulates across repeated
+calls; an interior record's gradient is dropped as soon as its closure
+has consumed it, so interior ``.grad`` is ``None`` after every pass.
 
-A node's closure keeps only what its backward reads, and every node's
-output lives until the case's backward ends, so a layer primitive is one
-node: ``matmul`` takes an optional ``bias``, ``conv3d`` too, and
-``layer_norm`` / ``instance_norm`` an optional ``gain`` and ``shift``,
-each added in place on the op's fresh output with the same float
-expressions as separate ``add`` / ``mul`` nodes; ``instance_norm`` also
-takes ``relu=True``, the relu applied in place on its output. Values
-that cost one elementwise pass over a parent's data are recomputed in
-the backward, not kept: relu's mask (x > 0), gelu's tanh, conv3d's
-padded input, and the norms' x_hat = (x - mu) * inv, of which only mu
-and inv are kept (Chen et al. 2016, arXiv:1604.06174, applied only to
-these).
+A layer primitive is one node: ``matmul`` takes an optional ``bias``,
+``conv3d`` too, and ``layer_norm`` / ``instance_norm`` an optional
+``gain`` and ``shift``, each added in place on the op's fresh output
+with the same float expressions as separate ``add`` / ``mul`` nodes;
+``instance_norm`` also takes ``relu=True``, the relu applied in place
+on its output. Values that cost one elementwise pass over an array the
+closure keeps anyway are recomputed in the backward, not kept: gelu's
+tanh, conv3d's padded input, the norms' x_hat = (x - mu) * inv, of
+which only mu and inv are kept (Chen et al. 2016, arXiv:1604.06174,
+applied only to these), and relu's mask, taken from its own output
+(out > 0 exactly where x > 0), so the relu's input can die.
 
 Two precision modes exist: float32 (training) and float64 (gradient
 checking). The mode is a process-global default applied when leaf tensors
@@ -53,6 +60,7 @@ shift, exp) and two in the backward (exp, the product with P).
 from __future__ import annotations
 
 import contextlib
+import weakref
 
 import numpy as np
 
@@ -134,20 +142,94 @@ def scope(name):
         raise NonFiniteError(f"{name}/{exc}") from exc
 
 
-class Tensor:
-    """n-dimensional array node in a differentiable computation graph."""
+# what ``Record.data`` reads once the value has died
+_DEAD = np.empty(0)
+_DEAD.flags.writeable = False
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
+
+class Record:
+    """The graph node of one grad-requiring tensor: its gradient slot, the
+    shape and dtype of its value, the op that made it, the records of the
+    grad-requiring parents it was computed from and the closure that
+    scatters its gradient onto them (``op`` and the closure are ``None``
+    for a leaf). An array value is held only weakly."""
+
+    __slots__ = ("grad", "shape", "dtype", "op", "_parents", "_backward", "_value")
+
+    def __init__(self, data, op=None, parents=(), backward_fn=None):
+        self.grad = None
+        self.shape = data.shape
+        self.dtype = data.dtype
+        self.op = op
+        self._parents = parents
+        self._backward = backward_fn
+        # a numpy scalar (a 0-d op's result) cannot be weakly referenced
+        self._value = weakref.ref(data) if isinstance(data, np.ndarray) else data
+
+    @property
+    def data(self):
+        """The recorded value while the caller or a closure still holds it,
+        else an empty array."""
+        value = self._value
+        if isinstance(value, weakref.ref):
+            value = value()
+        return _DEAD if value is None else value
+
+    def _accum(self, g, owned=False):
+        """Add ``g`` into ``.grad``. ``owned`` says the op has just allocated
+        ``g`` and hands it to this record alone, so a first gradient is taken
+        over without a copy. Views, broadcasts and a ``g`` that reaches two
+        parents are copied."""
+        if self.grad is None:
+            if owned and g.dtype == self.dtype:
+                self.grad = g
+            else:
+                self.grad = g.astype(self.dtype, copy=True)
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """n-dimensional array value; ``_record`` is its graph node, if any."""
+
+    __slots__ = ("data", "_requires_grad", "_record", "__weakref__")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype or _default_dtype)
         if not np.isfinite(arr).all():
             raise NonFiniteError("tensor initialized with non-finite values")
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self._record = None
+        self.requires_grad = requires_grad
+
+    @property
+    def requires_grad(self):
+        return self._requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag):
+        self._requires_grad = bool(flag)
+        if flag and self._record is None:
+            self._record = Record(self.data)
+
+    @property
+    def grad(self):
+        rec = self._record
+        return None if rec is None else rec.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._record is None:
+            if value is None:
+                return
+            self._record = Record(self.data)
+        self._record.grad = value
+
+    @property
+    def _parents(self):
+        """The records this tensor's value was computed from."""
+        rec = self._record
+        return () if rec is None else rec._parents
 
     # -- inspection ---------------------------------------------------------
 
@@ -177,21 +259,6 @@ class Tensor:
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}{flag})"
-
-    # -- graph plumbing -----------------------------------------------------
-
-    def _accum(self, g, owned=False):
-        """Add ``g`` into ``.grad``. ``owned`` says the op has just allocated
-        ``g`` and hands it to this tensor alone, so a first gradient is taken
-        over without a copy. Views, broadcasts and a ``g`` that reaches two
-        parents are copied."""
-        if self.grad is None:
-            if owned and g.dtype == self.data.dtype:
-                self.grad = g
-            else:
-                self.grad = g.astype(self.data.dtype, copy=True)
-        else:
-            self.grad += g
 
     def backward(self):
         backward(self)
@@ -260,18 +327,23 @@ def _check_inputs(op, *tensors):
 
 
 def _make(op, data, parents, backward_fn):
-    """Wrap ``op``'s result, rejecting non-finite values; records graph
-    edges only toward grad-requiring parents."""
+    """Wrap ``op``'s result, rejecting non-finite values. Under
+    ``no_grad``, or when no parent requires a gradient, the result gets no
+    record and the closure is dropped; otherwise its record keeps edges only
+    toward the grad-requiring parents."""
     if not np.isfinite(data).all():
         raise NonFiniteError(f"{op}: non-finite output")
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    need = _grad_enabled and any(p.requires_grad for p in parents)
-    out.requires_grad = need
-    out._parents = tuple(p for p in parents if p.requires_grad) if need else ()
-    out._backward = backward_fn if need else None
+    edges = tuple(p._record for p in parents if p._requires_grad) if _grad_enabled else ()
+    out._requires_grad = bool(edges)
+    out._record = Record(data, op, edges, backward_fn) if edges else None
     return out
+
+
+def _rec(t):
+    """``t``'s record when a closure must send it a gradient, else None."""
+    return t._record if t._requires_grad else None
 
 
 def _topo(root):
@@ -294,7 +366,7 @@ def _topo(root):
 def backward(loss):
     """Populate ``.grad`` on every grad-requiring ancestor of a scalar loss.
 
-    Leaf gradients accumulate across repeated calls. Each interior node's
+    Leaf gradients accumulate across repeated calls. Each interior record's
     gradient is released right after its closure has scattered it onto the
     parents, so interior ``.grad`` is ``None`` once the pass returns and the
     step never holds every intermediate gradient at once. Interior buffers
@@ -307,11 +379,12 @@ def backward(loss):
         raise GraphError("backward requires a scalar loss")
     if not loss.requires_grad:
         return
-    order = _topo(loss)
+    root = loss._record
+    order = _topo(root)
     for node in order:
         if node._backward is not None:
             node.grad = None
-    loss._accum(np.ones_like(loss.data))
+    root._accum(np.ones_like(loss.data))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
@@ -333,12 +406,12 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _accum_unbroadcast(t, d, g):
-    """Add ``d``, a gradient in the broadcast shape, into ``t.grad`` summed
-    down to t's shape. It is handed over without a copy unless it is still
+def _accum_unbroadcast(rec, d, g):
+    """Add ``d``, a gradient in the broadcast shape, into ``rec.grad`` summed
+    down to rec's shape. It is handed over without a copy unless it is still
     the upstream gradient ``g``, which reaches other parents too."""
-    d = _unbroadcast(d, t.data.shape)
-    t._accum(d, owned=d is not g)
+    d = _unbroadcast(d, rec.shape)
+    rec._accum(d, owned=d is not g)
 
 
 def _check_vector(op, name, t, n):
@@ -347,7 +420,11 @@ def _check_vector(op, name, t, n):
         raise ShapeMismatchError(f"{op}: {name} has shape {t.data.shape}, expected ({n},)")
 
 
-def _binary(op_name, a, b, fwd, da_fn, db_fn):
+def _binary(op_name, a, b, fwd, da_fn, db_fn, reads=("", "")):
+    """An elementwise op of two broadcast operands. ``da_fn(g, x, y)`` and
+    ``db_fn(g, x, y)`` give the gradients toward a and b; ``reads`` names,
+    for each, the operands ("x" for a's data, "y" for b's) it reads, and the
+    closure keeps an operand only if a gradient that will be formed reads it."""
     a = a if isinstance(a, Tensor) else Tensor(np.asarray(a), dtype=b.data.dtype)
     b = b if isinstance(b, Tensor) else Tensor(np.asarray(b), dtype=a.data.dtype)
     _check_inputs(op_name, a, b)
@@ -355,13 +432,17 @@ def _binary(op_name, a, b, fwd, da_fn, db_fn):
         data = fwd(a.data, b.data)
     except ValueError as exc:
         raise ShapeMismatchError(f"{op_name}: {exc}") from exc
+    ra, rb = _rec(a), _rec(b)
+    read = (reads[0] if ra is not None else "") + (reads[1] if rb is not None else "")
+    x = a.data if "x" in read else None
+    y = b.data if "y" in read else None
 
     def bw(g):
         # a derivative that is g itself (add, sub) reaches both parents
-        if a.requires_grad:
-            _accum_unbroadcast(a, da_fn(g, a.data, b.data), g)
-        if b.requires_grad:
-            _accum_unbroadcast(b, db_fn(g, a.data, b.data), g)
+        if ra is not None:
+            _accum_unbroadcast(ra, da_fn(g, x, y), g)
+        if rb is not None:
+            _accum_unbroadcast(rb, db_fn(g, x, y), g)
 
     return _make(op_name, data, (a, b), bw)
 
@@ -378,21 +459,23 @@ def sub(a, b):
 
 def mul(a, b):
     return _binary("mul", a, b, lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
+                   lambda g, x, y: g * y, lambda g, x, y: g * x, reads=("y", "x"))
 
 
 def div(a, b):
     return _binary("div", a, b, lambda x, y: x / y,
-                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y),
+                   reads=("y", "xy"))
 
 
 def scale(x, s):
     """Multiply by a plain python scalar constant."""
-    s = float(s)
-    data = x.data * np.asarray(s, dtype=x.data.dtype)
+    s = np.asarray(float(s), dtype=x.data.dtype)
+    data = x.data * s
+    rx = _rec(x)
 
     def bw(g):
-        x._accum(g * np.asarray(s, dtype=x.data.dtype), owned=True)
+        rx._accum(g * s, owned=True)
 
     return _make("scale", data, (x,), bw)
 
@@ -402,10 +485,13 @@ def neg(x):
 
 
 def relu(x):
+    """max(x, 0). The backward takes the mask from the output, which is
+    positive exactly where x is, so x itself is not kept."""
     data = x.data * (x.data > 0)  # a non-finite input stays non-finite here
+    rx = _rec(x)
 
     def bw(g):
-        x._accum(g * (x.data > 0), owned=True)
+        rx._accum(g * (data > 0), owned=True)
 
     return _make("relu", data, (x,), bw)
 
@@ -416,23 +502,24 @@ _GELU_A = 0.044715
 
 def gelu(x):
     """Tanh-approximated gelu. The backward recomputes the tanh from the
-    input rather than keep it."""
-    dtype = x.data.dtype
+    input rather than keep it, and the output is not kept."""
+    xd = x.data
+    dtype = xd.dtype
     c = np.asarray(_GELU_C, dtype=dtype)
     a = np.asarray(_GELU_A, dtype=dtype)
 
-    def tanh_inner(xd):
-        return np.tanh(c * (xd + a * (xd * xd * xd)))  # f32 `** 3` is a slow generic pow
+    def tanh_inner(v):
+        return np.tanh(c * (v + a * (v * v * v)))  # f32 `** 3` is a slow generic pow
 
-    data = 0.5 * x.data * (1.0 + tanh_inner(x.data))
+    data = 0.5 * xd * (1.0 + tanh_inner(xd))
     data = data.astype(dtype, copy=False)
+    rx = _rec(x)
 
     def bw(g):
-        xd = x.data
         t = tanh_inner(xd)
         sech2 = 1.0 - t * t
         d = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * c * (1.0 + 3.0 * a * xd * xd)
-        x._accum(g * d.astype(dtype, copy=False), owned=True)
+        rx._accum(g * d.astype(dtype, copy=False), owned=True)
 
     return _make("gelu", data, (x,), bw)
 
@@ -444,20 +531,23 @@ def sigmoid(x):
     out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
     e = np.exp(xd[~pos])
     out[~pos] = e / (1.0 + e)
+    rx = _rec(x)
 
     def bw(g):
-        x._accum(g * (out * (1.0 - out)), owned=True)
+        rx._accum(g * (out * (1.0 - out)), owned=True)
 
     return _make("sigmoid", out, (x,), bw)
 
 
 def log(x):
-    if np.any(x.data <= 0):
+    xd = x.data
+    if np.any(xd <= 0):
         raise NonFiniteError("log: non-positive input")
-    data = np.log(x.data)
+    data = np.log(xd)
+    rx = _rec(x)
 
     def bw(g):
-        x._accum(g / x.data, owned=True)
+        rx._accum(g / xd, owned=True)
 
     return _make("log", data, (x,), bw)
 
@@ -466,9 +556,10 @@ def clamp(x, lo, hi):
     """Clip values to [lo, hi]; gradient is zero at and outside the bounds."""
     data = np.clip(x.data, lo, hi)
     mask = (x.data > lo) & (x.data < hi)
+    rx = _rec(x)
 
     def bw(g):
-        x._accum(g * mask, owned=True)
+        rx._accum(g * mask, owned=True)
 
     return _make("clamp", data, (x,), bw)
 
@@ -481,7 +572,9 @@ def clamp(x, lo, hi):
 def matmul(a, b, bias=None):
     """2-D matmul or batched 3-D matmul with equal leading dims, plus an
     optional ``bias`` of shape (N,), N the product's column count, added
-    to every row of the product in place."""
+    to every row of the product in place. The closure keeps ``a``'s data
+    only when ``b`` needs a gradient and ``b``'s only when ``a`` does: a
+    frozen weight's product keeps nothing of its input."""
     a = a if isinstance(a, Tensor) else Tensor(np.asarray(a))
     b = b if isinstance(b, Tensor) else Tensor(np.asarray(b))
     extra = () if bias is None else (bias,)
@@ -501,14 +594,18 @@ def matmul(a, b, bias=None):
     data = a.data @ b.data
     if bias is not None:
         data += bias.data
+    ra, rb = _rec(a), _rec(b)
+    rbias = None if bias is None else _rec(bias)
+    a_data = a.data if rb is not None else None
+    b_data = b.data if ra is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g @ b.data.swapaxes(-1, -2), owned=True)
-        if b.requires_grad:
-            b._accum(a.data.swapaxes(-1, -2) @ g, owned=True)
-        if bias is not None and bias.requires_grad:
-            _accum_unbroadcast(bias, g, g)
+        if ra is not None:
+            ra._accum(g @ b_data.swapaxes(-1, -2), owned=True)
+        if rb is not None:
+            rb._accum(a_data.swapaxes(-1, -2) @ g, owned=True)
+        if rbias is not None:
+            _accum_unbroadcast(rbias, g, g)
 
     return _make("matmul", data, (a, b) + extra, bw)
 
@@ -551,7 +648,7 @@ def attention(q, k, v, scale):
     row max is subtracted and E = exp(S - max) taken in place, and one
     GEMM E [v, 1] yields both the unnormalized output and the row sum in
     its last column. The output is that product divided by the row sum.
-    The closure keeps the input tensors, the output and the row
+    The closure keeps the inputs' data, the output and the row
     log-sum-exp L = max + log(sum), nothing of size M * N. With g the
     output gradient and D = rowsum(g * out), the backward recomputes each
     block's P = exp([scale * q, -L] [k, 1]^T) and accumulates
@@ -592,13 +689,15 @@ def attention(q, k, v, scale):
         outs.append(o[..., :-1] / row_sum)
         lses.append(np.log(row_sum) + row_max)
     data, lse = _join_rows(outs), _join_rows(lses)
+    qd, kd, vd = q.data, k.data, v.data
+    rq, rk, rv = _rec(q), _rec(k), _rec(v)
 
     def bw(g):
-        q1 = _augment(q.data * s, -lse)
-        k1t = _augment(k.data.swapaxes(-1, -2), 1, axis=-2)
+        q1 = _augment(qd * s, -lse)
+        k1t = _augment(kd.swapaxes(-1, -2), 1, axis=-2)
         g1 = _augment(g, -np.einsum("...j,...j->...", g, data)[..., None])
-        v1t = _augment(v.data.swapaxes(-1, -2), 1, axis=-2)
-        sk = k.data * s
+        v1t = _augment(vd.swapaxes(-1, -2), 1, axis=-2)
+        sk = kd * s
         dqs, dk, dv = [], None, None
         for blk in blocks:
             qb, gb = q1[..., blk, :], g1[..., blk, :]
@@ -613,12 +712,12 @@ def attention(q, k, v, scale):
             else:
                 dv += p @ gb[..., :-1]
                 dk += ds @ qb[..., :-1]
-        if q.requires_grad:
-            q._accum(_join_rows(dqs), owned=True)
-        if k.requires_grad:
-            k._accum(dk, owned=True)
-        if v.requires_grad:
-            v._accum(dv, owned=True)
+        if rq is not None:
+            rq._accum(_join_rows(dqs), owned=True)
+        if rk is not None:
+            rk._accum(dk, owned=True)
+        if rv is not None:
+            rv._accum(dv, owned=True)
 
     return _make("attention", data, (q, k, v), bw)
 
@@ -635,9 +734,10 @@ def _normalize(x, axes, eps, op, gain, shift, relu=False):
     """Shared core of layer_norm / instance_norm: x_hat = (x - mu) * inv,
     inv = 1 / sqrt(var + eps), then x_hat * gain + shift when the per-channel
     (last axis) affine is given, then, with ``relu``, the relu in place on
-    that output. The closure keeps only mu and inv: the backward rebuilds
-    x_hat from x with the forward's expression, and takes relu's mask from
-    the output, which is positive exactly where its pre-relu value was."""
+    that output. Beyond the data of x and gain it reads, the closure keeps
+    only mu and inv: the backward rebuilds x_hat from x with the forward's
+    expression, and takes relu's mask from the output, which is positive
+    exactly where its pre-relu value was."""
     if (gain is None) != (shift is None):
         raise GraphError(f"{op}: gain and shift are given together or not at all")
     affine = () if gain is None else (gain, shift)
@@ -657,22 +757,25 @@ def _normalize(x, axes, eps, op, gain, shift, relu=False):
     if relu:
         data *= data > 0  # relu's own expression, so a non-finite value stays
         out = data
+    rx = _rec(x)
+    rgain, rshift = (_rec(gain), _rec(shift)) if affine else (None, None)
+    xd = xd if rx is not None or rgain is not None else None
+    gd = gain.data if affine and rx is not None else None
 
     def bw(g):
         if relu:
             g = g * (out > 0)
-        need_gain = affine and gain.requires_grad
-        xhat = (x.data - mu) * inv if need_gain or x.requires_grad else None
-        if affine:
-            if shift.requires_grad:
-                _accum_unbroadcast(shift, g, g)
-            if need_gain:
-                _accum_unbroadcast(gain, g * xhat, g)
-            g = g * gain.data
-        if x.requires_grad:
+        xhat = (xd - mu) * inv if xd is not None else None
+        if rshift is not None:
+            _accum_unbroadcast(rshift, g, g)
+        if rgain is not None:
+            _accum_unbroadcast(rgain, g * xhat, g)
+        if rx is not None:
+            if gd is not None:
+                g = g * gd
             gm = g.mean(axis=axes, keepdims=True)
             gy = (g * xhat).mean(axis=axes, keepdims=True)
-            x._accum(inv * (g - gm - xhat * gy), owned=True)
+            rx._accum(inv * (g - gm - xhat * gy), owned=True)
 
     return _make(op, data, (x,) + affine, bw)
 
@@ -707,8 +810,10 @@ def reshape(x, shape):
     except ValueError as exc:
         raise ShapeMismatchError(f"reshape: {exc}") from exc
 
+    rx = _rec(x)
+
     def bw(g):
-        x._accum(g.reshape(x.data.shape))
+        rx._accum(g.reshape(rx.shape))
 
     return _make("reshape", data, (x,), bw)
 
@@ -719,9 +824,10 @@ def permute(x, axes):
         raise InvalidAxisError(f"permute: {axes} is not a permutation of rank {x.data.ndim}")
     data = x.data.transpose(axes)
     inverse = tuple(np.argsort(axes))
+    rx = _rec(x)
 
     def bw(g):
-        x._accum(g.transpose(inverse))
+        rx._accum(g.transpose(inverse))
 
     return _make("permute", data, (x,), bw)
 
@@ -742,13 +848,14 @@ def concat(tensors, axis):
     data = np.concatenate([t.data for t in tensors], axis=ax)
     sizes = [t.data.shape[ax] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    recs = [_rec(t) for t in tensors]
 
     def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for rec, lo, hi in zip(recs, offsets[:-1], offsets[1:]):
+            if rec is not None:
                 idx = [slice(None)] * g.ndim
                 idx[ax] = slice(lo, hi)
-                t._accum(g[tuple(idx)])
+                rec._accum(g[tuple(idx)])
 
     return _make("concat", data, tuple(tensors), bw)
 
@@ -756,9 +863,10 @@ def concat(tensors, axis):
 def reduce_sum(x, axis=None):
     axes = _reduce_axes(x, axis, "reduce_sum")
     data = x.data.sum(axis=axes)
+    rx = _rec(x)
 
     def bw(g):
-        x._accum(np.broadcast_to(_restore_dims(g, x.data.shape, axes), x.data.shape))
+        rx._accum(np.broadcast_to(_restore_dims(g, rx.shape, axes), rx.shape))
 
     return _make("reduce_sum", np.asarray(data, dtype=x.data.dtype), (x,), bw)
 
@@ -769,10 +877,11 @@ def reduce_mean(x, axis=None):
     count = 1
     for a in axes:
         count *= x.data.shape[a]
+    rx = _rec(x)
 
     def bw(g):
-        gg = _restore_dims(g, x.data.shape, axes) / np.asarray(count, dtype=x.data.dtype)
-        x._accum(np.broadcast_to(gg, x.data.shape))
+        gg = _restore_dims(g, rx.shape, axes) / np.asarray(count, dtype=rx.dtype)
+        rx._accum(np.broadcast_to(gg, rx.shape))
 
     return _make("reduce_mean", np.asarray(data, dtype=x.data.dtype), (x,), bw)
 

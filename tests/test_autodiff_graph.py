@@ -14,6 +14,8 @@ import voxseg.patch_embed
 from voxseg import autodiff as ad
 from voxseg.autodiff import ParameterStore
 
+from graph_bytes import closure_arrays as _held_arrays
+
 
 @pytest.fixture(autouse=True)
 def _f64():
@@ -93,55 +95,48 @@ def test_first_gradients_never_alias_across_leaves_or_passes(rng):
     assert not np.shares_memory(x.grad, y.grad)
 
 
-def _held_arrays(fn):
-    """ndarrays a backward closure keeps, through nested helper functions."""
-    for cell in fn.__closure__ or ():
-        held = cell.cell_contents
-        if isinstance(held, np.ndarray):
-            yield held
-        elif callable(held) and getattr(held, "__closure__", None):
-            yield from _held_arrays(held)
-
-
 @pytest.mark.parametrize("stride", [1, (2, 1, 2)])
 def test_conv3d_closure_keeps_no_padded_input(rng, stride):
     """The backward re-pads x; the (8, 7, 9, 2) padded copy dies with the forward."""
     x = ad.tensor(rng.standard_normal((6, 5, 7, 2)), requires_grad=True)
     w = ad.tensor(rng.standard_normal((3, 3, 3, 2, 3)), requires_grad=True)
     out = ad.conv3d(x, w, stride=stride, padding=1)
-    assert all(a.shape != (8, 7, 9, 2) for a in _held_arrays(out._backward))
+    assert all(a.shape != (8, 7, 9, 2) for a in _held_arrays(out._record._backward))
 
 
 def test_gelu_closure_keeps_only_its_input(rng):
     """The tanh is recomputed in the backward, not kept."""
     x = ad.tensor(rng.standard_normal((4, 5)), requires_grad=True)
-    held = list(_held_arrays(ad.gelu(x)._backward))
+    held = list(_held_arrays(ad.gelu(x)._record._backward))
     assert all(a.shape != x.shape or a is x.data for a in held)
 
 
 def test_relu_closure_keeps_no_mask(rng):
     x = ad.tensor(rng.standard_normal((4, 5)), requires_grad=True)
-    assert not any(a.dtype == bool for a in _held_arrays(ad.relu(x)._backward))
+    assert not any(a.dtype == bool for a in _held_arrays(ad.relu(x)._record._backward))
 
 
 @pytest.mark.parametrize("norm,shape", [(ad.layer_norm, (4, 5)),
                                         (ad.instance_norm, (3, 4, 2, 5))])
 @pytest.mark.parametrize("affine", [False, True])
 def test_norm_closure_keeps_only_mean_and_inverse_std(rng, norm, shape, affine):
-    """x_hat is rebuilt from x in the backward: the closure holds only mu and
-    inv, one value per normalized group, and no array of x's shape."""
+    """x_hat is rebuilt from x in the backward: besides the data of x and
+    gain it reads, the closure holds only mu and inv, one value per
+    normalized group, and no other array of x's shape."""
     x = ad.tensor(rng.standard_normal(shape), requires_grad=True)
     kw = {"gain": ad.tensor(np.ones(shape[-1])), "shift": ad.tensor(np.zeros(shape[-1]))}
-    held = list(_held_arrays(norm(x, **(kw if affine else {}))._backward))
-    assert len(held) == 2
-    assert all(a.size < x.size and a.ndim == x.data.ndim for a in held)
+    held = list(_held_arrays(norm(x, **(kw if affine else {}))._record._backward))
+    inputs = [x.data] + ([kw["gain"].data] if affine else [])
+    own = [a for a in held if not any(a is i for i in inputs)]
+    assert len(own) == 2 and len(held) == len(own) + len(inputs)
+    assert all(a.size < x.size and a.ndim == x.data.ndim for a in own)
 
 
 @pytest.mark.parametrize("affine", [False, True])
 def test_instance_norm_relu_is_bit_identical_to_relu_of_norm(rng, affine):
     """One node whose f32 output and every input gradient equal those of
     relu(instance_norm(...)) bit for bit; its closure keeps no x-shaped
-    array but its own output."""
+    array but its own output and x's data."""
     arrays = [rng.standard_normal((3, 4, 2, 5)).astype(np.float32),
               rng.standard_normal(5).astype(np.float32),
               rng.standard_normal(5).astype(np.float32)]
@@ -152,9 +147,10 @@ def test_instance_norm_relu_is_bit_identical_to_relu_of_norm(rng, affine):
         kw = {"gain": ts[1], "shift": ts[2]} if affine else {}
         if fused:
             out = ad.instance_norm(ts[0], relu=True, **kw)
-            assert list(out._parents) == ts[: len(out._parents)]
-            held = list(_held_arrays(out._backward))
-            assert all(a.shape != ts[0].shape or a is out.data for a in held)
+            assert list(out._parents) == [t._record for t in ts[: len(out._parents)]]
+            held = list(_held_arrays(out._record._backward))
+            assert all(a.shape != ts[0].shape or a is out.data or a is ts[0].data
+                       for a in held)
         else:
             out = ad.relu(ad.instance_norm(ts[0], **kw))
         ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=np.float32))))
@@ -186,7 +182,7 @@ def test_decoder_builds_no_concat_and_no_relu_after_a_norm(rng):
         ep = voxseg.decoder.enhancer_from_store(store, j, spec)
         enhanced.append(voxseg.decoder.original_feature_enhancer(tap, image, ep))
     prob = voxseg.decoder.predict(enhanced, voxseg.decoder.predict_from_store(store, spec))
-    nodes, stack, seen = [], [prob], set()
+    nodes, stack, seen = [], [prob._record], set()
     while stack:
         node = stack.pop()
         if id(node) not in seen and node._backward is not None:
@@ -271,7 +267,7 @@ def test_no_grad_builds_no_graph():
     with ad.no_grad():
         y = ad.relu(x)
     assert not y.requires_grad
-    assert y._backward is None
+    assert y._record is None
 
 
 def test_frozen_leaf_receives_no_gradient():

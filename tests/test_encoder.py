@@ -174,7 +174,7 @@ def test_attention_graph_keeps_no_score_nodes(rng):
     z = ad.tensor(rng.standard_normal((m, c)), requires_grad=True)
     out = enc.attention_forward(z, p, heads)
 
-    nodes, stack = {}, [out]
+    nodes, stack = {}, [out._record]
     while stack:
         node = stack.pop()
         if id(node) not in nodes:
