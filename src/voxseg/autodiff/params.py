@@ -1,9 +1,9 @@
 """Named trainable arrays with per-parameter freeze flags.
 
 Frozen entries keep participating in forward/backward math but are
-excluded from optimizer updates; marking an entry frozen also clears its
-``requires_grad`` so backward prunes the corresponding weight-gradient
-work.
+excluded from optimizer updates. An entry is frozen exactly when its
+Tensor does not require a gradient, so backward also prunes the
+corresponding weight-gradient work; that flag is the only record of it.
 """
 
 from __future__ import annotations
@@ -12,11 +12,10 @@ from .tensor import GraphError, Tensor
 
 
 class ParameterStore:
-    """Ordered mapping name -> (Tensor, frozen)."""
+    """Ordered mapping name -> Tensor; frozen is ``not requires_grad``."""
 
     def __init__(self):
         self._entries: dict[str, Tensor] = {}
-        self._frozen: dict[str, bool] = {}
 
     def add(self, name, value, frozen=False):
         if name in self._entries:
@@ -24,7 +23,6 @@ class ParameterStore:
         t = value if isinstance(value, Tensor) else Tensor(value)
         t.requires_grad = not frozen
         self._entries[name] = t
-        self._frozen[name] = bool(frozen)
         return t
 
     def __getitem__(self, name) -> Tensor:
@@ -43,18 +41,13 @@ class ParameterStore:
         return list(self._entries)
 
     def items(self):
-        return [(n, t, self._frozen[n]) for n, t in self._entries.items()]
+        return [(n, t, not t.requires_grad) for n, t in self._entries.items()]
 
     def is_frozen(self, name):
-        if name not in self._frozen:
-            raise GraphError(f"unknown parameter {name!r}")
-        return self._frozen[name]
+        return not self[name].requires_grad
 
     def set_frozen(self, name, frozen):
-        if name not in self._entries:
-            raise GraphError(f"unknown parameter {name!r}")
-        self._frozen[name] = bool(frozen)
-        self._entries[name].requires_grad = not frozen
+        self[name].requires_grad = not frozen
 
     def trainable(self):
         return [(n, t) for n, t, fr in self.items() if not fr]

@@ -132,9 +132,13 @@ def store_from_entries(entries) -> ParameterStore:
 
 def restore_into(store: ParameterStore, entries):
     """Copy checkpoint arrays into an existing store, validating layout."""
-    names = store.names()
-    if [n for n, _, _ in entries] != names:
-        raise CheckpointError("bad_header", "checkpoint entries do not match the store layout")
+    names, saved = store.names(), [n for n, _, _ in entries]
+    if saved != names:
+        in_ckpt = set(saved)
+        extra = [n for n in saved if n not in store][:3]
+        missing = [n for n in names if n not in in_ckpt][:3]
+        raise CheckpointError("bad_header", "checkpoint entries do not match the store layout: "
+                              f"only in the checkpoint {extra}, only in the store {missing}")
     for name, frozen, arr in entries:
         t = store[name]
         if t.data.shape != arr.shape:

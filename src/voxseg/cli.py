@@ -7,6 +7,9 @@ Subcommands:
     flops      print analytic cost tables (no tensor execution)
     gradcheck  run the full gradient-verification suite
 
+The paper's prompt-layer ablation is one ``voxseg train --set
+prompter.layer=N`` run per placement (N in 3, 6, 9, 12).
+
 Every run prints the fully resolved configuration. Exit codes: 0 ok,
 1 runtime failure, 2 usage error. DEAP_THREADS pins BLAS threads when
 set before process start.

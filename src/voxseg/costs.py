@@ -179,8 +179,8 @@ def prompter_items(token_count, channels, n, variant, module="prompter"):
 def _conv_block_items(module, name, voxels_out, cin, cout, k=27):
     """(conv k -> IN -> relu) x2; first conv maps cin -> cout."""
     macs = voxels_out * k * cin * cout + voxels_out * k * cout * cout
-    params = k * cin * cout + cout + k * cout * cout + cout  # weights + biases
-    params += 4 * cout  # two IN affine pairs
+    # conv weights only (a bias in front of IN is inert), two IN affine pairs
+    params = k * cin * cout + k * cout * cout + 4 * cout
     other = 2 * (5 + 1) * voxels_out * cout  # norms + relus
     return [CostItem(module, name, "linear", macs=macs, params=params),
             CostItem(module, f"{name}.normact", "norm", other_flops=other)]

@@ -14,9 +14,11 @@ builds anyway, so no concatenated copy is made or kept.
 
 A conv block is (conv3x3x3 -> instance norm -> relu) twice, the norm and
 its relu one graph node (``instance_norm(..., relu=True)``); pyramid
-stages use stride 2 on their first conv. ``no_image_branch`` replaces
-the image features with zeros (identical shapes, decoder trains on taps
-alone).
+stages use stride 2 on their first conv. Block convs carry no bias: the
+norm subtracts each channel's mean, so a bias before it changes nothing
+(the smooth and projection convs, which no norm follows, keep theirs).
+``no_image_branch`` replaces the image features with zeros (identical
+shapes, decoder trains on taps alone).
 """
 
 from __future__ import annotations
@@ -33,17 +35,14 @@ from .patch_embed import FeatureMap
 @dataclass
 class ConvBlockParams:
     conv1_w: Tensor
-    conv1_b: Tensor
     in1_g: Tensor
     in1_b: Tensor
     conv2_w: Tensor
-    conv2_b: Tensor
     in2_g: Tensor
     in2_b: Tensor
     stride1: int = 1
 
-    _FIELDS = ("conv1_w", "conv1_b", "in1_g", "in1_b",
-               "conv2_w", "conv2_b", "in2_g", "in2_b")
+    _FIELDS = ("conv1_w", "in1_g", "in1_b", "conv2_w", "in2_g", "in2_b")
 
     @classmethod
     def from_store(cls, store, prefix, stride1=1):
@@ -52,9 +51,9 @@ class ConvBlockParams:
 
 def conv_block(x: Tensor | list[Tensor], p: ConvBlockParams) -> Tensor:
     """A list ``x`` is read by the first conv as its channel concatenation."""
-    h = ad.conv3d(x, p.conv1_w, stride=p.stride1, padding=1, bias=p.conv1_b)
+    h = ad.conv3d(x, p.conv1_w, stride=p.stride1, padding=1)
     h = ad.instance_norm(h, gain=p.in1_g, shift=p.in1_b, relu=True)
-    h = ad.conv3d(h, p.conv2_w, stride=1, padding=1, bias=p.conv2_b)
+    h = ad.conv3d(h, p.conv2_w, stride=1, padding=1)
     return ad.instance_norm(h, gain=p.in2_g, shift=p.in2_b, relu=True)
 
 
@@ -150,11 +149,9 @@ def predict(enhanced: list[FeatureMap], p: PredictParams) -> Tensor:
 def _conv_block_specs(prefix, cin, cout):
     return [
         (f"{prefix}.conv1_w", (3, 3, 3, cin, cout), False, "he"),
-        (f"{prefix}.conv1_b", (cout,), False, "zeros"),
         (f"{prefix}.in1_g", (cout,), False, "ones"),
         (f"{prefix}.in1_b", (cout,), False, "zeros"),
         (f"{prefix}.conv2_w", (3, 3, 3, cout, cout), False, "he"),
-        (f"{prefix}.conv2_b", (cout,), False, "zeros"),
         (f"{prefix}.in2_g", (cout,), False, "ones"),
         (f"{prefix}.in2_b", (cout,), False, "zeros"),
     ]

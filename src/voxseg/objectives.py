@@ -31,9 +31,13 @@ class LossConfig:
 
 
 def _as_float_mask(gt, like: Tensor):
+    """``gt`` as a Tensor of ``like``'s dtype; one that already is one passes
+    through unchanged."""
+    if isinstance(gt, Tensor) and gt.data.dtype == like.data.dtype:
+        return gt
     data = gt.data if hasattr(gt, "data") and not isinstance(gt, Tensor) else gt
     arr = data.numpy() if isinstance(data, Tensor) else np.asarray(data)
-    return ad.tensor(arr.astype(np.float64), dtype=like.data.dtype)
+    return ad.tensor(arr, dtype=like.data.dtype)
 
 
 def _check_shapes(pred: Tensor, gt: Tensor):
@@ -64,8 +68,10 @@ def bce_loss(pred: Tensor, gt, eps=1e-7) -> Tensor:
 
 
 def combined_loss(pred: Tensor, gt, cfg: LossConfig = LossConfig()) -> Tensor:
-    """w_dice * soft dice + w_ce * BCE, differentiable and finite."""
+    """w_dice * soft dice + w_ce * BCE, differentiable and finite. The mask
+    is converted once and both terms share it."""
     cfg.validate()
-    dice = soft_dice_loss(pred, gt, cfg.smooth)
-    ce = bce_loss(pred, gt, cfg.eps)
+    g = _as_float_mask(gt, pred)
+    dice = soft_dice_loss(pred, g, cfg.smooth)
+    ce = bce_loss(pred, g, cfg.eps)
     return ad.add(ad.scale(dice, cfg.w_dice), ad.scale(ce, cfg.w_ce))

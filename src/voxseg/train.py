@@ -1,4 +1,4 @@
-"""Deterministic training, evaluation, and cross-validation.
+"""Deterministic training and evaluation.
 
 All per-step randomness (epoch shuffles, flip augmentation) is derived
 statelessly from (seed, epoch/step) seed sequences, so a run is a pure
@@ -344,66 +344,3 @@ def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResul
         result.best_checkpoint = last_path
     return result
 
-
-# ---------------------------------------------------------------------------
-# cross-validation and sweeps
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FoldReport:
-    fold: int
-    dice: float
-    nsd: float
-
-
-@dataclass
-class CrossValResult:
-    folds: list[FoldReport]
-    mean_dice: float
-    mean_nsd: float
-
-
-def crossvalidate(cfg: Config, data_dir, out_dir, k=5) -> CrossValResult:
-    """Train one model per fold; aggregate holdout DICE/NSD."""
-    from .volume_io import kfold
-
-    case_ids = list_cases(data_dir)
-    folds = kfold(case_ids, k=k, seed=cfg.get_int("split.seed"))
-    tau = cfg.get_float("eval.tau")
-    reports = []
-    for fi, (train_ids, holdout) in enumerate(folds):
-        fold_dir = os.path.join(out_dir, f"fold{fi}")
-        os.makedirs(fold_dir, exist_ok=True)
-        link_dir = os.path.join(fold_dir, "data")
-        _materialize_subset(data_dir, train_ids, link_dir)
-        res = train(cfg, link_dir, fold_dir)
-        evals = evaluate_cases(res.spec, res.store, data_dir, holdout, tau=tau)
-        reports.append(FoldReport(
-            fold=fi,
-            dice=float(np.mean([r.dice for _, r in evals])),
-            nsd=float(np.mean([r.nsd for _, r in evals])),
-        ))
-    return CrossValResult(
-        folds=reports,
-        mean_dice=float(np.mean([f.dice for f in reports])),
-        mean_nsd=float(np.mean([f.nsd for f in reports])),
-    )
-
-
-def _materialize_subset(data_dir, case_ids, dest):
-    os.makedirs(dest, exist_ok=True)
-    for cid in case_ids:
-        for src in case_paths(data_dir, cid):
-            dst = os.path.join(dest, os.path.basename(src))
-            if not os.path.exists(dst):
-                os.link(src, dst)
-
-
-def sweep_prompt_layers(cfg: Config, data_dir, out_dir, layers=(3, 6, 9, 12)):
-    """Train once per prompt-layer placement; returns {layer: TrainResult}."""
-    results = {}
-    for layer in layers:
-        sub = Config(values=dict(cfg.values)).override("prompter.layer", layer)
-        results[layer] = train(sub, data_dir, os.path.join(out_dir, f"layer{layer}"))
-    return results

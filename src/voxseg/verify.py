@@ -483,9 +483,9 @@ def _mini_conv_block(rng, cin, cout, stride1=1):
         return ad.tensor(rng.standard_normal(shape) * s, dtype=np.float64)
 
     return dec.ConvBlockParams(
-        conv1_w=t(3, 3, 3, cin, cout), conv1_b=t(cout, scale=0.1),
+        conv1_w=t(3, 3, 3, cin, cout),
         in1_g=ad.tensor(np.ones(cout), dtype=np.float64), in1_b=t(cout, scale=0.1),
-        conv2_w=t(3, 3, 3, cout, cout), conv2_b=t(cout, scale=0.1),
+        conv2_w=t(3, 3, 3, cout, cout),
         in2_g=ad.tensor(np.ones(cout), dtype=np.float64), in2_b=t(cout, scale=0.1),
         stride1=stride1,
     )

@@ -316,18 +316,8 @@ def generate_phantom(seed, dims=(32, 32, 32), lesion_count=1, noise_sd=0.0):
 
 
 # ---------------------------------------------------------------------------
-# splits and folds
+# dataset splits
 # ---------------------------------------------------------------------------
-
-
-def _check_cases(case_ids):
-    case_ids = list(case_ids)
-    if len(set(case_ids)) != len(case_ids):
-        dupes = sorted({c for c in case_ids if case_ids.count(c) > 1})
-        raise VolumeError("bad_args", f"duplicate case ids: {dupes}")
-    if not case_ids:
-        raise VolumeError("bad_args", "no cases")
-    return case_ids
 
 
 def split_dataset(case_ids, ratios=(0.7, 0.1, 0.2), seed=0) -> DatasetSplit:
@@ -336,7 +326,12 @@ def split_dataset(case_ids, ratios=(0.7, 0.1, 0.2), seed=0) -> DatasetSplit:
     Val/test sizes are the rounded ratios; the remainder goes to train
     (maximizes training data, deterministic rule).
     """
-    case_ids = _check_cases(case_ids)
+    case_ids = list(case_ids)
+    if len(set(case_ids)) != len(case_ids):
+        dupes = sorted({c for c in case_ids if case_ids.count(c) > 1})
+        raise VolumeError("bad_args", f"duplicate case ids: {dupes}")
+    if not case_ids:
+        raise VolumeError("bad_args", "no cases")
     if len(ratios) != 3 or any(r < 0 for r in ratios):
         raise VolumeError("bad_args", f"need three non-negative ratios, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
@@ -359,20 +354,3 @@ def split_dataset(case_ids, ratios=(0.7, 0.1, 0.2), seed=0) -> DatasetSplit:
         seed=int(seed),
     )
 
-
-def kfold(case_ids, k=5, seed=0):
-    """k deterministic (train, holdout) pairs; holdouts partition the cases."""
-    case_ids = _check_cases(case_ids)
-    if k < 2:
-        raise VolumeError("bad_args", f"k must be >= 2, got {k}")
-    if len(case_ids) < k:
-        raise VolumeError("bad_args", f"{len(case_ids)} cases < {k} folds")
-    rng = np.random.default_rng(np.random.SeedSequence([0x4B6F, int(seed)]))
-    order = [case_ids[i] for i in rng.permutation(len(case_ids))]
-    holdouts = [list(chunk) for chunk in np.array_split(np.asarray(order, dtype=object), k)]
-    folds = []
-    for hold in holdouts:
-        hold_set = set(hold)
-        train = [c for c in order if c not in hold_set]
-        folds.append((train, [str(c) for c in hold]))
-    return folds

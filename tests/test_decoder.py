@@ -27,10 +27,9 @@ def _fm(arr):
 def _zero_block(cin, cout, stride1=1):
     z = lambda *s: ad.tensor(np.zeros(s))
     return dec.ConvBlockParams(
-        conv1_w=z(3, 3, 3, cin, cout), conv1_b=z(cout),
-        in1_g=z(cout), in1_b=z(cout),
-        conv2_w=z(3, 3, 3, cout, cout), conv2_b=z(cout),
-        in2_g=z(cout), in2_b=z(cout), stride1=stride1,
+        conv1_w=z(3, 3, 3, cin, cout), in1_g=z(cout), in1_b=z(cout),
+        conv2_w=z(3, 3, 3, cout, cout), in2_g=z(cout), in2_b=z(cout),
+        stride1=stride1,
     )
 
 
@@ -228,3 +227,27 @@ class TestModelLevel:
             rerun, _ = forward(shared)
         assert (n_shared, n_own) == (15, 21)
         assert np.array_equal(prob, rerun)
+
+
+def test_every_trainable_parameter_moves_the_loss(rng):
+    """In f64, with the zero-initialised trainables set to small random
+    values, every trainable of the tiny model gets a gradient norm of at
+    least 1e-12 of the largest one. A parameter whose gradient is rounding
+    noise (a conv bias in front of an instance norm reads about 1e-17)
+    cannot change the loss, and the optimizer only random-walks it."""
+    from voxseg.objectives import combined_loss
+    from voxseg.volume_io import generate_phantom
+
+    spec = mdl.ModelSpec(
+        vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=16, heads=2,
+        adapter_dim=4, prompt_n=16, dec_channels=8,
+    ).validate()
+    store = mdl.init_store(spec, seed=0)
+    for _, t in store.trainable():
+        if not t.data.any():
+            t.data[...] = rng.standard_normal(t.data.shape) * 0.1
+    vol, mask = generate_phantom(7, dims=(16, 16, 16), noise_sd=0.02)
+    ad.backward(combined_loss(mdl.forward(spec, store, vol), mask))
+    norms = {name: float(np.linalg.norm(t.grad)) for name, t in store.trainable()}
+    floor = 1e-12 * max(norms.values())
+    assert not [name for name, n in norms.items() if n < floor]

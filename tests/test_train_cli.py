@@ -1,4 +1,4 @@
-"""Training loop determinism, resumption, cross-validation, and the CLI."""
+"""Training loop determinism, resumption, evaluation, and the CLI."""
 
 import logging
 import os
@@ -11,23 +11,21 @@ import weakref
 import numpy as np
 import pytest
 
+from voxseg import autodiff as ad
 from voxseg import checkpoint as ckpt
 from voxseg import metrics as mx
 from voxseg import model as mdl
 from voxseg import train as train_mod
-from voxseg.autodiff import NonFiniteError
+from voxseg.autodiff import NonFiniteError, ParameterStore
 from voxseg.cli import main as cli_main
-from voxseg.config import Config
+from voxseg.config import Config, model_spec_from_config
 from voxseg.train import (
     _flip_axes,
-    crossvalidate,
     evaluate_cases,
     list_cases,
     load_case,
     synthesize_dataset,
-    sweep_prompt_layers,
     train,
-    write_case,
 )
 
 from conftest import tiny_config
@@ -115,6 +113,33 @@ class TestTrainLoop:
         assert "train.lr" in str(err.value)
         assert "train.max_steps" not in str(err.value)
 
+    def test_resume_names_entries_the_store_lacks(self, tiny_dataset, tmp_path):
+        """A checkpoint with an entry the model no longer has (decoder conv
+        blocks once carried conv biases) fails to resume with an error that
+        names it, yet still evaluates: the forward reads only what it needs."""
+        data_dir, ids = tiny_dataset
+        cfg = tiny_config()
+        spec = model_spec_from_config(cfg)
+        with ad.precision(cfg.get_str("train.precision")):
+            store = mdl.init_store(spec, 0)
+            old = ParameterStore()
+            for name, t, frozen in store.items():
+                old.add(name, t, frozen=frozen)
+                if name == "decoder.head.conv1_w":
+                    old.add("decoder.head.conv1_b", ad.tensor(np.zeros(8)))
+        path = str(tmp_path / "old.ckpt")
+        ckpt.save_checkpoint(path, old, None, config_lines=cfg.resolved_lines())
+        with pytest.raises(ckpt.CheckpointError) as err:
+            train(cfg, data_dir, str(tmp_path / "resumed"), resume=path)
+        assert err.value.code == "bad_header"
+        assert "decoder.head.conv1_b" in str(err.value)
+
+        entries = ckpt.load_checkpoint(path)[2]
+        vol, _ = load_case(data_dir, ids[0])
+        with ad.no_grad():
+            prob = mdl.forward(spec, ckpt.store_from_entries(entries), vol).numpy()
+        assert prob.shape == (16, 16, 16) and np.isfinite(prob).all()
+
     def test_divergence_aborts_with_last_good_checkpoint(self, tiny_dataset, tmp_path,
                                                           caplog):
         data_dir, _ = tiny_dataset
@@ -193,7 +218,7 @@ class TestTrainLoop:
         assert os.path.exists(res.best_checkpoint)
 
 
-class TestEvalAndCrossval:
+class TestEval:
     def test_evaluate_cases_report(self, tiny_dataset):
         data_dir, ids = tiny_dataset
         cfg = tiny_config(**{"train.epochs": 1})
@@ -202,39 +227,6 @@ class TestEvalAndCrossval:
         assert len(reports) == 2
         for cid, rep in reports:
             assert 0 <= rep.dice <= 1 and 0 <= rep.nsd <= 1 and rep.tau == 1.0
-
-    def test_crossvalidate_mean_is_mean(self, tiny_dataset, tmp_path):
-        data_dir, _ = tiny_dataset
-        cfg = tiny_config(**{"train.epochs": 1})
-        res = crossvalidate(cfg, data_dir, str(tmp_path / "cv"), k=2)
-        assert len(res.folds) == 2
-        assert res.mean_dice == pytest.approx(
-            np.mean([f.dice for f in res.folds])
-        )
-        assert res.mean_nsd == pytest.approx(np.mean([f.nsd for f in res.folds]))
-
-    def test_duplicated_cases_give_identical_folds(self, tmp_path):
-        """Four byte-identical cases: both folds see the same content, so
-        per-fold metrics coincide."""
-        data_dir = str(tmp_path / "dup")
-        os.makedirs(data_dir)
-        from voxseg.volume_io import generate_phantom
-
-        vol, mask = generate_phantom(5, (16, 16, 16), 1, 0.02)
-        for i in range(4):
-            write_case(data_dir, f"dup_{i}", vol, mask)
-        cfg = tiny_config(**{"train.epochs": 1})
-        res = crossvalidate(cfg, data_dir, str(tmp_path / "cv"), k=2)
-        assert res.folds[0].dice == res.folds[1].dice
-        assert res.folds[0].nsd == res.folds[1].nsd
-
-    def test_sweep_prompt_layers_runs_all(self, tiny_dataset, tmp_path):
-        data_dir, _ = tiny_dataset
-        cfg = tiny_config(**{"train.epochs": 1})
-        results = sweep_prompt_layers(cfg, data_dir, str(tmp_path / "sweep"))
-        assert sorted(results) == [3, 6, 9, 12]
-        for res in results.values():
-            assert not res.aborted and res.loss_trace
 
 
 class TestCLI:

@@ -188,30 +188,3 @@ class TestSplits:
         assert not (set(split.train) & set(split.val))
         assert not (set(split.train) & set(split.test))
         assert not (set(split.val) & set(split.test))
-
-
-class TestKFold:
-    def test_five_fold_holdouts(self):
-        ids = [f"c{i}" for i in range(10)]
-        folds = vio.kfold(ids, k=5, seed=2)
-        holdouts = [h for _, h in folds]
-        assert all(len(h) == 2 for h in holdouts)
-        flat = sum(holdouts, [])
-        assert sorted(flat) == sorted(ids)  # pairwise disjoint, full cover
-
-    def test_train_holdout_complementary(self):
-        ids = [f"c{i}" for i in range(7)]
-        for train, hold in vio.kfold(ids, k=3, seed=5):
-            assert sorted(train + hold) == sorted(ids)
-
-    def test_k2_on_5_deterministic_sizes(self):
-        ids = list("abcde")
-        folds1 = vio.kfold(ids, k=2, seed=9)
-        folds2 = vio.kfold(ids, k=2, seed=9)
-        assert folds1 == folds2
-        sizes = sorted(len(h) for _, h in folds1)
-        assert sizes == [2, 3]
-
-    def test_too_few_cases(self):
-        with pytest.raises(vio.VolumeError):
-            vio.kfold(["a", "b"], k=3, seed=0)
