@@ -1,13 +1,17 @@
 """Loss values against closed forms; metrics against brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from voxseg import autodiff as ad
 from voxseg import metrics as mx
 from voxseg.objectives import LossConfig, bce_loss, combined_loss, soft_dice_loss
+from voxseg.volume_io import generate_phantom
 
 
 @pytest.fixture(autouse=True)
@@ -33,6 +37,23 @@ def _nsd_bruteforce(pred, gt, tau=1.0) -> float:
     d_g = np.sqrt(sq.min(axis=0))
     hits = int((d_p <= tau).sum()) + int((d_g <= tau).sum())
     return hits / (len(bp) + len(bg))
+
+
+def _nsd_edt(pred, gt, tau=1.0) -> float:
+    """NSD from scipy's exact Euclidean distance transform of each boundary."""
+    p, g = mx._check_pair(pred, gt)
+    bp = mx.boundary_mask(p)
+    bg = mx.boundary_mask(g)
+    np_, ng = int(bp.sum()), int(bg.sum())
+    if np_ == 0 and ng == 0:
+        return 1.0
+    if np_ == 0 or ng == 0:
+        return 0.0
+    dist_to_g = ndimage.distance_transform_edt(~bg)
+    dist_to_p = ndimage.distance_transform_edt(~bp)
+    hits_p = int((dist_to_g[bp] <= tau).sum())
+    hits_g = int((dist_to_p[bg] <= tau).sum())
+    return (hits_p + hits_g) / (np_ + ng)
 
 
 def _dice_bruteforce(pred, gt) -> float:
@@ -109,6 +130,16 @@ class TestDice:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             mx.dice_score(np.full((2, 2, 2), 3, np.uint8), np.zeros((2, 2, 2), np.uint8))
+        holds_two = np.zeros((4, 4, 4), np.uint8)
+        holds_two[1:3, 1:3, 1:3] = 1
+        holds_two[2, 2, 2] = 2
+        holds_nan = holds_two.astype(np.float64)
+        holds_nan[2, 2, 2] = np.nan
+        for bad in (holds_two, holds_nan):
+            with pytest.raises(ValueError, match="not a binary mask"):
+                mx.dice_score(bad, np.zeros_like(bad))
+            with pytest.raises(ValueError, match="not a binary mask"):
+                mx.nsd(np.zeros_like(bad), bad)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31))
@@ -152,8 +183,9 @@ class TestNSD:
 
     def test_negative_tau_rejected(self):
         m = np.zeros((3, 3, 3), np.uint8)
-        with pytest.raises(ValueError):
-            mx.nsd(m, m, -0.5)
+        for tau in (-0.5, float("nan")):
+            with pytest.raises(ValueError):
+                mx.nsd(m, m, tau)
 
     def test_empty_conventions(self):
         z = np.zeros((4, 4, 4), np.uint8)
@@ -181,9 +213,38 @@ class TestNSD:
         shape = tuple(rng.integers(4, 13, 3))
         p = (rng.random(shape) < 0.35).astype(np.uint8)
         g = (rng.random(shape) < 0.35).astype(np.uint8)
-        tau = float(rng.choice([0.0, 1.0, 1.5, 2.0, 3.0]))
+        diag = math.sqrt(sum((s - 1) ** 2 for s in shape))
+        tau = float(rng.choice([0.0, 1.0, 1.5, 2.0, 3.0, math.sqrt(2), math.sqrt(3),
+                                math.sqrt(5), math.sqrt(8), diag + 0.5, math.inf]))
         assert mx.nsd(p, g, tau) == _nsd_bruteforce(p, g, tau)
         assert mx.dice_score(p, g) == _dice_bruteforce(p, g)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**31))
+    def test_squared_distance_exact_up_to_k(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 10, 3))
+        seeds = rng.random(shape) < 0.05
+        seeds.flat[rng.integers(seeds.size)] = True
+        k = int(rng.integers(0, 12))
+        diff = np.indices(shape).reshape(3, -1, 1) - np.argwhere(seeds).T[:, None, :]
+        exact = (diff * diff).sum(axis=0).min(axis=1).reshape(shape)
+        got = mx._sq_distance_up_to(seeds, k)
+        np.testing.assert_array_equal(got, np.minimum(exact, k + 1))
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, math.sqrt(2), 3.0, 10.0])
+    def test_equals_distance_transform_at_32_cubed(self, tau):
+        rng = np.random.default_rng(7)
+        shape = (32, 32, 32)
+        pairs = [((rng.random(shape) < 0.3).astype(np.uint8),
+                  (rng.random(shape) < 0.05).astype(np.uint8))]
+        for seed in (3, 4):
+            _, gt = generate_phantom(seed, shape, lesion_count=2)
+            _, other = generate_phantom(seed + 10, shape, lesion_count=2)
+            noisy = gt.data ^ (rng.random(shape) < 0.02).astype(np.uint8)
+            pairs += [(other.data, gt.data), (noisy, gt.data)]
+        for p, g in pairs:
+            assert mx.nsd(p, g, tau) == _nsd_edt(p, g, tau)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31))

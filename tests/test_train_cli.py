@@ -31,6 +31,15 @@ from voxseg.train import (
 from conftest import tiny_config
 
 
+def _source_env():
+    """Environment in which a child interpreter imports this checkout's
+    voxseg and the tests' conftest."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(train_mod.__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(p for p in (src, here, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
 class TestTrainLoop:
     def test_runs_and_logs_history(self, tiny_dataset, tmp_path):
         data_dir, ids = tiny_dataset
@@ -219,14 +228,31 @@ class TestTrainLoop:
 
 
 class TestEval:
-    def test_evaluate_cases_report(self, tiny_dataset):
+    def test_evaluate_cases_report(self, tiny_dataset, tmp_path):
         data_dir, ids = tiny_dataset
         cfg = tiny_config(**{"train.epochs": 1})
-        res = train(cfg, data_dir, "/tmp/voxseg_eval_run")
+        res = train(cfg, data_dir, str(tmp_path / "run"))
         reports = evaluate_cases(res.spec, res.store, data_dir, ids[:2])
         assert len(reports) == 2
         for cid, rep in reports:
             assert 0 <= rep.dice <= 1 and 0 <= rep.nsd <= 1 and rep.tau == 1.0
+
+    def test_runtime_never_imports_scipy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import voxseg, voxseg.cli\n"
+            "from voxseg import model, train\n"
+            "from voxseg.config import model_spec_from_config\n"
+            "from conftest import tiny_config\n"
+            "ids = train.synthesize_dataset(sys.argv[1], cases=1, seed=5, dims=(16, 16, 16))\n"
+            "spec = model_spec_from_config(tiny_config())\n"
+            "reports = train.evaluate_cases(spec, model.init_store(spec, 0), sys.argv[1], ids)\n"
+            "assert len(reports) == 1, reports\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=_source_env(),
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestCLI:
@@ -281,6 +307,12 @@ class TestCLI:
         assert "sharing reduction" in out
         assert cli_main(["flops"]) == 0
         assert "total" in capsys.readouterr().out
+
+    def test_python_dash_m_help_exits_0(self):
+        out = subprocess.run([sys.executable, "-m", "voxseg", "--help"], env=_source_env(),
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert "gradcheck" in out.stdout
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
