@@ -41,18 +41,31 @@ channels, grids up to 16^3) on numpy adds and every 3x3x3 conv of the
 desk model on gemm; 16->80 is the desk fuse conv's input gradient.
 
 Like every op's closure (see ``tensor``), conv3d's keeps only what its
-backward reads: the inputs' data when the kernel needs a gradient, the
-kernel when an input does, never the output or the padded copy. The
-backward re-pads x (zeros plus one slice assignment, without
-``np.pad``'s per-call Python cost) wherever the kernel gradient reads
-it, at every stride. The upsample keeps only its interpolation
-matrices. x may be a list
-of inputs, read as their concatenation along channels: each is written
-into its channel slice of that one padded buffer, so the GEMMs see the
-same operand as after a concat, and the input gradient over the whole
-Cin is split per input. An optional bias (Cout,) is added in place on
-the output and its gradient is the output gradient summed over the
-voxels.
+backward reads: the inputs when the kernel needs a gradient, the kernel
+when an input does, never the output or the padded copy. The backward
+re-pads x (zeros plus one slice assignment, without ``np.pad``'s
+per-call Python cost) wherever the kernel gradient reads it, at every
+stride. An input that is a recorded upsample or matmul output is kept as
+its rebuild hook, not its data, and rebuilt there too: in the decoder,
+each enhancer's upsampled tap and the head's upsampled features. The
+upsample's own closure keeps only its interpolation matrices.
+
+x may be a list of inputs, read as their concatenation along channels:
+each is written into its channel slice of that one padded buffer, so
+the GEMMs see the same operand as after a concat, and the input
+gradient over the whole Cin is split per input. An optional bias (Cout,)
+is added in place on the output and its gradient is the output gradient
+summed over the voxels.
+
+The upsample applies one (n·f, n) interpolation matrix per axis whose
+factor f exceeds 1 (``_apply_axis``), reading the contiguous (H, W, D,
+C) layout as it is: on axis 0 one GEMM on the (H, W·D·C) view, on axis
+1 a GEMM batched over the H blocks of (H, W, D·C), on axis 2 one
+batched over the H·W blocks of (H·W, D, C). Where C = 1 that last one
+would run as matrix-vector products, so it is one GEMM on the
+transposed (D, H·W) copy instead. No axis is moved to the front and
+copied, and the results equal that form bit for bit (tested). The
+backward applies the transposed matrices the same way.
 
 Backward of a stride-1 conv3d:
   * kernel gradient: the output gradient embedded in the same row grid,
@@ -93,8 +106,11 @@ from .tensor import (
     _accum_unbroadcast,
     _check_inputs,
     _check_vector,
+    _hooked,
+    _keep,
     _make,
     _rec,
+    _value,
 )
 
 
@@ -336,16 +352,16 @@ def conv3d(x, w, stride=1, padding=0, bias=None):
         data += bias.data
     rxs, rw = [_rec(t) for t in xs], _rec(w)
     rbias = None if bias is None else _rec(bias)
-    # the inputs' data only for the kernel gradient, the kernel only for
-    # the input gradient
-    xds = [t.data for t in xs] if rw is not None else None
+    # the inputs (their data, or the hooks that rebuild it) only for the
+    # kernel gradient, the kernel only for the input gradient
+    xds = [_keep(t) for t in xs] if rw is not None else None
     wd = w.data if any(r is not None for r in rxs) else None
 
     def bw(g):
         if rw is not None:
             # rebuilt from the inputs, not kept from the forward: the padded
             # input, and for strides the (N, K) patch matrix
-            xp = _pad_inputs(xds, padding)
+            xp = _pad_inputs([_value(kept) for kept in xds], padding)
             if unit:
                 gw = _kernel_grad_stride1(xp, g, kdims)
             else:
@@ -390,30 +406,43 @@ def _interp_weights(n_in, factor):
     """(n_in*factor, n_in) row-stochastic linear interpolation matrix.
 
     Output sample o reads source coordinate (o + 0.5)/factor − 0.5, clamped
-    at the ends (half-pixel-center convention).
+    at the ends (half-pixel-center convention): weight 1 − frac on the
+    source below it and frac on the one above, both clamped into range, so
+    an end row puts both weights on one column.
     """
     n_out = n_in * factor
+    rows = np.arange(n_out)
+    src = (rows + 0.5) / factor - 0.5
+    below = np.floor(src)
+    frac = src - below
+    below = below.astype(np.int64)
     mat = np.zeros((n_out, n_in), dtype=np.float64)
-    for o in range(n_out):
-        src = (o + 0.5) / factor - 0.5
-        i0 = int(np.floor(src))
-        frac = src - i0
-        i0c = min(max(i0, 0), n_in - 1)
-        i1c = min(max(i0 + 1, 0), n_in - 1)
-        mat[o, i0c] += 1.0 - frac
-        mat[o, i1c] += frac
+    np.add.at(mat, (rows, np.clip(below, 0, n_in - 1)), 1.0 - frac)
+    np.add.at(mat, (rows, np.clip(below + 1, 0, n_in - 1)), frac)
     return mat
 
 
 def _apply_axis(mat, arr, axis):
-    moved = np.moveaxis(arr, axis, 0)
-    flat = mat @ moved.reshape(moved.shape[0], -1)
-    flat = flat.reshape((mat.shape[0],) + moved.shape[1:])
-    return np.moveaxis(flat, 0, axis)
+    """mat (m, n) applied along ``axis`` of arr, whose extent there is n,
+    without moving that axis: with L the product of the extents before it
+    and T of those after, one GEMM mat @ arr (L, n, T), batched over L.
+    When T = 1 that batch would run as matrix-vector products, so arr
+    (L, n) is transposed into the one GEMM mat @ arr^T (n, L) instead."""
+    shape = arr.shape
+    n = shape[axis]
+    lead = int(np.prod(shape[:axis], dtype=np.int64))
+    trail = int(np.prod(shape[axis + 1 :], dtype=np.int64))
+    if trail == 1:
+        out = (mat @ np.ascontiguousarray(arr.reshape(lead, n).T)).T
+    else:
+        out = mat @ arr.reshape(lead, n, trail)
+    return out.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1 :])
 
 
 def trilinear_upsample(x, factor):
-    """Upsample (H, W, D, C) by integer per-axis factors, trilinear."""
+    """Upsample (H, W, D, C) by integer per-axis factors, trilinear. A
+    recorded output's rebuild hook re-runs the forward from x's data and
+    the interpolation matrices."""
     if x.data.ndim != 4:
         raise ShapeMismatchError("trilinear_upsample: expected rank-4 input")
     fh, fw, fd = _triple(factor, "factor")
@@ -424,11 +453,15 @@ def trilinear_upsample(x, factor):
         _interp_weights(x.data.shape[i], f).astype(dtype)
         for i, f in enumerate((fh, fw, fd))
     ]
-    data = x.data
-    for axis, mat in enumerate(mats):
-        if mat.shape[0] != mat.shape[1]:
-            data = _apply_axis(mat, data, axis)
-    data = data.copy() if data is x.data else np.ascontiguousarray(data)
+    xd = x.data
+
+    def upsample():
+        out = xd
+        for axis, mat in enumerate(mats):
+            if mat.shape[0] != mat.shape[1]:
+                out = _apply_axis(mat, out, axis)
+        return out.copy() if out is xd else np.ascontiguousarray(out)
+
     rx = _rec(x)
 
     def bw(g):
@@ -439,4 +472,4 @@ def trilinear_upsample(x, factor):
         gx = np.ascontiguousarray(gx)
         rx._accum(gx, owned=gx is not g)  # fresh unless every factor is 1
 
-    return _make("trilinear_upsample", data, (x,), bw)
+    return _hooked(_make("trilinear_upsample", upsample(), (x,), bw), upsample)

@@ -43,24 +43,12 @@ class ParameterStore:
     def items(self):
         return [(n, t, not t.requires_grad) for n, t in self._entries.items()]
 
-    def is_frozen(self, name):
-        return not self[name].requires_grad
-
     def set_frozen(self, name, frozen):
         self[name].requires_grad = not frozen
 
     def trainable(self):
         return [(n, t) for n, t, fr in self.items() if not fr]
 
-    def frozen(self):
-        return [(n, t) for n, t, fr in self.items() if fr]
-
     def zero_grad(self):
         for t in self._entries.values():
             t.grad = None
-
-    def total_params(self):
-        return sum(t.size for t in self._entries.values())
-
-    def trainable_params(self):
-        return sum(t.size for _, t in self.trainable())

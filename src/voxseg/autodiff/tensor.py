@@ -21,12 +21,21 @@ A layer primitive is one node: ``matmul`` takes an optional ``bias``,
 ``gain`` and ``shift``, each added in place on the op's fresh output
 with the same float expressions as separate ``add`` / ``mul`` nodes;
 ``instance_norm`` also takes ``relu=True``, the relu applied in place
-on its output. Values that cost one elementwise pass over an array the
-closure keeps anyway are recomputed in the backward, not kept: gelu's
-tanh, conv3d's padded input, the norms' x_hat = (x - mu) * inv, of
-which only mu and inv are kept (Chen et al. 2016, arXiv:1604.06174,
-applied only to these), and relu's mask, taken from its own output
-(out > 0 exactly where x > 0), so the relu's input can die.
+on its output. Values that cost one cheap pass over arrays the graph
+keeps anyway are recomputed in the backward, not kept (Chen et al. 2016,
+arXiv:1604.06174, applied only to these): gelu's tanh, conv3d's padded
+input, the norms' x_hat = (x - mu) * inv, of which only mu and inv are
+kept, and relu's mask, taken from its own output (out > 0 exactly where
+x > 0), so the relu's input can die. A recorded output of ``matmul`` or
+``trilinear_upsample`` also carries a rebuild hook, ``Tensor._rebuild``:
+a function that returns its value bit for bit from the operands and
+bias, or from the upsample's input and interpolation matrices. The two
+closures that read such an input's value, gelu's and conv3d's kernel
+gradient, keep the hook instead of the array, so the MLP's first
+products and the upsampled decoder features die during the forward. The
+hook lives on the Tensor, never on the Record, and ``Record.data`` never
+recomputes; but a caller holding a recorded matmul or upsample output
+keeps that output's inputs alive as long, through its hook.
 
 Two precision modes exist: float32 (training) and float64 (gradient
 checking). The mode is a process-global default applied when leaf tensors
@@ -190,9 +199,11 @@ class Record:
 
 
 class Tensor:
-    """n-dimensional array value; ``_record`` is its graph node, if any."""
+    """n-dimensional array value; ``_record`` is its graph node, if any, and
+    ``_rebuild``, set only beside a record, a function that returns ``data``
+    again, bit for bit, from arrays the graph keeps anyway."""
 
-    __slots__ = ("data", "_requires_grad", "_record", "__weakref__")
+    __slots__ = ("data", "_requires_grad", "_record", "_rebuild", "__weakref__")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype or _default_dtype)
@@ -200,6 +211,7 @@ class Tensor:
             raise NonFiniteError("tensor initialized with non-finite values")
         self.data = arr
         self._record = None
+        self._rebuild = None
         self.requires_grad = requires_grad
 
     @property
@@ -335,6 +347,7 @@ def _make(op, data, parents, backward_fn):
         raise NonFiniteError(f"{op}: non-finite output")
     out = Tensor.__new__(Tensor)
     out.data = data
+    out._rebuild = None
     edges = tuple(p._record for p in parents if p._requires_grad) if _grad_enabled else ()
     out._requires_grad = bool(edges)
     out._record = Record(data, op, edges, backward_fn) if edges else None
@@ -344,6 +357,24 @@ def _make(op, data, parents, backward_fn):
 def _rec(t):
     """``t``'s record when a closure must send it a gradient, else None."""
     return t._record if t._requires_grad else None
+
+
+def _hooked(out, rebuild):
+    """``out`` with ``rebuild`` as its rebuild hook when it has a record."""
+    if out._record is not None:
+        out._rebuild = rebuild
+    return out
+
+
+def _keep(t):
+    """What a closure keeps to read ``t``'s value in the backward: its
+    rebuild hook when it has one, else the array."""
+    return t._rebuild or t.data
+
+
+def _value(kept):
+    """The value behind what ``_keep`` returned."""
+    return kept() if callable(kept) else kept
 
 
 def _topo(root):
@@ -502,20 +533,22 @@ _GELU_A = 0.044715
 
 def gelu(x):
     """Tanh-approximated gelu. The backward recomputes the tanh from the
-    input rather than keep it, and the output is not kept."""
-    xd = x.data
-    dtype = xd.dtype
+    input rather than keep it, and rebuilds the input too when it has a
+    rebuild hook (a matmul's product); the output is not kept."""
+    dtype = x.data.dtype
     c = np.asarray(_GELU_C, dtype=dtype)
     a = np.asarray(_GELU_A, dtype=dtype)
 
     def tanh_inner(v):
         return np.tanh(c * (v + a * (v * v * v)))  # f32 `** 3` is a slow generic pow
 
-    data = 0.5 * xd * (1.0 + tanh_inner(xd))
+    data = 0.5 * x.data * (1.0 + tanh_inner(x.data))
     data = data.astype(dtype, copy=False)
     rx = _rec(x)
+    kept = _keep(x)
 
     def bw(g):
+        xd = _value(kept)
         t = tanh_inner(xd)
         sech2 = 1.0 - t * t
         d = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * c * (1.0 + 3.0 * a * xd * xd)
@@ -574,7 +607,8 @@ def matmul(a, b, bias=None):
     optional ``bias`` of shape (N,), N the product's column count, added
     to every row of the product in place. The closure keeps ``a``'s data
     only when ``b`` needs a gradient and ``b``'s only when ``a`` does: a
-    frozen weight's product keeps nothing of its input."""
+    frozen weight's product keeps nothing of its input. A recorded output's
+    rebuild hook recomputes the product from the operands and bias."""
     a = a if isinstance(a, Tensor) else Tensor(np.asarray(a))
     b = b if isinstance(b, Tensor) else Tensor(np.asarray(b))
     extra = () if bias is None else (bias,)
@@ -591,9 +625,15 @@ def matmul(a, b, bias=None):
         )
     if bias is not None:
         _check_vector("matmul", "bias", bias, b.data.shape[-1])
-    data = a.data @ b.data
-    if bias is not None:
-        data += bias.data
+    a_val, b_val = a.data, b.data
+    bias_val = None if bias is None else bias.data
+
+    def product():
+        out = a_val @ b_val
+        if bias_val is not None:
+            out += bias_val
+        return out
+
     ra, rb = _rec(a), _rec(b)
     rbias = None if bias is None else _rec(bias)
     a_data = a.data if rb is not None else None
@@ -607,7 +647,7 @@ def matmul(a, b, bias=None):
         if rbias is not None:
             _accum_unbroadcast(rbias, g, g)
 
-    return _make("matmul", data, (a, b) + extra, bw)
+    return _hooked(_make("matmul", product(), (a, b) + extra, bw), product)
 
 
 # Query rows per attention block: a (heads, rows, keys) block of scores

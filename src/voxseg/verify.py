@@ -62,6 +62,19 @@ def _case_matmul_bias_wrt_bias(rng):
     return (lambda bias: ad.matmul(a, b, bias=bias)), rng.standard_normal(n)
 
 
+def _case_gelu_after_matmul_bias(rng):
+    """gelu reads the product back through matmul's rebuild hook. u (l, k)
+    feeds x (m, k) and w (k, n) through two fixed maps: one check covers
+    both operands."""
+    m, k, n, l = (int(v) for v in rng.integers(2, 5, 4))
+    ax, aw, bias = _t(rng, m, l), _t(rng, n, l), _t(rng, n)
+    return (
+        lambda u: ad.gelu(ad.matmul(ad.matmul(ax, u), ad.permute(ad.matmul(aw, u), (1, 0)),
+                                    bias=bias)),
+        rng.standard_normal((l, k)),
+    )
+
+
 def _case_conv3d(rng):
     kd = tuple(rng.integers(1, 4, 3))
     cin, cout = rng.integers(1, 3), rng.integers(1, 4)
@@ -147,6 +160,25 @@ def _case_upsample(rng):
     factor = tuple(rng.integers(1, 3, 3))
     c = int(rng.integers(1, 3))
     return (lambda x: ad.trilinear_upsample(x, factor)), rng.standard_normal(dims + (c,))
+
+
+def _case_conv3d_upsampled_input(rng):
+    """The kernel gradient reads the upsampled input back through the
+    upsample's rebuild hook. u (l, c) feeds z (h, w, d, c), upsampled by
+    2, and the kernel (3, 3, 3, c + cy, c) through two fixed maps; y is a
+    constant second input."""
+    dims = tuple(int(v) for v in rng.integers(1, 3, 3))
+    l, c, cy = (int(v) for v in rng.integers(1, 3, 3))
+    up_dims = tuple(2 * n for n in dims)
+    az, aw = _t(rng, int(np.prod(dims)), l), _t(rng, 27 * (c + cy), l)
+    y = _t(rng, *up_dims, cy)
+
+    def f(u):
+        z = ad.reshape(ad.matmul(az, u), dims + (c,))
+        w = ad.reshape(ad.matmul(aw, u), (3, 3, 3, c + cy, c))
+        return ad.conv3d([ad.trilinear_upsample(z, 2), y], w, stride=1, padding=1)
+
+    return f, rng.standard_normal((l, c))
 
 
 def _case_relu(rng):
@@ -551,12 +583,14 @@ OP_CASES = [
     ("matmul", _case_matmul),
     ("matmul_batched", _case_matmul_batched),
     ("matmul_bias_wrt_bias", _case_matmul_bias_wrt_bias),
+    ("gelu_after_matmul_bias", _case_gelu_after_matmul_bias),
     ("conv3d", _case_conv3d),
     ("conv3d_stride1", _case_conv3d_stride1),
     ("conv3d_wrt_kernel", _case_conv3d_wrt_kernel),
     ("conv3d_wrt_bias", _case_conv3d_wrt_bias),
     ("conv3d_multi_input", _case_conv3d_multi_input),
     ("trilinear_upsample", _case_upsample),
+    ("conv3d_upsampled_input", _case_conv3d_upsampled_input),
     ("relu", _case_relu),
     ("gelu", _case_gelu),
     ("sigmoid", _case_sigmoid),

@@ -80,9 +80,6 @@ class DatasetSplit:
     test: list[str]
     seed: int
 
-    def all_cases(self):
-        return self.train + self.val + self.test
-
 
 # ---------------------------------------------------------------------------
 # DEAPVOL1 container

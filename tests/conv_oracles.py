@@ -57,3 +57,27 @@ def conv3d_kernel_grad_taps(x, g, kdims, stride, padding):
                 win = xp[i : i + sh * ho : sh, j : j + sw * wo : sw, k : k + sd * do : sd]
                 gw[i, j, k] = win.reshape(-1, x.shape[3]).T @ g.reshape(-1, cout)
     return gw
+
+
+def interp_weights_loop(n_in, factor):
+    """Oracle for ``conv._interp_weights``: one output row at a time."""
+    n_out = n_in * factor
+    mat = np.zeros((n_out, n_in), dtype=np.float64)
+    for o in range(n_out):
+        src = (o + 0.5) / factor - 0.5
+        i0 = int(np.floor(src))
+        frac = src - i0
+        i0c = min(max(i0, 0), n_in - 1)
+        i1c = min(max(i0 + 1, 0), n_in - 1)
+        mat[o, i0c] += 1.0 - frac
+        mat[o, i1c] += frac
+    return mat
+
+
+def apply_axis_moveaxis(mat, arr, axis):
+    """Oracle for ``conv._apply_axis``: the axis moved to the front (a copy),
+    one GEMM, and moved back."""
+    moved = np.moveaxis(arr, axis, 0)
+    flat = mat @ moved.reshape(moved.shape[0], -1)
+    flat = flat.reshape((mat.shape[0],) + moved.shape[1:])
+    return np.moveaxis(flat, 0, axis)

@@ -14,6 +14,7 @@ import voxseg.patch_embed
 from voxseg import autodiff as ad
 from voxseg.autodiff import ParameterStore
 
+import helpers
 from graph_bytes import closure_arrays as _held_arrays
 
 
@@ -284,9 +285,9 @@ def test_parameter_store_basics():
     store.add("a.frozen", ad.tensor(np.ones(3)), frozen=True)
     with pytest.raises(ad.GraphError):
         store.add("a.w", ad.tensor(np.zeros(1)))
-    assert store.total_params() == 7
-    assert store.trainable_params() == 4
-    assert store.is_frozen("a.frozen")
+    assert helpers.total_params(store) == 7
+    assert helpers.trainable_params(store) == 4
+    assert helpers.is_frozen(store, "a.frozen")
     assert not store["a.frozen"].requires_grad
     assert t.requires_grad
     store.set_frozen("a.w", True)

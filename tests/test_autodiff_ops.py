@@ -5,7 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conv_oracles import conv3d_input_grad_taps, conv3d_kernel_grad_taps, conv3d_reference
+from conv_oracles import (
+    apply_axis_moveaxis,
+    conv3d_input_grad_taps,
+    conv3d_kernel_grad_taps,
+    conv3d_reference,
+    interp_weights_loop,
+)
 from voxseg import autodiff as ad
 from voxseg.autodiff import conv
 from voxseg.autodiff.tensor import ATTENTION_BLOCK_ELEMS
@@ -304,6 +310,70 @@ def test_trilinear_upsample_gradient_handover(rng, factor):
     first = x.grad.copy()
     out._record._backward(g)
     assert np.array_equal(g, g0) and np.array_equal(x.grad, 2 * first)
+
+
+def test_interp_weights_equal_the_row_loop():
+    for n in range(1, 41):
+        for factor in range(1, 5):
+            assert np.array_equal(conv._interp_weights(n, factor),
+                                  interp_weights_loop(n, factor)), (n, factor)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_apply_axis_equals_the_moveaxis_form(rng, dtype):
+    """Bit for bit, for the forward's matrices and the backward's transposes,
+    on random shapes (a trailing extent of 1 included) and on the desk
+    model's tap and head shapes."""
+    draws = [tuple(int(n) for n in rng.integers(1, 10, 4)) for _ in range(150)]
+    draws += [(8, 8, 8, 64), (16, 8, 8, 64), (16, 16, 16, 16), (32, 16, 16, 16)]
+    for shape in draws:
+        for axis in range(3):
+            factor = int(rng.integers(1, 4))
+            mat = conv._interp_weights(shape[axis], factor).astype(dtype)
+            x = rng.standard_normal(shape).astype(dtype)
+            assert np.array_equal(conv._apply_axis(mat, x, axis),
+                                  apply_axis_moveaxis(mat, x, axis)), (shape, axis, factor)
+            g_shape = shape[:axis] + (mat.shape[0],) + shape[axis + 1 :]
+            g = rng.standard_normal(g_shape).astype(dtype)
+            assert np.array_equal(conv._apply_axis(mat.T, g, axis),
+                                  apply_axis_moveaxis(mat.T, g, axis)), (shape, axis, factor)
+
+
+def _rebuilt_cases(rng):
+    """(name, recorded output) for every op with a rebuild hook."""
+    for dtype in (np.float32, np.float64):
+        def leaf(*shape, grad=True):
+            return ad.tensor(rng.standard_normal(shape), requires_grad=grad, dtype=dtype)
+
+        name = np.dtype(dtype).name
+        yield f"matmul {name}", ad.matmul(leaf(512, 64), leaf(64, 256))
+        yield f"matmul bias {name}", ad.matmul(leaf(512, 64, grad=False), leaf(64, 256),
+                                               bias=leaf(256, grad=False))
+        yield f"batched matmul bias {name}", ad.matmul(leaf(4, 7, 5), leaf(4, 5, 3, grad=False),
+                                                       bias=leaf(3))
+    tap = ad.tensor(rng.standard_normal((8, 8, 8, 64)), requires_grad=True, dtype=np.float32)
+    head = ad.tensor(rng.standard_normal((16, 16, 16, 16)), requires_grad=True,
+                     dtype=np.float32)
+    yield "desk tap upsample", ad.trilinear_upsample(tap, 2)
+    yield "desk head upsample", ad.trilinear_upsample(head, 2)
+
+
+def test_rebuild_hooks_return_the_forward_value(rng):
+    for name, out in _rebuilt_cases(rng):
+        again = out._rebuild()
+        assert again is not out.data and np.array_equal(again, out.data), name
+
+
+def test_rebuild_hook_only_beside_a_record(rng):
+    x = ad.tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = ad.tensor(rng.standard_normal((4, 2)))
+    vol = ad.tensor(rng.standard_normal((2, 2, 2, 3)))
+    assert ad.matmul(x.data, w)._rebuild is None
+    assert ad.trilinear_upsample(vol, 2)._rebuild is None
+    with ad.no_grad():
+        assert ad.matmul(x, w)._rebuild is None
+    assert ad.matmul(x, w)._rebuild is not None
+    assert ad.relu(ad.matmul(x, w))._rebuild is None
 
 
 def test_conv3d_list_inputs_are_checked():

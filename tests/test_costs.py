@@ -4,6 +4,7 @@ direct enumeration of the parameter store."""
 import numpy as np
 import pytest
 
+import helpers
 from voxseg import autodiff as ad
 from voxseg import costs
 from voxseg import model as mdl
@@ -70,7 +71,7 @@ class TestAccountantVsStore:
         with ad.precision("f32"):
             store = mdl.init_store(spec, seed=0)
         rep = costs.count_cost(spec)
-        assert rep.params() == store.total_params()
+        assert rep.params() == helpers.total_params(store)
 
     def test_totals_equal_sum_of_parts(self):
         rep = costs.count_cost(mdl.ModelSpec().validate())

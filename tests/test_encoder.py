@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import helpers
 from voxseg import autodiff as ad
 from voxseg import encoder as enc
 from voxseg import model as mdl
@@ -277,7 +278,7 @@ def test_gradient_reaches_adapters_not_frozen(rng):
     up = store["encoder.layer12.adapter_up"]
     assert up.grad is not None and np.abs(up.grad).max() > 0
     assert down.grad is None or True  # zero-init up blocks layer-1 down at step 1
-    for name, t in store.frozen():
+    for name, t in helpers.frozen(store):
         assert t.grad is None, name
 
 
@@ -298,7 +299,7 @@ def test_freeze_policy_classification():
 def test_trainable_strictly_less_than_total():
     spec = _tiny_spec()
     store = mdl.init_store(spec, seed=0)
-    assert 0 < store.trainable_params() < store.total_params()
+    assert 0 < helpers.trainable_params(store) < helpers.total_params(store)
 
 
 def test_adapter_parameter_count_desk_config():

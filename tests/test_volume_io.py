@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+import helpers
 from voxseg import volume_io as vio
 
 
@@ -169,7 +170,7 @@ class TestSplits:
         assert (len(s1.train), len(s1.val), len(s1.test)) == (14, 2, 4)
         assert (len(s2.train), len(s2.val), len(s2.test)) == (14, 2, 4)
         assert s1.train != s2.train  # different shuffles
-        assert sorted(s1.all_cases()) == sorted(s2.all_cases()) == ids
+        assert sorted(helpers.all_cases(s1)) == sorted(helpers.all_cases(s2)) == ids
 
     def test_duplicates_rejected(self):
         with pytest.raises(vio.VolumeError):
@@ -184,7 +185,7 @@ class TestSplits:
     def test_split_partitions_exactly(self, n, seed):
         ids = [f"case{i}" for i in range(n)]
         split = vio.split_dataset(ids, seed=seed)
-        assert sorted(split.all_cases()) == sorted(ids)
+        assert sorted(helpers.all_cases(split)) == sorted(ids)
         assert not (set(split.train) & set(split.val))
         assert not (set(split.train) & set(split.test))
         assert not (set(split.val) & set(split.test))
