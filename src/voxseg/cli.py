@@ -4,7 +4,7 @@ Subcommands:
     synth      emit a deterministic phantom dataset
     train      train per a key=value config file
     eval       score a checkpoint on a dataset split
-    flops      print analytic cost tables (no tensor execution)
+    flops      print the whole model's analytic cost table (no tensor execution)
     gradcheck  run the full gradient-verification suite
 
 The paper's prompt-layer ablation is one ``voxseg train --set
@@ -29,13 +29,6 @@ def _parse_triple(text):
     parts = tuple(int(p) for p in text.split(","))
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"need three comma-separated ints, got {text!r}")
-    return parts
-
-
-def _parse_shape4(text):
-    parts = tuple(int(p) for p in text.split(","))
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"need H,W,D,C, got {text!r}")
     return parts
 
 
@@ -86,14 +79,6 @@ def build_parser():
     p = sub.add_parser("flops", help="analytic cost accounting")
     p.add_argument("--config", default=None)
     p.add_argument("--set", dest="override", action="append", metavar="KEY=VALUE")
-    p.add_argument("--feature-shape", type=_parse_shape4, default=None,
-                   help="H,W,D,C for the prompter-only table")
-    p.add_argument("--prompter",
-                   choices=["spatial", "dual-shared", "dual-full"], default=None,
-                   help="print the prompter variant table instead of the full model")
-    p.add_argument("--n", type=int, default=64, help="reduced token count")
-    p.add_argument("--mac", type=int, choices=[1, 2], default=None,
-                   help="flops per multiply-accumulate (default from config)")
 
     p = sub.add_parser("gradcheck", help="run the gradient-verification suite")
     p.add_argument("--instances", type=int, default=20)
@@ -132,10 +117,7 @@ def _cmd_eval(args):
     from .volume_io import split_dataset
 
     _step, config_lines, entries, _moments = ckpt.load_checkpoint(args.checkpoint)
-    cfg = Config.default()
-    for line in config_lines:
-        key, val = (s.strip() for s in line.split("=", 1))
-        cfg.override(key, val)
+    cfg = Config.from_lines(config_lines, source=args.checkpoint)
     _echo(cfg)
     spec = model_spec_from_config(cfg)
     store = ckpt.store_from_entries(entries)
@@ -171,19 +153,8 @@ def _cmd_flops(args):
     from . import costs
 
     cfg = _load_config(args)
-    mac = args.mac if args.mac is not None else cfg.get_int("flops.mac")
-    if args.prompter or args.feature_shape:
-        shape = args.feature_shape or (32, 32, 32, 256)
-        print(costs.prompter_table(shape, n=args.n, mac_flops=mac))
-        if args.prompter:
-            rep = costs.prompter_cost(shape, args.n, args.prompter, mac_flops=mac)
-            print(f"\n[{args.prompter}] total flops {rep.flops():,}  "
-                  f"linear {rep.flops(category='linear'):,}  params {rep.params():,}")
-        return 0
     _echo(cfg)
-    spec = model_spec_from_config(cfg)
-    rep = costs.count_cost(spec, mac_flops=mac)
-    print(rep.render())
+    print(costs.count_cost(model_spec_from_config(cfg)).render())
     return 0
 
 

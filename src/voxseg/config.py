@@ -3,7 +3,8 @@
 Files are plain text: one ``key = value`` per line, '#' starts a
 comment. Every key must exist in DEFAULTS (typos fail fast); every run
 echoes the fully resolved configuration so logs pin down the exact
-settings bit-for-bit.
+settings bit-for-bit. A removed switch (``_RETIRED``) is still read at
+the value the model kept, so older files and checkpoints load.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ DEFAULTS = {
     "model.embed_dim": ("64", int),
     "model.layers": ("12", int),
     "model.mlp_ratio": ("4", int),
-    "model.activation": ("gelu", str),
     "patch.h": ("4", int),
     "patch.w": ("4", int),
     "patch.d": ("4", int),
@@ -30,9 +30,7 @@ DEFAULTS = {
     "encoder.scale": ("1.0", float),
     "encoder.taps": ("3,6,9,12", str),
     "prompter.n": ("64", int),
-    "prompter.share_qk": ("true", None),
     "prompter.layer": ("12", int),
-    "prompter.scaling": ("true", None),
     "decoder.channels": ("16", int),
     "decoder.no_image_branch": ("false", None),
     "decoder.share_image_branch": ("false", None),
@@ -59,11 +57,21 @@ DEFAULTS = {
     "augment.flip_d": ("0.0", float),
     "eval.tau": ("1.0", float),
     "loss.smooth": ("1e-5", float),
-    "flops.mac": ("2", int),
 }
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
+
+# Removed switches, each with the one value the model kept (a boolean
+# matches in any _BOOL spelling). Older config files and checkpoints that
+# set one to that value still load, and the key is dropped; any other
+# value is refused by name.
+_RETIRED = {
+    "model.activation": "gelu",
+    "prompter.share_qk": True,
+    "prompter.scaling": True,
+    "flops.mac": "2",
+}
 
 
 @dataclass
@@ -76,21 +84,34 @@ class Config:
 
     @classmethod
     def load(cls, path):
-        cfg = cls.default()
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                if "=" not in body:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-                key, raw = (s.strip() for s in body.split("=", 1))
-                if key not in DEFAULTS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                cfg.values[key] = raw
+            return cls.from_lines(fh, source=path)
+
+    @classmethod
+    def from_lines(cls, lines, source="config"):
+        """Defaults overridden by ``key = value`` lines: a config file's or
+        a checkpoint's saved ``resolved_lines()``."""
+        cfg = cls.default()
+        for lineno, line in enumerate(lines, 1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            if "=" not in body:
+                raise ConfigError(f"{source}:{lineno}: expected key = value, got {line!r}")
+            key, raw = (s.strip() for s in body.split("=", 1))
+            try:
+                cfg.override(key, raw)
+            except ConfigError as exc:
+                raise ConfigError(f"{source}:{lineno}: {exc}") from None
         return cfg
 
     def override(self, key, raw):
+        if key in _RETIRED:
+            kept, text = _RETIRED[key], str(raw).strip()
+            if _BOOL.get(text.lower(), text) != kept:
+                raise ConfigError(f"{key} was removed; the model always runs as "
+                                  f"{key} = {str(kept).lower()}, got {raw!r}")
+            return self
         if key not in DEFAULTS:
             raise ConfigError(f"unknown key {key!r}")
         self.values[key] = str(raw)
@@ -156,12 +177,9 @@ def model_spec_from_config(cfg: Config):
         mlp_ratio=cfg.get_int("model.mlp_ratio"),
         adapter_dim=adapter,
         adapter_scale=cfg.get_float("encoder.scale"),
-        activation=cfg.get_str("model.activation"),
         taps=cfg.get_int_tuple("encoder.taps"),
         prompt_n=cfg.get_int("prompter.n"),
         prompt_layer=cfg.get_int("prompter.layer"),
-        share_qk=cfg.get_bool("prompter.share_qk"),
-        attn_scaling=cfg.get_bool("prompter.scaling"),
         dec_channels=cfg.get_int("decoder.channels"),
         no_image_branch=cfg.get_bool("decoder.no_image_branch"),
         share_image_branch=cfg.get_bool("decoder.share_image_branch"),

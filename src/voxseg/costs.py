@@ -1,14 +1,11 @@
 """Analytic FLOP and parameter accounting. No tensors are executed:
 every count is a closed-form function of the configuration.
 
-Multiply-accumulates are tallied separately from other flops so the MAC
-convention (2 flops per MAC by default, 1 with ``mac_flops=1``) can be
-switched without re-deriving anything. Headline comparisons between
-prompter variants use the 'linear' category — the multiply-accumulates
-of parameterized linear maps, the convention common FLOP profilers
-apply (they instrument layers, not raw attention matmuls). The
-attention products are itemized under 'attention' and can be included
-explicitly.
+Multiply-accumulates are tallied separately from other flops, and a
+multiply-accumulate counts as 2 flops. The 'linear' category holds the
+multiply-accumulates of parameterized linear maps, the convention
+common FLOP profilers apply (they instrument layers, not raw attention
+matmuls); the attention products are itemized under 'attention'.
 """
 
 from __future__ import annotations
@@ -17,8 +14,6 @@ from dataclasses import dataclass, field
 
 from . import decoder as dec
 from .model import ModelSpec
-
-PROMPTER_VARIANTS = ("spatial", "dual-shared", "dual-full")
 
 
 @dataclass(frozen=True)
@@ -34,7 +29,6 @@ class CostItem:
 @dataclass
 class CostReport:
     items: list[CostItem] = field(default_factory=list)
-    mac_flops: int = 2
 
     def _filtered(self, module=None, category=None):
         return [
@@ -49,7 +43,7 @@ class CostReport:
 
     def flops(self, module=None, category=None):
         sel = self._filtered(module, category)
-        return sum(it.macs * self.mac_flops + it.other_flops for it in sel)
+        return sum(2 * it.macs + it.other_flops for it in sel)
 
     def params(self, module=None):
         return sum(it.params for it in self._filtered(module))
@@ -74,7 +68,6 @@ class CostReport:
             f"{'total':<12} {self.flops():>16,} {self.flops(category='linear'):>16,} "
             f"{self.params():>12,}"
         )
-        lines.append(f"(convention: {self.mac_flops} flops per multiply-accumulate)")
         return "\n".join(lines)
 
 
@@ -133,47 +126,34 @@ def encoder_items(spec: ModelSpec):
     return items
 
 
-def prompter_items(token_count, channels, n, variant, module="prompter"):
-    """Items for one prompter variant at (M, C) with n reduced tokens."""
-    if variant not in PROMPTER_VARIANTS:
-        raise ValueError(f"unknown prompter variant {variant!r}; choose {PROMPTER_VARIANTS}")
-    m, c = token_count, channels
+def prompter_items(spec: ModelSpec):
+    """The dual prompter at one tap: M tokens of C channels, n reduced
+    keys, one Z@W_q and one Z@W_k product read by both branches."""
+    m, c, n = spec.token_count, spec.embed_dim, spec.prompt_n
+    mod = "prompter"
     norm_flops = 5 * m * c
-    items = [
-        CostItem(module, "sa.q_proj", "linear", macs=m * c * c, params=c * c),
-        CostItem(module, "sa.k_proj", "linear", macs=m * c * c, params=c * c),
-        CostItem(module, "sa.v_proj", "linear", macs=m * c * c, params=c * c),
-        CostItem(module, "sa.reduce_k", "linear", macs=n * m * c, params=n * m),
-        CostItem(module, "sa.reduce_v", "linear", macs=n * m * c, params=n * m),
-        CostItem(module, "sa.q_norm", "norm", other_flops=norm_flops, params=2 * c),
-        CostItem(module, "sa.logits", "attention", macs=n * m * c,
+    return [
+        CostItem(mod, "sa.q_proj", "linear", macs=m * c * c, params=c * c),
+        CostItem(mod, "sa.k_proj", "linear", macs=m * c * c, params=c * c),
+        CostItem(mod, "sa.v_proj", "linear", macs=m * c * c, params=c * c),
+        CostItem(mod, "sa.reduce_k", "linear", macs=n * m * c, params=n * m),
+        CostItem(mod, "sa.reduce_v", "linear", macs=n * m * c, params=n * m),
+        CostItem(mod, "sa.q_norm", "norm", other_flops=norm_flops, params=2 * c),
+        CostItem(mod, "sa.logits", "attention", macs=n * m * c,
                  other_flops=4 * n * m),
-        CostItem(module, "sa.mix", "attention", macs=n * m * c),
-    ]
-    if variant == "spatial":
-        items.append(CostItem(module, "sa.down", "linear",
-                              macs=m * c * c, params=c * c))
-        return items
-    # dual variants add channel attention and the residual fusion
-    items += [
-        CostItem(module, "ca.v_proj", "linear", macs=m * c * c, params=c * c),
-        CostItem(module, "ca.q_norm", "norm", other_flops=norm_flops, params=2 * c),
-        CostItem(module, "ca.k_norm", "norm", other_flops=norm_flops, params=2 * c),
-        CostItem(module, "ca.logits", "attention", macs=m * c * c,
+        CostItem(mod, "sa.mix", "attention", macs=n * m * c),
+        CostItem(mod, "ca.v_proj", "linear", macs=m * c * c, params=c * c),
+        CostItem(mod, "ca.q_norm", "norm", other_flops=norm_flops, params=2 * c),
+        CostItem(mod, "ca.k_norm", "norm", other_flops=norm_flops, params=2 * c),
+        CostItem(mod, "ca.logits", "attention", macs=m * c * c,
                  other_flops=4 * c * c),
-        CostItem(module, "ca.mix", "attention", macs=m * c * c),
-        CostItem(module, "sa.down", "linear", macs=m * c * (c // 2),
+        CostItem(mod, "ca.mix", "attention", macs=m * c * c),
+        CostItem(mod, "sa.down", "linear", macs=m * c * (c // 2),
                  params=c * (c // 2)),
-        CostItem(module, "ca.down", "linear", macs=m * c * (c // 2),
+        CostItem(mod, "ca.down", "linear", macs=m * c * (c // 2),
                  params=c * (c // 2)),
-        CostItem(module, "residual", "other", other_flops=m * c),
+        CostItem(mod, "residual", "other", other_flops=m * c),
     ]
-    if variant == "dual-full":  # unshared: CA recomputes its own Q/K products
-        items += [
-            CostItem(module, "ca.q_proj", "linear", macs=m * c * c, params=c * c),
-            CostItem(module, "ca.k_proj", "linear", macs=m * c * c, params=c * c),
-        ]
-    return items
 
 
 def _conv_block_items(module, name, voxels_out, cin, cout, k=27):
@@ -236,48 +216,8 @@ def decoder_items(spec: ModelSpec):
 # ---------------------------------------------------------------------------
 
 
-def count_cost(spec: ModelSpec, mac_flops=2) -> CostReport:
+def count_cost(spec: ModelSpec) -> CostReport:
     """Whole-model analytic cost for one forward pass."""
     spec.validate()
-    variant = "dual-shared" if spec.share_qk else "dual-full"
-    items = (
-        patch_embed_items(spec)
-        + encoder_items(spec)
-        + prompter_items(spec.token_count, spec.embed_dim, spec.prompt_n, variant)
-        + decoder_items(spec)
-    )
-    return CostReport(items=items, mac_flops=mac_flops)
-
-
-def prompter_cost(feature_shape, n, variant, mac_flops=2) -> CostReport:
-    """Prompter-only cost at an explicit feature-map shape (H, W, D, C)."""
-    h, w, d, c = feature_shape
-    return CostReport(
-        items=prompter_items(h * w * d, c, n, variant), mac_flops=mac_flops
-    )
-
-
-def prompter_sharing_reduction(feature_shape=(32, 32, 32, 256), n=64, mac_flops=2):
-    """(full - shared) / full over the linear-map flops of the dual prompter.
-
-    Convention-invariant: the MAC factor cancels in the ratio.
-    """
-    full = prompter_cost(feature_shape, n, "dual-full", mac_flops)
-    shared = prompter_cost(feature_shape, n, "dual-shared", mac_flops)
-    f = full.flops(category="linear")
-    s = shared.flops(category="linear")
-    return (f - s) / f
-
-
-def prompter_table(feature_shape=(32, 32, 32, 256), n=64, mac_flops=2):
-    """Per-variant totals plus the sharing reduction, rendered as text."""
-    lines = [f"{'prompt method':<22} {'linear flops':>16} {'params':>12}"]
-    for variant in PROMPTER_VARIANTS:
-        rep = prompter_cost(feature_shape, n, variant, mac_flops)
-        lines.append(
-            f"{variant:<22} {rep.flops(category='linear'):>16,} {rep.params():>12,}"
-        )
-    red = prompter_sharing_reduction(feature_shape, n, mac_flops)
-    lines.append(f"sharing reduction (full vs shared): {red:.1%}")
-    lines.append(f"(convention: {mac_flops} flops per multiply-accumulate)")
-    return "\n".join(lines)
+    return CostReport(items=patch_embed_items(spec) + encoder_items(spec)
+                      + prompter_items(spec) + decoder_items(spec))

@@ -8,8 +8,9 @@ Layer recurrence, in exactly this order:
     z_ddot = norm(z_hat)                  (pre-MLP norm, frozen affine)
     z_out  = mlp(z_ddot) + s * adapter(z_ddot)
 
-The adapter branch relu(X @ down) @ up is the only trainable piece of a
-layer; ``s`` is a fixed scale coefficient. Attention is full (global)
+The MLP is linear -> GELU -> linear, as in SAM's encoder. The adapter
+branch relu(X @ down) @ up is the only trainable piece of a layer; ``s``
+is a fixed scale coefficient. Attention is full (global)
 multi-head self-attention over all H*W*D tokens: at desk-scale token
 counts windowing buys nothing and global attention is exact. Each layer's
 softmax(q k^T / sqrt(d)) v is one fused autodiff op (``ad.attention``)
@@ -130,13 +131,12 @@ def attention_forward(z: Tensor, p: LayerParams, heads):
     return ad.matmul(ctx, p.wo, bias=p.bo)
 
 
-def mlp_forward(z: Tensor, p: LayerParams, activation):
-    h = ad.matmul(z, p.mlp_w1, bias=p.mlp_b1)
-    h = ad.gelu(h) if activation == "gelu" else ad.relu(h)
+def mlp_forward(z: Tensor, p: LayerParams):
+    h = ad.gelu(ad.matmul(z, p.mlp_w1, bias=p.mlp_b1))
     return ad.matmul(h, p.mlp_w2, bias=p.mlp_b2)
 
 
-def layer_forward(fm: FeatureMap, p: LayerParams, s, heads, activation="gelu"):
+def layer_forward(fm: FeatureMap, p: LayerParams, s, heads):
     """One full transformer layer on a feature map; shape preserved."""
     z_prev = fm.tokens()
     with ad.scope("layer_forward/norm1"):
@@ -147,7 +147,7 @@ def layer_forward(fm: FeatureMap, p: LayerParams, s, heads, activation="gelu"):
     with ad.scope("layer_forward/norm2"):
         z_ddot = ad.layer_norm(z_hat, axis=-1, gain=p.norm2_g, shift=p.norm2_b)
     with ad.scope("layer_forward/mlp"):
-        mlp = mlp_forward(z_ddot, p, activation)
+        mlp = mlp_forward(z_ddot, p)
     with ad.scope("layer_forward/adapter"):
         adapter = adapter_forward(z_ddot, p)
     with ad.scope("layer_forward/output"):
@@ -163,7 +163,7 @@ def encode(fm: FeatureMap, spec, store):
     for i in range(1, spec.layers + 1):
         p = LayerParams.from_store(store, i)
         with ad.scope(f"layer{i:02d}"):
-            z = layer_forward(z, p, spec.adapter_scale, spec.heads, spec.activation)
+            z = layer_forward(z, p, spec.adapter_scale, spec.heads)
         if i in spec.taps:
             taps[i] = z
     return taps

@@ -42,12 +42,9 @@ class ModelSpec:
     mlp_ratio: int = 4
     adapter_dim: int = 16
     adapter_scale: float = 1.0
-    activation: str = "gelu"
     taps: tuple[int, ...] = (3, 6, 9, 12)
     prompt_n: int = 64
     prompt_layer: int = 12
-    share_qk: bool = True
-    attn_scaling: bool = True
     dec_channels: int = 16
     no_image_branch: bool = False
     share_image_branch: bool = False
@@ -90,8 +87,6 @@ class ModelSpec:
             raise ValueError("adapter_dim must be smaller than embed_dim")
         if not math.isfinite(self.adapter_scale):
             raise ValueError("adapter_scale must be finite")
-        if self.activation not in ("gelu", "relu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
         if not all(1 <= t <= self.layers for t in self.taps):
             raise ValueError(f"taps {self.taps} outside 1..{self.layers}")
         if len(set(self.taps)) != len(self.taps):
@@ -183,9 +178,9 @@ def forward(spec: ModelSpec, store, volume):
         fm = embed_volume(x, spec, store)
     with ad.scope("encoder"):
         taps = enc.encode(fm, spec, store)
-    pparams = pr.PrompterParams.from_store(store, spec.share_qk)
+    pparams = pr.PrompterParams.from_store(store)
     with ad.scope("prompter"):
-        prompted = pr.attach_prompter(taps, pparams, spec.prompt_layer, spec.attn_scaling)
+        prompted = pr.attach_prompter(taps, pparams, spec.prompt_layer)
     enhanced, shared = [], None
     for j, tap_index in enumerate(sorted(prompted), start=1):
         ep = dec.enhancer_from_store(store, j, spec)

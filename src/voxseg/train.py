@@ -31,7 +31,7 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import metrics as mx
 from . import model as mdl
-from .config import Config, model_spec_from_config
+from .config import Config, ConfigError, model_spec_from_config
 from .objectives import LossConfig, combined_loss
 from .optim import AdamW, AdamWConfig
 from .volume_io import (
@@ -116,7 +116,8 @@ class TrainResult:
     """What one ``train()`` call produced.
 
     After a resume, ``history`` and ``loss_trace`` hold only the steps of
-    this call, not those before the checkpoint it resumed from.
+    this call, not those before the checkpoint it resumed from. ``store``
+    carries no gradients.
     """
 
     spec: mdl.ModelSpec
@@ -171,17 +172,20 @@ def evaluate_cases(spec, store, data_dir, case_ids, tau=1.0):
     return out
 
 
-def _check_resume_config(path, saved_lines, current_lines):
-    """Refuse to resume under a config that differs outside the allowlist."""
+def _check_resume_config(path, saved_lines, cfg: Config):
+    """Refuse to resume under a config that differs outside the allowlist.
 
-    def parse(lines):
-        return dict((s.strip() for s in line.split("=", 1)) for line in lines)
-
-    saved, current = parse(saved_lines), parse(current_lines)
+    The saved lines are read as a config file is, so a removed switch at
+    the value the model kept is dropped, and any other value is refused.
+    """
+    try:
+        saved = Config.from_lines(saved_lines, source=path).values
+    except ConfigError as exc:
+        raise ckpt.CheckpointError("config_mismatch", str(exc)) from None
     drift = [
-        f"{key} ({saved.get(key)} -> {current.get(key)})"
-        for key in sorted(saved.keys() | current.keys())
-        if saved.get(key) != current.get(key) and key not in _RESUME_MAY_CHANGE
+        f"{key} ({saved[key]} -> {cfg.values[key]})"
+        for key in sorted(saved)
+        if saved[key] != cfg.values[key] and key not in _RESUME_MAY_CHANGE
     ]
     if drift:
         raise ckpt.CheckpointError(
@@ -233,7 +237,7 @@ def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResul
     optimizer = AdamW(store, _adamw_config(cfg))
     if resume is not None:
         step0, saved_lines, entries, moments = ckpt.load_checkpoint(resume)
-        _check_resume_config(resume, saved_lines, cfg.resolved_lines())
+        _check_resume_config(resume, saved_lines, cfg)
         ckpt.restore_into(store, entries)
         optimizer.load_state({"step": step0,
                               "m": {n: m for n, (m, _) in moments.items()},
@@ -300,6 +304,7 @@ def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResul
                 log.error("step %d diverged (%s); aborting with the last good checkpoint",
                           global_step, exc)
                 save(last_path)
+                store.zero_grad()
                 result.aborted = True
                 result.last_checkpoint = last_path
                 return result
@@ -339,6 +344,7 @@ def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResul
             break
 
     save(last_path)
+    store.zero_grad()
     result.last_checkpoint = last_path
     if result.best_checkpoint is None:
         result.best_checkpoint = last_path

@@ -463,9 +463,8 @@ def _mini_prompter_params(rng, c=4, n=3, m=8):
     def t(*shape, scale=0.5):
         return ad.tensor(rng.standard_normal(shape) * scale, dtype=np.float64)
 
-    wq, wk = t(c, c), t(c, c)
     return pr.PrompterParams(
-        wq_sa=wq, wk_sa=wk, wq_ca=wq, wk_ca=wk,
+        wq=t(c, c), wk=t(c, c),
         wv_sa=t(c, c), wv_ca=t(c, c),
         reduce_k=t(n, m), reduce_v=t(n, m),
         down_sa=t(c, c // 2), down_ca=t(c, c // 2),

@@ -1,6 +1,7 @@
 """Config parsing/echo and checkpoint round trips."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ class TestConfig:
         cfg = Config.default()
         assert cfg.get_int("model.embed_dim") == 64
         assert cfg.get_float("train.lr") == 2e-4
-        assert cfg.get_bool("prompter.share_qk") is True
+        assert cfg.get_bool("decoder.no_image_branch") is False
         assert cfg.get_int_tuple("encoder.taps") == (3, 6, 9, 12)
 
     def test_load_file_with_comments(self, tmp_path):
@@ -44,6 +45,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             Config.default().override("nope", 1)
 
+    def test_removed_switch_read_at_kept_value(self, tmp_path):
+        """A removed switch set to the value the model kept loads and is
+        dropped, so the echo never shows it; any other value names it."""
+        path = tmp_path / "old.cfg"
+        path.write_text("model.activation = gelu\nprompter.share_qk = yes\n"
+                        "prompter.scaling = true\nflops.mac = 2\nprompter.layer = 6\n")
+        expected = Config.default().override("prompter.layer", "6")
+        assert Config.load(path).resolved_lines() == expected.resolved_lines()
+        for key, raw in [("prompter.share_qk", "false"), ("prompter.scaling", "0"),
+                         ("model.activation", "relu"), ("flops.mac", "1"),
+                         ("flops.mac", "two")]:
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key)} was removed"):
+                Config.default().override(key, raw)
+        path.write_text("train.lr = 1e-3\nprompter.share_qk = false\n")
+        with pytest.raises(ConfigError, match=r"old\.cfg:2: prompter\.share_qk was removed"):
+            Config.load(path)
+
+    def test_from_lines_reads_the_echo_back(self):
+        cfg = Config.default().override("train.lr", "1e-3").override("patch.mode", "true3d")
+        assert Config.from_lines(cfg.resolved_lines()).values == cfg.values
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("just some words\n")
@@ -61,9 +83,9 @@ class TestConfig:
         cfg = Config.default().override("model.embed_dim", "abc")
         with pytest.raises(ConfigError):
             cfg.get_int("model.embed_dim")
-        cfg2 = Config.default().override("prompter.share_qk", "maybe")
-        with pytest.raises(ConfigError, match=r"^prompter\.share_qk: "):
-            cfg2.get_bool("prompter.share_qk")
+        cfg2 = Config.default().override("decoder.no_image_branch", "maybe")
+        with pytest.raises(ConfigError, match=r"^decoder\.no_image_branch: "):
+            cfg2.get_bool("decoder.no_image_branch")
         cfg3 = Config.default().override("encoder.adapter_dim", "abc")
         with pytest.raises(ConfigError, match=r"^encoder\.adapter_dim: "):
             model_spec_from_config(cfg3)
@@ -176,7 +198,7 @@ class TestCheckpoint:
         _, _, entries, _ = ckpt.load_checkpoint(path)
         other_spec = mdl.ModelSpec(
             vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=16, heads=2,
-            adapter_dim=4, prompt_n=16, dec_channels=8, share_qk=False,
+            adapter_dim=4, prompt_n=16, dec_channels=8, share_image_branch=True,
         ).validate()
         with ad.precision("f32"):
             other = mdl.init_store(other_spec, 0)

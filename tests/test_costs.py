@@ -1,7 +1,6 @@
-"""Accountant: table relations, scaling laws, and exact agreement with a
-direct enumeration of the parameter store."""
+"""Accountant: scaling laws and exact agreement with a direct
+enumeration of the parameter store."""
 
-import numpy as np
 import pytest
 
 import helpers
@@ -9,53 +8,30 @@ from voxseg import autodiff as ad
 from voxseg import costs
 from voxseg import model as mdl
 
-SAM_SHAPE = (32, 32, 32, 256)
-
 
 class TestPrompterTable:
-    def test_sharing_reduction_both_conventions(self):
-        for mac in (1, 2):
-            r = costs.prompter_sharing_reduction(SAM_SHAPE, 64, mac_flops=mac)
-            assert abs(r - 0.27) <= 0.03, r
-
-    def test_param_ordering_and_delta(self):
-        p = {v: costs.prompter_cost(SAM_SHAPE, 64, v).params()
-             for v in costs.PROMPTER_VARIANTS}
-        assert p["spatial"] < p["dual-shared"] < p["dual-full"]
-        assert p["dual-full"] - p["dual-shared"] == 2 * 256 * 256
+    """The prompter's rows of the whole-model cost table."""
 
     def test_doubling_channels_quadruples_projection_params(self):
         def proj_params(c):
-            rep = costs.prompter_cost((8, 8, 8, c), 16, "dual-full")
-            return sum(it.params for it in rep.items if it.name.endswith("_proj"))
+            items = costs.prompter_items(mdl.ModelSpec(embed_dim=c))
+            return sum(it.params for it in items if it.name.endswith("_proj"))
 
         assert proj_params(128) == 4 * proj_params(64)
 
     def test_attention_terms_linear_in_tokens(self):
         """Doubling M at fixed n doubles attention-category flops within 1%."""
-        n, c = 64, 64
-        base = costs.prompter_cost((8, 8, 8, c), n, "dual-shared")
-        double = costs.prompter_cost((16, 8, 8, c), n, "dual-shared")
-        a1 = base.flops(category="attention")
-        a2 = double.flops(category="attention")
+        base = costs.count_cost(mdl.ModelSpec(vol_dims=(32, 32, 32)))
+        double = costs.count_cost(mdl.ModelSpec(vol_dims=(64, 32, 32)))
+        a1 = base.flops("prompter", category="attention")
+        a2 = double.flops("prompter", category="attention")
         assert abs(a2 / a1 - 2.0) < 0.01
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            costs.prompter_cost(SAM_SHAPE, 64, "bogus")
-
-    def test_mac_convention_scales_mac_items_only(self):
-        r1 = costs.prompter_cost(SAM_SHAPE, 64, "spatial", mac_flops=1)
-        r2 = costs.prompter_cost(SAM_SHAPE, 64, "spatial", mac_flops=2)
-        assert r2.flops(category="linear") == 2 * r1.flops(category="linear")
-        assert r1.params() == r2.params()
 
 
 class TestAccountantVsStore:
     @pytest.mark.parametrize("kwargs", [
         {},  # desk default
         {"patch_mode": "true3d"},
-        {"share_qk": False},
         {"share_image_branch": True},
         {"vol_dims": (16, 16, 16), "embed_dim": 16, "heads": 2, "adapter_dim": 4,
          "prompt_n": 16, "dec_channels": 8},
@@ -76,7 +52,7 @@ class TestAccountantVsStore:
     def test_totals_equal_sum_of_parts(self):
         rep = costs.count_cost(mdl.ModelSpec().validate())
         assert rep.flops() == sum(
-            it.macs * rep.mac_flops + it.other_flops for it in rep.items
+            2 * it.macs + it.other_flops for it in rep.items
         )
         assert rep.params() == sum(it.params for it in rep.items)
 
@@ -96,5 +72,3 @@ class TestAccountantVsStore:
     def test_render_smoke(self):
         text = costs.count_cost(mdl.ModelSpec().validate()).render()
         assert "total" in text and "encoder" in text
-        table = costs.prompter_table()
-        assert "sharing reduction" in table

@@ -66,7 +66,7 @@ def test_adapter_channel_mismatch(rng):
 # ---------------------------------------------------------------------------
 
 
-def _numpy_layer_oracle(x, p, s, heads, activation="gelu"):
+def _numpy_layer_oracle(x, p, s, heads):
     """Literal recomputation of the layer recurrence in plain numpy."""
 
     def norm(v, g, b):
@@ -87,8 +87,6 @@ def _numpy_layer_oracle(x, p, s, heads, activation="gelu"):
         return ctx @ p.wo.numpy() + p.bo.numpy()
 
     def act(v):
-        if activation == "relu":
-            return np.maximum(v, 0)
         return 0.5 * v * (1 + np.tanh(np.sqrt(2 / np.pi) * (v + 0.044715 * v**3)))
 
     def mlp(z):

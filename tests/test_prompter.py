@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import helpers
 from voxseg import autodiff as ad
 from voxseg import model as mdl
 from voxseg import prompter as pr
@@ -29,17 +28,15 @@ def _identity_reducer_params(rng, c, m):
     return dataclasses.replace(p, reduce_k=eye, reduce_v=eye)
 
 
-def _full_attention_oracle(z, p, scaling):
+def _full_attention_oracle(z, p):
     """Brute-force token self-attention with the same weights (numpy)."""
-    q = z @ p.wq_sa.numpy()
+    q = z @ p.wq.numpy()
     mu = q.mean(-1, keepdims=True)
     q = (q - mu) / np.sqrt(q.var(-1, keepdims=True) + 1e-6)
     q = q * p.norm_q_sa_g.numpy() + p.norm_q_sa_b.numpy()
-    k = z @ p.wk_sa.numpy()
+    k = z @ p.wk.numpy()
     v = z @ p.wv_sa.numpy()
-    logits = k @ q.T  # (keys, queries)
-    if scaling:
-        logits = logits / math.sqrt(z.shape[1])
+    logits = k @ q.T / math.sqrt(z.shape[1])  # (keys, queries)
     e = np.exp(logits - logits.max(axis=0, keepdims=True))
     w = e / e.sum(axis=0, keepdims=True)
     return w.T @ v
@@ -59,14 +56,14 @@ class TestSpatialAttention:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31), m=st.integers(2, 16),
-           c=st.sampled_from([2, 4, 6]), scaling=st.booleans())
-    def test_identity_reducers_equal_full_attention(self, seed, m, c, scaling):
+           c=st.sampled_from([2, 4, 6]))
+    def test_identity_reducers_equal_full_attention(self, seed, m, c):
         rng = np.random.default_rng(seed)
         with ad.precision("f64"):
             p = _identity_reducer_params(rng, c, m)
             z = rng.standard_normal((m, c))
-            out = pr.spatial_attention(ad.tensor(z), p, scaling=scaling).numpy()
-            oracle = _full_attention_oracle(z, p, scaling)
+            out = pr.spatial_attention(ad.tensor(z), p).numpy()
+            oracle = _full_attention_oracle(z, p)
         assert np.abs(out - oracle).max() < 1e-6
 
     def test_constant_tokens_give_constant_output(self, rng):
@@ -104,16 +101,16 @@ class TestChannelAttention:
         c, m = 2, 5
         p = _mini_prompter_params(rng, c=c, n=2, m=m)
         z = rng.standard_normal((m, c))
-        out = pr.channel_attention(ad.tensor(z), p, scaling=False).numpy()
+        out = pr.channel_attention(ad.tensor(z), p).numpy()
 
         def norm(v, g, b):
             mu = v.mean(-1, keepdims=True)
             return (v - mu) / np.sqrt(v.var(-1, keepdims=True) + 1e-6) * g + b
 
-        q = norm(z @ p.wq_ca.numpy(), p.norm_q_ca_g.numpy(), p.norm_q_ca_b.numpy())
-        k = norm(z @ p.wk_ca.numpy(), p.norm_k_ca_g.numpy(), p.norm_k_ca_b.numpy())
+        q = norm(z @ p.wq.numpy(), p.norm_q_ca_g.numpy(), p.norm_q_ca_b.numpy())
+        k = norm(z @ p.wk.numpy(), p.norm_k_ca_g.numpy(), p.norm_k_ca_b.numpy())
         v = z @ p.wv_ca.numpy()
-        logits = q.T @ k
+        logits = q.T @ k / math.sqrt(c)
         e = np.exp(logits - logits.max(axis=0, keepdims=True))
         s = e / e.sum(axis=0, keepdims=True)
         expected = v @ s
@@ -159,9 +156,11 @@ class TestDualPrompt:
 
 
     def test_shared_products_computed_once(self, rng):
-        """Shared W_q / W_k: both branches read one Z@W_q and one Z@W_k node,
-        and the result equals the two standalone branches' fusion."""
+        """Both branches read one Z@W_q and one Z@W_k node, and the result
+        equals the two standalone branches' fusion."""
         p = _mini_prompter_params(rng)
+        p = dataclasses.replace(p, wq=ad.tensor(p.wq.numpy(), requires_grad=True),
+                                wk=ad.tensor(p.wk.numpy(), requires_grad=True))
         z = ad.tensor(rng.standard_normal((8, 4)), requires_grad=True)
         out = pr.dual_prompt(z, p)
         sa = pr.spatial_attention(z, p)
@@ -169,10 +168,10 @@ class TestDualPrompt:
         fused = np.concatenate([sa.numpy() @ p.down_sa.numpy(),
                                 ca.numpy() @ p.down_ca.numpy()], axis=1)
         np.testing.assert_allclose(out.numpy(), z.numpy() + fused, rtol=1e-12)
-        unshared = dataclasses.replace(p, wq_ca=ad.tensor(p.wq_ca.numpy()),
-                                       wk_ca=ad.tensor(p.wk_ca.numpy()))
-        nodes = len(_topo(out))
-        assert len(_topo(pr.dual_prompt(z, unshared))) == nodes + 2
+        for w in (p.wq, p.wk):
+            products = [r for r in _topo(out._record) if r.op == "matmul"
+                        and any(parent is w._record for parent in r._parents)]
+            assert len(products) == 1
 
 
 class TestAttach:
@@ -218,17 +217,8 @@ class TestWeightSharing:
     def test_shared_mode_single_physical_copy(self):
         spec = mdl.ModelSpec(
             vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=16, heads=2,
-            adapter_dim=4, prompt_n=16, dec_channels=8, share_qk=True,
+            adapter_dim=4, prompt_n=16, dec_channels=8,
         ).validate()
         store = mdl.init_store(spec, seed=0)
-        p = pr.PrompterParams.from_store(store, share_qk=True)
-        assert p.wq_sa is p.wq_ca
-        assert p.wk_sa is p.wk_ca
-
-    def test_param_count_delta_is_exactly_2c2(self):
-        c = 16
-        base = dict(vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=c, heads=2,
-                    adapter_dim=4, prompt_n=16, dec_channels=8)
-        shared = mdl.init_store(mdl.ModelSpec(**base, share_qk=True).validate(), 0)
-        full = mdl.init_store(mdl.ModelSpec(**base, share_qk=False).validate(), 0)
-        assert helpers.total_params(full) - helpers.total_params(shared) == 2 * c * c
+        names = [n for n in store.names() if n.startswith(("prompter.wq", "prompter.wk"))]
+        assert names == ["prompter.wq", "prompter.wk"]

@@ -31,6 +31,26 @@ from voxseg.train import (
 from conftest import tiny_config
 
 
+# what a checkpoint written before four switches were removed carries
+# for them: the values the model kept
+_REMOVED_SWITCH_LINES = ["flops.mac = 2", "model.activation = gelu",
+                         "prompter.scaling = true", "prompter.share_qk = true"]
+
+
+def _with_config_lines(path, out, extra):
+    """Copy checkpoint ``path`` to ``out`` with ``extra`` config lines
+    merged into its sorted saved configuration."""
+    lines = ckpt.load_checkpoint(path)[1]
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    old = "".join(f"{line}\n" for line in [f"config {len(lines)}"] + lines)
+    merged = sorted(lines + extra)
+    new = "".join(f"{line}\n" for line in [f"config {len(merged)}"] + merged)
+    assert raw.count(old.encode()) == 1
+    with open(out, "wb") as fh:
+        fh.write(raw.replace(old.encode(), new.encode()))
+
+
 def _source_env():
     """Environment in which a child interpreter imports this checkout's
     voxseg and the tests' conftest."""
@@ -156,6 +176,7 @@ class TestTrainLoop:
         with caplog.at_level(logging.ERROR, logger=train_mod.__name__):
             res = train(cfg, data_dir, str(tmp_path / "run"))
         assert res.aborted
+        assert all(t.grad is None for _, t in res.store.trainable())
         # the abort names the op that made the non-finite value and its module
         [record] = [r for r in caplog.records if "diverged" in r.getMessage()]
         assert re.search(r"\(decoder\.[\w.]+/(\S+/)?conv3d: non-finite output\)",
@@ -171,6 +192,35 @@ class TestTrainLoop:
         assert cli_main(["train", "--config", str(cfg_path), "--data", data_dir,
                          "--out", str(tmp_path / "cli")]) == 1
         assert os.path.exists(tmp_path / "cli" / "last.ckpt")
+
+    def test_returned_store_holds_no_gradients(self, tiny_dataset, tmp_path):
+        data_dir, _ = tiny_dataset
+        res = train(tiny_config(**{"train.max_steps": 2}), data_dir, str(tmp_path / "run"))
+        assert len(res.loss_trace) == 2
+        assert all(t.grad is None for _, t in res.store.trainable())
+
+    def test_checkpoint_with_removed_switches_evaluates_and_resumes(
+            self, tiny_dataset, tmp_path, caplog):
+        """Removed switches saved at the values the model kept are dropped
+        on eval and resume; a checkpoint that set one otherwise is refused
+        with the switch named."""
+        data_dir, _ = tiny_dataset
+        half = train(tiny_config(**{"train.max_steps": 2}), data_dir, str(tmp_path / "half"))
+        old = str(tmp_path / "old.ckpt")
+        _with_config_lines(half.last_checkpoint, old, _REMOVED_SWITCH_LINES)
+        assert cli_main(["eval", "--checkpoint", old, "--data", data_dir]) == 0
+        resumed = train(tiny_config(), data_dir, str(tmp_path / "resumed"), resume=old)
+        full = train(tiny_config(), data_dir, str(tmp_path / "full"))
+        assert half.loss_trace + resumed.loss_trace == full.loss_trace
+
+        bad = str(tmp_path / "bad.ckpt")
+        _with_config_lines(half.last_checkpoint, bad, ["prompter.share_qk = false"])
+        with caplog.at_level(logging.ERROR):
+            assert cli_main(["eval", "--checkpoint", bad, "--data", data_dir]) == 1
+        assert "prompter.share_qk was removed" in caplog.text
+        with pytest.raises(ckpt.CheckpointError, match=r"prompter\.share_qk was removed") as err:
+            train(tiny_config(), data_dir, str(tmp_path / "refused"), resume=bad)
+        assert err.value.code == "config_mismatch"
 
     def test_case_graph_dies_before_next_forward(self, tiny_dataset, tmp_path, monkeypatch):
         """When a case's forward begins, no earlier case's output is alive,
@@ -301,12 +351,11 @@ class TestCLI:
         assert len(rows) == 4
 
     def test_flops_table(self, capsys):
-        assert cli_main(["flops", "--feature-shape", "32,32,32,256",
-                         "--prompter", "dual-shared"]) == 0
-        out = capsys.readouterr().out
-        assert "sharing reduction" in out
         assert cli_main(["flops"]) == 0
         assert "total" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["flops", "--prompter", "dual-shared"])
+        assert exc.value.code == 2
 
     def test_python_dash_m_help_exits_0(self):
         out = subprocess.run([sys.executable, "-m", "voxseg", "--help"], env=_source_env(),
