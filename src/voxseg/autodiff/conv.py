@@ -3,42 +3,68 @@
 Layout is channels-last throughout: activations (H, W, D, C), kernels
 (kh, kw, kd, Cin, Cout).
 
-Stride 1 on every axis (every conv of the decoder) builds no patch
-matrix. Flattened to rows, the padded input (Hp, Wp, Dp, Cin) holds the
-voxel that kernel tap (i, j, k) reads for output (a, b, c) at row
-r + off, with r = a*Wp*Dp + b*Dp + c and off = i*Wp*Dp + j*Dp + k. So
-each tap is one GEMM over a contiguous row slice, accumulated on the
-(Ho, Wp, Dp) row grid, from which the valid (Ho, Wo, Do) block is
-cropped (implicit GEMM, Chetlur et al. 2014, arXiv:1410.0759). The rows
-with b >= Wo or c >= Do are computed and discarded: 13% more rows than
-outputs at 32^3, 27% at 16^3 (3x3x3, padding 1).
+Each pass of a stride-1 conv (the forward, the input gradient and the
+kernel gradient) takes one of two forms, chosen from its shape alone
+(``_patches_pay``): shifted-row taps, or one GEMM over a small patch
+matrix.
 
-How the taps accumulate is chosen from the shape alone
+Shifted-row taps build no patch matrix. Flattened to rows, the padded
+input (Hp, Wp, Dp, Cin) holds the voxel that kernel tap (i, j, k) reads
+for output (a, b, c) at row r + off, with r = a*Wp*Dp + b*Dp + c and
+off = i*Wp*Dp + j*Dp + k. So each tap is one GEMM over a contiguous row
+slice, accumulated on the (Ho, Wp, Dp) row grid, from which the valid
+(Ho, Wo, Do) block is cropped (implicit GEMM, Chetlur et al. 2014,
+arXiv:1410.0759). The rows with b >= Wo or c >= Do are computed and
+discarded: 13% more rows than outputs at 32^3, 27% at 16^3 (3x3x3,
+padding 1).
+
+How the taps accumulate is chosen from the shape too
 (``_blas_accumulates``). Where it pays, each tap is one gemm with
 beta = 1 from numpy's own OpenBLAS (the library and thread pool that
 serve ``np.matmul``, reached through ctypes), which adds its product
 straight into the accumulator rows. Elsewhere, and wherever that symbol
 is missing, each product is a numpy temporary added into the
-accumulator. At every stride-1 conv shape of the desk and tiny models
-the two give bit-identical results (tested). Shifted-row correlation of
-a 3x3x3 conv, padding 1, f32, 2 BLAS threads, median ms:
+accumulator. gemm with beta = 1 loses where Cout is under 16 on grids up
+to 20^3, and where Cout is 4 even at 32^3 (OpenBLAS's paths for skinny
+C), and gains little below 16^3; so it runs for Cout >= 16 over >= 4096
+rows, or Cout >= 8 over >= 12288 rows. At every model shape whose
+forward stays on taps the two give bit-identical results (tested).
 
-    grid  Cin->Cout  numpy   gemm      grid  Cin->Cout  numpy   gemm
-    8^3     8->8      0.28   0.47      16^3   16->16     2.43   1.54
-    8^3    16->16     0.41   0.40      16^3   16->80    11.32   7.71
-    14^3   16->16     1.34   1.19      16^3   64->16     5.13   4.10
-    16^3    8->8      1.15   2.06      24^3    8->8      3.88   2.44
-    16^3   12->12     1.58   2.67      32^3    8->8     10.01   5.54
-    20^3    8->8      2.08   3.83      32^3   16->16    20.13  10.59
-    32^3    4->4      4.89  14.04
+The patch matrix (rows, taps * channels) is copied out of one
+``as_strided`` view (Ho, Wo, Do, kh, kw, kd, C) of the padded operand,
+kernel taps before channels. Its one GEMM replaces the taps' 27 GEMMs
+and their numpy calls, which at the tiny model's 8^3 grid cost more in
+calls and packing than in arithmetic (Goto & van de Geijn 2008, ACM TOMS
+34(3)); but the copy grows with the matrix, and past a few hundred
+thousand elements the taps win. So a pass reads patches when it has more
+than one tap and its matrix holds at most ``PATCH_ELEMS`` = 2^17
+elements (512 KiB in f32): the forward and the kernel gradient share the
+(Ho*Wo*Do, taps * Cin) matrix of the padded input, the input gradient
+reads the (H*W*D, taps * Cout) one of the padded output gradient. That
+holds for every pass of the tiny model's 8 -> 8 convs at 8^3 and for the
+input gradient of its 24 -> 8 and 32 -> 8 convs, and for no pass of the
+desk model. From ``PYTHONPATH=src python tests/conv_paths.py``: 3x3x3
+convs at padding 1 and the 1x1x1 projections at padding 0, f32, 2 BLAS
+threads, median ms of three runs, the rule's form starred:
 
-gemm with beta = 1 loses where Cout is under 16 on grids up to 20^3,
-and where Cout is 4 even at 32^3 (OpenBLAS's paths for skinny C), and
-gains little below 16^3; so it runs for Cout >= 16 over >= 4096 rows,
-or Cout >= 8 over >= 12288 rows (the left column keeps numpy adds, the
-right one takes gemm). That keeps every conv of the tiny model (8
-channels, grids up to 16^3) on numpy adds and every 3x3x3 conv of the
-desk model on gemm; 16->80 is the desk fuse conv's input gradient.
+                          forward             input gradient     kernel gradient
+    grid Cin->Cout k   patch  gemm numpy    patch  gemm numpy    patch  taps
+    16^3  16->16  3     2.33   1.60*  2.67     2.17   1.56*  2.53     2.27   2.58*
+    16^3  80->16  3    21.81   4.95*  6.50     4.66   3.54*  9.94    20.65   7.49*
+    16^3  64->16  3    11.21   3.94*  5.18     3.33   2.79*  8.54    12.85   5.76*
+    32^3  16->16  3    31.03  10.72* 18.59    29.21  10.67* 18.89    33.33  19.87*
+    32^3  16->1   1     0.14   0.75   0.15*    1.82   0.24*  2.21     0.15   0.15*
+     8^3   8->8   3     0.15*  0.42   0.24     0.09*  0.49   0.26     0.09*  0.17
+     8^3  24->8   3     0.38   0.64   0.44*    0.18*  0.32   0.48     0.42   0.34*
+     8^3  32->8   3     0.47   0.61   0.50*    0.20*  0.37   0.54     0.57   0.17*
+    16^3   8->8   3     1.13   2.26   1.12*    1.09   1.86   1.64*    1.31   0.71*
+    16^3   8->1   1     0.05   0.11   0.05*    0.15   0.10   0.16*    0.02   0.02*
+
+The first five rows are the desk model's, the last five the tiny
+model's. The patch matrix also wins a few passes past the cap (the desk
+64->16 and 80->16 input gradients and 16->16 kernel gradient, the tiny
+model's 16^3 input gradient), but at 3.5 to 7.1 MB a matrix. A single
+tap (1x1x1) is one GEMM either way, so it stays on taps.
 
 Like every op's closure (see ``tensor``), conv3d's keeps only what its
 backward reads: the inputs when the kernel needs a gradient, the kernel
@@ -67,37 +93,34 @@ transposed (D, H·W) copy instead. No axis is moved to the front and
 copied, and the results equal that form bit for bit (tested). The
 backward applies the transposed matrices the same way.
 
-Backward of a stride-1 conv3d:
-  * kernel gradient: the output gradient embedded in the same row grid,
-    zeros at the discarded rows; each tap is one GEMM, the tap's row
-    slice of the padded input transposed times that grid;
+Backward of a stride-1 conv3d, in the form its shape takes:
+  * kernel gradient: on patches, the transposed patch matrix times the
+    output gradient; on taps, the output gradient embedded in the same
+    row grid, zeros at the discarded rows, and each tap one GEMM, the
+    tap's row slice of the padded input transposed times that grid;
   * input gradient: the transposed convolution, i.e. the output gradient
     padded by k-1-p per side (cropped where p > k-1) and correlated with
-    the spatially flipped kernel, Cin and Cout swapped. It runs as the
-    shifted-row GEMMs above, except when Cin > Cout and those would
-    accumulate through numpy adds: then it is one GEMM over the im2col
-    patch matrix of the padded output gradient, whose patches are only
-    Cout wide (8^3, 24->8: 0.28 ms against 0.63 ms for 27 Cin-wide
-    numpy accumulations; 16^3, 64->16 on gemm: 3.8 ms against 4.1 ms).
+    the spatially flipped kernel, Cin and Cout swapped, its patches only
+    Cout wide.
 
 Strided convs (the patch embedding and the first conv of each image
-branch, which read the raw volume) lower to one GEMM over the im2col
-patch matrix (Ho*Wo*Do, kh*kw*kd*Cin), rebuilt from the re-padded input
-for the kernel gradient;
-their input gradient is a loop over the kernel taps, each a strided
-scatter-add of (output gradient @ tap^T). The transposed-convolution
-form would need zero insertion, multiplying its work by the product of
-the strides.
+branch, which read the raw volume) lower to one GEMM over the patch
+matrix (Ho*Wo*Do, kh*kw*kd*Cin) at any size, rebuilt from the re-padded
+input for the kernel gradient; their input gradient is a loop over the
+kernel taps, each a strided scatter-add of (output gradient @ tap^T).
+The transposed-convolution form would need zero insertion, multiplying
+its work by the product of the strides.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import os
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import (
     InvalidAxisError,
@@ -153,14 +176,14 @@ def _pad_spatial(x, padding):
 
 
 def _im2col(xp, kdims, stride, out_dims):
-    """(Hp, Wp, Dp, Ci) -> (Ho*Wo*Do, kh*kw*kd*Ci) patch matrix."""
-    kh, kw, kd = kdims
+    """(Hp, Wp, Dp, Ci) -> (Ho*Wo*Do, kh*kw*kd*Ci) patch matrix: one strided
+    view (Ho, Wo, Do, kh, kw, kd, Ci) of xp, kernel taps before channels,
+    copied out."""
+    s0, s1, s2, s3 = xp.strides
     sh, sw, sd = stride
-    win = sliding_window_view(xp, (kh, kw, kd), axis=(0, 1, 2))
-    win = win[::sh, ::sw, ::sd]  # (Ho, Wo, Do, Ci, kh, kw, kd)
-    cols = win.transpose(0, 1, 2, 4, 5, 6, 3)  # kernel taps before channels
-    n = out_dims[0] * out_dims[1] * out_dims[2]
-    return np.ascontiguousarray(cols).reshape(n, -1)
+    win = as_strided(xp, tuple(out_dims) + tuple(kdims) + xp.shape[3:],
+                     (s0 * sh, s1 * sw, s2 * sd, s0, s1, s2, s3), writeable=False)
+    return np.ascontiguousarray(win).reshape(out_dims[0] * out_dims[1] * out_dims[2], -1)
 
 
 def _load_gemm():
@@ -186,6 +209,7 @@ def _load_gemm():
 
 _GEMM = _load_gemm()
 _ROW_MAJOR, _NO_TRANS = 101, 111  # CBLAS enum values
+PATCH_ELEMS = 1 << 17  # the largest stride-1 patch matrix, in elements
 
 
 def _blas_accumulates(rows, cout):
@@ -222,16 +246,27 @@ def _accumulate_taps(acc, flat, offs, taps):
              a0 + off * ci * size, ci, b0 + t * ci * co * size, co, 1.0, c0, co)
 
 
+@functools.lru_cache(maxsize=64)
 def _tap_rows(padded_dims, kdims):
-    """Row offset of each kernel tap in the flattened padded grid, and the
-    row count every tap can read (the last valid output row plus one)."""
+    """Row offset of each kernel tap in the flattened padded grid (a tuple),
+    and the row count every tap can read (the last valid output row plus
+    one)."""
     hp, wp, dp = padded_dims
-    offs = [i * wp * dp + j * dp + k
-            for i in range(kdims[0]) for j in range(kdims[1]) for k in range(kdims[2])]
+    offs = tuple(i * wp * dp + j * dp + k
+                 for i in range(kdims[0]) for j in range(kdims[1]) for k in range(kdims[2]))
     return offs, hp * wp * dp - offs[-1]
 
 
-def _correlate_stride1(xp, w, out_dims):
+def _patches_pay(rows, taps, channels):
+    """Whether a stride-1 pass producing ``rows`` rows, each the product of
+    a patch of ``taps`` kernel taps by ``channels`` channels, runs as one
+    GEMM over the (rows, taps * channels) patch matrix rather than as one
+    GEMM per tap over shifted rows: a rule on the shape alone, from the
+    module's table. A single tap is one GEMM either way."""
+    return taps > 1 and rows * taps * channels <= PATCH_ELEMS
+
+
+def _correlate_taps(xp, w, out_dims):
     """Stride-1 correlation of padded xp (Hp, Wp, Dp, Ci) with w
     (kh, kw, kd, Ci, Co) as one GEMM per tap over shifted row slices."""
     _, wp, dp, ci = xp.shape
@@ -243,7 +278,7 @@ def _correlate_stride1(xp, w, out_dims):
     return np.ascontiguousarray(acc.reshape(ho, wp, dp, -1)[:, :wo, :do])
 
 
-def _kernel_grad_stride1(xp, g, kdims):
+def _kernel_grad_taps(xp, g, kdims):
     """dL/dw of a stride-1 conv3d: one GEMM per tap, the tap's rows of xp
     against g embedded in the (Ho, Wp, Dp) row grid, zeros at discarded rows."""
     _, wp, dp, cin = xp.shape
@@ -273,11 +308,11 @@ def _input_grad_stride1(g, w, padding, x_shape):
     gp = _pad_spatial(g, tuple(max(e, 0) for e in edge))
     wt = w[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)  # (kh, kw, kd, Cout, Cin)
     cin, cout = w.shape[3], w.shape[4]
-    rows = x_shape[0] * gp.shape[1] * gp.shape[2]  # the shifted-row accumulator's
-    if cin > cout and not _blas_accumulates(rows, cin):
-        cols = _im2col(gp, kdims, (1, 1, 1), x_shape[:3])
+    dims = x_shape[:3]
+    if _patches_pay(dims[0] * dims[1] * dims[2], kdims[0] * kdims[1] * kdims[2], cout):
+        cols = _im2col(gp, kdims, (1, 1, 1), dims)
         return (cols @ wt.reshape(-1, cin)).reshape(x_shape)
-    return _correlate_stride1(gp, wt, x_shape[:3])
+    return _correlate_taps(gp, wt, dims)
 
 
 def _pad_inputs(xs, padding):
@@ -342,12 +377,16 @@ def conv3d(x, w, stride=1, padding=0, bias=None):
     x_shape = in_dims + (sum(widths),)
     unit = stride == (1, 1, 1)
 
+    # strided convs, and stride-1 ones where the rule says so, read the
+    # patch matrix, in the forward and again in the kernel gradient
+    patches = not unit or _patches_pay(
+        out_dims[0] * out_dims[1] * out_dims[2], kdims[0] * kdims[1] * kdims[2], x_shape[3])
     xp = _pad_inputs([t.data for t in xs], padding)
-    if unit:
-        data = _correlate_stride1(xp, w.data, out_dims)
-    else:
+    if patches:
         cols = _im2col(xp, kdims, stride, out_dims)
         data = (cols @ w.data.reshape(-1, cout)).reshape(out_dims + (cout,))
+    else:
+        data = _correlate_taps(xp, w.data, out_dims)
     if bias is not None:
         data += bias.data
     rxs, rw = [_rec(t) for t in xs], _rec(w)
@@ -360,12 +399,12 @@ def conv3d(x, w, stride=1, padding=0, bias=None):
     def bw(g):
         if rw is not None:
             # rebuilt from the inputs, not kept from the forward: the padded
-            # input, and for strides the (N, K) patch matrix
+            # input, and the (N, K) patch matrix where the forward read one
             xp = _pad_inputs([_value(kept) for kept in xds], padding)
-            if unit:
-                gw = _kernel_grad_stride1(xp, g, kdims)
-            else:
+            if patches:
                 gw = _im2col(xp, kdims, stride, out_dims).T @ g.reshape(-1, cout)
+            else:
+                gw = _kernel_grad_taps(xp, g, kdims)
             del xp
             rw._accum(gw.reshape(rw.shape), owned=True)
         if rbias is not None:
@@ -402,8 +441,10 @@ def conv3d(x, w, stride=1, padding=0, bias=None):
     return _make("conv3d", data, tuple(xs) + (w,) + extra, bw)
 
 
+@functools.lru_cache(maxsize=64)
 def _interp_weights(n_in, factor):
-    """(n_in*factor, n_in) row-stochastic linear interpolation matrix.
+    """(n_in*factor, n_in) row-stochastic linear interpolation matrix, in
+    float64; cached per shape, so it is read-only.
 
     Output sample o reads source coordinate (o + 0.5)/factor − 0.5, clamped
     at the ends (half-pixel-center convention): weight 1 − frac on the
@@ -419,6 +460,7 @@ def _interp_weights(n_in, factor):
     mat = np.zeros((n_out, n_in), dtype=np.float64)
     np.add.at(mat, (rows, np.clip(below, 0, n_in - 1)), 1.0 - frac)
     np.add.at(mat, (rows, np.clip(below + 1, 0, n_in - 1)), frac)
+    mat.flags.writeable = False
     return mat
 
 

@@ -69,6 +69,8 @@ shift, exp) and two in the backward (exp, the product with P).
 from __future__ import annotations
 
 import contextlib
+import functools
+import math
 import weakref
 
 import numpy as np
@@ -427,8 +429,23 @@ def backward(loss):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=128)
+def _filled(n, value, dtype):
+    """A read-only vector of n copies of ``value``: with 1 the operand that
+    turns a sum into a BLAS product, with 1/n a mean."""
+    vec = np.full(n, value, dtype=dtype)
+    vec.flags.writeable = False
+    return vec
+
+
 def _unbroadcast(g, shape):
-    """Sum a broadcast gradient back down to ``shape``."""
+    """Sum a broadcast gradient back down to ``shape``. Where that only
+    drops leading axes (a per-channel bias, gain or shift), the sum is one
+    product ones (N,) @ g (N, prod(shape))."""
+    lead = g.ndim - len(shape)
+    if lead > 0 and g.shape[lead:] == tuple(shape):
+        n = math.prod(g.shape[:lead])
+        return (_filled(n, 1.0, g.dtype) @ g.reshape(n, -1)).reshape(shape)
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for i, s in enumerate(shape):
@@ -770,14 +787,44 @@ def _valid_axis(x, axis, op):
     return int(axis) % x.data.ndim
 
 
+def _group_mean(a, axes):
+    """Mean of ``a`` over its consecutive ``axes``, keeping them as size-1
+    axes, as one BLAS product with the vector of 1/n. With L, n and T the
+    extents before, over and after the axes: 1/n (n,) @ a (n, T) when
+    L = 1 (instance norm: every axis but the channels), a (L, n) @ 1/n when
+    T = 1 (layer norm over the last axis), else 1/n @ a (L, n, T). Each
+    term is scaled before it is summed, so a sum of finite terms does not
+    overflow; where n is a power of two that scaling is exact, and the
+    result is the same sum divided by n."""
+    shape = a.shape
+    lo, hi = axes[0], axes[-1] + 1
+    lead, n, trail = math.prod(shape[:lo]), math.prod(shape[lo:hi]), math.prod(shape[hi:])
+    weights = _filled(n, 1.0 / n, a.dtype)
+    if lead == 1:
+        m = weights @ a.reshape(n, trail)
+    elif trail == 1:
+        m = a.reshape(lead, n) @ weights
+    else:
+        m = weights @ a.reshape(lead, n, trail)
+    return m.reshape(shape[:lo] + (1,) * (hi - lo) + shape[hi:])
+
+
 def _normalize(x, axes, eps, op, gain, shift, relu=False):
     """Shared core of layer_norm / instance_norm: x_hat = (x - mu) * inv,
     inv = 1 / sqrt(var + eps), then x_hat * gain + shift when the per-channel
     (last axis) affine is given, then, with ``relu``, the relu in place on
-    that output. Beyond the data of x and gain it reads, the closure keeps
-    only mu and inv: the backward rebuilds x_hat from x with the forward's
-    expression, and takes relu's mask from the output, which is positive
-    exactly where its pre-relu value was."""
+    that output. ``axes`` are consecutive.
+
+    Every statistic is a BLAS product with a constant vector on the (rows,
+    C) view, not a numpy reduction over an axis tuple: the forward's mean
+    and variance and the backward's means of g and g * x_hat
+    (``_group_mean``), and the gain and shift gradients (sums, through
+    ``_unbroadcast``). Beyond the data of x and gain it reads, the closure
+    keeps only mu and inv: the backward rebuilds x_hat from x with the
+    forward's expression, and takes relu's mask from the output, which is
+    positive exactly where its pre-relu value was. dx = inv * (g - mean(g)
+    - x_hat * mean(g * x_hat)), g taken after the gain, runs in place on
+    the backward's temporaries."""
     if (gain is None) != (shift is None):
         raise GraphError(f"{op}: gain and shift are given together or not at all")
     affine = () if gain is None else (gain, shift)
@@ -785,9 +832,9 @@ def _normalize(x, axes, eps, op, gain, shift, relu=False):
     for name, t in zip(("gain", "shift"), affine):
         _check_vector(op, name, t, x.data.shape[-1])
     xd = x.data
-    mu = xd.mean(axis=axes, keepdims=True)
+    mu = _group_mean(xd, axes)
     data = xd - mu
-    var = (data * data).mean(axis=axes, keepdims=True)
+    var = _group_mean(data * data, axes)
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
     data *= inv  # x_hat
     if affine:
@@ -813,9 +860,13 @@ def _normalize(x, axes, eps, op, gain, shift, relu=False):
         if rx is not None:
             if gd is not None:
                 g = g * gd
-            gm = g.mean(axis=axes, keepdims=True)
-            gy = (g * xhat).mean(axis=axes, keepdims=True)
-            rx._accum(inv * (g - gm - xhat * gy), owned=True)
+            gm = _group_mean(g, axes)
+            gy = _group_mean(g * xhat, axes)
+            xhat *= gy
+            gx = g - gm
+            gx -= xhat
+            gx *= inv
+            rx._accum(gx, owned=True)
 
     return _make(op, data, (x,) + affine, bw)
 

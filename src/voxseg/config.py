@@ -16,47 +16,47 @@ class ConfigError(Exception):
     pass
 
 
-# value = (default, parser). 'auto' defers to a derived value at build time.
+# key -> default value as text; 'auto' defers to a derived value at build time.
 DEFAULTS = {
-    "model.embed_dim": ("64", int),
-    "model.layers": ("12", int),
-    "model.mlp_ratio": ("4", int),
-    "patch.h": ("4", int),
-    "patch.w": ("4", int),
-    "patch.d": ("4", int),
-    "patch.mode": ("pseudo3d", str),
-    "encoder.heads": ("4", int),
-    "encoder.adapter_dim": ("auto", str),  # auto = embed_dim // 4
-    "encoder.scale": ("1.0", float),
-    "encoder.taps": ("3,6,9,12", str),
-    "prompter.n": ("64", int),
-    "prompter.layer": ("12", int),
-    "decoder.channels": ("16", int),
-    "decoder.no_image_branch": ("false", None),
-    "decoder.share_image_branch": ("false", None),
-    "data.dims": ("32,32,32", str),
-    "data.channels": ("1", int),
-    "split.train": ("0.7", float),
-    "split.val": ("0.1", float),
-    "split.test": ("0.2", float),
-    "split.seed": ("0", int),
-    "train.lr": ("2e-4", float),
-    "train.beta1": ("0.9", float),
-    "train.beta2": ("0.999", float),
-    "train.weight_decay": ("0.01", float),
-    "train.eps": ("1e-8", float),
-    "train.epochs": ("60", int),
-    "train.batch_size": ("2", int),
-    "train.seed": ("0", int),
-    "train.precision": ("f32", str),
-    "train.max_steps": ("0", int),  # 0 = no cap
-    "train.eval_every": ("1", int),
-    "train.target_dice": ("0.0", float),  # early stop on train DICE; 0 disables
-    "augment.flip_h": ("0.0", float),
-    "augment.flip_w": ("0.0", float),
-    "augment.flip_d": ("0.0", float),
-    "eval.tau": ("1.0", float),
-    "loss.smooth": ("1e-5", float),
+    "model.embed_dim": "64",
+    "model.layers": "12",
+    "model.mlp_ratio": "4",
+    "patch.h": "4",
+    "patch.w": "4",
+    "patch.d": "4",
+    "patch.mode": "pseudo3d",
+    "encoder.heads": "4",
+    "encoder.adapter_dim": "auto",  # auto = embed_dim // 4
+    "encoder.scale": "1.0",
+    "encoder.taps": "3,6,9,12",
+    "prompter.n": "64",
+    "prompter.layer": "12",
+    "decoder.channels": "16",
+    "decoder.no_image_branch": "false",
+    "decoder.share_image_branch": "false",
+    "data.dims": "32,32,32",
+    "data.channels": "1",
+    "split.train": "0.7",
+    "split.val": "0.1",
+    "split.test": "0.2",
+    "split.seed": "0",
+    "train.lr": "2e-4",
+    "train.beta1": "0.9",
+    "train.beta2": "0.999",
+    "train.weight_decay": "0.01",
+    "train.eps": "1e-8",
+    "train.epochs": "60",
+    "train.batch_size": "2",
+    "train.seed": "0",
+    "train.precision": "f32",
+    "train.max_steps": "0",  # 0 = no cap
+    "train.eval_every": "1",
+    "train.target_dice": "0.0",  # early stop on train DICE; 0 disables
+    "augment.flip_h": "0.0",
+    "augment.flip_w": "0.0",
+    "augment.flip_d": "0.0",
+    "eval.tau": "1.0",
+    "loss.smooth": "1e-5",
 }
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -80,7 +80,7 @@ class Config:
 
     @classmethod
     def default(cls):
-        return cls(values={k: v for k, (v, _) in DEFAULTS.items()})
+        return cls(values=dict(DEFAULTS))
 
     @classmethod
     def load(cls, path):

@@ -10,7 +10,7 @@ matmuls); the attention products are itemized under 'attention'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import decoder as dec
 from .model import ModelSpec
@@ -186,6 +186,8 @@ def decoder_items(spec: ModelSpec):
                 vox //= 8  # stride-2 stage halves each axis
             out += _conv_block_items("decoder", f"{tag}.s{s}", vox, cin, cdec)
             cin = cdec
+        if spec.no_image_branch:  # the store keeps the branch; the forward uses zeros
+            out = [replace(it, macs=0, other_flops=0) for it in out]
         return out
 
     if spec.share_image_branch:

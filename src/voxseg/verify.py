@@ -89,16 +89,19 @@ def _case_conv3d(rng):
 
 
 def _case_conv3d_stride1(rng):
-    """Stride 1 everywhere: shifted-row GEMMs. Cin and Cout are drawn
-    independently, so the input gradient takes the patch GEMM (Cin > Cout)
-    on some instances and the shifted rows (Cin <= Cout) on others. About
-    one instance in four has Cout = 16 and padding 8, so its forward
-    accumulates over at least 17^3 rows of width 16 inside gemm."""
+    """Stride 1 everywhere. Small instances read the patch matrix in the
+    forward and the input gradient. About one in four has a 3x3x3 kernel
+    and padding 8: its forward over at least 17^3 outputs is past the
+    patch-matrix cap, so it runs as shifted-row taps, accumulated inside
+    gemm where Cout = 16 (about half of them) and through numpy adds where
+    Cout <= 4."""
     kd = tuple(rng.integers(1, 4, 3))
     cin, cout = (int(c) for c in rng.integers(1, 5, 2))
     padding = tuple(rng.integers(0, 3, 3))
     if rng.random() < 0.25:
-        cout, padding = 16, (8, 8, 8)
+        kd, padding = (3, 3, 3), (8, 8, 8)
+        if rng.random() < 0.5:
+            cout = 16
     dims = tuple(int(k + rng.integers(0, 3)) for k in kd)
     w = _t(rng, *kd, cin, cout)
     return (
@@ -108,9 +111,13 @@ def _case_conv3d_stride1(rng):
 
 
 def _case_conv3d_wrt_kernel(rng):
+    """Padding 1 reads the patch matrix in the kernel gradient; padding 8,
+    on about half the instances, is past the patch-matrix cap, so the
+    kernel gradient runs as one GEMM per tap over shifted rows."""
     x = _t(rng, 4, 4, 4, 2)
+    padding = 8 if rng.random() < 0.5 else 1
     return (
-        lambda w: ad.conv3d(x, w, stride=1, padding=1),
+        lambda w: ad.conv3d(x, w, stride=1, padding=padding),
         rng.standard_normal((3, 3, 3, 2, 2)),
     )
 

@@ -1,0 +1,136 @@
+"""Time the three forms of each stride-1 conv3d pass at the models' shapes.
+
+    PYTHONPATH=src python tests/conv_paths.py [grid,cin,cout,k ...]
+
+For every shape of ``MODEL_CONVS`` (or the shapes given), f32, padding
+k // 2, prints the median ms of the forward, the input gradient and the
+kernel gradient in each form: one GEMM over the patch matrix (patch),
+shifted-row taps accumulated inside gemm (gemm) or through numpy adds
+(numpy); the kernel gradient's taps are one form (taps). A star marks
+the form that ``conv._patches_pay`` and ``conv._blas_accumulates`` give
+the pass. The conv.py table and rule are built from this output.
+"""
+
+import contextlib
+import statistics
+import sys
+import time
+
+import numpy as np
+import pytest
+
+from voxseg import autodiff as ad
+from voxseg.autodiff import conv
+
+MODEL_CONVS = [  # (grid, Cin, Cout, kernel) of every stride-1 conv of both models
+    (16, 16, 16, 3), (16, 80, 16, 3), (16, 64, 16, 3), (32, 16, 16, 3), (32, 16, 1, 1),
+    (8, 8, 8, 3), (8, 24, 8, 3), (8, 32, 8, 3), (16, 8, 8, 3), (16, 8, 1, 1),
+]
+
+FORMS = ("patch", "gemm", "numpy")
+
+
+@contextlib.contextmanager
+def accumulation(form):
+    """Every stride-1 pass as one patch-matrix GEMM, every one as taps
+    accumulated inside gemm, every one as taps through numpy adds (gemm
+    symbol hidden), or (any other ``form``) what the shape rule picks."""
+    with pytest.MonkeyPatch.context() as mp:
+        if form in ("gemm", "numpy"):
+            mp.setattr(conv, "_patches_pay", lambda rows, taps, channels: False)
+            mp.setattr(conv, "_blas_accumulates", lambda rows, cout: True)
+        if form == "numpy":
+            mp.setattr(conv, "_GEMM", {})
+        elif form == "patch":
+            mp.setattr(conv, "_patches_pay", lambda rows, taps, channels: True)
+        yield
+
+
+@contextlib.contextmanager
+def passes(grid, cin, cout, k, seed=0):
+    """Zero-argument callables running the (forward, input gradient, kernel
+    gradient) of one f32 stride-1 conv at padding k // 2, each pass alone.
+    Enter it inside ``accumulation``: the forward picks the form that the
+    kernel gradient takes too."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((grid,) * 3 + (cin,)).astype(np.float32)
+    w = (rng.standard_normal((k,) * 3 + (cin, cout)) * 0.1).astype(np.float32)
+    g = rng.standard_normal((grid,) * 3 + (cout,)).astype(np.float32)
+    pad = k // 2
+    with ad.precision("f32"):
+        xt, wt = ad.tensor(x), ad.tensor(w)
+
+        def forward():
+            with ad.no_grad():
+                ad.conv3d(xt, wt, padding=pad)
+
+        def backward_toward(needs):
+            xg = ad.tensor(x, requires_grad=needs == "x")
+            wg = ad.tensor(w, requires_grad=needs == "w")
+            rec = (xg if needs == "x" else wg)._record
+            node = ad.conv3d(xg, wg, padding=pad)._record
+
+            def step():
+                node._backward(g)
+                rec.grad = None
+
+            return step
+
+        yield forward, backward_toward("x"), backward_toward("w")
+
+
+def forms_taken(grid, cin, cout, k):
+    """The form the shape rule gives (forward, input gradient, kernel
+    gradient): "patch", "gemm" or "numpy" taps, or the kernel gradient's
+    "taps", seen by spying on the kernels each pass calls."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp, passes(grid, cin, cout, k) as fns:
+        for name in ("_im2col", "_accumulate_taps", "_kernel_grad_taps"):
+            fn = getattr(conv, name)
+            mp.setattr(conv, name, lambda *a, _fn=fn, _name=name: seen.append(_name) or _fn(*a))
+        for dtype, gemm in list(conv._GEMM.items()):
+            mp.setitem(conv._GEMM, dtype, lambda *a, _gemm=gemm: seen.append("gemm") or _gemm(*a))
+        forms = []
+        for fn in fns:
+            seen.clear()
+            fn()
+            forms.append("gemm" if "gemm" in seen else "numpy" if "_accumulate_taps" in seen
+                         else "taps" if "_kernel_grad_taps" in seen else "patch")
+    return tuple(forms)
+
+
+def _median_ms(fn, budget_s=0.4, least=5, most=200):
+    fn()
+    times = []
+    start = time.perf_counter()
+    while len(times) < most and (len(times) < least or time.perf_counter() - start < budget_s):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times)
+
+
+def time_passes(grid, cin, cout, k, form):
+    """Median ms of (forward, input gradient, kernel gradient) in ``form``."""
+    with accumulation(form), passes(grid, cin, cout, k) as fns:
+        return tuple(_median_ms(fn) for fn in fns)
+
+
+def main(argv):
+    shapes = [tuple(int(v) for v in a.split(",")) for a in argv] or MODEL_CONVS
+    print("                     forward             input gradient      kernel gradient")
+    print("grid Cin->Cout k   patch  gemm numpy    patch  gemm numpy    patch  taps")
+    for grid, cin, cout, k in shapes:
+        times = {form: time_passes(grid, cin, cout, k, form) for form in FORMS}
+        rule = forms_taken(grid, cin, cout, k)
+        line = f"{grid:>2}^3 {cin:>3}->{cout:<3} {k} "
+        for i, forms in enumerate((FORMS, FORMS, ("patch", "taps"))):
+            # the kernel gradient's taps are one code path: time it as "gemm"
+            cells = [times["gemm" if f == "taps" else f][i] for f in forms]
+            line += "  " + "".join(
+                f"{c:6.2f}{'*' if f == rule[i] else ' '}" for f, c in zip(forms, cells))
+        print(line.rstrip())
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

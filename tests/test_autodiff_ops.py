@@ -412,6 +412,50 @@ def test_norm_group_statistics(rng):
     assert np.abs(var - 1).max() < 1e-4
 
 
+@pytest.mark.parametrize("norm,shape,axis", [
+    ("instance", (8, 8, 8, 8), None),  # the tiny model's enhancer blocks
+    ("instance", (5, 3, 7, 6), None),  # 105 voxels: 1/n is inexact
+    ("layer", (64, 16), -1),  # the tiny model's tokens
+    ("layer", (7, 5), -1),
+    ("layer", (3, 6, 4), 1),  # a middle axis: batched over the leading extent
+    ("layer", (9,), 0),
+])
+def test_norm_statistics_match_f64_oracle(rng, norm, shape, axis):
+    """The BLAS-product statistics of an f32 norm with gain, shift and (for
+    instance norm) relu: output and the x, gain and shift gradients against
+    an f64 numpy reference that reduces with ``mean`` and ``sum``, rtol 1e-5
+    and atol 1e-5 * max|ref|."""
+    x = (rng.standard_normal(shape) * 3 + 2).astype(np.float32)
+    gain = rng.uniform(0.5, 1.5, shape[-1]).astype(np.float32)
+    shift = rng.standard_normal(shape[-1]).astype(np.float32)
+    g = rng.standard_normal(shape).astype(np.float32)
+    ts = [ad.tensor(a, requires_grad=True, dtype=np.float32) for a in (x, gain, shift)]
+    if norm == "instance":
+        out = ad.instance_norm(ts[0], gain=ts[1], shift=ts[2], relu=True)
+        axes = tuple(range(len(shape) - 1))
+    else:
+        out = ad.layer_norm(ts[0], axis=axis, gain=ts[1], shift=ts[2])
+        axes = (axis % len(shape),)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=np.float32))))
+
+    x, gain, shift, g = (a.astype(np.float64) for a in (x, gain, shift, g))
+    eps = 1e-5 if norm == "instance" else 1e-6
+    mu = x.mean(axis=axes, keepdims=True)
+    inv = 1 / np.sqrt(((x - mu) ** 2).mean(axis=axes, keepdims=True) + eps)
+    xhat = (x - mu) * inv
+    ref = xhat * gain + shift
+    if norm == "instance":
+        g = g * (ref > 0)
+        ref = np.maximum(ref, 0)
+    lead = tuple(range(len(shape) - 1))
+    gh = g * gain
+    gx = inv * (gh - gh.mean(axis=axes, keepdims=True)
+                - xhat * (gh * xhat).mean(axis=axes, keepdims=True))
+    for got, want in zip([out.numpy()] + [t.grad for t in ts],
+                         (ref, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead))):
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+
 def test_concat_shape_mismatch():
     with pytest.raises(ad.ShapeMismatchError):
         ad.concat([ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((3, 3)))], axis=1)

@@ -41,6 +41,7 @@ class TestAccountantVsStore:
          "adapter_dim": 8, "prompt_n": 32, "dec_channels": 8},
         # patch 8: volume/target ratio 4, two strided pyramid stages
         {"vol_dims": (32, 32, 32), "patch": (8, 8, 8), "prompt_n": 64},
+        {"no_image_branch": True},  # the branch's params stay in the store
     ])
     def test_params_equal_store_enumeration(self, kwargs):
         spec = mdl.ModelSpec(**kwargs).validate()
@@ -48,6 +49,16 @@ class TestAccountantVsStore:
             store = mdl.init_store(spec, seed=0)
         rep = costs.count_cost(spec)
         assert rep.params() == helpers.total_params(store)
+
+    def test_no_image_branch_prices_no_image_flops(self):
+        """The ablation runs no image branch: its 8 items keep their params
+        but cost nothing, 243,793,920 decoder flops at desk defaults."""
+        base = costs.count_cost(mdl.ModelSpec().validate())
+        ablated = costs.count_cost(mdl.ModelSpec(no_image_branch=True).validate())
+        img = [it for it in ablated.items if ".img." in it.name]
+        assert len(img) == 8 and all(it.macs == it.other_flops == 0 for it in img)
+        assert base.flops("decoder") - ablated.flops("decoder") == 243_793_920
+        assert ablated.params() == base.params()
 
     def test_totals_equal_sum_of_parts(self):
         rep = costs.count_cost(mdl.ModelSpec().validate())

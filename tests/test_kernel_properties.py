@@ -1,21 +1,21 @@
 """Shape-fuzzed differential tests of the kernels' fast paths.
 
-Each stride-1 conv3d correlation accumulates its taps either inside gemm
-(beta = 1, numpy's own OpenBLAS through ctypes) or as numpy temporaries,
-chosen by ``conv._blas_accumulates`` from the shape. The properties below
-force each form on every draw and compare against the loop oracles, as
-they do the strided path (im2col forward and kernel gradient, tap
-scatter-add input gradient) with stride 2 on at least one axis. Each
-conv draw also splits its input along channels into a random list of
-inputs, which must give the output and gradients of the conv over their
-concatenation bit for bit. The attention properties cover ranks 2 and
-3, one query block and several (the last ragged), and logits up to 1e4,
-against an f64 oracle. The aliasing property builds random graphs that
-reuse tensors, where a gradient handed over without a copy could end up
-shared between leaves.
+Each stride-1 conv3d pass (forward, input gradient, kernel gradient) runs
+either as one GEMM over the patch matrix or as shifted-row taps, which
+accumulate inside gemm (beta = 1, numpy's own OpenBLAS through ctypes)
+or as numpy temporaries; ``conv._patches_pay`` and
+``conv._blas_accumulates`` choose from the shape. The properties below
+force each form on every draw and compare all three passes against the
+loop oracles, as they do the strided path (im2col forward and kernel
+gradient, tap scatter-add input gradient) with stride 2 on at least one
+axis. Each conv draw also splits its input along channels into a random
+list of inputs, which must give the output and gradients of the conv
+over their concatenation bit for bit. The attention properties cover
+ranks 2 and 3, one query block and several (the last ragged), and
+logits up to 1e4, against an f64 oracle. The aliasing property builds
+random graphs that reuse tensors, where a gradient handed over without a
+copy could end up shared between leaves.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conv_oracles import conv3d_input_grad_taps, conv3d_kernel_grad_taps, conv3d_reference
+from conv_paths import MODEL_CONVS, accumulation, forms_taken
 from voxseg import autodiff as ad
 from voxseg.autodiff import conv
 from voxseg.autodiff.tensor import ATTENTION_BLOCK_ELEMS
@@ -34,20 +35,6 @@ needs_gemm = pytest.mark.skipif(not conv._GEMM, reason="numpy's OpenBLAS gemm no
 
 def _close(got, ref):
     np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
-
-
-@contextlib.contextmanager
-def accumulation(form):
-    """Every correlation through gemm, every one through the numpy adds
-    (gemm symbol hidden), or the form the shape rule picks (which keeps
-    the Cin > Cout input gradient on the im2col patch GEMM at these sizes)."""
-    with pytest.MonkeyPatch.context() as mp:
-        if form == "gemm":
-            mp.setattr(conv, "_blas_accumulates", lambda rows, cout: True)
-        elif form == "numpy":
-            mp.setattr(conv, "_GEMM", {})
-            mp.setattr(conv, "_blas_accumulates", lambda rows, cout: True)
-        yield
 
 
 conv_draws = st.tuples(
@@ -91,7 +78,8 @@ def _conv_matches_oracles(draw, stride, form="by_shape"):
     _close(xt.grad, conv3d_input_grad_taps(g, w, stride, padding, x.shape))
 
 
-@pytest.mark.parametrize("form", [pytest.param("gemm", marks=needs_gemm), "numpy", "by_shape"])
+@pytest.mark.parametrize("form", ["patch", pytest.param("gemm", marks=needs_gemm), "numpy",
+                                  "by_shape"])
 @PROPERTY
 @given(draw=conv_draws)
 def test_conv3d_stride1_matches_oracles(form, draw):
@@ -128,17 +116,30 @@ def test_accumulate_taps_gemm_equals_numpy(rows, ci, co, taps, seed, dtype):
                                atol=1e-6 * np.abs(ref).max())
 
 
-MODEL_CONVS = [  # (grid, Cin, Cout, kernel) of every stride-1 conv of both models
-    (16, 16, 16, 3), (16, 80, 16, 3), (16, 64, 16, 3), (32, 16, 16, 3), (32, 16, 1, 1),
-    (8, 8, 8, 3), (8, 24, 8, 3), (8, 32, 8, 3), (16, 8, 8, 3), (16, 8, 1, 1),
-]
+# the form the shape rule gives each MODEL_CONVS shape: (forward, input
+# gradient, kernel gradient); only the tiny model's 8^3 passes read patches
+RULE_FORMS = {
+    (16, 16, 16, 3): ("gemm", "gemm", "taps"),
+    (16, 80, 16, 3): ("gemm", "gemm", "taps"),
+    (16, 64, 16, 3): ("gemm", "gemm", "taps"),
+    (32, 16, 16, 3): ("gemm", "gemm", "taps"),
+    (32, 16, 1, 1): ("numpy", "gemm", "taps"),
+    (8, 8, 8, 3): ("patch", "patch", "patch"),
+    (8, 24, 8, 3): ("numpy", "patch", "taps"),
+    (8, 32, 8, 3): ("numpy", "patch", "taps"),
+    (16, 8, 8, 3): ("numpy", "numpy", "taps"),
+    (16, 8, 1, 1): ("numpy", "numpy", "taps"),
+}
+ON_TAPS = [s for s in MODEL_CONVS if RULE_FORMS[s][0] != "patch"]
+ON_PATCHES = [s for s in MODEL_CONVS if "patch" in RULE_FORMS[s]]
 
 
 @needs_gemm
-@pytest.mark.parametrize("grid,cin,cout,k", MODEL_CONVS)
+@pytest.mark.parametrize("grid,cin,cout,k", ON_TAPS)
 def test_model_conv_forward_is_bit_identical_to_numpy_adds(rng, grid, cin, cout, k):
-    """Every stride-1 conv shape of the desk and tiny models: the forward the
-    shape rule picks equals the numpy-adds forward bit for bit."""
+    """Every stride-1 conv shape of the desk and tiny models whose forward
+    stays on taps: the forward the shape rule picks equals the numpy-adds
+    forward bit for bit."""
     x = ad.tensor(rng.standard_normal((grid,) * 3 + (cin,)), dtype=np.float32)
     w = ad.tensor(rng.standard_normal((k,) * 3 + (cin, cout)) * 0.1, dtype=np.float32)
     got = ad.conv3d(x, w, stride=1, padding=k // 2).numpy()
@@ -147,12 +148,31 @@ def test_model_conv_forward_is_bit_identical_to_numpy_adds(rng, grid, cin, cout,
     assert np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("grid,cin,cout,k", ON_PATCHES)
+def test_model_conv_on_patches_matches_oracles(rng, grid, cin, cout, k):
+    """Every model shape with a pass on the patch matrix: the f32 forward,
+    input gradient and kernel gradient the shape rule gives against the
+    f64 loop oracles."""
+    x = rng.standard_normal((grid,) * 3 + (cin,)).astype(np.float32)
+    w = (rng.standard_normal((k,) * 3 + (cin, cout)) * 0.1).astype(np.float32)
+    g = rng.standard_normal((grid,) * 3 + (cout,)).astype(np.float32)
+    xt, wt = (ad.tensor(a, requires_grad=True, dtype=np.float32) for a in (x, w))
+    out = ad.conv3d(xt, wt, stride=1, padding=k // 2)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=np.float32))))
+    x, w, g = (a.astype(np.float64) for a in (x, w, g))
+    unit, pad = (1, 1, 1), (k // 2,) * 3
+    _close(out.numpy(), conv3d_reference(x, w, stride=1, padding=pad))
+    _close(xt.grad, conv3d_input_grad_taps(g, w, unit, pad, x.shape))
+    _close(wt.grad, conv3d_kernel_grad_taps(x, g, (k,) * 3, unit, pad))
+
+
+@needs_gemm
 def test_model_conv_paths_follow_the_shape_rule():
-    """The desk model's 3x3x3 convs accumulate in gemm, the tiny model's
-    8-channel convs through numpy adds."""
-    rows = lambda grid: grid * (grid + 2) ** 2
-    assert conv._blas_accumulates(rows(16), 16) and conv._blas_accumulates(rows(32), 16)
-    assert not any(conv._blas_accumulates(rows(g), 8) for g in (8, 16))
+    """Which form each pass of every model conv takes, seen on the kernels
+    it calls: the desk model's 3x3x3 convs accumulate in gemm, the tiny
+    model's 8-channel taps through numpy adds, and no desk pass reads a
+    patch matrix."""
+    assert {shape: forms_taken(*shape) for shape in MODEL_CONVS} == RULE_FORMS
 
 
 @needs_gemm
@@ -170,6 +190,35 @@ def test_gradcheck_draws_a_gemm_conv(monkeypatch):
             f, x0 = maker(rng)
             f(ad.tensor(x0))
     assert calls
+
+
+def test_gradcheck_reaches_every_stride1_form(monkeypatch):
+    """The default ``voxseg gradcheck`` (20 instances, seed 0) of the
+    stride-1 conv and kernel-gradient cases, run as the suite runs them
+    (f64 forward and backward), reads the patch matrix, accumulates taps
+    inside gemm and through numpy adds, and takes per-tap kernel
+    gradients: no form is left out of the gradient checks."""
+    seen = []
+
+    def spy(name, fn):
+        return lambda *args: seen.append(name) or fn(*args)
+
+    for name in ("_im2col", "_accumulate_taps", "_kernel_grad_taps"):
+        monkeypatch.setattr(conv, name, spy(name, getattr(conv, name)))
+    for dtype, gemm in list(conv._GEMM.items()):
+        monkeypatch.setitem(conv._GEMM, dtype, spy("gemm", gemm))
+    cases = dict(OP_CASES)
+    with ad.precision("f64"):
+        for case in ("conv3d_stride1", "conv3d_wrt_kernel"):
+            rng = case_rng(case, seed=0)
+            for _ in range(20):
+                f, x0 = cases[case](rng)
+                x = ad.tensor(x0, requires_grad=True)
+                ad.backward(ad.reduce_sum(f(x)))
+    forms = {"patch" if name == "_im2col" else "kernel taps" if name == "_kernel_grad_taps"
+             else "gemm" if seen[i + 1 : i + 2] == ["gemm"] else "numpy"
+             for i, name in enumerate(seen) if name != "gemm"}
+    assert forms == {"patch", "numpy", "kernel taps"} | ({"gemm"} if conv._GEMM else set())
 
 
 def _attention_oracle(q, k, v, scale, g):
