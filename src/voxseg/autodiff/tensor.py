@@ -26,16 +26,16 @@ keeps anyway are recomputed in the backward, not kept (Chen et al. 2016,
 arXiv:1604.06174, applied only to these): gelu's tanh, conv3d's padded
 input, the norms' x_hat = (x - mu) * inv, of which only mu and inv are
 kept, and relu's mask, taken from its own output (out > 0 exactly where
-x > 0), so the relu's input can die. A recorded output of ``matmul`` or
-``trilinear_upsample`` also carries a rebuild hook, ``Tensor._rebuild``:
-a function that returns its value bit for bit from the operands and
-bias, or from the upsample's input and interpolation matrices. The two
-closures that read such an input's value, gelu's and conv3d's kernel
-gradient, keep the hook instead of the array, so the MLP's first
-products and the upsampled decoder features die during the forward. The
-hook lives on the Tensor, never on the Record, and ``Record.data`` never
-recomputes; but a caller holding a recorded matmul or upsample output
-keeps that output's inputs alive as long, through its hook.
+x > 0), so the relu's input can die. A recorded output of ``matmul``
+also carries a rebuild hook, ``Tensor._rebuild``: a function that
+returns its value bit for bit from the operands and bias. The closures
+that read such an input's value, gelu's and the convs' kernel
+gradients, keep the hook instead of the array, so the MLP's first
+products die during the forward. (The decoder's upsampled features are
+never built at all: see ``conv.upsample_conv3d``.) The hook lives on
+the Tensor, never on the Record, and ``Record.data`` never recomputes;
+but a caller holding a recorded matmul output keeps that output's
+inputs alive as long, through its hook.
 
 Two precision modes exist: float32 (training) and float64 (gradient
 checking). The mode is a process-global default applied when leaf tensors
@@ -44,7 +44,11 @@ are created; mixing dtypes inside one graph is rejected.
 Non-finite values are caught where they appear: leaves when created
 (``Tensor.__init__``) and every op's output in ``_make``, which raises
 ``NonFiniteError("<op>: non-finite output")``; op inputs are not
-scanned. ``scope(name)`` prefixes such an error with ``name/``.
+scanned. The norms also reject a non-finite variance ("<op>: non-finite
+variance"): a finite input whose squares overflow would otherwise give
+inv = 1/sqrt(inf) = 0 and a finite, constant output, and the first
+error would name a later op. ``scope(name)`` prefixes such an error
+with ``name/``.
 
 Conventions baked into the derivatives:
   * relu'(0) = 0
@@ -361,13 +365,6 @@ def _rec(t):
     return t._record if t._requires_grad else None
 
 
-def _hooked(out, rebuild):
-    """``out`` with ``rebuild`` as its rebuild hook when it has a record."""
-    if out._record is not None:
-        out._rebuild = rebuild
-    return out
-
-
 def _keep(t):
     """What a closure keeps to read ``t``'s value in the backward: its
     rebuild hook when it has one, else the array."""
@@ -664,7 +661,10 @@ def matmul(a, b, bias=None):
         if rbias is not None:
             _accum_unbroadcast(rbias, g, g)
 
-    return _hooked(_make("matmul", product(), (a, b) + extra, bw), product)
+    out = _make("matmul", product(), (a, b) + extra, bw)
+    if out._record is not None:  # the hook lives only beside a record
+        out._rebuild = product
+    return out
 
 
 # Query rows per attention block: a (heads, rows, keys) block of scores
@@ -813,7 +813,8 @@ def _normalize(x, axes, eps, op, gain, shift, relu=False):
     """Shared core of layer_norm / instance_norm: x_hat = (x - mu) * inv,
     inv = 1 / sqrt(var + eps), then x_hat * gain + shift when the per-channel
     (last axis) affine is given, then, with ``relu``, the relu in place on
-    that output. ``axes`` are consecutive.
+    that output. ``axes`` are consecutive. A non-finite variance raises
+    ``NonFiniteError`` naming the op.
 
     Every statistic is a BLAS product with a constant vector on the (rows,
     C) view, not a numpy reduction over an axis tuple: the forward's mean
@@ -835,6 +836,8 @@ def _normalize(x, axes, eps, op, gain, shift, relu=False):
     mu = _group_mean(xd, axes)
     data = xd - mu
     var = _group_mean(data * data, axes)
+    if not np.isfinite(var).all():  # finite x whose squares overflow: inv would be 0
+        raise NonFiniteError(f"{op}: non-finite variance")
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
     data *= inv  # x_hat
     if affine:

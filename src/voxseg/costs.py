@@ -5,7 +5,10 @@ Multiply-accumulates are tallied separately from other flops, and a
 multiply-accumulate counts as 2 flops. The 'linear' category holds the
 multiply-accumulates of parameterized linear maps, the convention
 common FLOP profilers apply (they instrument layers, not raw attention
-matmuls); the attention products are itemized under 'attention'.
+matmuls); the attention products are itemized under 'attention'. The
+convs over upsampled decoder features count their channel projection
+as 'linear' and their shifted interpolation as 'interp', as
+``upsample_conv3d`` runs them (``conv.upsampled_macs``).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import decoder as dec
+from .autodiff.conv import upsampled_macs
 from .model import ModelSpec
 
 
@@ -156,9 +160,12 @@ def prompter_items(spec: ModelSpec):
     ]
 
 
-def _conv_block_items(module, name, voxels_out, cin, cout, k=27):
-    """(conv k -> IN -> relu) x2; first conv maps cin -> cout."""
-    macs = voxels_out * k * cin * cout + voxels_out * k * cout * cout
+def _conv_block_items(module, name, voxels_out, cin, cout, k=27, conv1_macs=None):
+    """(conv k -> IN -> relu) x2; first conv maps cin -> cout, at
+    ``conv1_macs`` where it does not run as voxels_out * k * cin * cout."""
+    if conv1_macs is None:
+        conv1_macs = voxels_out * k * cin * cout
+    macs = conv1_macs + voxels_out * k * cout * cout
     # conv weights only (a bias in front of IN is inert), two IN affine pairs
     params = k * cin * cout + k * cout * cout + 4 * cout
     other = 2 * (5 + 1) * voxels_out * cout  # norms + relus
@@ -192,20 +199,24 @@ def decoder_items(spec: ModelSpec):
 
     if spec.share_image_branch:
         items += image_branch("imgshared")
+    # the fuse conv projects the tap at its own grid, then interpolates the
+    # result (upsample_conv3d); the image features it reads as they are
+    tap_proj, tap_interp = upsampled_macs(spec.grid_dims, (2, 2, 2), c, cdec)
     for j in range(1, n_taps + 1):
         if not spec.share_image_branch:
             items += image_branch(f"enh{j}.img")
-        items.append(CostItem("decoder", f"enh{j}.upsample", "interp",
-                              other_flops=7 * tvox * c))
-        items += _conv_block_items("decoder", f"enh{j}.fuse", tvox, c + cdec, cdec)
+        items += _conv_block_items("decoder", f"enh{j}.fuse", tvox, c + cdec, cdec,
+                                   conv1_macs=tap_proj + tvox * 27 * cdec * cdec)
+        items.append(CostItem("decoder", f"enh{j}.fuse.interp", "interp", macs=tap_interp))
     head_c = cdec
     items += _conv_block_items("decoder", "head", tvox, n_taps * cdec, head_c)
-    items.append(CostItem("decoder", "up_full", "interp",
-                          other_flops=7 * vvox * head_c))
+    factor = tuple(v // t for v, t in zip(spec.vol_dims, spec.feature_dims))
+    smooth_proj, smooth_interp = upsampled_macs(spec.feature_dims, factor, head_c, head_c)
     items.append(CostItem("decoder", "smooth", "linear",
-                          macs=vvox * 27 * head_c * head_c,
+                          macs=smooth_proj,
                           other_flops=vvox * head_c,
                           params=27 * head_c * head_c + head_c))
+    items.append(CostItem("decoder", "smooth.interp", "interp", macs=smooth_interp))
     items.append(CostItem("decoder", "project", "linear",
                           macs=vvox * head_c,
                           other_flops=4 * vvox,  # sigmoid

@@ -10,7 +10,11 @@ applies a conv block, upsamples to the input resolution, smooths with
 one 3x3x3 conv, projects to a single channel and applies a sigmoid.
 Both concatenations are implicit: the block's first conv takes the list
 of inputs and writes each into its channel slice of the padded buffer it
-builds anyway, so no concatenated copy is made or kept.
+builds anyway, so no concatenated copy is made or kept. Neither upsample
+is built either: the enhancer's fuse conv and the head's smooth conv are
+``ad.upsample_conv3d``, which mixes the channels of the tap (or of the
+head's features) at their own resolution and interpolates the result
+(the fuse conv reads the image features as a plain stride-1 input).
 
 A conv block is (conv3x3x3 -> instance norm -> relu) twice, the norm and
 its relu one graph node (``instance_norm(..., relu=True)``); pyramid
@@ -49,9 +53,14 @@ class ConvBlockParams:
         return cls(**{f: store[f"{prefix}.{f}"] for f in cls._FIELDS}, stride1=stride1)
 
 
-def conv_block(x: Tensor | list[Tensor], p: ConvBlockParams) -> Tensor:
-    """A list ``x`` is read by the first conv as its channel concatenation."""
-    h = ad.conv3d(x, p.conv1_w, stride=p.stride1, padding=1)
+def conv_block(x: Tensor | list[Tensor], p: ConvBlockParams, factors=None) -> Tensor:
+    """A list ``x`` is read by the first conv as its channel concatenation.
+    With ``factors`` (as ``ad.upsample_conv3d`` takes them) the first conv
+    reads each input trilinearly upsampled by its factors, at stride 1."""
+    if factors is None:
+        h = ad.conv3d(x, p.conv1_w, stride=p.stride1, padding=1)
+    else:
+        h = ad.upsample_conv3d(x, p.conv1_w, factors)
     h = ad.instance_norm(h, gain=p.in1_g, shift=p.in1_b, relu=True)
     h = ad.conv3d(h, p.conv2_w, stride=1, padding=1)
     return ad.instance_norm(h, gain=p.in2_g, shift=p.in2_b, relu=True)
@@ -117,13 +126,13 @@ def original_feature_enhancer(z: FeatureMap, image: Tensor, p: EnhancerParams,
     ``features`` is the image branch already computed by the caller (a
     shared branch runs once per forward); when None it runs here.
     """
-    up = ad.trilinear_upsample(z.data, 2)  # (2H, 2W, 2D, C)
-    if tuple(up.shape[:3]) != tuple(p.target_dims):
+    up_dims = tuple(2 * n for n in z.data.shape[:3])  # (2H, 2W, 2D)
+    if up_dims != tuple(p.target_dims):
         raise ShapeMismatchError(
-            f"enhancer target {p.target_dims} != upsampled tap {up.shape[:3]}"
+            f"enhancer target {p.target_dims} != upsampled tap {up_dims}"
         )
     img_feat = image_features(image, p) if features is None else features
-    fused = conv_block([up, img_feat], p.fuse)
+    fused = conv_block([z.data, img_feat], p.fuse, factors=[2, 1])
     return FeatureMap.wrap(fused)
 
 
@@ -133,8 +142,7 @@ def predict(enhanced: list[FeatureMap], p: PredictParams) -> Tensor:
     if len(shapes) != 1:
         raise ShapeMismatchError(f"enhancer outputs disagree in shape: {shapes}")
     h = conv_block([e.data for e in enhanced], p.head)
-    h = ad.trilinear_upsample(h, p.upsample_factor)
-    h = ad.relu(ad.conv3d(h, p.smooth_w, stride=1, padding=1, bias=p.smooth_b))
+    h = ad.relu(ad.upsample_conv3d(h, p.smooth_w, p.upsample_factor, bias=p.smooth_b))
     logits = ad.conv3d(h, p.proj_w, stride=1, padding=0, bias=p.proj_b)
     prob = ad.sigmoid(logits)
     dims = prob.shape[:3]

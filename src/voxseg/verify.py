@@ -162,30 +162,48 @@ def _case_conv3d_multi_input(rng):
     return f, rng.standard_normal(dims + (c,))
 
 
-def _case_upsample(rng):
-    dims = tuple(rng.integers(2, 4, 3))
-    factor = tuple(rng.integers(1, 3, 3))
-    c = int(rng.integers(1, 3))
-    return (lambda x: ad.trilinear_upsample(x, factor)), rng.standard_normal(dims + (c,))
-
-
-def _case_conv3d_upsampled_input(rng):
-    """The kernel gradient reads the upsampled input back through the
-    upsample's rebuild hook. u (l, c) feeds z (h, w, d, c), upsampled by
-    2, and the kernel (3, 3, 3, c + cy, c) through two fixed maps; y is a
-    constant second input."""
-    dims = tuple(int(v) for v in rng.integers(1, 3, 3))
-    l, c, cy = (int(v) for v in rng.integers(1, 3, 3))
-    up_dims = tuple(2 * n for n in dims)
-    az, aw = _t(rng, int(np.prod(dims)), l), _t(rng, 27 * (c + cy), l)
-    y = _t(rng, *up_dims, cy)
+def _upsample_conv3d_through_maps(rng, in_dims, factors, plain=False, bias=False):
+    """u (l, c) feeds an input z (in_dims, c), upsampled by ``factors``, the
+    kernel (3, 3, 3, Cin, c) and, with ``bias``, the bias (c,) through
+    fixed maps, so one check covers each of them. With ``plain`` the list
+    [z, y] is convolved, y (c channels at the upsampled dims, factor 1) fed
+    through a map of its own."""
+    l, c = (int(v) for v in rng.integers(1, 3, 2))
+    out_dims = tuple(n * f for n, f in zip(in_dims, factors))
+    cin = 2 * c if plain else c
+    az, aw = _t(rng, int(np.prod(in_dims)), l), _t(rng, 27 * cin, l)
+    ay, ab = _t(rng, int(np.prod(out_dims)), l), _t(rng, 1, l)
 
     def f(u):
-        z = ad.reshape(ad.matmul(az, u), dims + (c,))
-        w = ad.reshape(ad.matmul(aw, u), (3, 3, 3, c + cy, c))
-        return ad.conv3d([ad.trilinear_upsample(z, 2), y], w, stride=1, padding=1)
+        z = ad.reshape(ad.matmul(az, u), in_dims + (c,))
+        w = ad.reshape(ad.matmul(aw, u), (3, 3, 3, cin, c))
+        b = ad.reshape(ad.matmul(ab, u), (c,)) if bias else None
+        if plain:
+            y = ad.reshape(ad.matmul(ay, u), out_dims + (c,))
+            return ad.upsample_conv3d([z, y], w, [factors, 1], bias=b)
+        return ad.upsample_conv3d(z, w, factors, bias=b)
 
     return f, rng.standard_normal((l, c))
+
+
+def _case_upsample_conv3d(rng):
+    """One input upsampled by 2 or 3 on every axis, with a bias."""
+    dims = tuple(int(v) for v in rng.integers(1, 4, 3))
+    return _upsample_conv3d_through_maps(rng, dims, (int(rng.integers(2, 4)),) * 3, bias=True)
+
+
+def _case_upsample_conv3d_list(rng):
+    """The fuse conv's form: [upsampled by 2, plain], no bias."""
+    dims = tuple(int(v) for v in rng.integers(1, 3, 3))
+    return _upsample_conv3d_through_maps(rng, dims, (2, 2, 2), plain=True)
+
+
+def _case_upsample_conv3d_axis_factors(rng):
+    """Per-axis factors, one of them 1 (that axis only shifted), in a
+    random order."""
+    dims = tuple(int(v) for v in rng.integers(1, 4, 3))
+    factors = tuple(int(f) for f in rng.permutation([1, 2, int(rng.integers(2, 4))]))
+    return _upsample_conv3d_through_maps(rng, dims, factors, bias=rng.random() < 0.5)
 
 
 def _case_relu(rng):
@@ -595,8 +613,9 @@ OP_CASES = [
     ("conv3d_wrt_kernel", _case_conv3d_wrt_kernel),
     ("conv3d_wrt_bias", _case_conv3d_wrt_bias),
     ("conv3d_multi_input", _case_conv3d_multi_input),
-    ("trilinear_upsample", _case_upsample),
-    ("conv3d_upsampled_input", _case_conv3d_upsampled_input),
+    ("upsample_conv3d", _case_upsample_conv3d),
+    ("upsample_conv3d_list", _case_upsample_conv3d_list),
+    ("upsample_conv3d_axis_factors", _case_upsample_conv3d_axis_factors),
     ("relu", _case_relu),
     ("gelu", _case_gelu),
     ("sigmoid", _case_sigmoid),

@@ -1,8 +1,9 @@
-"""Loop oracles for conv3d that only tests compare against; small inputs."""
+"""Loop oracles for conv3d, and the upsample-then-conv composition that
+``upsample_conv3d`` replaces, that only tests compare against."""
 
 import numpy as np
 
-from voxseg.autodiff.conv import _conv_out_dims, _pad_spatial, _triple
+from voxseg.autodiff.conv import _conv_out_dims, _interp_weights, _pad_spatial, _triple
 
 
 def conv3d_reference(x, w, stride=1, padding=0):
@@ -75,9 +76,56 @@ def interp_weights_loop(n_in, factor):
 
 
 def apply_axis_moveaxis(mat, arr, axis):
-    """Oracle for ``conv._apply_axis``: the axis moved to the front (a copy),
-    one GEMM, and moved back."""
+    """mat applied along ``axis`` of arr: the axis moved to the front (a
+    copy), one GEMM, and moved back."""
     moved = np.moveaxis(arr, axis, 0)
     flat = mat @ moved.reshape(moved.shape[0], -1)
     flat = flat.reshape((mat.shape[0],) + moved.shape[1:])
     return np.moveaxis(flat, 0, axis)
+
+
+def trilinear_upsample(x, factors):
+    """(H, W, D, C) upsampled by per-axis integer factors, trilinear with
+    half-pixel centers: one ``_interp_weights`` matrix per axis."""
+    for axis, factor in enumerate(_triple(factors, "factors")):
+        x = apply_axis_moveaxis(_interp_weights(x.shape[axis], factor), x, axis)
+    return x
+
+
+def trilinear_upsample_adjoint(g, in_dims, factors):
+    """The transpose of ``trilinear_upsample`` applied to g, back to in_dims."""
+    for axis, factor in enumerate(_triple(factors, "factors")):
+        g = apply_axis_moveaxis(_interp_weights(in_dims[axis], factor).T, g, axis)
+    return g
+
+
+def conv3d_taps(x, w, padding):
+    """Stride-1 conv3d forward as one product per kernel tap over the
+    shifted window of the padded input."""
+    xp = _pad_spatial(x, _triple(padding, "padding"))
+    kh, kw, kd = w.shape[:3]
+    ho, wo, do = (n - k + 1 for n, k in zip(xp.shape[:3], (kh, kw, kd)))
+    out = np.zeros((ho, wo, do, w.shape[4]), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            for k in range(kd):
+                out += xp[i : i + ho, j : j + wo, k : k + do] @ w[i, j, k]
+    return out
+
+
+def upsample_conv3d_composition(xs, factors, w, bias, g):
+    """(output, input gradients, kernel gradient, bias gradient) of the 3x3x3,
+    padding-1 conv of the concatenated upsamples of ``xs``, built
+    explicitly, under output gradient g (in the dtype of the arrays given)."""
+    ups = [trilinear_upsample(x, f) for x, f in zip(xs, factors)]
+    u = np.concatenate(ups, axis=3)
+    out = conv3d_taps(u, w, 1)
+    if bias is not None:
+        out = out + bias
+    gu = conv3d_input_grad_taps(g, w, (1, 1, 1), (1, 1, 1), u.shape)
+    gxs, lo = [], 0
+    for x, f in zip(xs, factors):
+        gxs.append(trilinear_upsample_adjoint(gu[..., lo : lo + x.shape[3]], x.shape[:3], f))
+        lo += x.shape[3]
+    gw = conv3d_kernel_grad_taps(u, g, (3, 3, 3), (1, 1, 1), (1, 1, 1))
+    return out, gxs, gw, g.sum(axis=(0, 1, 2))

@@ -1,4 +1,5 @@
-"""Time the three forms of each stride-1 conv3d pass at the models' shapes.
+"""Time the forms of each stride-1 conv3d pass at the models' shapes, and
+upsample_conv3d against the upsample-then-conv3d composition.
 
     PYTHONPATH=src python tests/conv_paths.py [grid,cin,cout,k ...]
 
@@ -8,7 +9,16 @@ kernel gradient in each form: one GEMM over the patch matrix (patch),
 shifted-row taps accumulated inside gemm (gemm) or through numpy adds
 (numpy); the kernel gradient's taps are one form (taps). A star marks
 the form that ``conv._patches_pay`` and ``conv._blas_accumulates`` give
-the pass. The conv.py table and rule are built from this output.
+the pass; a one-tap pass at padding 0 is one product whatever the
+accumulation, starred in the gemm column (the numpy column hides gemm,
+so a product with inner extent 1 is a broadcast multiply there).
+Without arguments it then
+prints, for every ``UPSAMPLE_CONVS`` input, the same three passes of
+``upsample_conv3d`` beside those of the composition it replaces: the
+upsample built (the tests' oracle), conv3d over it (the form its shape
+picks), and in the input gradient the upsample's transpose; the kernel
+gradient builds the upsample again, as a rebuilt input did. The conv.py
+tables are built from this output.
 """
 
 import contextlib
@@ -19,13 +29,22 @@ import time
 import numpy as np
 import pytest
 
+from conv_oracles import trilinear_upsample, trilinear_upsample_adjoint
 from voxseg import autodiff as ad
 from voxseg.autodiff import conv
 
-MODEL_CONVS = [  # (grid, Cin, Cout, kernel) of every stride-1 conv of both models
+# (grid, Cin, Cout, kernel) of every stride-1 conv3d of both models, and
+# of the fuse convs over the whole concatenation (16^3 80 -> 16, 8^3
+# 24 -> 8) and the smooth convs at the full grid (32^3 and 16^3) that
+# upsample_conv3d replaced
+MODEL_CONVS = [
     (16, 16, 16, 3), (16, 80, 16, 3), (16, 64, 16, 3), (32, 16, 16, 3), (32, 16, 1, 1),
     (8, 8, 8, 3), (8, 24, 8, 3), (8, 32, 8, 3), (16, 8, 8, 3), (16, 8, 1, 1),
 ]
+
+# (grid, Cin, Cout, factor) of the upsampled input of every upsample_conv3d
+# of both models: the desk fuse and smooth convs, then the tiny model's
+UPSAMPLE_CONVS = [(8, 64, 16, 2), (16, 16, 16, 2), (4, 16, 8, 2), (8, 8, 8, 2)]
 
 FORMS = ("patch", "gemm", "numpy")
 
@@ -81,8 +100,9 @@ def passes(grid, cin, cout, k, seed=0):
 
 def forms_taken(grid, cin, cout, k):
     """The form the shape rule gives (forward, input gradient, kernel
-    gradient): "patch", "gemm" or "numpy" taps, or the kernel gradient's
-    "taps", seen by spying on the kernels each pass calls."""
+    gradient): "patch", "gemm" or "numpy" taps, the kernel gradient's
+    "taps", or one "product" (a single tap at padding 0), seen by spying on
+    the kernels each pass calls."""
     seen = []
     with pytest.MonkeyPatch.context() as mp, passes(grid, cin, cout, k) as fns:
         for name in ("_im2col", "_accumulate_taps", "_kernel_grad_taps"):
@@ -94,8 +114,11 @@ def forms_taken(grid, cin, cout, k):
         for fn in fns:
             seen.clear()
             fn()
-            forms.append("gemm" if "gemm" in seen else "numpy" if "_accumulate_taps" in seen
-                         else "taps" if "_kernel_grad_taps" in seen else "patch")
+            if "_accumulate_taps" in seen:
+                forms.append("gemm" if "gemm" in seen else "numpy")
+            else:
+                forms.append("taps" if "_kernel_grad_taps" in seen
+                             else "patch" if "_im2col" in seen else "product")
     return tuple(forms)
 
 
@@ -116,6 +139,55 @@ def time_passes(grid, cin, cout, k, form):
         return tuple(_median_ms(fn) for fn in fns)
 
 
+@contextlib.contextmanager
+def upsample_passes(grid, cin, cout, factor, seed=0):
+    """((op passes), (composition passes)): zero-argument callables running
+    the forward, input gradient and kernel gradient of f32
+    upsample_conv3d over one (grid^3, cin) input upsampled by ``factor``,
+    and of the composition it replaces."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((grid,) * 3 + (cin,)).astype(np.float32)
+    w = (rng.standard_normal((3, 3, 3, cin, cout)) * 0.1).astype(np.float32)
+    g = rng.standard_normal((grid * factor,) * 3 + (cout,)).astype(np.float32)
+    up = trilinear_upsample(x, factor).astype(np.float32)
+    with ad.precision("f32"):
+        xt, wt = ad.tensor(x), ad.tensor(w)
+
+        def backward_toward(op, needs):
+            xg = ad.tensor(x if op is ad.upsample_conv3d else up, requires_grad=needs == "x")
+            wg = ad.tensor(w, requires_grad=needs == "w")
+            rec = (xg if needs == "x" else wg)._record
+            node = (ad.upsample_conv3d(xg, wg, factor) if op is ad.upsample_conv3d
+                    else ad.conv3d(xg, wg, padding=1))._record
+
+            def step():
+                node._backward(g)
+                if op is ad.conv3d and needs == "x":
+                    trilinear_upsample_adjoint(rec.grad, x.shape[:3], factor)
+                rec.grad = None
+
+            return step
+
+        def op_forward():
+            with ad.no_grad():
+                ad.upsample_conv3d(xt, wt, factor)
+
+        def composition_forward():
+            with ad.no_grad():
+                ad.conv3d(ad.tensor(trilinear_upsample(x, factor).astype(np.float32)), wt,
+                          padding=1)
+
+        kernel_grad = backward_toward(ad.conv3d, "w")
+
+        def composition_kernel_grad():
+            trilinear_upsample(x, factor).astype(np.float32)
+            kernel_grad()
+
+        yield ((op_forward, backward_toward(ad.upsample_conv3d, "x"),
+                backward_toward(ad.upsample_conv3d, "w")),
+               (composition_forward, backward_toward(ad.conv3d, "x"), composition_kernel_grad))
+
+
 def main(argv):
     shapes = [tuple(int(v) for v in a.split(",")) for a in argv] or MODEL_CONVS
     print("                     forward             input gradient      kernel gradient")
@@ -128,8 +200,19 @@ def main(argv):
             # the kernel gradient's taps are one code path: time it as "gemm"
             cells = [times["gemm" if f == "taps" else f][i] for f in forms]
             line += "  " + "".join(
-                f"{c:6.2f}{'*' if f == rule[i] else ' '}" for f, c in zip(forms, cells))
+                f"{c:6.2f}{'*' if f == rule[i] or (f, rule[i]) == ('gemm', 'product') else ' '}"
+                for f, c in zip(forms, cells))
         print(line.rstrip())
+    if argv:
+        return
+    print()
+    print("upsampled input        forward         input gradient   kernel gradient")
+    print("grid Cin->Cout  f    compos.    op     compos.    op     compos.    op")
+    for grid, cin, cout, factor in UPSAMPLE_CONVS:
+        with upsample_passes(grid, cin, cout, factor) as (op, composition):
+            cells = [(_median_ms(c), _median_ms(o)) for c, o in zip(composition, op)]
+        print(f"{grid:>2}^3 {cin:>3}->{cout:<3} {factor:>2}  "
+              + "".join(f"{c:9.2f}{o:7.2f}" for c, o in cells))
 
 
 if __name__ == "__main__":

@@ -168,8 +168,9 @@ def _op_of(node):
 
 def test_decoder_builds_no_concat_and_no_relu_after_a_norm(rng):
     """One forward of the tiny decoder (four enhancers and the head) feeds
-    its lists of inputs straight to conv3d and applies every block's relu
-    inside the instance norm."""
+    its lists of inputs straight to conv3d or upsample_conv3d (each
+    enhancer's fuse conv and the head's smooth conv) and applies every
+    block's relu inside the instance norm."""
     spec = voxseg.model.ModelSpec(
         vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=16, heads=2,
         adapter_dim=4, prompt_n=16, dec_channels=8,
@@ -191,7 +192,8 @@ def test_decoder_builds_no_concat_and_no_relu_after_a_norm(rng):
             nodes.append(node)
             stack.extend(node._parents)
     ops = [_op_of(n) for n in nodes]
-    assert ops.count("conv3d") == 4 * 4 + 4 and ops.count("_normalize") == 4 * 4 + 2
+    assert ops.count("conv3d") == 4 * 3 + 3 and ops.count("upsample_conv3d") == 4 + 1
+    assert ops.count("_normalize") == 4 * 4 + 2
     assert "concat" not in ops
     assert not any(_op_of(n) == "relu" and any(p._backward is not None
                                                 and _op_of(p) == "_normalize"

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conv_oracles import (
-    apply_axis_moveaxis,
     conv3d_input_grad_taps,
     conv3d_kernel_grad_taps,
     conv3d_reference,
     interp_weights_loop,
+    trilinear_upsample,
 )
 from voxseg import autodiff as ad
 from voxseg.autodiff import conv
@@ -283,25 +283,29 @@ def test_fused_operands_are_checked():
 
 
 def test_trilinear_upsample_constant_and_factor1(rng):
+    """The interpolation matrices keep a constant and, at factor 1, are the
+    identity (the upsample is the tests' oracle; the matrices are
+    ``conv._interp_weights``)."""
     x = np.full((3, 4, 2, 2), 1.5)
-    up = ad.trilinear_upsample(ad.tensor(x), 2).numpy()
+    up = trilinear_upsample(x, 2)
     assert up.shape == (6, 8, 4, 2)
     np.testing.assert_allclose(up, 1.5, rtol=1e-12)
-    same = ad.trilinear_upsample(ad.tensor(x), 1).numpy()
-    np.testing.assert_array_equal(same, x)
+    np.testing.assert_array_equal(trilinear_upsample(x, 1), x)
 
 
 @pytest.mark.parametrize("factor", [2, 1])
-def test_trilinear_upsample_gradient_handover(rng, factor):
-    """The input gradient is the adjoint of the upsampling (a dense Jacobian
-    built from unit inputs), handed over without a copy where it is fresh;
-    at factor 1 it is the upstream gradient itself, which x.grad must not
-    alias: a second pass then doubles x.grad and leaves g unchanged."""
+def test_upsample_conv3d_gradient_handover(rng, factor):
+    """The input gradient is the adjoint of the op's map from x (a dense
+    Jacobian built from unit inputs), handed over without a copy: x.grad
+    never aliases the upstream gradient g, at factor 1 (the plain stride-1
+    passes) as at 2, and a second pass doubles x.grad and leaves g
+    unchanged."""
     shape = (2, 3, 2, 2)
+    w = ad.tensor(rng.standard_normal((3, 3, 3, 2, 3)))
     x = ad.tensor(rng.standard_normal(shape), requires_grad=True)
-    out = ad.trilinear_upsample(x, factor)
+    out = ad.upsample_conv3d(x, w, factor)
     eye = np.eye(x.size).reshape((x.size,) + shape)
-    jac = np.stack([ad.trilinear_upsample(ad.tensor(e), factor).numpy().ravel() for e in eye])
+    jac = np.stack([ad.upsample_conv3d(ad.tensor(e), w, factor).numpy().ravel() for e in eye])
     g = rng.standard_normal(out.shape)
     g0 = g.copy()
     out._record._backward(g)
@@ -319,26 +323,6 @@ def test_interp_weights_equal_the_row_loop():
                                   interp_weights_loop(n, factor)), (n, factor)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_apply_axis_equals_the_moveaxis_form(rng, dtype):
-    """Bit for bit, for the forward's matrices and the backward's transposes,
-    on random shapes (a trailing extent of 1 included) and on the desk
-    model's tap and head shapes."""
-    draws = [tuple(int(n) for n in rng.integers(1, 10, 4)) for _ in range(150)]
-    draws += [(8, 8, 8, 64), (16, 8, 8, 64), (16, 16, 16, 16), (32, 16, 16, 16)]
-    for shape in draws:
-        for axis in range(3):
-            factor = int(rng.integers(1, 4))
-            mat = conv._interp_weights(shape[axis], factor).astype(dtype)
-            x = rng.standard_normal(shape).astype(dtype)
-            assert np.array_equal(conv._apply_axis(mat, x, axis),
-                                  apply_axis_moveaxis(mat, x, axis)), (shape, axis, factor)
-            g_shape = shape[:axis] + (mat.shape[0],) + shape[axis + 1 :]
-            g = rng.standard_normal(g_shape).astype(dtype)
-            assert np.array_equal(conv._apply_axis(mat.T, g, axis),
-                                  apply_axis_moveaxis(mat.T, g, axis)), (shape, axis, factor)
-
-
 def _rebuilt_cases(rng):
     """(name, recorded output) for every op with a rebuild hook."""
     for dtype in (np.float32, np.float64):
@@ -351,11 +335,6 @@ def _rebuilt_cases(rng):
                                                bias=leaf(256, grad=False))
         yield f"batched matmul bias {name}", ad.matmul(leaf(4, 7, 5), leaf(4, 5, 3, grad=False),
                                                        bias=leaf(3))
-    tap = ad.tensor(rng.standard_normal((8, 8, 8, 64)), requires_grad=True, dtype=np.float32)
-    head = ad.tensor(rng.standard_normal((16, 16, 16, 16)), requires_grad=True,
-                     dtype=np.float32)
-    yield "desk tap upsample", ad.trilinear_upsample(tap, 2)
-    yield "desk head upsample", ad.trilinear_upsample(head, 2)
 
 
 def test_rebuild_hooks_return_the_forward_value(rng):
@@ -367,9 +346,7 @@ def test_rebuild_hooks_return_the_forward_value(rng):
 def test_rebuild_hook_only_beside_a_record(rng):
     x = ad.tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w = ad.tensor(rng.standard_normal((4, 2)))
-    vol = ad.tensor(rng.standard_normal((2, 2, 2, 3)))
     assert ad.matmul(x.data, w)._rebuild is None
-    assert ad.trilinear_upsample(vol, 2)._rebuild is None
     with ad.no_grad():
         assert ad.matmul(x, w)._rebuild is None
     assert ad.matmul(x, w)._rebuild is not None
@@ -393,7 +370,7 @@ def test_trilinear_upsample_linear_ramp_interior():
     # linear functions are reproduced exactly away from the clamped edges
     n = 4
     x = np.arange(n, dtype=float).reshape(n, 1, 1, 1) * np.ones((n, 2, 2, 1))
-    up = ad.trilinear_upsample(ad.tensor(x), 2).numpy()
+    up = trilinear_upsample(x, 2)
     expected = (np.arange(2 * n) + 0.5) / 2 - 0.5
     np.testing.assert_allclose(up[1:-1, 0, 0, 0], expected[1:-1], rtol=1e-12)
 

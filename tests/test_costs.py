@@ -60,6 +60,20 @@ class TestAccountantVsStore:
         assert base.flops("decoder") - ablated.flops("decoder") == 243_793_920
         assert ablated.params() == base.params()
 
+    def test_decoder_prices_what_runs(self):
+        """At desk defaults the upsampled convs' projections are linear MACs
+        at the input grid and their shifted interpolation interp MACs, as
+        ``upsample_conv3d`` runs them: decoder flops 2,355,494,912 while the
+        fuse and smooth convs ran over built upsamples, now 1,493,827,584."""
+        rep = costs.count_cost(mdl.ModelSpec().validate())
+        assert rep.flops("decoder") == 1_493_827_584
+        assert rep.macs("decoder", category="linear") == 658_767_872
+        assert rep.macs("decoder", category="interp") == 84_279_296
+        smooth = {it.name: it for it in rep.items if it.name.startswith("smooth")}
+        assert smooth["smooth"].macs == 27 * 32 * 16 * 16 * 16 * 16
+        assert smooth["smooth.interp"].macs == 65_929_216
+        assert not any(it.name.endswith("upsample") or it.name == "up_full" for it in rep.items)
+
     def test_totals_equal_sum_of_parts(self):
         rep = costs.count_cost(mdl.ModelSpec().validate())
         assert rep.flops() == sum(

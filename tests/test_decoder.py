@@ -198,8 +198,9 @@ class TestModelLevel:
 
     def test_shared_image_branch_runs_once(self, rng, monkeypatch):
         """At the desk volume and decoder width (a 4-layer encoder keeps it
-        quick), a shared image branch runs once per forward: 15 conv3d calls,
-        where per-enhancer branches make 21, and the same probabilities, bit
+        quick), a shared image branch runs once per forward: 10 conv3d calls,
+        where per-enhancer branches make 16 (each enhancer's fuse conv and
+        the head's smooth conv are upsample_conv3d), and the same probabilities, bit
         for bit, as re-running the shared branch inside each enhancer."""
         shared = mdl.ModelSpec(layers=4, taps=(1, 2, 3, 4), prompt_layer=4,
                                share_image_branch=True).validate()
@@ -225,7 +226,7 @@ class TestModelLevel:
             monkeypatch.setattr(dec, "original_feature_enhancer",
                                 lambda z, image, p, features=None: enhancer(z, image, p))
             rerun, _ = forward(shared)
-        assert (n_shared, n_own) == (15, 21)
+        assert (n_shared, n_own) == (10, 16)
         assert np.array_equal(prob, rerun)
 
 

@@ -49,15 +49,14 @@ def _wrap(monkeypatch, owner, name, on_call):
 def test_values_no_backward_reads_die_during_the_forward(monkeypatch):
     """After forward plus loss, holding only the loss: every encoder gelu,
     its input (the MLP's first product, which gelu's backward rebuilds),
-    norm1 and wo output, every relu input (the adapters' and the head's
-    smooth conv) and every upsample output (which the next conv's kernel
-    gradient rebuilds) is dead; every attention output and every other
-    conv input is alive. No closure keeps a Tensor, and the backward still
+    norm1 and wo output, and every relu input (the adapters' and the head's
+    smooth conv) is dead; every attention output and every input of a
+    conv3d or upsample_conv3d is alive. No upsampled array is ever built,
+    so none can be kept. No closure keeps a Tensor, and the backward still
     reaches every trainable parameter."""
     spec, store, vol, mask = _case()
     smooth_w = store["decoder.smooth_w"]
     dead, alive = {}, {}
-    upsampled = []
 
     def note(kind, where, arr):
         where.setdefault(kind, []).append(weakref.ref(arr))
@@ -70,31 +69,29 @@ def test_values_no_backward_reads_die_during_the_forward(monkeypatch):
         note("gelu", dead, out.data)
         note("gelu input", dead, args[0].data)
 
-    def on_upsample(args, kwargs, out):
-        note("upsample", dead, out.data)
-        upsampled.append(weakref.ref(out))
+    def on_conv(kind):
+        def on_call(args, kwargs, out):
+            xs = args[0] if isinstance(args[0], list) else [args[0]]
+            for x in xs:
+                note(kind, alive, x.data)
+            if args[1] is smooth_w:
+                note("smooth conv", dead, out.data)
 
-    def on_conv(args, kwargs, out):
-        xs = args[0] if isinstance(args[0], list) else [args[0]]
-        for x in xs:
-            if not any(ref() is x for ref in upsampled):
-                note("conv input", alive, x.data)
-        if args[1] is smooth_w:
-            note("smooth conv", dead, out.data)
+        return on_call
 
     _wrap(monkeypatch, ad, "gelu", on_gelu)
     _wrap(monkeypatch, ad, "relu", lambda a, k, out: note("relu input", dead, a[0].data))
     _wrap(monkeypatch, ad, "attention", lambda a, k, out: note("attention", alive, out.data))
-    _wrap(monkeypatch, ad, "trilinear_upsample", on_upsample)
-    _wrap(monkeypatch, ad, "conv3d", on_conv)
+    _wrap(monkeypatch, ad, "conv3d", on_conv("conv input"))
+    _wrap(monkeypatch, ad, "upsample_conv3d", on_conv("upsample_conv3d input"))
     _wrap(monkeypatch, encoder, "attention_forward", on_attention_forward)
     loss = _loss(spec, store, vol, mask)
 
     counts = {kind: len(refs) for kind, refs in {**dead, **alive}.items()}
     assert counts["gelu"] == counts["gelu input"] == counts["norm1"] == counts["wo"] == spec.layers
     assert counts["relu input"] == spec.layers + 1 and counts["smooth conv"] == 1
-    assert counts["upsample"] == len(spec.taps) + 1
-    assert counts["attention"] > spec.layers and counts["conv input"] > 20
+    assert counts["upsample_conv3d input"] == 2 * len(spec.taps) + 1
+    assert counts["attention"] > spec.layers and counts["conv input"] == 19
     for kind, refs in dead.items():
         assert all(ref() is None for ref in refs), kind
     for kind, refs in alive.items():
@@ -132,8 +129,9 @@ def test_retained_bytes_of_a_16_cubed_desk_case():
     """One 16^3 case of the desk model (C=64, 12 layers, decoder 16 ch)
     retains 3.11 MiB before its backward (6.97 MiB when every op's output
     lived until the backward ended). gelu, concat and reduce_mean keep no
-    output, nor does the upsample: its output and the MLP's first products
-    are rebuilt in the backward. The largest holders are the q/k/v
+    output, and the MLP's first products are rebuilt in the backward;
+    upsample_conv3d's closure keeps no array of its own (its inputs are
+    other ops' values, its kernel a parameter). The largest holders are the q/k/v
     products attention reads back, then the conv outputs the instance
     norms re-read and the norm outputs the next conv reads. The loss holds
     one f32 copy of the mask, shared by its dice and BCE terms, plus
@@ -141,16 +139,18 @@ def test_retained_bytes_of_a_16_cubed_desk_case():
     loss, outside = graph_bytes.desk_case(16)
     table = graph_bytes.retained_by_op(loss, outside)
     assert round(graph_bytes.total_mib(table), 2) == 3.11
-    for op in ("gelu", "concat", "reduce_mean", "trilinear_upsample"):
+    for op in ("gelu", "concat", "reduce_mean"):
         assert table.get(op, (0, 0))[0] == 0, op
+    assert table["upsample_conv3d"][1] == 0
     assert max(table, key=lambda op: sum(table[op])) == "matmul"
 
 
 def test_retained_bytes_of_a_32_cubed_desk_case():
-    """The benchmark's volume size: one 32^3 desk case retains 24.65 MiB
+    """The benchmark's volume size: one 32^3 desk case retains 24.64 MiB
     before its backward (36.53 MiB while upsample outputs and the MLP's
-    first products were kept)."""
+    first products were kept, 24.65 MiB while the upsample was an op whose
+    closure kept its interpolation matrices)."""
     loss, outside = graph_bytes.desk_case(32)
     table = graph_bytes.retained_by_op(loss, outside)
-    assert round(graph_bytes.total_mib(table), 2) == 24.65
-    assert table.get("trilinear_upsample", (0, 0))[0] == 0
+    assert round(graph_bytes.total_mib(table), 2) == 24.64
+    assert table["upsample_conv3d"][1] == 0
