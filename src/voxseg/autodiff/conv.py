@@ -718,9 +718,12 @@ def _upsampled_grads(x, in_shape, g, w, factors, need_x):
     return (None if gx is None else gx.reshape(in_shape)), gw
 
 
-def upsample_conv3d(x, w, factors, bias=None):
+def upsample_conv3d(x, w, factors, bias=None, relu=False):
     """The 3x3x3, stride-1, padding-1 conv of the channel concatenation of
-    trilinear upsamples, without building any upsample.
+    trilinear upsamples, without building any upsample; with ``relu=True``
+    a relu in place on its output inside this one node, equal bit for bit
+    to ``relu(upsample_conv3d(...))``, the mask taken from the output in
+    the backward as ``instance_norm(relu=True)`` does.
 
     x: one (n0, n1, n2, C) input or a list of them, read as the
     concatenation of each input trilinearly upsampled by its factors
@@ -775,6 +778,10 @@ def upsample_conv3d(x, w, factors, bias=None):
                              accumulate=bool(plain) or n > 0)
     if bias is not None:
         data += bias.data
+    out = None
+    if relu:
+        data *= data > 0  # relu's own expression, so a non-finite value stays
+        out = data
     rxs, rw = [_rec(t) for t in xs], _rec(w)
     rbias = None if bias is None else _rec(bias)
     kept = [_keep(t) for t in xs] if rw is not None else None
@@ -783,6 +790,8 @@ def upsample_conv3d(x, w, factors, bias=None):
     shapes = [t.data.shape for t in xs]
 
     def bw(g):
+        if relu:
+            g = g * (out > 0)
         gw = np.zeros(w_shape, dtype=g.dtype) if rw is not None else None
         if plain and rw is not None:
             xp = _pad_inputs([_value(kept[i]) for i in plain], ones)

@@ -29,13 +29,14 @@ kept, and relu's mask, taken from its own output (out > 0 exactly where
 x > 0), so the relu's input can die. A recorded output of ``matmul``
 also carries a rebuild hook, ``Tensor._rebuild``: a function that
 returns its value bit for bit from the operands and bias. The closures
-that read such an input's value, gelu's and the convs' kernel
-gradients, keep the hook instead of the array, so the MLP's first
-products die during the forward. (The decoder's upsampled features are
-never built at all: see ``conv.upsample_conv3d``.) The hook lives on
-the Tensor, never on the Record, and ``Record.data`` never recomputes;
-but a caller holding a recorded matmul output keeps that output's
-inputs alive as long, through its hook.
+that read such an input's value, gelu's, attention's and the convs'
+kernel gradients, keep the hook instead of the array, so the MLP's first
+products and the encoder's q, k and v products die during the forward.
+(The decoder's upsampled features are never built at all: see
+``conv.upsample_conv3d``.) The hook lives on the Tensor, never on the
+Record, and ``Record.data`` never recomputes; but a caller holding a
+recorded matmul output keeps that output's inputs alive as long, through
+its hook.
 
 Two precision modes exist: float32 (training) and float64 (gradient
 checking). The mode is a process-global default applied when leaf tensors
@@ -55,19 +56,23 @@ Conventions baked into the derivatives:
   * clamp passes gradient only strictly inside [lo, hi]
   * gelu is the tanh approximation
 
-Fused op: ``attention(q, k, v, scale)`` computes
-P = softmax(scale * q k^T over keys) and returns P v as a single node. Its
-inputs are all rank 2 (tokens, dim) or all rank 3 (heads, tokens, dim);
-it is the only softmax in the op set. It runs over blocks of query rows
-and keeps only the row log-sum-exp L, never P or the scores, so what it
-retains grows linearly with the token count. Its bookkeeping rides in
-its GEMMs: the scale in q, the row sum as a ones column appended to v
-(the output is divided by it, not P), and in the backward -L and
+Fused op: ``attention(q, k, v, scale, heads=1)`` computes, per head,
+P = softmax(scale * q k^T over keys) and returns P v as a single node.
+Its operands and result are token-major, (tokens, heads * dim), each head
+a column slice, so no node splits or merges heads; it is the only softmax
+in the op set. It runs over blocks of query rows and keeps only the row
+log-sum-exp L, never P or the scores, so what it retains grows linearly
+with the token count. Its bookkeeping rides in its GEMMs: the scale in q,
+the softmax shift as a -b column of q against a ones row of k^T (b a
+Cauchy-Schwarz bound on the row's scores, where it is small enough; else
+the exact row max is subtracted), the row sum as a ones column appended
+to v (the output is divided by it, not P), and in the backward -L and
 -D = -rowsum(g * out) as extra columns of the score and dP GEMMs:
 P = exp([scale q, -L] [k, 1]^T), dS = P * ([g, -D] [v, 1]^T),
-dV = P^T g, dQ = dS (scale k), dK = dS^T (scale q). That leaves three
-elementwise passes over each block of scores in the forward (row max,
-shift, exp) and two in the backward (exp, the product with P).
+dV = P^T g, dQ = dS (scale k), dK = dS^T (scale q). That leaves one
+elementwise pass over each block of scores in the forward (exp; the
+exact shift adds the row max and the subtraction) and two in the
+backward (exp, the product with P).
 """
 
 from __future__ import annotations
@@ -546,27 +551,48 @@ _GELU_A = 0.044715
 
 
 def gelu(x):
-    """Tanh-approximated gelu. The backward recomputes the tanh from the
+    """Tanh-approximated gelu, 0.5 x (1 + tanh(c (x + a x^3))), evaluated in
+    place on one fresh buffer. The backward recomputes the tanh from the
     input rather than keep it, and rebuilds the input too when it has a
-    rebuild hook (a matmul's product); the output is not kept."""
+    rebuild hook (a matmul's product); the output is not kept. Its
+    derivative 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2) also runs in
+    place, on three buffers."""
     dtype = x.data.dtype
     c = np.asarray(_GELU_C, dtype=dtype)
     a = np.asarray(_GELU_A, dtype=dtype)
 
     def tanh_inner(v):
-        return np.tanh(c * (v + a * (v * v * v)))  # f32 `** 3` is a slow generic pow
+        u = v * v  # f32 `** 3` is a slow generic pow
+        u *= v
+        u *= a
+        u += v
+        u *= c
+        return np.tanh(u, out=u)
 
-    data = 0.5 * x.data * (1.0 + tanh_inner(x.data))
-    data = data.astype(dtype, copy=False)
+    data = tanh_inner(x.data)
+    data += 1.0
+    data *= x.data
+    data *= 0.5
     rx = _rec(x)
     kept = _keep(x)
 
     def bw(g):
         xd = _value(kept)
-        t = tanh_inner(xd)
-        sech2 = 1.0 - t * t
-        d = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * c * (1.0 + 3.0 * a * xd * xd)
-        rx._accum(g * d.astype(dtype, copy=False), owned=True)
+        d = tanh_inner(xd)
+        y = d * d
+        np.subtract(1.0, y, out=y)  # sech^2
+        w = xd * (3.0 * a)
+        w *= xd
+        w += 1.0
+        y *= xd  # (0.5 x) sech^2: halving is exact
+        y *= 0.5
+        y *= c
+        y *= w
+        d += 1.0
+        d *= 0.5
+        d += y
+        d *= g
+        rx._accum(d, owned=True)
 
     return _make("gelu", data, (x,), bw)
 
@@ -677,104 +703,180 @@ _HEAD = {-1: (Ellipsis, slice(None, -1)), -2: (Ellipsis, slice(None, -1), slice(
 _TAIL = {-1: (Ellipsis, slice(-1, None)), -2: (Ellipsis, slice(-1, None), slice(None))}
 
 
-def _augment(x, fill, axis=-1):
-    """[x, fill] as a new contiguous array with one more column (axis -1)
-    or row (axis -2): x may be any view; fill is a scalar, or an array
-    of extent 1 on that axis."""
+def _augment(x, fill, axis=-1, scale=None):
+    """[x * scale, fill] as a new contiguous array with one more column
+    (axis -1) or row (axis -2): x may be any view; fill is a scalar, or an
+    array of extent 1 on that axis."""
     shape = list(x.shape)
     shape[axis] += 1
     out = np.empty(shape, dtype=x.dtype)
-    out[_HEAD[axis]] = x
+    if scale is None:
+        out[_HEAD[axis]] = x
+    else:
+        np.multiply(x, scale, out=out[_HEAD[axis]])
     out[_TAIL[axis]] = fill
     return out
 
 
-def _join_rows(parts):
-    """Concatenate per-block results along the query axis."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
+def _heads(x, heads):
+    """A token-major (tokens, heads * w) array as its (heads, tokens, w)
+    view."""
+    t, c = x.shape
+    return x.reshape(t, heads, c // heads).transpose(1, 0, 2)
 
 
-def attention(q, k, v, scale):
-    """softmax(scale * q k^T, over keys) v as one graph node.
+def _merge(xh):
+    """(heads, tokens, w) back to token-major (tokens, heads * w)."""
+    return xh.transpose(1, 0, 2).reshape(xh.shape[1], -1)
 
-    q: (..., M, d); k: (..., N, d); v: (..., N, dv), where ``...`` is
-    nothing (rank 2) or one heads dim shared by all three (rank 3). The
-    queries run in blocks of rows sized from the shape alone, so that
-    heads * rows * N <= ATTENTION_BLOCK_ELEMS. The scale rides in q, so a
-    block's scores S = (scale * q) k^T come straight out of the GEMM; the
-    row max is subtracted and E = exp(S - max) taken in place, and one
-    GEMM E [v, 1] yields both the unnormalized output and the row sum in
-    its last column. The output is that product divided by the row sum.
-    The closure keeps the inputs' data, the output and the row
-    log-sum-exp L = max + log(sum), nothing of size M * N. With g the
-    output gradient and D = rowsum(g * out), the backward recomputes each
-    block's P = exp([scale * q, -L] [k, 1]^T) and accumulates
+
+def _score_bound(sq, kt):
+    """The softmax shift of the bound path, or None where the exact row max
+    must be taken. sq: (heads, M, d + 1), scale * q in its first d columns;
+    kt: (heads, d + 1, N), k^T in its first d rows. Returns
+    b = |scale * q_i| * max_j |k_j| (heads, M, 1), which is at least every
+    score of row i (Cauchy-Schwarz), when N > 1 and every b is at most
+    -ln(tiny) / 4 of the dtype (21.8 in f32, 177 in f64)."""
+    n = kt.shape[-1]
+    if n < 2:  # one key must get weight exactly 1, which only its own score as shift gives
+        return None
+    q, k = sq[..., :-1], kt[:, :-1, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf bound picks the exact path
+        k_max = np.einsum("hdn,hdn->hn", k, k).max(axis=-1)
+        b = np.sqrt(np.einsum("hmd,hmd->hm", q, q) * k_max[:, None])[..., None]
+    limit = -math.log(np.finfo(sq.dtype).tiny) / 4
+    return b if (b <= limit).all() else None
+
+
+def attention(q, k, v, scale, heads=1):
+    """softmax(scale * q_h k_h^T, over keys) v_h for each head h, as one
+    graph node.
+
+    Token-major operands: q (M, heads * d), k (N, heads * d) and
+    v (N, heads * dv), head h in columns h*d .. (h+1)*d; the output is
+    (M, heads * dv) in the same layout, and so are dq, dk and dv. Heads
+    are views inside the op. The queries run in blocks of rows sized from
+    the shape alone, so that heads * rows * N <= ATTENTION_BLOCK_ELEMS.
+
+    Forward: each block's scores come out of one GEMM
+    [scale * q, -c] [k^T; 1], which also subtracts the softmax shift c of
+    each row; E = exp of that product is taken in place, and one GEMM
+    E [v, 1] yields both the unnormalized output and the row sum in its
+    last column. The output is that product divided by the row sum. The
+    shift c is the bound b_i = |scale * q_i| * max_j |k_j| (``_score_bound``),
+    known before any score, where N > 1 and every b_i <= -ln(tiny) / 4: by
+    Cauchy-Schwarz every score of row i lies in [-b_i, b_i], so every exp
+    argument lies in [-2 b_i, 0], within [ln(tiny) / 2, 0]. A weight that
+    matters at the dtype's precision eps relative to the row's largest is
+    then at least eps * sqrt(tiny), a normal number, and nothing
+    overflows. Elsewhere (one key, whose weight must be exactly 1, or a
+    bound above the limit) the shift column is 0 and the exact row max is
+    taken and subtracted from the block, as in the classic form. Which
+    shift runs depends only on the values, never on grad mode.
+
+    The closure keeps the inputs (the rebuild hook of a matmul product,
+    else the array), the output and the row log-sum-exp
+    L = c + log(row sum), nothing of size M * N. With g the output gradient
+    and D = rowsum(g * out) per head, the backward recomputes each block's
+    P = exp([scale * q, -L] [k, 1]^T) and accumulates
         dV += P^T g,  dS = P * ([g, -D] [v, 1]^T),
         dQ = dS (scale * k),  dK += dS^T (scale * q),
     so the shifts by L and D are GEMM columns, not passes over the scores.
+    With one key every weight is exactly 1, and dq and dk are exact zeros.
+
+    Median ms per call at the models' shapes, f32, 2 vCPU, from two runs of
+    ``tests/attention_paths.py`` (the backward is one code path whatever
+    the shift; its spread is run to run):
+
+        call                     M x N      heads x d  forward: shift  exact      backward
+        desk encoder             512 x 512  4 x 16        2.9-3.5    4.6        4.9-6.8
+        desk prompter, spatial   512 x 64   1 x 64        0.23       0.31       0.43-0.47
+        desk prompter, channel   64 x 64    1 x 512       0.31-0.45  0.30-0.39  0.85-1.10
+        tiny encoder             64 x 64    2 x 8         0.06-0.11  0.07-0.12  0.06-0.11
+
+    At ``train.seed`` init on a phantom, every encoder call and the spatial
+    prompter call take the shift (bounds 3.6-11.5 on the desk model, 2.8-8.3
+    on the tiny one; 0.8 and 0.07) and the channel prompter call the exact
+    max (bounds 369 and 56), so both shifts run in every model.
     """
     _check_inputs("attention", q, k, v)
-    if not q.data.ndim == k.data.ndim == v.data.ndim or q.data.ndim not in (2, 3):
+    if not q.data.ndim == k.data.ndim == v.data.ndim == 2:
         raise ShapeMismatchError(
-            "attention: q, k and v must all be (tokens, dim) or all (heads, tokens, dim)"
+            "attention: q, k and v must be token-major (tokens, heads * dim)"
         )
-    if not q.data.shape[:-2] == k.data.shape[:-2] == v.data.shape[:-2]:
-        raise ShapeMismatchError("attention: head counts differ")
-    if q.data.shape[-1] != k.data.shape[-1] or k.data.shape[-2] != v.data.shape[-2]:
+    (m, cq), (n, ck), (nv, cv) = q.data.shape, k.data.shape, v.data.shape
+    if heads < 1 or cq % heads or cv % heads:
+        raise ShapeMismatchError(
+            f"attention: {heads} heads do not divide q {q.data.shape} and v {v.data.shape}"
+        )
+    if cq != ck or n != nv:
         raise ShapeMismatchError(
             f"attention: q {q.data.shape}, k {k.data.shape}, v {v.data.shape} do not fit"
         )
-    s = np.asarray(float(scale), dtype=q.data.dtype)
-    m, n = q.data.shape[-2], k.data.shape[-2]
-    heads = q.data.shape[0] if q.data.ndim == 3 else 1
+    dtype = q.data.dtype
+    s = np.asarray(float(scale), dtype=dtype)
     rows = max(1, ATTENTION_BLOCK_ELEMS // (heads * n))
     blocks = [slice(lo, lo + rows) for lo in range(0, max(m, 1), rows)]
-    # Each operand is built from the (often permuted) input views in one
-    # pass, in a layout the GEMMs read without copying; the transposes are
-    # made contiguous because batched GEMMs on transposed slices run slow.
-    sq = q.data * s
-    kt = np.ascontiguousarray(k.data.swapaxes(-1, -2))
-    v1 = _augment(v.data, 1)
-    outs, lses = [], []
+    # Each operand is built from the head views in one pass, in a layout
+    # the GEMMs read without copying; the transposes are made contiguous
+    # because batched GEMMs on transposed slices run slow.
+    sq = _augment(_heads(q.data, heads), 0, scale=s)
+    kt = _augment(_heads(k.data, heads).swapaxes(-1, -2), 1, axis=-2)
+    v1 = _augment(_heads(v.data, heads), 1)
+    bound = _score_bound(sq, kt)
+    if bound is not None:
+        np.negative(bound, out=sq[..., -1:])
+    data = np.empty((m, cv), dtype=dtype)
+    out, lse = _heads(data, heads), np.empty((heads, m, 1), dtype=dtype)
     for blk in blocks:
-        e = sq[..., blk, :] @ kt
-        row_max = e.max(axis=-1, keepdims=True)
-        e -= row_max
+        e = sq[:, blk] @ kt
+        if bound is None:
+            shift = e.max(axis=-1, keepdims=True)
+            e -= shift
+        else:
+            shift = bound[:, blk]
         np.exp(e, out=e)
         o = e @ v1
         row_sum = o[..., -1:]
-        outs.append(o[..., :-1] / row_sum)
-        lses.append(np.log(row_sum) + row_max)
-    data, lse = _join_rows(outs), _join_rows(lses)
-    qd, kd, vd = q.data, k.data, v.data
+        np.divide(o[..., :-1], row_sum, out=out[:, blk])
+        np.log(row_sum, out=lse[:, blk])
+        lse[:, blk] += shift
+    kept = [_keep(t) for t in (q, k, v)]
     rq, rk, rv = _rec(q), _rec(k), _rec(v)
 
-    def bw(g):
-        q1 = _augment(qd * s, -lse)
-        k1t = _augment(kd.swapaxes(-1, -2), 1, axis=-2)
-        g1 = _augment(g, -np.einsum("...j,...j->...", g, data)[..., None])
-        v1t = _augment(vd.swapaxes(-1, -2), 1, axis=-2)
-        sk = kd * s
-        dqs, dk, dv = [], None, None
+    def grads(g):
+        """(dq, dk, dv), token-major."""
+        if n == 1:  # each weight is exactly 1, so no score gets a gradient
+            return np.zeros((m, cq), dtype), np.zeros((1, ck), dtype), g.sum(0, keepdims=True)
+        qd, kd, vd = (_value(x) for x in kept)
+        gh = _heads(g, heads)
+        q1 = _augment(_heads(qd, heads), -lse, scale=s)
+        k1t = _augment(_heads(kd, heads).swapaxes(-1, -2), 1, axis=-2)
+        g1 = _augment(gh, -np.einsum("...j,...j->...", gh, _heads(data, heads))[..., None])
+        v1t = _augment(_heads(vd, heads).swapaxes(-1, -2), 1, axis=-2)
+        kh = _heads(kd, heads)
+        sk = np.multiply(kh, s, out=np.empty(kh.shape, dtype=dtype))
+        dq = np.empty((m, cq), dtype=dtype)
+        dqh, dk, dv = _heads(dq, heads), None, None
         for blk in blocks:
-            qb, gb = q1[..., blk, :], g1[..., blk, :]
+            qb, gb = q1[:, blk], g1[:, blk]
             p = qb @ k1t
             np.exp(p, out=p)
             ds = gb @ v1t
             ds *= p
-            dqs.append(ds @ sk)
+            np.matmul(ds, sk, out=dqh[:, blk])
             p, ds = p.swapaxes(-1, -2), ds.swapaxes(-1, -2)
             if dv is None:
                 dv, dk = p @ gb[..., :-1], ds @ qb[..., :-1]
             else:
                 dv += p @ gb[..., :-1]
                 dk += ds @ qb[..., :-1]
-        if rq is not None:
-            rq._accum(_join_rows(dqs), owned=True)
-        if rk is not None:
-            rk._accum(dk, owned=True)
-        if rv is not None:
-            rv._accum(dv, owned=True)
+        return dq, _merge(dk), _merge(dv)
+
+    def bw(g):
+        for rec, d in zip((rq, rk, rv), grads(g)):
+            if rec is not None:
+                rec._accum(d, owned=True)
 
     return _make("attention", data, (q, k, v), bw)
 

@@ -67,54 +67,74 @@ def _expect(line, key):
     return int(parts[1])
 
 
+def _read_header(fh):
+    """(step, config lines, entry metadata, moment count) from the header
+    lines after the magic. A non-integer count or dimension, or bytes that
+    are not UTF-8, raise ValueError; a misshapen line ``CheckpointError``."""
+
+    def line():
+        return fh.readline().decode()
+
+    step = _expect(line(), "step")
+    n_cfg = _expect(line(), "config")
+    config_lines = [line().rstrip("\n") for _ in range(n_cfg)]
+    n_entries = _expect(line(), "entries")
+    meta = []
+    for _ in range(n_entries):
+        parts = line().split()
+        if len(parts) < 4:
+            raise CheckpointError("bad_header", f"malformed entry line {parts}")
+        name, frozen, tag, ndim = parts[0], bool(int(parts[1])), parts[2], int(parts[3])
+        dims = tuple(int(p) for p in parts[4 : 4 + ndim])
+        if len(dims) != ndim or tag not in _TAGS:
+            raise CheckpointError("bad_header", f"malformed entry line {parts}")
+        meta.append((name, frozen, tag, dims))
+    return step, config_lines, meta, _expect(line(), "moments")
+
+
 def load_checkpoint(path):
     """Read a checkpoint into plain structures.
 
     Returns (step, config_lines, entries, moments) where entries is a
-    list of (name, frozen, array) and moments maps name -> (m, v).
+    list of (name, frozen, array) and moments maps name -> (m, v). A
+    malformed header raises ``CheckpointError("bad_header")``, a payload
+    shorter or longer than the header declares
+    ``CheckpointError("payload_mismatch")``.
     """
     with open(path, "rb") as fh:
         if fh.readline().strip() != _MAGIC:
             raise CheckpointError("bad_magic", f"{path} is not a DEAPCKPT1 file")
-        step = _expect(fh.readline().decode(), "step")
-        n_cfg = _expect(fh.readline().decode(), "config")
-        config_lines = [fh.readline().decode().rstrip("\n") for _ in range(n_cfg)]
-        n_entries = _expect(fh.readline().decode(), "entries")
-        meta = []
-        for _ in range(n_entries):
-            parts = fh.readline().decode().split()
-            if len(parts) < 4:
-                raise CheckpointError("bad_header", f"malformed entry line {parts}")
-            name, frozen, tag, ndim = parts[0], bool(int(parts[1])), parts[2], int(parts[3])
-            dims = tuple(int(p) for p in parts[4 : 4 + ndim])
-            if len(dims) != ndim or tag not in _TAGS:
-                raise CheckpointError("bad_header", f"malformed entry line {parts}")
-            meta.append((name, frozen, tag, dims))
-        n_moments = _expect(fh.readline().decode(), "moments")
+        try:
+            step, config_lines, meta, n_moments = _read_header(fh)
+        except ValueError as exc:
+            raise CheckpointError("bad_header", f"{path}: malformed header: {exc}") from exc
         payload = fh.read()
 
     offset = 0
-    entries = []
-    for name, frozen, tag, dims in meta:
+
+    def take(name, tag, dims):
+        """The next array of the payload, checked against its length."""
+        nonlocal offset
         dtype = _TAGS[tag]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if dims else dtype.itemsize
-        arr = np.frombuffer(payload, dtype=dtype, count=max(1, int(np.prod(dims, dtype=np.int64))),
-                            offset=offset).reshape(dims)
-        offset += nbytes
-        entries.append((name, frozen, arr.copy()))
+        count = int(np.prod(dims, dtype=np.int64))
+        end = offset + count * dtype.itemsize
+        if end > len(payload):
+            raise CheckpointError(
+                "payload_mismatch",
+                f"payload length mismatch: {name} needs bytes {offset}..{end} of {len(payload)}",
+            )
+        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset).reshape(dims)
+        offset = end
+        return arr.copy()
+
+    entries = [(name, frozen, take(name, tag, dims)) for name, frozen, tag, dims in meta]
     moments = {}
     trainable = [(name, tag, dims) for name, frozen, tag, dims in meta if not frozen]
     if n_moments:
         if n_moments != len(trainable):
             raise CheckpointError("bad_header", "moment count does not match trainable entries")
         for name, tag, dims in trainable:
-            dtype = _TAGS[tag]
-            count = max(1, int(np.prod(dims, dtype=np.int64)))
-            m = np.frombuffer(payload, dtype=dtype, count=count, offset=offset).reshape(dims).copy()
-            offset += count * dtype.itemsize
-            v = np.frombuffer(payload, dtype=dtype, count=count, offset=offset).reshape(dims).copy()
-            offset += count * dtype.itemsize
-            moments[name] = (m, v)
+            moments[name] = (take(name, tag, dims), take(name, tag, dims))
     if offset != len(payload):
         raise CheckpointError(
             "payload_mismatch",

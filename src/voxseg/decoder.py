@@ -7,7 +7,8 @@ all branches meeting at (2H, 2W, 2D); a shared image branch
 (``share_image_branch``) runs once per forward and feeds all four
 enhancers. The prediction head concatenates the four enhancer outputs,
 applies a conv block, upsamples to the input resolution, smooths with
-one 3x3x3 conv, projects to a single channel and applies a sigmoid.
+one 3x3x3 conv and a relu (one node, ``upsample_conv3d(..., relu=True)``),
+projects to a single channel and applies a sigmoid.
 Both concatenations are implicit: the block's first conv takes the list
 of inputs and writes each into its channel slice of the padded buffer it
 builds anyway, so no concatenated copy is made or kept. Neither upsample
@@ -142,7 +143,7 @@ def predict(enhanced: list[FeatureMap], p: PredictParams) -> Tensor:
     if len(shapes) != 1:
         raise ShapeMismatchError(f"enhancer outputs disagree in shape: {shapes}")
     h = conv_block([e.data for e in enhanced], p.head)
-    h = ad.relu(ad.upsample_conv3d(h, p.smooth_w, p.upsample_factor, bias=p.smooth_b))
+    h = ad.upsample_conv3d(h, p.smooth_w, p.upsample_factor, bias=p.smooth_b, relu=True)
     logits = ad.conv3d(h, p.proj_w, stride=1, padding=0, bias=p.proj_b)
     prob = ad.sigmoid(logits)
     dims = prob.shape[:3]

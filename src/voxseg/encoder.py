@@ -12,10 +12,15 @@ The MLP is linear -> GELU -> linear, as in SAM's encoder. The adapter
 branch relu(X @ down) @ up is the only trainable piece of a layer; ``s``
 is a fixed scale coefficient. Attention is full (global)
 multi-head self-attention over all H*W*D tokens: at desk-scale token
-counts windowing buys nothing and global attention is exact. Each layer's
-softmax(q k^T / sqrt(d)) v is one fused autodiff op (``ad.attention``)
-that keeps only its output and the row log-sum-exp (heads, M, 1) for the
-backward pass, never the (heads, M, M) scores or probabilities.
+counts windowing buys nothing and global attention is exact. The
+attention sublayer is six graph nodes: its input, the three biased q, k
+and v products (M, C), one ``ad.attention`` node over all heads, which
+reads each head as a column slice of the token-major products and
+returns the (M, C) context in the same layout, and the biased output
+product. No node splits or merges heads. For the backward the fused op
+keeps only its output, the row log-sum-exp (heads, M, 1) and the rebuild
+hooks of q, k and v, which recompute the products from the norm's output,
+never the (heads, M, M) scores or probabilities.
 
 A non-finite value is named by layer and sub-step through ``ad.scope``
 (``layer03/layer_forward/mlp/matmul: non-finite output``).
@@ -115,19 +120,16 @@ def adapter_forward(x, p: LayerParams):
 
 
 def attention_forward(z: Tensor, p: LayerParams, heads):
-    """Multi-head self-attention over tokens z (M, C), 1/sqrt(C/h) scaling."""
-    m, c = z.shape
+    """Multi-head self-attention over tokens z (M, C), 1/sqrt(C/h) scaling:
+    the q, k and v products, one token-major attention node and the output
+    product."""
+    c = z.shape[1]
     if c % heads != 0:
         raise ShapeMismatchError(f"attention: heads {heads} must divide channels {c}")
-    d = c // heads
     q = ad.matmul(z, p.wq, bias=p.bq)
     k = ad.matmul(z, p.wk, bias=p.bk)
     v = ad.matmul(z, p.wv, bias=p.bv)
-    qh = ad.permute(ad.reshape(q, (m, heads, d)), (1, 0, 2))
-    kh = ad.permute(ad.reshape(k, (m, heads, d)), (1, 0, 2))
-    vh = ad.permute(ad.reshape(v, (m, heads, d)), (1, 0, 2))
-    ctx = ad.attention(qh, kh, vh, 1.0 / math.sqrt(d))  # (heads, M, d)
-    ctx = ad.reshape(ad.permute(ctx, (1, 0, 2)), (m, c))
+    ctx = ad.attention(q, k, v, 1.0 / math.sqrt(c // heads), heads=heads)  # (M, C)
     return ad.matmul(ctx, p.wo, bias=p.bo)
 
 

@@ -219,20 +219,33 @@ def _case_sigmoid(rng):
 
 
 def _attention_through_maps(rng, heads, l, d, m, n):
-    """x (heads, l, d) feeds q, k and v through three fixed maps to m
-    queries and n keys: one check covers all three inputs."""
-    aq, ak, av = _t(rng, *heads, m, l), _t(rng, *heads, n, l), _t(rng, *heads, n, l)
+    """x (l, heads * d) feeds the token-major q, k and v through three fixed
+    maps to m queries and n keys: one check covers all three inputs. Half
+    the instances (d >= 2) hide the last coordinate of every head from the
+    queries (q's is 0) and give the first key 1e4 there: the bound
+    |scale q_i| max_j |k_j| then passes the f64 limit of 177 with no logit
+    changed, so the exact row max runs; in the others the bounds stay
+    small and the shift rides in the score GEMM."""
+    w = heads * d
+    aq, ak, av = _t(rng, m, l), _t(rng, n, l), _t(rng, n, l)
     s = float(rng.uniform(0.3, 1.5))
-    return (
-        lambda x: ad.attention(ad.matmul(aq, x), ad.matmul(ak, x), ad.matmul(av, x), s),
-        rng.standard_normal(heads + (l, d)),
-    )
+    seen, far = np.ones(w), np.zeros((n, w))
+    if d >= 2 and rng.random() < 0.5:
+        seen[d - 1 :: d] = 0.0
+        far[0, d - 1 :: d] = 1e4
+    seen, far = ad.tensor(seen, dtype=np.float64), ad.tensor(far, dtype=np.float64)
+
+    def f(x):
+        q = ad.mul(ad.matmul(aq, x), seen)
+        k = ad.add(ad.matmul(ak, x), far)
+        return ad.attention(q, k, ad.matmul(av, x), s, heads=heads)
+
+    return f, rng.standard_normal((l, w))
 
 
 def _case_attention(rng):
-    """Each instance is rank 2 (tokens, dim) or rank 3 (heads, tokens, dim)."""
-    heads = (int(rng.integers(1, 4)),) if rng.random() < 0.5 else ()
-    l, d = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+    """1 to 3 heads of 1 to 4 dims."""
+    heads, l, d = int(rng.integers(1, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 5))
     m = int(rng.integers(2, 5))
     n = m + int(rng.integers(1, 3))  # query count != key count
     return _attention_through_maps(rng, heads, l, d, m, n)
@@ -240,11 +253,10 @@ def _case_attention(rng):
 
 def _case_attention_blocked(rng):
     """M and N large enough for several query blocks, the last ragged; x
-    stays (l, d)-sized, so the check stays cheap."""
-    heads = (int(rng.integers(1, 3)),) if rng.random() < 0.5 else ()
-    l, d = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+    stays (l, heads * d)-sized, so the check stays cheap."""
+    heads, l, d = int(rng.integers(1, 3)), int(rng.integers(2, 4)), int(rng.integers(1, 5))
     n = int(rng.integers(300, 600))
-    rows = ATTENTION_BLOCK_ELEMS // (int(np.prod(heads)) * n)
+    rows = ATTENTION_BLOCK_ELEMS // (heads * n)
     m = rows * int(rng.integers(1, 3)) + int(rng.integers(1, rows))
     return _attention_through_maps(rng, heads, l, d, m, n)
 

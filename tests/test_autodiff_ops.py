@@ -12,6 +12,7 @@ from conv_oracles import (
     interp_weights_loop,
     trilinear_upsample,
 )
+from graph_bytes import closure_arrays, owner
 from voxseg import autodiff as ad
 from voxseg.autodiff import conv
 from voxseg.autodiff.tensor import ATTENTION_BLOCK_ELEMS
@@ -34,21 +35,34 @@ def test_matmul_shape_mismatch():
         ad.matmul(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((4, 2))))
 
 
+def _tokens(x):
+    """(heads, tokens, w) as the op's token-major (tokens, heads * w)."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+
+def _attention(q, k, v, scale, dtype=np.float64, requires_grad=False):
+    """ad.attention over head-major (heads, tokens, w) arrays: the inputs
+    as token-major leaves, and the output."""
+    ts = [ad.tensor(_tokens(a), requires_grad=requires_grad, dtype=dtype) for a in (q, k, v)]
+    return ts, ad.attention(*ts, scale, heads=q.shape[0])
+
+
 def _attention_oracle(q, k, v, scale):
-    """softmax(scale * q k^T) v in f64 with the row max subtracted."""
+    """softmax(scale * q k^T) v in f64 with the row max subtracted, per
+    head of (heads, tokens, w) arrays, token-major."""
     q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
     logits = scale * (q @ k.transpose(0, 2, 1))
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return (e / e.sum(axis=-1, keepdims=True)) @ v
+    return _tokens((e / e.sum(axis=-1, keepdims=True)) @ v)
 
 
 def test_attention_f32_desk_shape_matches_oracle(rng):
     """Desk encoder shape: 4 heads, 512 tokens, head dim 16."""
     q, k, v = (rng.standard_normal((4, 512, 16)).astype(np.float32) for _ in range(3))
-    got = ad.attention(*(ad.tensor(a, dtype=np.float32) for a in (q, k, v)),
-                       1.0 / np.sqrt(16)).numpy()
+    _, out = _attention(q, k, v, 1.0 / np.sqrt(16), np.float32)
+    got = out.numpy()
     ref = _attention_oracle(q, k, v, 1.0 / np.sqrt(16))
-    assert got.dtype == np.float32
+    assert got.dtype == np.float32 and got.shape == (512, 64)
     np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
 
 
@@ -58,33 +72,34 @@ def test_attention_large_logits_stay_finite(rng, dtype):
     grow = np.sqrt(1e4 / np.abs(q @ k.transpose(0, 2, 1)).max())  # max |logit| = 1e4
     q, k = (q * grow).astype(dtype), (k * grow).astype(dtype)
     v = rng.standard_normal((2, 9, 3)).astype(dtype)
-    got = ad.attention(*(ad.tensor(a, dtype=dtype) for a in (q, k, v)), 1.0).numpy()
+    got = _attention(q, k, v, 1.0, dtype)[1].numpy()
     assert np.isfinite(got).all()
     np.testing.assert_allclose(got, _attention_oracle(q, k, v, 1.0), rtol=0, atol=1e-5)
 
 
 def _attention_grads_oracle(q, k, v, scale, g):
-    """Unblocked f64 (dQ, dK, dV) of sum(g * attention(q, k, v))."""
+    """Unblocked f64 (dQ, dK, dV) of sum(g * attention(q, k, v)), per head
+    of (heads, tokens, w) arrays, token-major."""
     q, k, v, g = (np.asarray(a, dtype=np.float64) for a in (q, k, v, g))
     logits = scale * (q @ k.swapaxes(-1, -2))
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     dp = g @ v.swapaxes(-1, -2)
     ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
-    return ds @ k, ds.swapaxes(-1, -2) @ q, p.swapaxes(-1, -2) @ g
+    return _tokens(ds @ k), _tokens(ds.swapaxes(-1, -2) @ q), _tokens(p.swapaxes(-1, -2) @ g)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_attention_blocked_matches_oracle(rng, dtype):
-    """(2, 700, 4) queries against 700 keys run in several query blocks,
-    the last one ragged; forward and gradients match the unblocked oracle."""
+    """700 queries in 2 heads against 700 keys run in several query
+    blocks, the last one ragged; forward and gradients match the unblocked
+    oracle."""
     heads, m, d = 2, 700, 4
     rows = ATTENTION_BLOCK_ELEMS // (heads * m)
     assert m // rows >= 2 and m % rows  # several blocks, the last ragged
     q, k, v, g = (rng.standard_normal((heads, m, d)).astype(dtype) for _ in range(4))
-    ts = [ad.tensor(a, requires_grad=True, dtype=dtype) for a in (q, k, v)]
-    out = ad.attention(*ts, 0.5)
-    ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=dtype))))
+    ts, out = _attention(q, k, v, 0.5, dtype, requires_grad=True)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(_tokens(g), dtype=dtype))))
     refs = [_attention_oracle(q, k, v, 0.5)] + list(_attention_grads_oracle(q, k, v, 0.5, g))
     for got, ref in zip([out.numpy()] + [t.grad for t in ts], refs):
         assert got.dtype == dtype
@@ -92,33 +107,34 @@ def test_attention_blocked_matches_oracle(rng, dtype):
 
 
 def test_attention_closure_keeps_no_probabilities(rng):
-    """At (4, 2048, 16) f32 the backward closure holds under 2 MB of arrays
-    besides the inputs' data (the output and the row log-sum-exp); the
-    probabilities alone are 64 MB."""
-    ts = [ad.tensor(rng.standard_normal((4, 2048, 16)), requires_grad=True,
+    """At 2048 tokens in 4 heads of 16, f32, the backward closure holds
+    under 2 MB of arrays besides the inputs' data (the output and the row
+    log-sum-exp); the probabilities alone are 64 MB."""
+    ts = [ad.tensor(rng.standard_normal((2048, 64)), requires_grad=True,
                     dtype=np.float32) for _ in range(3)]
-    out = ad.attention(*ts, 0.25)
+    out = ad.attention(*ts, 0.25, heads=4)
     held = {}
-    for cell in out._record._backward.__closure__:
-        arr = cell.cell_contents
-        if isinstance(arr, np.ndarray) and not any(arr is t.data for t in ts):
-            while isinstance(arr.base, np.ndarray):
-                arr = arr.base
-            held[id(arr)] = arr.nbytes
+    for arr in closure_arrays(out._record._backward):
+        if not any(arr is t.data for t in ts):
+            held[id(owner(arr))] = owner(arr).nbytes
     assert 0 < sum(held.values()) < 2 * 2**20
 
 
 def test_attention_shape_mismatch():
-    q = ad.tensor(np.zeros((2, 3, 4)))
-    with pytest.raises(ad.ShapeMismatchError):
-        ad.attention(q, ad.tensor(np.zeros((2, 5, 3))), ad.tensor(np.zeros((2, 5, 4))), 1.0)
-    with pytest.raises(ad.ShapeMismatchError):
-        ad.attention(q, ad.tensor(np.zeros((2, 5, 4))), ad.tensor(np.zeros((2, 4, 4))), 1.0)
-    with pytest.raises(ad.ShapeMismatchError):
-        ad.attention(q, ad.tensor(np.zeros((1, 5, 4))), ad.tensor(np.zeros((1, 5, 4))), 1.0)
-    kv = ad.tensor(np.zeros((2, 5, 4)))
-    with pytest.raises(ad.ShapeMismatchError):  # rank-2 q, rank-3 k and v
-        ad.attention(ad.tensor(np.zeros((3, 4))), kv, kv, 1.0)
+    """heads divides the widths of q and v, q and k widths agree, k and v
+    token counts agree, and every operand is (tokens, width)."""
+    def call(q, k, v, heads=1):
+        ad.attention(*(ad.tensor(np.zeros(s)) for s in (q, k, v)), 1.0, heads=heads)
+
+    call((3, 6), (5, 6), (5, 4), heads=2)  # fits
+    for bad in [((3, 6), (5, 6), (5, 4), 4),  # 4 heads do not divide 6
+                ((3, 6), (5, 6), (5, 3), 2),  # nor 2 the v width 3
+                ((3, 6), (5, 6), (5, 4), 0),
+                ((3, 6), (5, 4), (5, 4), 1),  # q and k widths differ
+                ((3, 6), (5, 6), (4, 4), 1),  # k and v token counts differ
+                ((2, 3, 4), (2, 5, 4), (2, 5, 4), 2)]:  # operands are rank 2
+        with pytest.raises(ad.ShapeMismatchError):
+            call(*bad)
 
 
 def test_conv3d_constant_field_sum_one_kernel(rng):
@@ -488,6 +504,26 @@ def test_gelu_f32_matches_f64_reference():
     ref = 0.5 * xd * (1 + np.tanh(np.sqrt(2 / np.pi) * (xd + 0.044715 * xd**3)))
     assert got.dtype == np.float32
     np.testing.assert_allclose(got, ref, rtol=1e-6, atol=4 * np.finfo(np.float32).eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_in_place_is_its_expression_bit_for_bit(dtype):
+    """gelu's in-place forward and backward give, bit for bit, the plain
+    expressions 0.5 x (1 + t) and g (0.5 (1 + t) + 0.5 x (1 - t^2) c
+    (1 + 3 a x^2)), t = tanh(c (x + a x^3)), in numpy's operation order."""
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.standard_normal(4096) * s for s in (0.1, 1.0, 4.0, 30.0)])
+    x = x.astype(dtype).reshape(64, -1)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    c, a = np.asarray(0.7978845608028654, dtype=dtype), np.asarray(0.044715, dtype=dtype)
+    t = np.tanh(c * (x + a * (x * x * x)))
+    ref_out = 0.5 * x * (1.0 + t)
+    ref_grad = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * a * x * x))
+    xt = ad.tensor(x, requires_grad=True, dtype=dtype)
+    out = ad.gelu(xt)
+    out._record._backward(g)
+    assert out.dtype == xt.grad.dtype == dtype
+    assert np.array_equal(out.numpy(), ref_out) and np.array_equal(xt.grad, ref_grad)
 
 
 def test_reduce_and_shape_ops(rng):

@@ -188,8 +188,33 @@ class TestCheckpoint:
         ckpt.save_checkpoint(path, store, None)
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
-        with pytest.raises(Exception):
+        with pytest.raises(ckpt.CheckpointError) as err:
             ckpt.load_checkpoint(path)
+        assert err.value.code == "payload_mismatch"
+
+    def test_trailing_bytes(self, tmp_path):
+        spec, store = _tiny_store()
+        path = tmp_path / "m.ckpt"
+        ckpt.save_checkpoint(path, store, None)
+        path.write_bytes(path.read_bytes() + b"\0" * 4)
+        with pytest.raises(ckpt.CheckpointError) as err:
+            ckpt.load_checkpoint(path)
+        assert err.value.code == "payload_mismatch"
+
+    @pytest.mark.parametrize("old,new", [(b"\nstep 0\n", b"\nstep x\n"),
+                                         (b"\nentries ", b"\nentries x"),
+                                         (b"\nmoments 0\n", b"\nmoments \xff\n")])
+    def test_malformed_header_number(self, tmp_path, old, new):
+        """A count that is not an integer is a bad header, not a ValueError."""
+        spec, store = _tiny_store()
+        path = tmp_path / "m.ckpt"
+        ckpt.save_checkpoint(path, store, None)
+        raw = path.read_bytes()
+        assert raw.count(old) == 1
+        path.write_bytes(raw.replace(old, new))
+        with pytest.raises(ckpt.CheckpointError) as err:
+            ckpt.load_checkpoint(path)
+        assert err.value.code == "bad_header"
 
     def test_layout_mismatch_rejected(self, tmp_path):
         spec, store = _tiny_store()

@@ -160,8 +160,8 @@ def test_layer_scale_linearity(rng):
 
 def test_attention_rows_sum_to_one(rng):
     """With v = 1 each output entry is one row sum of the attention weights."""
-    q, k = rng.standard_normal((2, 8, 4)) * 3, rng.standard_normal((2, 8, 4)) * 3
-    out = ad.attention(ad.tensor(q), ad.tensor(k), ad.tensor(np.ones((2, 8, 3))), 0.5)
+    q, k = rng.standard_normal((8, 8)) * 3, rng.standard_normal((8, 8)) * 3
+    out = ad.attention(ad.tensor(q), ad.tensor(k), ad.tensor(np.ones((8, 6))), 0.5, heads=2)
     np.testing.assert_allclose(out.numpy(), 1.0, atol=1e-6)
 
 
@@ -189,9 +189,10 @@ def test_attention_graph_keeps_no_score_nodes(rng):
             if isinstance(held, np.ndarray) and held.shape == (heads, m, m):
                 square.add(id(held))
     assert not square
-    # z, then q/k/v as biased matmul + reshape + permute each, then one
-    # attention node, then permute + reshape + biased matmul: 1 + 9 + 1 + 3
-    assert len(nodes) == 14
+    # z, the biased q, k and v products, one attention node over all heads
+    # and the biased output product: no node splits or merges heads
+    assert [node.op for node in nodes.values()].count("matmul") == 4
+    assert len(nodes) == 6
 
 
 def test_layer_names_attention_on_score_overflow():

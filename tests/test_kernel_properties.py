@@ -11,15 +11,19 @@ gradient, tap scatter-add input gradient) with stride 2 on at least one
 axis. Each conv draw also splits its input along channels into a random
 list of inputs, which must give the output and gradients of the conv
 over their concatenation bit for bit. The attention properties cover
-ranks 2 and 3, one query block and several (the last ragged), and
-logits up to 1e4, against an f64 oracle. The aliasing property builds
-random graphs that reuse tensors, where a gradient handed over without a
-copy could end up shared between leaves.
+token-major operands of 1, 2 and 3 heads, one query block and several
+(the last ragged), logits up to 1e4 and each softmax shift (the bound
+inside the score GEMM, the exact row max), against an f64 oracle. The
+aliasing property builds random graphs that reuse tensors, where a
+gradient handed over without a copy could end up shared between leaves.
 """
+
+import contextlib
+import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conv_oracles import conv3d_input_grad_taps, conv3d_kernel_grad_taps, conv3d_reference
@@ -28,6 +32,9 @@ from voxseg import autodiff as ad
 from voxseg.autodiff import conv
 from voxseg.autodiff.tensor import ATTENTION_BLOCK_ELEMS
 from voxseg.verify import OP_CASES, case_rng
+
+# the package exports a ``tensor`` function under the module's name
+tensor_module = importlib.import_module("voxseg.autodiff.tensor")
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 needs_gemm = pytest.mark.skipif(not conv._GEMM, reason="numpy's OpenBLAS gemm not found")
@@ -248,22 +255,31 @@ def test_gradcheck_reaches_every_stride1_form(monkeypatch):
     assert forms == {"patch", "numpy", "kernel taps"} | ({"gemm"} if conv._GEMM else set())
 
 
+def _tokens(x):
+    """(heads, tokens, w) as the op's token-major (tokens, heads * w)."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+
 def _attention_oracle(q, k, v, scale, g):
-    """f64 softmax(scale q k^T) v and its (dQ, dK, dV) under output gradient g."""
+    """f64 softmax(scale q k^T) v and its (dQ, dK, dV) under output gradient
+    g, per head of (heads, tokens, w) arrays, token-major."""
     logits = scale * (q @ k.swapaxes(-1, -2))
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     dp = g @ v.swapaxes(-1, -2)
     ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
-    return p @ v, ds @ k, ds.swapaxes(-1, -2) @ q, p.swapaxes(-1, -2) @ g
+    return tuple(_tokens(a) for a in (p @ v, ds @ k, ds.swapaxes(-1, -2) @ q,
+                                      p.swapaxes(-1, -2) @ g))
 
 
 @st.composite
-def attention_draws(draw):
-    heads = draw(st.sampled_from([(), (1,), (2,), (3,)]))
-    h = int(np.prod(heads))
+def attention_draws(draw, keys=None):
+    """(heads, M, N, d, dv, seed); ``keys`` pins N."""
+    h = draw(st.sampled_from([1, 2, 3]))
     d, dv = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    if draw(st.booleans()):  # one block
+    if keys is not None:
+        n, m = keys, draw(st.integers(1, 96))
+    elif draw(st.booleans()):  # one block
         n = draw(st.integers(1, 64))
         m = draw(st.integers(1, 96))
     else:  # several blocks, the last ragged or full
@@ -271,25 +287,63 @@ def attention_draws(draw):
         rows = ATTENTION_BLOCK_ELEMS // (h * n)
         m = rows * draw(st.integers(1, 2)) + draw(st.integers(0, rows - 1))
         m = max(m, rows + 1)
-    return heads, m, n, d, dv, draw(st.integers(0, 2**32 - 1))
+    return h, m, n, d, dv, draw(st.integers(0, 2**32 - 1))
 
 
-def _attention_case(draw, dtype, max_logit):
+def _bound_limit(dtype):
+    """The largest softmax shift bound the op uses, -ln(tiny) / 4."""
+    return -np.log(np.finfo(dtype).tiny) / 4
+
+
+def _attention_case(draw, dtype, max_logit=None, max_bound=None, hidden=None):
+    """f32 or f64 forward and gradients of one draw against the f64
+    oracle, q scaled so that the largest |logit| is ``max_logit`` or the
+    largest Cauchy-Schwarz bound |scale q_i| max_j |k_j| is ``max_bound``.
+    With ``hidden`` (d >= 2) each head's first key then gets a last
+    coordinate that no query sees (theirs is 0), sized so that the
+    largest bound is at least ``hidden`` while no logit changes.
+    Returns the softmax shift the op took: "shift" or "exact"."""
     heads, m, n, d, dv, seed = draw
     rng = np.random.default_rng(seed)
-    q, k = rng.standard_normal(heads + (m, d)), rng.standard_normal(heads + (n, d))
-    v, g = rng.standard_normal(heads + (n, dv)), rng.standard_normal(heads + (m, dv))
+    q, k = rng.standard_normal((heads, m, d)), rng.standard_normal((heads, n, d))
+    v, g = rng.standard_normal((heads, n, dv)), rng.standard_normal((heads, m, dv))
     scale = 0.5
-    q *= max_logit / max(np.abs(scale * q @ k.swapaxes(-1, -2)).max(), 1e-12)
+    if hidden is not None:
+        q[..., -1] = 0.0
+    if max_bound is None:
+        q *= max_logit / max(np.abs(scale * q @ k.swapaxes(-1, -2)).max(), 1e-12)
+    else:
+        k_norm = np.linalg.norm(k, axis=-1).max(axis=-1)[:, None]
+        q *= max_bound / max((np.linalg.norm(scale * q, axis=-1) * k_norm).max(), 1e-12)
+    if hidden is not None:
+        k[:, 0, -1] = hidden / np.linalg.norm(scale * q, axis=-1).max()
     q, k, v, g = (a.astype(dtype) for a in (q, k, v, g))
-    ts = [ad.tensor(a, requires_grad=True, dtype=dtype) for a in (q, k, v)]
-    out = ad.attention(*ts, scale)
-    ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=dtype))))
+    ts = [ad.tensor(_tokens(a), requires_grad=True, dtype=dtype) for a in (q, k, v)]
+    with _paths_taken() as paths:
+        out = ad.attention(*ts, scale, heads=heads)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(_tokens(g), dtype=dtype))))
     refs = _attention_oracle(*(a.astype(np.float64) for a in (q, k, v)), scale,
                              g.astype(np.float64))
     for got, ref in zip([out.numpy()] + [t.grad for t in ts], refs):
         assert got.dtype == dtype
         _close(got, ref)
+    return paths[0]
+
+
+@contextlib.contextmanager
+def _paths_taken():
+    """The list of the shifts attention calls took inside the block."""
+    paths = []
+    bound = tensor_module._score_bound
+
+    def spy(sq, kt):
+        b = bound(sq, kt)
+        paths.append("exact" if b is None else "shift")
+        return b
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor_module, "_score_bound", spy)
+        yield paths
 
 
 @PROPERTY
@@ -302,6 +356,59 @@ def test_attention_f32_matches_f64_oracle(draw, max_logit):
 @given(draw=attention_draws(), max_logit=st.sampled_from([1.0, 1e2, 1e4]))
 def test_attention_f64_matches_oracle_up_to_large_logits(draw, max_logit):
     _attention_case(draw, np.float64, max_logit)
+
+
+@PROPERTY
+@given(draw=attention_draws(), dtype=st.sampled_from([np.float32, np.float64]),
+       hide=st.booleans())
+def test_attention_shift_follows_the_bound(draw, dtype, hide):
+    """Bounds of at most 1 shift inside the score GEMM wherever N > 1; a
+    bound twice -ln(tiny) / 4, from a key no query sees, takes the exact
+    row max with the same logits."""
+    assume(draw[3] >= 2 or not hide)
+    hidden = 2 * _bound_limit(dtype) if hide else None
+    path = _attention_case(draw, dtype, max_bound=1.0, hidden=hidden)
+    assert path == ("shift" if draw[2] > 1 and not hide else "exact")
+
+
+@PROPERTY
+@given(draw=attention_draws(keys=1), dtype=st.sampled_from([np.float32, np.float64]))
+def test_attention_one_key_takes_the_exact_path(draw, dtype):
+    """One key: the output is v itself and the q and k gradients are
+    exactly 0, though a bound of 1 would allow the shift."""
+    assert _attention_case(draw, dtype, max_bound=1.0) == "exact"
+
+
+@PROPERTY
+@given(draw=attention_draws(), max_bound=st.sampled_from([1.0, 20.0, 40.0]))
+def test_attention_no_grad_forward_is_the_grad_forward(draw, max_bound):
+    """The shift depends on values only: a no-grad forward equals a
+    recording one bit for bit, on either path."""
+    heads, m, n, d, dv, seed = draw
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((m, heads * d)) * (max_bound / np.sqrt(d))
+    k, v = rng.standard_normal((n, heads * d)), rng.standard_normal((n, heads * dv))
+    outs = []
+    for grad in (False, True):
+        ts = [ad.tensor(a, requires_grad=grad, dtype=np.float32) for a in (q, k, v)]
+        with contextlib.nullcontext() if grad else ad.no_grad():
+            out = ad.attention(*ts, 0.5, heads=heads)
+        assert out.requires_grad == grad
+        outs.append(out.numpy())
+    assert np.array_equal(outs[0], outs[1])
+
+
+@pytest.mark.parametrize("case", ["attention", "attention_blocked"])
+def test_gradcheck_attention_takes_both_shifts(case):
+    """The default ``voxseg gradcheck`` (20 instances, seed 0) checks the
+    attention cases on both softmax shifts."""
+    maker = dict(OP_CASES)[case]
+    rng = case_rng(case, seed=0)
+    with ad.precision("f64"), _paths_taken() as paths:
+        for _ in range(20):
+            f, x0 = maker(rng)
+            f(ad.tensor(x0))
+    assert set(paths) == {"shift", "exact"}
 
 
 # One step of a random program over a pool of (m, c) tensors that starts as

@@ -49,9 +49,11 @@ def _wrap(monkeypatch, owner, name, on_call):
 def test_values_no_backward_reads_die_during_the_forward(monkeypatch):
     """After forward plus loss, holding only the loss: every encoder gelu,
     its input (the MLP's first product, which gelu's backward rebuilds),
-    norm1 and wo output, and every relu input (the adapters' and the head's
-    smooth conv) is dead; every attention output and every input of a
-    conv3d or upsample_conv3d is alive. No upsampled array is ever built,
+    wo output, every relu input (the adapters') and every attention input
+    that is a matmul product (attention's backward rebuilds it) is dead;
+    every norm1 output (those products' input), attention output, input
+    of a conv3d or upsample_conv3d and the head's smooth conv output (its
+    relu inside, the projection's input) is alive. No upsampled array is ever built,
     so none can be kept. No closure keeps a Tensor, and the backward still
     reaches every trainable parameter."""
     spec, store, vol, mask = _case()
@@ -62,8 +64,14 @@ def test_values_no_backward_reads_die_during_the_forward(monkeypatch):
         where.setdefault(kind, []).append(weakref.ref(arr))
 
     def on_attention_forward(args, kwargs, out):
-        note("norm1", dead, args[0].data)
+        note("norm1", alive, args[0].data)
         note("wo", dead, out.data)
+
+    def on_attention(args, kwargs, out):
+        note("attention", alive, out.data)
+        for t in args[:3]:
+            if t._rebuild is not None:
+                note("rebuilt attention input", dead, t.data)
 
     def on_gelu(args, kwargs, out):
         note("gelu", dead, out.data)
@@ -75,13 +83,13 @@ def test_values_no_backward_reads_die_during_the_forward(monkeypatch):
             for x in xs:
                 note(kind, alive, x.data)
             if args[1] is smooth_w:
-                note("smooth conv", dead, out.data)
+                note("smooth conv", alive, out.data)
 
         return on_call
 
     _wrap(monkeypatch, ad, "gelu", on_gelu)
     _wrap(monkeypatch, ad, "relu", lambda a, k, out: note("relu input", dead, a[0].data))
-    _wrap(monkeypatch, ad, "attention", lambda a, k, out: note("attention", alive, out.data))
+    _wrap(monkeypatch, ad, "attention", on_attention)
     _wrap(monkeypatch, ad, "conv3d", on_conv("conv input"))
     _wrap(monkeypatch, ad, "upsample_conv3d", on_conv("upsample_conv3d input"))
     _wrap(monkeypatch, encoder, "attention_forward", on_attention_forward)
@@ -89,9 +97,11 @@ def test_values_no_backward_reads_die_during_the_forward(monkeypatch):
 
     counts = {kind: len(refs) for kind, refs in {**dead, **alive}.items()}
     assert counts["gelu"] == counts["gelu input"] == counts["norm1"] == counts["wo"] == spec.layers
-    assert counts["relu input"] == spec.layers + 1 and counts["smooth conv"] == 1
+    assert counts["relu input"] == spec.layers and counts["smooth conv"] == 1
     assert counts["upsample_conv3d input"] == 2 * len(spec.taps) + 1
     assert counts["attention"] > spec.layers and counts["conv input"] == 19
+    # q, k and v of every layer, and the spatial prompter's reduced keys and values
+    assert counts["rebuilt attention input"] == 3 * spec.layers + 2
     for kind, refs in dead.items():
         assert all(ref() is None for ref in refs), kind
     for kind, refs in alive.items():
@@ -118,7 +128,9 @@ def test_gradients_do_not_depend_on_what_the_caller_holds(monkeypatch):
                     _wrap(mp, owner, "_make", lambda a, k, out: held.append(out))
             store.zero_grad()
             ad.backward(_loss(spec, store, vol, mask))
-        assert len(held) > 400 if hold else not held
+        # every op output of the case: 402 while each encoder layer split and
+        # merged heads in 8 reshape / permute nodes and the head's relu was one
+        assert len(held) == 305 if hold else not held
         grads.append({name: t.grad.copy() for name, t in store.trainable()})
     assert grads[0].keys() == grads[1].keys()
     for name in grads[0]:
@@ -127,30 +139,31 @@ def test_gradients_do_not_depend_on_what_the_caller_holds(monkeypatch):
 
 def test_retained_bytes_of_a_16_cubed_desk_case():
     """One 16^3 case of the desk model (C=64, 12 layers, decoder 16 ch)
-    retains 3.11 MiB before its backward (6.97 MiB when every op's output
+    retains 2.70 MiB before its backward (5.81 MiB when every op's output
     lived until the backward ended). gelu, concat and reduce_mean keep no
-    output, and the MLP's first products are rebuilt in the backward;
-    upsample_conv3d's closure keeps no array of its own (its inputs are
-    other ops' values, its kernel a parameter). The largest holders are the q/k/v
-    products attention reads back, then the conv outputs the instance
-    norms re-read and the norm outputs the next conv reads. The loss holds
+    output, and the MLP's first products and attention's q, k and v are
+    rebuilt in the backward; upsample_conv3d's closure keeps no array
+    besides its output (its inputs are other ops' values, its kernel a
+    parameter). The largest holders are the norm outputs the next conv
+    reads and the conv outputs the instance norms re-read. The loss holds
     one f32 copy of the mask, shared by its dice and BCE terms, plus
     1 - mask."""
     loss, outside = graph_bytes.desk_case(16)
     table = graph_bytes.retained_by_op(loss, outside)
-    assert round(graph_bytes.total_mib(table), 2) == 3.11
+    assert round(graph_bytes.total_mib(table), 2) == 2.70
     for op in ("gelu", "concat", "reduce_mean"):
         assert table.get(op, (0, 0))[0] == 0, op
     assert table["upsample_conv3d"][1] == 0
-    assert max(table, key=lambda op: sum(table[op])) == "matmul"
+    assert max(table, key=lambda op: sum(table[op])) == "instance_norm"
 
 
 def test_retained_bytes_of_a_32_cubed_desk_case():
-    """The benchmark's volume size: one 32^3 desk case retains 24.64 MiB
+    """The benchmark's volume size: one 32^3 desk case retains 21.61 MiB
     before its backward (36.53 MiB while upsample outputs and the MLP's
     first products were kept, 24.65 MiB while the upsample was an op whose
-    closure kept its interpolation matrices)."""
+    closure kept its interpolation matrices, 24.64 MiB while attention
+    kept its q, k and v products)."""
     loss, outside = graph_bytes.desk_case(32)
     table = graph_bytes.retained_by_op(loss, outside)
-    assert round(graph_bytes.total_mib(table), 2) == 24.64
+    assert round(graph_bytes.total_mib(table), 2) == 21.61
     assert table["upsample_conv3d"][1] == 0

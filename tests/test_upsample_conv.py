@@ -101,6 +101,30 @@ def test_upsample_conv3d_forward_is_the_same_without_a_graph(rng, case):
     assert np.array_equal(forward(True), quiet)
 
 
+@pytest.mark.parametrize("case", ["desk smooth", "tiny smooth", "three inputs"])
+def test_upsample_conv3d_relu_is_the_relu_of_the_conv(rng, case):
+    """``relu=True`` gives the output and every gradient of
+    ``relu(upsample_conv3d(...))`` bit for bit, in one node."""
+    shapes, factors, cout, bias = CASES[case]
+    xs, w, b, g = _draw(rng, shapes, factors, cout, bias)
+    runs = []
+    for fused in (True, False):
+        tx = [ad.tensor(x, requires_grad=True, dtype=np.float32) for x in xs]
+        tw = ad.tensor(w, requires_grad=True, dtype=np.float32)
+        tb = None if b is None else ad.tensor(b, requires_grad=True, dtype=np.float32)
+        x_arg, f_arg = (tx, factors) if len(tx) > 1 else (tx[0], factors[0])
+        if fused:
+            out = ad.upsample_conv3d(x_arg, tw, f_arg, bias=tb, relu=True)
+            assert out._record.op == "upsample_conv3d"
+        else:
+            out = ad.relu(ad.upsample_conv3d(x_arg, tw, f_arg, bias=tb))
+        assert (out.data <= 0).any()
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=np.float32))))
+        runs.append([out.data] + [t.grad for t in tx + [tw] + ([tb] if tb else [])])
+    for fused, composed in zip(*runs):
+        assert np.array_equal(fused, composed)
+
+
 def test_only_the_needed_gradients_are_formed(rng):
     """A frozen kernel gets no gradient and a constant input none either;
     the gradient that is formed equals the one formed beside the others."""
