@@ -643,9 +643,9 @@ def clamp(x, lo, hi):
 
 
 def matmul(a, b, bias=None):
-    """2-D matmul or batched 3-D matmul with equal leading dims, plus an
-    optional ``bias`` of shape (N,), N the product's column count, added
-    to every row of the product in place. The closure keeps ``a``'s data
+    """2-D matmul, (M, K) @ (K, N), plus an optional ``bias`` of shape
+    (N,) added to every row of the product in place; other ranks raise
+    ``ShapeMismatchError``. The closure keeps ``a``'s data
     only when ``b`` needs a gradient and ``b``'s only when ``a`` does: a
     frozen weight's product keeps nothing of its input. A recorded output's
     rebuild hook recomputes the product from the operands and bias."""
@@ -653,18 +653,16 @@ def matmul(a, b, bias=None):
     b = b if isinstance(b, Tensor) else Tensor(np.asarray(b))
     extra = () if bias is None else (bias,)
     _check_inputs("matmul", a, b, *extra)
-    if a.data.ndim != b.data.ndim or a.data.ndim not in (2, 3):
+    if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeMismatchError(
             f"matmul: unsupported ranks {a.data.ndim} and {b.data.ndim}"
         )
-    if a.data.ndim == 3 and a.data.shape[0] != b.data.shape[0]:
-        raise ShapeMismatchError("matmul: batch dims differ")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    if a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatchError(
             f"matmul: inner dims {a.data.shape} x {b.data.shape}"
         )
     if bias is not None:
-        _check_vector("matmul", "bias", bias, b.data.shape[-1])
+        _check_vector("matmul", "bias", bias, b.data.shape[1])
     a_val, b_val = a.data, b.data
     bias_val = None if bias is None else bias.data
 
@@ -681,9 +679,9 @@ def matmul(a, b, bias=None):
 
     def bw(g):
         if ra is not None:
-            ra._accum(g @ b_data.swapaxes(-1, -2), owned=True)
+            ra._accum(g @ b_data.T, owned=True)
         if rb is not None:
-            rb._accum(a_data.swapaxes(-1, -2) @ g, owned=True)
+            rb._accum(a_data.T @ g, owned=True)
         if rbias is not None:
             _accum_unbroadcast(rbias, g, g)
 

@@ -1,6 +1,27 @@
-"""Full gradient-verification suite: every differentiable op and every
-composite block checked against central finite differences on many
-random small instances, in 64-bit mode.
+"""Full gradient-verification suite: every differentiable op, every
+composite block and the assembled model checked against central finite
+differences on many random instances, in 64-bit mode.
+
+A case draws one instance as (f, *inputs), and ``ad.gradient_check``
+checks f's gradient toward every input at once: coordinate by coordinate
+up to 64 values in all (``gradcheck.EXHAUSTIVE_MAX``), above that along
+6 seeded random directions at a step of 1e-7; a direction off by more
+than the tolerance is measured again at 1e-8 and 1e-9 and counts as a
+kink, not a failure, only where its one-sided slopes there split by at
+least half its error (``gradcheck`` says why). So the element-wise,
+reduction, matmul, attention and layer norm cases, ``add_positional``,
+``adapter``, ``encoder_two_layers`` (64), the prompter blocks and
+``combined_loss`` run on coordinates;
+``pseudo3d_patch_embed`` (97 values), ``true3d_patch_embed`` (115),
+``encoder_layer`` (80), ``predict`` (128), ``enhancer`` (560) and the two
+model cases (47k and 52k) on directions; the conv3d, upsample_conv3d and
+instance norm cases (up to 2144, 360 and 87) on either, by instance. A
+``voxseg gradcheck`` line ends in ``coords=N``, the coordinates checked
+over all instances, and ``dirs=6`` if any instance ran on directions.
+
+The model cases check ``model.forward`` plus ``combined_loss`` of the
+tiny architecture (``TINY_MODEL``, and with a shared image branch and
+true 3-D patches) toward every trainable parameter.
 
 The CLI 'gradcheck' subcommand and the acceptance tests both run this.
 """
@@ -16,6 +37,7 @@ import numpy as np
 from . import autodiff as ad
 from . import decoder as dec
 from . import encoder as enc
+from . import model
 from . import patch_embed as pe
 from . import prompter as pr
 from .autodiff.tensor import ATTENTION_BLOCK_ELEMS
@@ -31,116 +53,76 @@ class CaseResult:
     max_err: float
     flagged: int
     passed: bool
+    coords: int = 0  # coordinates checked over all instances
+    dirs: int = 0  # directions per instance checked on directions
 
 
-def _t(rng, *shape, lo=None, hi=None):
-    if lo is None:
-        return ad.tensor(rng.standard_normal(shape), dtype=np.float64)
-    return ad.tensor(rng.uniform(lo, hi, shape), dtype=np.float64)
+def _t(rng, *shape):
+    return ad.tensor(rng.standard_normal(shape), dtype=np.float64)
 
 
 # -- core op cases ------------------------------------------------------------
+# A case maker draws one instance from ``rng`` and returns (f, *inputs): f
+# takes one Tensor per input array, and the check covers every input.
 
 
 def _case_matmul(rng):
-    m, k, n = rng.integers(2, 5, 3)
-    b = _t(rng, k, n)
-    return (lambda x: ad.matmul(x, b)), rng.standard_normal((m, k))
-
-
-def _case_matmul_batched(rng):
-    h, m, k, n = 2, *rng.integers(2, 4, 3)
-    b = _t(rng, h, k, n)
-    return (lambda x: ad.matmul(x, b)), rng.standard_normal((h, m, k))
-
-
-def _case_matmul_bias_wrt_bias(rng):
-    """Rank 2 or batched rank 3: the bias gradient sums over every row."""
-    heads = (2,) if rng.random() < 0.5 else ()
+    """Both operands; on about half the instances also a bias, whose
+    gradient sums over every row."""
     m, k, n = (int(v) for v in rng.integers(2, 5, 3))
-    a, b = _t(rng, *heads, m, k), _t(rng, *heads, k, n)
-    return (lambda bias: ad.matmul(a, b, bias=bias)), rng.standard_normal(n)
+    x, w = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+    if rng.random() < 0.5:
+        return (lambda a, b, bias: ad.matmul(a, b, bias=bias)), x, w, rng.standard_normal(n)
+    return ad.matmul, x, w
 
 
 def _case_gelu_after_matmul_bias(rng):
-    """gelu reads the product back through matmul's rebuild hook. u (l, k)
-    feeds x (m, k) and w (k, n) through two fixed maps: one check covers
-    both operands."""
-    m, k, n, l = (int(v) for v in rng.integers(2, 5, 4))
-    ax, aw, bias = _t(rng, m, l), _t(rng, n, l), _t(rng, n)
-    return (
-        lambda u: ad.gelu(ad.matmul(ad.matmul(ax, u), ad.permute(ad.matmul(aw, u), (1, 0)),
-                                    bias=bias)),
-        rng.standard_normal((l, k)),
-    )
+    """gelu reads the product back through matmul's rebuild hook."""
+    m, k, n = (int(v) for v in rng.integers(2, 5, 3))
+    return ((lambda x, w, b: ad.gelu(ad.matmul(x, w, bias=b))),
+            rng.standard_normal((m, k)), rng.standard_normal((k, n)), rng.standard_normal(n))
+
+
+def _conv3d_case(rng, kd, dims, cin, cout, **kw):
+    """Input, kernel and bias of one conv3d."""
+    return ((lambda x, w, b: ad.conv3d(x, w, bias=b, **kw)), rng.standard_normal(dims + (cin,)),
+            rng.standard_normal(kd + (cin, cout)), rng.standard_normal(cout))
 
 
 def _case_conv3d(rng):
+    """Stride 1 or 2 per axis (im2col where any is 2), padding 0 or 1."""
     kd = tuple(rng.integers(1, 4, 3))
     cin, cout = rng.integers(1, 3), rng.integers(1, 4)
     stride = tuple(rng.integers(1, 3, 3))
     padding = tuple(rng.integers(0, 2, 3))
     dims = tuple(int(k + s * rng.integers(1, 3)) for k, s in zip(kd, stride))
-    w = _t(rng, *kd, cin, cout)
-    return (
-        lambda x: ad.conv3d(x, w, stride=stride, padding=padding),
-        rng.standard_normal(dims + (int(cin),)),
-    )
+    return _conv3d_case(rng, kd, dims, cin, cout, stride=stride, padding=padding)
 
 
 def _case_conv3d_stride1(rng):
     """Stride 1 everywhere. Small instances read the patch matrix in the
-    forward and the input gradient. About one in four has a 3x3x3 kernel
-    and padding 8: its forward over at least 17^3 outputs is past the
-    patch-matrix cap, so it runs as shifted-row taps, accumulated inside
-    gemm where Cout = 16 (about half of them) and through numpy adds where
-    Cout <= 4."""
+    forward, the input gradient and the kernel gradient. About one in four
+    has a 3x3x3 kernel, padding 8 and at least two input channels: its
+    passes over at least 17^3 outputs are past the patch-matrix cap, so
+    they run as shifted-row taps, accumulated inside gemm where Cout = 16
+    (about half of them) and through numpy adds where Cout <= 4, and the
+    kernel gradient as one GEMM per tap."""
     kd = tuple(rng.integers(1, 4, 3))
     cin, cout = (int(c) for c in rng.integers(1, 5, 2))
     padding = tuple(rng.integers(0, 3, 3))
     if rng.random() < 0.25:
-        kd, padding = (3, 3, 3), (8, 8, 8)
+        kd, padding, cin = (3, 3, 3), (8, 8, 8), max(cin, 2)
         if rng.random() < 0.5:
             cout = 16
     dims = tuple(int(k + rng.integers(0, 3)) for k in kd)
-    w = _t(rng, *kd, cin, cout)
-    return (
-        lambda x: ad.conv3d(x, w, stride=1, padding=padding),
-        rng.standard_normal(dims + (cin,)),
-    )
-
-
-def _case_conv3d_wrt_kernel(rng):
-    """Padding 1 reads the patch matrix in the kernel gradient; padding 8,
-    on about half the instances, is past the patch-matrix cap, so the
-    kernel gradient runs as one GEMM per tap over shifted rows."""
-    x = _t(rng, 4, 4, 4, 2)
-    padding = 8 if rng.random() < 0.5 else 1
-    return (
-        lambda w: ad.conv3d(x, w, stride=1, padding=padding),
-        rng.standard_normal((3, 3, 3, 2, 2)),
-    )
-
-
-def _case_conv3d_wrt_bias(rng):
-    """Stride 1 on most instances, stride 2 on some axis on about one in
-    three, so both the shifted-row and the im2col forms carry a bias."""
-    kd = tuple(int(k) for k in rng.integers(1, 4, 3))
-    stride = (1, 1, 1) if rng.random() < 0.65 else (2, 1, int(rng.integers(1, 3)))
-    cin, cout = (int(c) for c in rng.integers(1, 4, 2))
-    dims = tuple(k + s * int(rng.integers(1, 3)) for k, s in zip(kd, stride))
-    x, w = _t(rng, *dims, cin), _t(rng, *kd, cin, cout)
-    return (
-        lambda b: ad.conv3d(x, w, stride=stride, padding=1, bias=b),
-        rng.standard_normal(cout),
-    )
+    return _conv3d_case(rng, kd, dims, cin, cout, stride=1, padding=padding)
 
 
 def _case_conv3d_multi_input(rng):
     """A list of two or three inputs, one of them a constant that needs no
-    gradient; the others are x through fixed channel maps, so one check
-    covers every input's slice of the input gradient. Padding 0 or 1;
-    about one instance in three is strided."""
+    gradient; the others and the kernel are the case's inputs, so one
+    check covers every input's slice of the input gradient. Padding 0 or
+    1; about one instance in three is strided."""
     n_in = int(rng.integers(2, 4))
     kd = tuple(int(k) for k in rng.integers(1, 4, 3))
     stride = (1, 1, 1) if rng.random() < 0.65 else (2, 1, int(rng.integers(1, 3)))
@@ -148,54 +130,50 @@ def _case_conv3d_multi_input(rng):
     dims = tuple(k + s * int(rng.integers(1, 3)) for k, s in zip(kd, stride))
     widths = [int(c) for c in rng.integers(1, 3, n_in)]
     const = int(rng.integers(0, n_in))
-    c, cout = 2, int(rng.integers(1, 4))
-    maps = [_t(rng, c, ci) for ci in widths]
     fixed = _t(rng, *dims, widths[const])
-    w = _t(rng, *kd, sum(widths), cout)
 
-    def f(x):
-        flat = ad.reshape(x, (-1, c))
-        xs = [fixed if i == const else ad.reshape(ad.matmul(flat, m), dims + (m.shape[1],))
-              for i, m in enumerate(maps)]
+    def f(w, *xs):
+        xs = list(xs)
+        xs.insert(const, fixed)
         return ad.conv3d(xs, w, stride=stride, padding=padding)
 
-    return f, rng.standard_normal(dims + (c,))
+    return (f, rng.standard_normal(kd + (sum(widths), int(rng.integers(1, 4)))),
+            *(rng.standard_normal(dims + (c,)) for i, c in enumerate(widths) if i != const))
 
 
-def _upsample_conv3d_through_maps(rng, in_dims, factors, plain=False, bias=False):
-    """u (l, c) feeds an input z (in_dims, c), upsampled by ``factors``, the
-    kernel (3, 3, 3, Cin, c) and, with ``bias``, the bias (c,) through
-    fixed maps, so one check covers each of them. With ``plain`` the list
-    [z, y] is convolved, y (c channels at the upsampled dims, factor 1) fed
-    through a map of its own."""
-    l, c = (int(v) for v in rng.integers(1, 3, 2))
+def _upsample_conv3d_case(rng, in_dims, factors, plain=False, bias=False):
+    """The inputs are z (in_dims, c), upsampled by ``factors``, the kernel
+    (3, 3, 3, Cin, c) and, with ``bias``, the bias (c,). With ``plain`` the
+    list [z, y] is convolved, y (c channels at the upsampled dims, factor
+    1) an input too."""
+    c = int(rng.integers(1, 3))
     out_dims = tuple(n * f for n, f in zip(in_dims, factors))
-    cin = 2 * c if plain else c
-    az, aw = _t(rng, int(np.prod(in_dims)), l), _t(rng, 27 * cin, l)
-    ay, ab = _t(rng, int(np.prod(out_dims)), l), _t(rng, 1, l)
+    inputs = [rng.standard_normal(in_dims + (c,)),
+              rng.standard_normal((3, 3, 3, 2 * c if plain else c, c))]
+    if plain:
+        inputs.append(rng.standard_normal(out_dims + (c,)))
+    if bias:
+        inputs.append(rng.standard_normal(c))
 
-    def f(u):
-        z = ad.reshape(ad.matmul(az, u), in_dims + (c,))
-        w = ad.reshape(ad.matmul(aw, u), (3, 3, 3, cin, c))
-        b = ad.reshape(ad.matmul(ab, u), (c,)) if bias else None
+    def f(z, w, *rest):
+        b = rest[-1] if bias else None
         if plain:
-            y = ad.reshape(ad.matmul(ay, u), out_dims + (c,))
-            return ad.upsample_conv3d([z, y], w, [factors, 1], bias=b)
+            return ad.upsample_conv3d([z, rest[0]], w, [factors, 1], bias=b)
         return ad.upsample_conv3d(z, w, factors, bias=b)
 
-    return f, rng.standard_normal((l, c))
+    return (f, *inputs)
 
 
 def _case_upsample_conv3d(rng):
     """One input upsampled by 2 or 3 on every axis, with a bias."""
     dims = tuple(int(v) for v in rng.integers(1, 4, 3))
-    return _upsample_conv3d_through_maps(rng, dims, (int(rng.integers(2, 4)),) * 3, bias=True)
+    return _upsample_conv3d_case(rng, dims, (int(rng.integers(2, 4)),) * 3, bias=True)
 
 
 def _case_upsample_conv3d_list(rng):
     """The fuse conv's form: [upsampled by 2, plain], no bias."""
     dims = tuple(int(v) for v in rng.integers(1, 3, 3))
-    return _upsample_conv3d_through_maps(rng, dims, (2, 2, 2), plain=True)
+    return _upsample_conv3d_case(rng, dims, (2, 2, 2), plain=True)
 
 
 def _case_upsample_conv3d_axis_factors(rng):
@@ -203,7 +181,7 @@ def _case_upsample_conv3d_axis_factors(rng):
     random order."""
     dims = tuple(int(v) for v in rng.integers(1, 4, 3))
     factors = tuple(int(f) for f in rng.permutation([1, 2, int(rng.integers(2, 4))]))
-    return _upsample_conv3d_through_maps(rng, dims, factors, bias=rng.random() < 0.5)
+    return _upsample_conv3d_case(rng, dims, factors, bias=rng.random() < 0.5)
 
 
 def _case_relu(rng):
@@ -271,29 +249,21 @@ def _case_instance_norm(rng):
     return ad.instance_norm, rng.standard_normal(shape)
 
 
-def _norm_affine_through_maps(rng, norm, shape):
-    """u (l, c) feeds the normalized input, the gain and the shift through
-    three fixed maps: one check covers all three inputs. Keywords of the
-    returned function go to ``norm``."""
-    c = shape[-1]
-    l = int(rng.integers(2, 4))
-    ax, ag, ab = _t(rng, int(np.prod(shape[:-1])), l), _t(rng, 1, l), _t(rng, 1, l)
-    return (
-        lambda u, **kw: norm(ad.reshape(ad.matmul(ax, u), shape),
-                             gain=ad.reshape(ad.matmul(ag, u), (c,)),
-                             shift=ad.reshape(ad.matmul(ab, u), (c,)), **kw),
-        rng.standard_normal((l, c)),
-    )
+def _norm_affine_case(rng, norm, shape):
+    """Input, gain and shift; keywords of the returned function go to
+    ``norm``."""
+    return ((lambda x, g, b, **kw: norm(x, gain=g, shift=b, **kw)), rng.standard_normal(shape),
+            rng.standard_normal(shape[-1]), rng.standard_normal(shape[-1]))
 
 
 def _case_layer_norm_affine(rng):
     shape = tuple(int(n) for n in rng.integers(2, 5, 2))
-    return _norm_affine_through_maps(rng, ad.layer_norm, shape)  # axis -1
+    return _norm_affine_case(rng, ad.layer_norm, shape)  # axis -1
 
 
 def _case_instance_norm_affine(rng):
     shape = tuple(int(n) for n in rng.integers(2, 4, 4))
-    return _norm_affine_through_maps(rng, ad.instance_norm, shape)
+    return _norm_affine_case(rng, ad.instance_norm, shape)
 
 
 def _case_instance_norm_relu(rng):
@@ -301,9 +271,9 @@ def _case_instance_norm_relu(rng):
     pre-relu value is at least 0.01 from the kink."""
     shape = tuple(int(n) for n in rng.integers(2, 4, 4))
     while True:
-        f, u = _norm_affine_through_maps(rng, ad.instance_norm, shape)
-        if np.abs(f(ad.tensor(u, dtype=np.float64)).data).min() >= 0.01:
-            return (lambda x: f(x, relu=True)), u
+        f, *inputs = _norm_affine_case(rng, ad.instance_norm, shape)
+        if np.abs(f(*map(ad.tensor, inputs)).data).min() >= 0.01:
+            return (lambda *ts: f(*ts, relu=True)), *inputs
 
 
 def _case_concat(rng):
@@ -398,92 +368,39 @@ _PATCH = (2, 2, 2)
 
 
 def _case_pseudo3d_patch_embed(rng):
-    w2d, b2d, wdepth = _t(rng, 2, 2, 1, 2, 3), _t(rng, 3), _t(rng, 2, 3)
-    return (
-        lambda x: pe.pseudo3d_patch_embed(x, w2d, b2d, wdepth, _PATCH).data,
-        rng.standard_normal((4, 4, 2, 2)),
-    )
-
-
-def _case_pseudo3d_patch_embed_wrt_kernel(rng):
-    x, b2d, wdepth = _t(rng, 4, 4, 2, 2), _t(rng, 3), _t(rng, 2, 3)
-    return (
-        lambda w: pe.pseudo3d_patch_embed(x, w, b2d, wdepth, _PATCH).data,
-        rng.standard_normal((2, 2, 1, 2, 3)),
-    )
-
-
-def _case_pseudo3d_patch_embed_wrt_depth(rng):
-    x, w2d, b2d = _t(rng, 4, 4, 2, 2), _t(rng, 2, 2, 1, 2, 3), _t(rng, 3)
-    return (
-        lambda w: pe.pseudo3d_patch_embed(x, w2d, b2d, w, _PATCH).data,
-        rng.standard_normal((2, 3)),
-    )
+    """Input, 2-D kernel, bias and depth weights."""
+    return ((lambda *a: pe.pseudo3d_patch_embed(*a, _PATCH).data),
+            rng.standard_normal((4, 4, 2, 2)), rng.standard_normal((2, 2, 1, 2, 3)),
+            rng.standard_normal(3), rng.standard_normal((2, 3)))
 
 
 def _case_true3d_patch_embed(rng):
-    w3d, b3d = _t(rng, 2, 2, 2, 2, 3), _t(rng, 3)
-    return (
-        lambda x: pe.true3d_patch_embed(x, w3d, b3d, _PATCH).data,
-        rng.standard_normal((4, 4, 2, 2)),
-    )
-
-
-def _case_true3d_patch_embed_wrt_kernel(rng):
-    x, b3d = _t(rng, 4, 4, 2, 2), _t(rng, 3)
-    return (
-        lambda w: pe.true3d_patch_embed(x, w, b3d, _PATCH).data,
-        rng.standard_normal((2, 2, 2, 2, 3)),
-    )
+    """Input, kernel and bias."""
+    return ((lambda *a: pe.true3d_patch_embed(*a, _PATCH).data),
+            rng.standard_normal((4, 4, 2, 2)), rng.standard_normal((2, 2, 2, 2, 3)),
+            rng.standard_normal(3))
 
 
 def _case_add_positional(rng):
-    pos = _t(rng, 2, 2, 1, 3)
-    return (
-        lambda x: pe.add_positional(_fm(x), pos).data,
-        rng.standard_normal((2, 2, 1, 3)),
-    )
-
-
-def _case_add_positional_wrt_table(rng):
-    fm = _fm(_t(rng, 2, 2, 1, 3))
-    return (
-        lambda pos: pe.add_positional(fm, pos).data,
-        rng.standard_normal((2, 2, 1, 3)),
-    )
+    """Input and table."""
+    return ((lambda x, pos: pe.add_positional(_fm(x), pos).data),
+            rng.standard_normal((2, 2, 1, 3)), rng.standard_normal((2, 2, 1, 3)))
 
 
 def _case_adapter(rng):
+    """Input and both projections."""
     p = _mini_layer_params(rng, c=6, l=2)
-    return (lambda x: enc.adapter_forward(x, p)), rng.standard_normal((5, 6))
-
-
-def _case_adapter_wrt_down(rng):
-    p = _mini_layer_params(rng, c=6, l=2)
-    x = _t(rng, 5, 6)
-    return (
-        lambda w: enc.adapter_forward(x, dataclasses.replace(p, adapter_down=w)),
-        rng.standard_normal((6, 2)),
-    )
+    return ((lambda x, down, up: enc.adapter_forward(
+                x, dataclasses.replace(p, adapter_down=down, adapter_up=up))),
+            rng.standard_normal((5, 6)), p.adapter_down.data, p.adapter_up.data)
 
 
 def _case_layer(rng):
+    """Input and the adapter's up-projection."""
     p = _mini_layer_params(rng)
-    return (
-        lambda x: enc.layer_forward(_fm(x), p, s=0.7, heads=2).data,
-        rng.standard_normal((2, 2, 2, 8)),
-    )
-
-
-def _case_layer_wrt_adapter(rng):
-    p = _mini_layer_params(rng)
-    x = _t(rng, 2, 2, 2, 8)
-    return (
-        lambda w: enc.layer_forward(
-            _fm(x), dataclasses.replace(p, adapter_up=w), s=1.3, heads=2
-        ).data,
-        rng.standard_normal((2, 8)),
-    )
+    return ((lambda x, up: enc.layer_forward(
+                _fm(x), dataclasses.replace(p, adapter_up=up), s=0.7, heads=2).data),
+            rng.standard_normal((2, 2, 2, 8)), p.adapter_up.data)
 
 
 def _case_two_layer_encoder(rng):
@@ -512,17 +429,10 @@ def _mini_prompter_params(rng, c=4, n=3, m=8):
 
 
 def _case_spatial_attention(rng):
+    """Input and the key reducer."""
     p = _mini_prompter_params(rng)
-    return (lambda x: pr.spatial_attention(x, p)), rng.standard_normal((8, 4))
-
-
-def _case_spatial_wrt_reducer(rng):
-    p = _mini_prompter_params(rng)
-    x = _t(rng, 8, 4)
-    return (
-        lambda w: pr.spatial_attention(x, dataclasses.replace(p, reduce_k=w)),
-        rng.standard_normal((3, 8)),
-    )
+    return ((lambda x, r: pr.spatial_attention(x, dataclasses.replace(p, reduce_k=r))),
+            rng.standard_normal((8, 4)), p.reduce_k.data)
 
 
 def _case_channel_attention(rng):
@@ -531,17 +441,10 @@ def _case_channel_attention(rng):
 
 
 def _case_dual_prompt(rng):
+    """Input and the channel branch's down-projection."""
     p = _mini_prompter_params(rng)
-    return (lambda x: pr.dual_prompt(x, p)), rng.standard_normal((8, 4))
-
-
-def _case_dual_prompt_wrt_down(rng):
-    p = _mini_prompter_params(rng)
-    x = _t(rng, 8, 4)
-    return (
-        lambda w: pr.dual_prompt(x, dataclasses.replace(p, down_ca=w)),
-        rng.standard_normal((4, 2)),
-    )
+    return ((lambda x, d: pr.dual_prompt(x, dataclasses.replace(p, down_ca=d))),
+            rng.standard_normal((8, 4)), p.down_ca.data)
 
 
 def _mini_conv_block(rng, cin, cout, stride1=1):
@@ -568,21 +471,10 @@ def _mini_enhancer(rng, c=6, cdec=3):
 
 
 def _case_enhancer(rng):
+    """Tap and image."""
     p = _mini_enhancer(rng)
-    image = _t(rng, 8, 8, 8, 1)
-    return (
-        lambda x: dec.original_feature_enhancer(_fm(x), image, p).data,
-        rng.standard_normal((2, 2, 2, 6)),
-    )
-
-
-def _case_enhancer_wrt_image(rng):
-    p = _mini_enhancer(rng)
-    tap = _t(rng, 2, 2, 2, 6)
-    return (
-        lambda img: dec.original_feature_enhancer(_fm(tap), img, p).data,
-        rng.standard_normal((8, 8, 8, 1)),
-    )
+    return ((lambda x, image: dec.original_feature_enhancer(_fm(x), image, p).data),
+            rng.standard_normal((2, 2, 2, 6)), rng.standard_normal((8, 8, 8, 1)))
 
 
 def _mini_predict(rng, cdec=2, n_taps=4):
@@ -615,15 +507,52 @@ def _case_combined_loss(rng):
     return (lambda x: combined_loss(x, gt)), rng.uniform(0.05, 0.95, (3, 3, 3))
 
 
+# -- the assembled model ------------------------------------------------------
+
+TINY_MODEL = model.ModelSpec(vol_dims=(16, 16, 16), embed_dim=16, heads=2, adapter_dim=4,
+                             prompt_n=16, dec_channels=8)
+
+
+def _model_case(spec):
+    """``model.forward`` plus ``combined_loss`` on a random volume and mask,
+    with every trainable parameter as an input: a seeded init moved off by
+    0.05 standard normal noise, so the adapters' up-projections and the
+    prompter's down-projections are not zero. The channel prompter's two
+    norm gains start near 2 instead of 1: its bound then passes f64's limit
+    of 177 and the call takes the exact row max, as it does at init in
+    f32, while every encoder call stays on the bound."""
+
+    def make(rng):
+        store = model.init_store(spec, int(rng.integers(2**31)))
+        frozen = {name: t for name, t, is_frozen in store.items() if is_frozen}
+        names = [name for name, _ in store.trainable()]
+        params = [t.data + 0.05 * rng.standard_normal(t.shape)
+                  + (name in ("prompter.norm_q_ca_g", "prompter.norm_k_ca_g"))
+                  for name, t in store.trainable()]
+        volume = rng.uniform(0.0, 1.0, spec.vol_dims + (spec.in_channels,))
+        mask = (rng.random(spec.vol_dims) < 0.3).astype(np.float64)
+
+        def f(*ts):
+            return combined_loss(model.forward(spec, {**frozen, **dict(zip(names, ts))}, volume),
+                                 mask)
+
+        return (f, *params)
+
+    return make
+
+
+MODEL_CASES = [
+    ("model", _model_case(TINY_MODEL)),
+    ("model_shared_true3d",
+     _model_case(dataclasses.replace(TINY_MODEL, share_image_branch=True, patch_mode="true3d"))),
+]
+
+
 OP_CASES = [
     ("matmul", _case_matmul),
-    ("matmul_batched", _case_matmul_batched),
-    ("matmul_bias_wrt_bias", _case_matmul_bias_wrt_bias),
     ("gelu_after_matmul_bias", _case_gelu_after_matmul_bias),
     ("conv3d", _case_conv3d),
     ("conv3d_stride1", _case_conv3d_stride1),
-    ("conv3d_wrt_kernel", _case_conv3d_wrt_kernel),
-    ("conv3d_wrt_bias", _case_conv3d_wrt_bias),
     ("conv3d_multi_input", _case_conv3d_multi_input),
     ("upsample_conv3d", _case_upsample_conv3d),
     ("upsample_conv3d_list", _case_upsample_conv3d_list),
@@ -654,29 +583,20 @@ OP_CASES = [
 
 BLOCK_CASES = [
     ("pseudo3d_patch_embed", _case_pseudo3d_patch_embed),
-    ("pseudo3d_patch_embed_wrt_kernel", _case_pseudo3d_patch_embed_wrt_kernel),
-    ("pseudo3d_patch_embed_wrt_depth", _case_pseudo3d_patch_embed_wrt_depth),
     ("true3d_patch_embed", _case_true3d_patch_embed),
-    ("true3d_patch_embed_wrt_kernel", _case_true3d_patch_embed_wrt_kernel),
     ("add_positional", _case_add_positional),
-    ("add_positional_wrt_table", _case_add_positional_wrt_table),
     ("adapter", _case_adapter),
-    ("adapter_wrt_down", _case_adapter_wrt_down),
     ("encoder_layer", _case_layer),
-    ("encoder_layer_wrt_adapter", _case_layer_wrt_adapter),
     ("encoder_two_layers", _case_two_layer_encoder),
     ("spatial_attention", _case_spatial_attention),
-    ("spatial_attention_wrt_reducer", _case_spatial_wrt_reducer),
     ("channel_attention", _case_channel_attention),
     ("dual_prompt", _case_dual_prompt),
-    ("dual_prompt_wrt_down", _case_dual_prompt_wrt_down),
     ("enhancer", _case_enhancer),
-    ("enhancer_wrt_image", _case_enhancer_wrt_image),
     ("predict", _case_predict),
     ("combined_loss", _case_combined_loss),
 ]
 
-ALL_CASES = OP_CASES + BLOCK_CASES
+ALL_CASES = OP_CASES + BLOCK_CASES + MODEL_CASES
 
 
 def case_rng(name, seed=0):
@@ -692,17 +612,21 @@ def run_gradcheck_suite(instances=20, tol=DEFAULT_TOL, seed=0, log_fn=None,
     with ad.precision("f64"):
         for name, maker in cases or ALL_CASES:
             rng = case_rng(name, seed)
-            max_err, flagged, ok = 0.0, 0, True
+            res = CaseResult(name, instances, 0.0, 0, True)
             for i in range(instances):
-                f, x0 = maker(rng)
-                rep = ad.gradient_check(f, np.asarray(x0, dtype=np.float64),
-                                        tol=tol, seed=seed + i)
-                max_err = max(max_err, rep.max_rel_error)
-                flagged += len(rep.flagged)
-                ok = ok and rep.passed
-            results.append(CaseResult(name, instances, max_err, flagged, ok))
+                f, *inputs = maker(rng)
+                rep = ad.gradient_check(f, *inputs, tol=tol, seed=seed + i)
+                res.max_err = max(res.max_err, rep.max_rel_error)
+                res.flagged += len(rep.flagged)
+                res.passed = res.passed and rep.passed
+                if rep.by_direction:
+                    res.dirs = rep.n_checked
+                else:
+                    res.coords += rep.n_checked
+            results.append(res)
             if log_fn:
-                status = "ok" if ok else "FAIL"
-                log_fn(f"{status:4s} {name:32s} max_rel_err={max_err:.3e} "
-                       f"kinks_flagged={flagged}")
+                checked = " ".join(f"{k}={v}" for k, v in
+                                   (("coords", res.coords), ("dirs", res.dirs)) if v)
+                log_fn(f"{'ok' if res.passed else 'FAIL':4s} {name:32s} "
+                       f"max_rel_err={res.max_err:.3e} kinks_flagged={res.flagged} {checked}")
     return results

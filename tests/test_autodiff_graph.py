@@ -248,11 +248,13 @@ def test_gradient_check_rejects_nondeterministic():
 
 
 def test_gradcheck_suite_repeats_across_processes():
-    """Case seeds must not depend on the per-process str hash seed."""
+    """Case seeds, and the directions of a case checked on directions, must
+    not depend on the per-process str hash seed."""
     code = (
-        "from voxseg.verify import OP_CASES, run_gradcheck_suite\n"
-        "cases = [c for c in OP_CASES if c[0] == 'conv3d']\n"
-        "print(repr(run_gradcheck_suite(instances=4, cases=cases)[0].max_err))\n"
+        "from voxseg.verify import ALL_CASES, run_gradcheck_suite\n"
+        "cases = [c for c in ALL_CASES if c[0] in ('conv3d', 'enhancer')]\n"
+        "for r in run_gradcheck_suite(instances=4, cases=cases):\n"
+        "    print(r.name, repr(r.max_err), r.coords, r.dirs)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(voxseg.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -263,6 +265,7 @@ def test_gradcheck_suite_repeats_across_processes():
                              text=True, timeout=120, check=True)
         errs.append(out.stdout.strip())
     assert errs[0] == errs[1]
+    assert errs[0].splitlines()[1].endswith(" 0 6")  # the enhancer runs on directions
 
 
 def test_no_grad_builds_no_graph():

@@ -1,0 +1,113 @@
+"""gradient_check over several inputs, on both of its paths, and the whole
+model case against backward closures scaled by 1.001."""
+
+import contextlib
+import importlib
+
+import numpy as np
+import pytest
+
+from voxseg import autodiff as ad
+from voxseg.autodiff import conv
+from voxseg.autodiff.gradcheck import DIRECTIONS, EXHAUSTIVE_MAX
+from voxseg.verify import MODEL_CASES, run_gradcheck_suite
+
+# the package exports a ``tensor`` function under the module's name
+tensor_module = importlib.import_module("voxseg.autodiff.tensor")
+
+MUTATED_OPS = ["gelu", "attention", "layer_norm", "instance_norm", "matmul", "conv3d",
+               "upsample_conv3d"]
+
+
+@pytest.fixture(autouse=True)
+def _f64():
+    with ad.precision("f64"):
+        yield
+
+
+@contextlib.contextmanager
+def scaled_backward(op, factor):
+    """Every ``op`` node's backward closure sees its gradient times
+    ``factor``: the closure ``_make`` receives is wrapped, in each module
+    that builds nodes."""
+    make = tensor_module._make
+
+    def wrapped(name, data, parents, backward_fn):
+        if name == op:
+            inner = backward_fn
+
+            def backward_fn(g):
+                return inner(g * factor)
+
+        return make(name, data, parents, backward_fn)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor_module, "_make", wrapped)
+        mp.setattr(conv, "_make", wrapped)
+        yield
+
+
+def _matmul_inputs(rng, m, k, n):
+    return rng.standard_normal((m, k)), rng.standard_normal((k, n)), rng.standard_normal(n)
+
+
+def _biased_gelu(x, w, b):
+    return ad.gelu(ad.matmul(x, w, bias=b))
+
+
+@pytest.mark.parametrize("shape, by_direction", [((3, 4, 2), False), ((9, 8, 7), True)])
+def test_gradient_check_covers_every_input(rng, shape, by_direction):
+    """At most EXHAUSTIVE_MAX values run coordinate by coordinate over all
+    inputs, more run on DIRECTIONS directions; both pass a correct gradient
+    and fail one that is 0.1% off, also toward the last input alone."""
+    inputs = _matmul_inputs(rng, *shape)
+    size = sum(a.size for a in inputs)
+    assert (size > EXHAUSTIVE_MAX) == by_direction
+    rep = ad.gradient_check(_biased_gelu, *inputs)
+    assert rep.passed, rep
+    assert rep.by_direction == by_direction
+    assert rep.n_checked == (DIRECTIONS if by_direction else size)
+    assert rep.max_rel_error < 1e-6
+    with scaled_backward("gelu", 1.001):
+        rep = ad.gradient_check(_biased_gelu, *inputs)
+    assert not rep.passed and rep.failures
+    with scaled_backward("scale", 1.001):  # only the last input's gradient is off
+        rep = ad.gradient_check(lambda x, w, b: ad.add(ad.matmul(x, w), ad.scale(b, 1.0)),
+                                *inputs)
+    assert not rep.passed and rep.failures
+
+
+def test_gradient_check_skips_an_input_without_a_gradient_path(rng):
+    """An input f ignores has gradient zero, and its differences are zero."""
+    x, unused = rng.standard_normal(3), rng.standard_normal(2)
+    rep = ad.gradient_check(lambda a, b: ad.scale(a, 2.0), x, unused)
+    assert rep.passed and rep.n_checked == 5
+
+
+def test_direction_check_flags_a_kink_at_the_point():
+    """Inputs on a relu kink: every direction crosses it, so every one is
+    flagged (its one-sided slopes split), and a check that flags all fails."""
+    x = np.zeros(EXHAUSTIVE_MAX + 1)
+    x[1:] = np.linspace(0.5, 1.5, EXHAUSTIVE_MAX)
+    rep = ad.gradient_check(ad.relu, x)
+    assert rep.by_direction and rep.flagged == list(range(DIRECTIONS))
+    assert not rep.failures and not rep.passed
+
+
+def test_direction_check_steps_below_a_nearby_kink():
+    """A relu unit 1e-8 from its kink is crossed by the first step along
+    most directions, not by a step a hundred times smaller."""
+    x = np.linspace(0.5, 1.5, EXHAUSTIVE_MAX + 1)
+    x[0] = 1e-8
+    rep = ad.gradient_check(ad.relu, x)
+    assert rep.by_direction and rep.passed and not rep.flagged, rep
+
+
+@pytest.mark.parametrize("op", MUTATED_OPS)
+def test_model_case_fails_when_one_backward_is_scaled(op):
+    """The default model case fails when one op kind's backward is off by
+    0.1%, one kind at a time."""
+    with scaled_backward(op, 1.001):
+        [result] = run_gradcheck_suite(instances=1, cases=MODEL_CASES[:1])
+    assert result.name == "model" and result.dirs == DIRECTIONS
+    assert not result.passed

@@ -31,7 +31,7 @@ from conv_paths import MODEL_CONVS, accumulation, forms_taken
 from voxseg import autodiff as ad
 from voxseg.autodiff import conv
 from voxseg.autodiff.tensor import ATTENTION_BLOCK_ELEMS
-from voxseg.verify import OP_CASES, case_rng
+from voxseg.verify import ALL_CASES, OP_CASES, case_rng
 
 # the package exports a ``tensor`` function under the module's name
 tensor_module = importlib.import_module("voxseg.autodiff.tensor")
@@ -221,16 +221,16 @@ def test_gradcheck_draws_a_gemm_conv(monkeypatch):
     rng = case_rng("conv3d_stride1", seed=0)
     with ad.precision("f64"):
         for _ in range(20):
-            f, x0 = maker(rng)
-            f(ad.tensor(x0))
+            f, *inputs = maker(rng)
+            f(*map(ad.tensor, inputs))
     assert calls
 
 
 def test_gradcheck_reaches_every_stride1_form(monkeypatch):
     """The default ``voxseg gradcheck`` (20 instances, seed 0) of the
-    stride-1 conv and kernel-gradient cases, run as the suite runs them
-    (f64 forward and backward), reads the patch matrix, accumulates taps
-    inside gemm and through numpy adds, and takes per-tap kernel
+    stride-1 conv case, run as the suite runs it (f64 forward and backward
+    toward the input, kernel and bias), reads the patch matrix, accumulates
+    taps inside gemm and through numpy adds, and takes per-tap kernel
     gradients: no form is left out of the gradient checks."""
     seen = []
 
@@ -241,14 +241,12 @@ def test_gradcheck_reaches_every_stride1_form(monkeypatch):
         monkeypatch.setattr(conv, name, spy(name, getattr(conv, name)))
     for dtype, gemm in list(conv._GEMM.items()):
         monkeypatch.setitem(conv._GEMM, dtype, spy("gemm", gemm))
-    cases = dict(OP_CASES)
+    maker = dict(OP_CASES)["conv3d_stride1"]
+    rng = case_rng("conv3d_stride1", seed=0)
     with ad.precision("f64"):
-        for case in ("conv3d_stride1", "conv3d_wrt_kernel"):
-            rng = case_rng(case, seed=0)
-            for _ in range(20):
-                f, x0 = cases[case](rng)
-                x = ad.tensor(x0, requires_grad=True)
-                ad.backward(ad.reduce_sum(f(x)))
+        for _ in range(20):
+            f, *inputs = maker(rng)
+            ad.backward(ad.reduce_sum(f(*(ad.tensor(a, requires_grad=True) for a in inputs))))
     forms = {"patch" if name == "_im2col" else "kernel taps" if name == "_kernel_grad_taps"
              else "gemm" if seen[i + 1 : i + 2] == ["gemm"] else "numpy"
              for i, name in enumerate(seen) if name != "gemm"}
@@ -409,6 +407,18 @@ def test_gradcheck_attention_takes_both_shifts(case):
             f, x0 = maker(rng)
             f(ad.tensor(x0))
     assert set(paths) == {"shift", "exact"}
+
+
+@pytest.mark.parametrize("case", ["model", "model_shared_true3d"])
+def test_gradcheck_model_takes_both_shifts(case):
+    """An instance of a model case of ``voxseg gradcheck`` (seed 0) runs
+    every encoder attention on the bound shift and the channel prompter's
+    on the exact row max; the spatial prompter call takes the bound."""
+    with ad.precision("f64"):
+        f, *params = dict(ALL_CASES)[case](case_rng(case, seed=0))
+        with _paths_taken() as paths:
+            f(*map(ad.tensor, params))
+    assert paths == ["shift"] * 12 + ["shift", "exact"]
 
 
 # One step of a random program over a pool of (m, c) tensors that starts as
