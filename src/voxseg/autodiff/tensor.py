@@ -7,8 +7,8 @@ the result's gradient back onto them; it reaches the value only through
 a weak reference. Graph edges and closures point at records, never at
 Tensors, and each closure saves exactly the arrays its backward reads:
 ``matmul`` keeps ``a``'s data only when ``b`` needs a gradient and
-``b``'s only when ``a`` does; add, sub, scale, permute and concat keep
-no array, reshape and the reductions only shapes. So a value dies during
+``b``'s only when ``a`` does; add, scale, permute and concat keep
+no array, reshape and reduce_sum only shapes. So a value dies during
 the forward, as soon as neither the caller nor a closure holds it
 (autograd that saves only what the backward needs, Paszke et al. 2019,
 arXiv:1912.01703). ``backward(loss)`` topologically sorts the records
@@ -53,7 +53,6 @@ with ``name/``.
 
 Conventions baked into the derivatives:
   * relu'(0) = 0
-  * clamp passes gradient only strictly inside [lo, hi]
   * gelu is the tanh approximation
 
 Fused op: ``attention(q, k, v, scale, heads=1)`` computes, per head,
@@ -298,18 +297,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_lift(other, self), self)
-
     def __neg__(self):
         return scale(self, -1.0)
 
@@ -324,20 +311,10 @@ class Tensor:
     def sum(self, axis=None):
         return reduce_sum(self, axis)
 
-    def mean(self, axis=None):
-        return reduce_mean(self, axis)
-
 
 def tensor(data, requires_grad=False, dtype=None):
     """Create a leaf tensor in the current precision mode."""
     return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
-def _lift(value, like):
-    """Lift a scalar / ndarray constant to a non-grad Tensor matching ``like``'s dtype."""
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value), dtype=like.data.dtype)
 
 
 def _check_inputs(op, *tensors):
@@ -488,7 +465,7 @@ def _binary(op_name, a, b, fwd, da_fn, db_fn, reads=("", "")):
     y = b.data if "y" in read else None
 
     def bw(g):
-        # a derivative that is g itself (add, sub) reaches both parents
+        # add's derivative is g itself, which reaches both parents
         if ra is not None:
             _accum_unbroadcast(ra, da_fn(g, x, y), g)
         if rb is not None:
@@ -502,20 +479,9 @@ def add(a, b):
                    lambda g, x, y: g, lambda g, x, y: g)
 
 
-def sub(a, b):
-    return _binary("sub", a, b, lambda x, y: x - y,
-                   lambda g, x, y: g, lambda g, x, y: -g)
-
-
 def mul(a, b):
     return _binary("mul", a, b, lambda x, y: x * y,
                    lambda g, x, y: g * y, lambda g, x, y: g * x, reads=("y", "x"))
-
-
-def div(a, b):
-    return _binary("div", a, b, lambda x, y: x / y,
-                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y),
-                   reads=("y", "xy"))
 
 
 def scale(x, s):
@@ -528,10 +494,6 @@ def scale(x, s):
         rx._accum(g * s, owned=True)
 
     return _make("scale", data, (x,), bw)
-
-
-def neg(x):
-    return scale(x, -1.0)
 
 
 def relu(x):
@@ -610,31 +572,6 @@ def sigmoid(x):
         rx._accum(g * (out * (1.0 - out)), owned=True)
 
     return _make("sigmoid", out, (x,), bw)
-
-
-def log(x):
-    xd = x.data
-    if np.any(xd <= 0):
-        raise NonFiniteError("log: non-positive input")
-    data = np.log(xd)
-    rx = _rec(x)
-
-    def bw(g):
-        rx._accum(g / xd, owned=True)
-
-    return _make("log", data, (x,), bw)
-
-
-def clamp(x, lo, hi):
-    """Clip values to [lo, hi]; gradient is zero at and outside the bounds."""
-    data = np.clip(x.data, lo, hi)
-    mask = (x.data > lo) & (x.data < hi)
-    rx = _rec(x)
-
-    def bw(g):
-        rx._accum(g * mask, owned=True)
-
-    return _make("clamp", data, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -1063,21 +1000,6 @@ def reduce_sum(x, axis=None):
         rx._accum(np.broadcast_to(_restore_dims(g, rx.shape, axes), rx.shape))
 
     return _make("reduce_sum", np.asarray(data, dtype=x.data.dtype), (x,), bw)
-
-
-def reduce_mean(x, axis=None):
-    axes = _reduce_axes(x, axis, "reduce_mean")
-    data = x.data.mean(axis=axes)
-    count = 1
-    for a in axes:
-        count *= x.data.shape[a]
-    rx = _rec(x)
-
-    def bw(g):
-        gg = _restore_dims(g, rx.shape, axes) / np.asarray(count, dtype=rx.dtype)
-        rx._accum(np.broadcast_to(gg, rx.shape))
-
-    return _make("reduce_mean", np.asarray(data, dtype=x.data.dtype), (x,), bw)
 
 
 def _reduce_axes(x, axis, op):

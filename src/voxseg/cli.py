@@ -32,13 +32,17 @@ def _parse_triple(text):
     return parts
 
 
+def _parse_setting(text):
+    if "=" not in text:
+        raise argparse.ArgumentTypeError(f"expects key=value, got {text!r}")
+    key, val = text.split("=", 1)
+    return key.strip(), val.strip()
+
+
 def _load_config(args):
     cfg = Config.load(args.config) if args.config else Config.default()
-    for item in getattr(args, "override", None) or []:
-        if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
-        key, val = item.split("=", 1)
-        cfg.override(key.strip(), val.strip())
+    for key, val in getattr(args, "override", None) or []:
+        cfg.override(key, val)
     return cfg
 
 
@@ -64,8 +68,8 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--set", dest="override", action="append", metavar="KEY=VALUE",
-                   help="override one config key (repeatable)")
+    p.add_argument("--set", dest="override", action="append", type=_parse_setting,
+                   metavar="KEY=VALUE", help="override one config key (repeatable)")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
@@ -78,7 +82,8 @@ def build_parser():
 
     p = sub.add_parser("flops", help="analytic cost accounting")
     p.add_argument("--config", default=None)
-    p.add_argument("--set", dest="override", action="append", metavar="KEY=VALUE")
+    p.add_argument("--set", dest="override", action="append", type=_parse_setting,
+                   metavar="KEY=VALUE")
 
     p = sub.add_parser("gradcheck", help="run the gradient-verification suite")
     p.add_argument("--instances", type=int, default=20)

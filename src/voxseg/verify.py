@@ -19,9 +19,12 @@ instance norm cases (up to 2144, 360 and 87) on either, by instance. A
 ``voxseg gradcheck`` line ends in ``coords=N``, the coordinates checked
 over all instances, and ``dirs=6`` if any instance ran on directions.
 
-The model cases check ``model.forward`` plus ``combined_loss`` of the
-tiny architecture (``TINY_MODEL``, and with a shared image branch and
-true 3-D patches) toward every trainable parameter.
+``combined_loss`` is a block case: one node whose backward is a closed
+form, drawn with p in [0.05, 0.95], inside the clip where both terms
+have a gradient. The model cases check ``model.forward`` plus
+``combined_loss`` of the tiny architecture (``TINY_MODEL``, and with a
+shared image branch and true 3-D patches) toward every trainable
+parameter.
 
 The CLI 'gradcheck' subcommand and the acceptance tests both run this.
 """
@@ -291,28 +294,9 @@ def _case_mul(rng):
     return (lambda x: ad.mul(x, b)), rng.standard_normal((3, 4))
 
 
-def _case_div(rng):
-    b = ad.tensor(rng.uniform(0.5, 2.0, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4)),
-                  dtype=np.float64)
-    return (lambda x: ad.div(x, b)), rng.standard_normal((3, 4))
-
-
-def _case_sub(rng):
-    b = _t(rng, 3, 4)
-    return (lambda x: ad.sub(x, b)), rng.standard_normal((3, 4))
-
-
 def _case_scale(rng):
     s = float(rng.uniform(-2, 2))
     return (lambda x: ad.scale(x, s)), rng.standard_normal((4, 3))
-
-
-def _case_log(rng):
-    return ad.log, rng.uniform(0.2, 3.0, (4, 3))
-
-
-def _case_clamp(rng):
-    return (lambda x: ad.clamp(x, -2.5, 2.5)), rng.standard_normal((4, 4))
 
 
 def _case_permute(rng):
@@ -329,13 +313,6 @@ def _case_reduce_sum(rng):
     shape = tuple(rng.integers(2, 5, nd))
     axis = None if rng.random() < 0.3 else int(rng.integers(0, nd))
     return (lambda x: ad.reduce_sum(x, axis=axis)), rng.standard_normal(shape)
-
-
-def _case_reduce_mean(rng):
-    nd = int(rng.integers(1, 4))
-    shape = tuple(rng.integers(2, 5, nd))
-    axis = None if rng.random() < 0.3 else int(rng.integers(0, nd))
-    return (lambda x: ad.reduce_mean(x, axis=axis)), rng.standard_normal(shape)
 
 
 # -- composite blocks ---------------------------------------------------------
@@ -570,15 +547,10 @@ OP_CASES = [
     ("concat", _case_concat),
     ("add_broadcast", _case_add_broadcast),
     ("mul", _case_mul),
-    ("div", _case_div),
-    ("sub", _case_sub),
     ("scale", _case_scale),
-    ("log", _case_log),
-    ("clamp", _case_clamp),
     ("permute", _case_permute),
     ("reshape", _case_reshape),
     ("reduce_sum", _case_reduce_sum),
-    ("reduce_mean", _case_reduce_mean),
 ]
 
 BLOCK_CASES = [

@@ -176,7 +176,7 @@ class TestModelLevel:
             store = mdl.init_store(spec, seed=0)
             vol = rng.random((16, 16, 16, 1)).astype(np.float32)
             prob = mdl.forward(spec, store, vol)
-            loss = ad.reduce_mean(ad.mul(prob, prob))
+            loss = ad.reduce_sum(ad.mul(prob, prob))
             ad.backward(loss)
         assert prob.shape == (16, 16, 16)
         # image-branch weights are present but receive no gradient

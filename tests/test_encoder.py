@@ -271,7 +271,7 @@ def test_gradient_reaches_adapters_not_frozen(rng):
     store = mdl.init_store(spec, seed=0)
     fm = _fm(rng.standard_normal((4, 4, 4, 16)))
     taps = enc.encode(fm, spec, store)
-    loss = ad.reduce_mean(ad.mul(taps[12].data, taps[12].data))
+    loss = ad.reduce_sum(ad.mul(taps[12].data, taps[12].data))
     ad.backward(loss)
     down = store["encoder.layer01.adapter_down"]
     up = store["encoder.layer12.adapter_up"]

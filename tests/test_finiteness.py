@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from voxseg import autodiff as ad
+from voxseg.objectives import combined_loss
 
 BIG32 = 3e38  # finite in f32, overflows when doubled
 
@@ -23,7 +24,7 @@ OVERFLOWS = {
     "add": lambda: ad.add(_f32(BIG32), _f32(BIG32)),
     "mul": lambda: ad.mul(_f32(BIG32), _f32(BIG32)),
     "scale": lambda: ad.scale(_f32(BIG32), 10.0),
-    "div": lambda: ad.div(_f32(1.0), _f32(0.0)),
+    "combined_loss": lambda: combined_loss(_f32(BIG32, (2, 2, 2)), np.ones((2, 2, 2))),
     "reduce_sum": lambda: ad.reduce_sum(_f32(BIG32)),
     "conv3d": lambda: ad.conv3d(_f32(BIG32, (2, 2, 2, 1)), _f32(10.0, (1, 1, 1, 1, 1))),
     "upsample_conv3d": lambda: ad.upsample_conv3d(_f32(BIG32, (2, 2, 2, 1)),

@@ -1,22 +1,31 @@
-"""gradient_check over several inputs, on both of its paths, and the whole
-model case against backward closures scaled by 1.001."""
+"""gradient_check over several inputs, on both of its paths, the whole
+model case against backward closures scaled by 1.001, and the op set:
+every op serves the model and has a gradcheck case."""
 
+import ast
 import contextlib
 import importlib
+import pathlib
 
 import numpy as np
 import pytest
 
+import voxseg
 from voxseg import autodiff as ad
+from voxseg import objectives
 from voxseg.autodiff import conv
 from voxseg.autodiff.gradcheck import DIRECTIONS, EXHAUSTIVE_MAX
-from voxseg.verify import MODEL_CASES, run_gradcheck_suite
+from voxseg.verify import MODEL_CASES, OP_CASES, run_gradcheck_suite
 
 # the package exports a ``tensor`` function under the module's name
 tensor_module = importlib.import_module("voxseg.autodiff.tensor")
 
 MUTATED_OPS = ["gelu", "attention", "layer_norm", "instance_norm", "matmul", "conv3d",
-               "upsample_conv3d"]
+               "upsample_conv3d", "combined_loss"]
+
+# the lowercase callables of ``ad.__all__`` that are not differentiable ops
+NOT_OPS = {"backward", "default_dtype", "gradient_check", "no_grad", "precision", "scope",
+           "set_default_dtype", "tensor"}
 
 
 @pytest.fixture(autouse=True)
@@ -44,6 +53,7 @@ def scaled_backward(op, factor):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor_module, "_make", wrapped)
         mp.setattr(conv, "_make", wrapped)
+        mp.setattr(objectives, "_make", wrapped)
         yield
 
 
@@ -111,3 +121,20 @@ def test_model_case_fails_when_one_backward_is_scaled(op):
         [result] = run_gradcheck_suite(instances=1, cases=MODEL_CASES[:1])
     assert result.name == "model" and result.dirs == DIRECTIONS
     assert not result.passed
+
+
+def test_every_op_serves_the_model_and_is_gradchecked():
+    """Every differentiable op in ``ad.__all__`` is called as ``ad.<op>`` by
+    a module of the package outside ``autodiff/`` and ``verify.py``, so no
+    op stays in the package for tests alone, and has a case in
+    ``verify.OP_CASES`` whose name starts with the op's."""
+    ops = {name for name in ad.__all__
+           if name.islower() and callable(getattr(ad, name))} - NOT_OPS
+    used = set()
+    for path in pathlib.Path(voxseg.__file__).parent.glob("*.py"):
+        if path.name != "verify.py":
+            used |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id == "ad"}
+    assert sorted(ops - used) == []
+    assert sorted(op for op in ops if not any(case.startswith(op) for case, _ in OP_CASES)) == []

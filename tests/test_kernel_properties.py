@@ -234,22 +234,27 @@ def test_gradcheck_reaches_every_stride1_form(monkeypatch):
     gradients: no form is left out of the gradient checks."""
     seen = []
 
-    def spy(name, fn):
-        return lambda *args: seen.append(name) or fn(*args)
+    def spy(form, fn):
+        return lambda *args: seen.append(form) or fn(*args)
 
-    for name in ("_im2col", "_accumulate_taps", "_kernel_grad_taps"):
-        monkeypatch.setattr(conv, name, spy(name, getattr(conv, name)))
-    for dtype, gemm in list(conv._GEMM.items()):
-        monkeypatch.setitem(conv._GEMM, dtype, spy("gemm", gemm))
+    monkeypatch.setattr(conv, "_im2col", spy("patch", conv._im2col))
+    monkeypatch.setattr(conv, "_kernel_grad_taps", spy("kernel taps", conv._kernel_grad_taps))
+    accumulates = conv._blas_accumulates
+
+    def on_taps(rows, cout):
+        # the taps' form is decided here, whatever products the numpy adds run
+        blas = accumulates(rows, cout)
+        seen.append("gemm" if blas and conv._GEMM else "numpy")
+        return blas
+
+    monkeypatch.setattr(conv, "_blas_accumulates", on_taps)
     maker = dict(OP_CASES)["conv3d_stride1"]
     rng = case_rng("conv3d_stride1", seed=0)
     with ad.precision("f64"):
         for _ in range(20):
             f, *inputs = maker(rng)
             ad.backward(ad.reduce_sum(f(*(ad.tensor(a, requires_grad=True) for a in inputs))))
-    forms = {"patch" if name == "_im2col" else "kernel taps" if name == "_kernel_grad_taps"
-             else "gemm" if seen[i + 1 : i + 2] == ["gemm"] else "numpy"
-             for i, name in enumerate(seen) if name != "gemm"}
+    forms = set(seen)
     assert forms == {"patch", "numpy", "kernel taps"} | ({"gemm"} if conv._GEMM else set())
 
 
@@ -443,7 +448,7 @@ def _run_program(steps, proj, use, fused):
         if op == "add":
             out = ad.add(a, b)
         elif op == "sub":
-            out = ad.sub(a, b)
+            out = ad.add(a, ad.scale(b, -1.0))
         elif op == "reshape":
             out = ad.reshape(ad.reshape(a, (-1,)), a.shape)
         elif op == "matmul" and fused:
@@ -463,8 +468,9 @@ def _run_program(steps, proj, use, fused):
 @given(steps=program_steps, m=st.integers(1, 4), c=st.integers(2, 4),
        seed=st.integers(0, 2**32 - 1))
 def test_reused_tensors_get_unaliased_exact_gradients(steps, m, c, seed):
-    """Leaf gradients of a graph that reuses tensors across add / sub /
-    reshape / biased matmul / affine layer_norm chains equal an f64
+    """Leaf gradients of a graph that reuses tensors across add / sub (an
+    add of a scale by -1) / reshape / biased matmul / affine layer_norm
+    chains equal an f64
     reference in which every use is a leaf of its own and nothing is fused,
     on the first pass and accumulated on the second; no two leaves'
     gradients share memory."""

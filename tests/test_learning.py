@@ -9,16 +9,24 @@ test). The row is the trained model's mean DICE on 8 held-out phantoms,
 
 Rows at data seeds 11 / 12 / 13:
 
-    default                         0.771 / 0.806 / 0.820
-    decoder.no_image_branch=true    0.257 / 0.375 / 0.265
+    default                         0.771 / 0.807 / 0.819
+    decoder.no_image_branch=true    0.257 / 0.378 / 0.259
+    prompter frozen at identity     0.767 / 0.806 / 0.820
+    encoder taps zeroed             0.747 / 0.773 / 0.798
 
-Tier-1 trains the two rows at data seed 11 and requires
+The last two rows patch the model instead of setting a config key
+(``freeze_prompter``, ``zero_taps``). The prompter's ablation reads
+within 0.004 of the default on every seed, so these phantoms do not
+show the prompter; without the encoder's taps the decoder loses 0.02 to
+0.03.
+
+Tier-1 trains the first two rows at data seed 11 and requires
 - the default row to reach ``DICE_FLOOR``, 0.12 below the worst seed;
 - the no-image-branch row (the paper's decoder ablation) to sit at least
   ``ABLATION_GAP`` below the default; the smallest gap above is 0.43.
 
-Run as a script it prints the row of every switch the model keeps, at
-the given data seeds (default 11):
+Run as a script it prints the row of every switch the model keeps and
+the two patched rows, at the given data seeds (default 11):
 
     PYTHONPATH=src python tests/test_learning.py 11 12 13
 """
@@ -33,6 +41,9 @@ import tempfile
 import numpy as np
 import pytest
 
+from voxseg import autodiff as ad
+from voxseg import decoder, encoder
+from voxseg.patch_embed import FeatureMap
 from voxseg.train import evaluate_cases, list_cases, synthesize_dataset, train
 
 from conftest import tiny_config
@@ -41,19 +52,48 @@ DATA_SEED = 11
 DICE_FLOOR = 0.65
 ABLATION_GAP = 0.25
 NO_IMAGE = "decoder.no_image_branch=true"
+
+
+def freeze_prompter(mp):
+    """Every ``prompter.*`` parameter frozen. Its down-projections start at
+    zero, so the prompter returns its input exactly: the no-prompter
+    ablation."""
+    classify = encoder.classify_parameter
+    mp.setattr(encoder, "classify_parameter",
+               lambda name: name.startswith("prompter.") or classify(name))
+
+
+def zero_taps(mp):
+    """Zeros in place of the tap at every enhancer's fuse conv: the decoder
+    sees only the image branch."""
+    enhance = decoder.original_feature_enhancer
+
+    def zeroed(z, image, p, features=None):
+        zeros = ad.tensor(np.zeros(z.data.shape), dtype=z.data.dtype)
+        return enhance(FeatureMap.wrap(zeros), image, p, features=features)
+
+    mp.setattr(decoder, "original_feature_enhancer", zeroed)
+
+
+# a row is config overrides, or a function that patches the model through
+# a ``pytest.MonkeyPatch`` for the row's training and evaluation
 ROWS = {
     "default": {},
     NO_IMAGE: {"decoder.no_image_branch": "true"},
     "decoder.share_image_branch=true": {"decoder.share_image_branch": "true"},
     "patch.mode=true3d": {"patch.mode": "true3d"},
     "prompter.layer=6": {"prompter.layer": "6"},
+    "prompter frozen at identity": freeze_prompter,
+    "encoder taps zeroed": zero_taps,
 }
 DIMS = (16, 16, 16)
 
 
-def heldout_dice(root, data_seed, overrides):
-    """Mean held-out DICE of the tiny model trained per the protocol;
-    datasets are made under ``root`` on first use."""
+def heldout_dice(root, data_seed, row):
+    """Mean held-out DICE of the tiny model trained per the protocol under
+    ``row`` (a value of ``ROWS``); datasets are made under ``root`` on
+    first use."""
+    overrides, patch = (row, None) if isinstance(row, dict) else ({}, row)
     data = os.path.join(root, f"data{data_seed}")
     heldout = os.path.join(root, "heldout")
     if not os.path.isdir(data):
@@ -63,9 +103,12 @@ def heldout_dice(root, data_seed, overrides):
     cfg = tiny_config(**{"train.lr": "2e-4", "train.batch_size": "2",
                          "train.epochs": "9"}, **overrides)
     out = tempfile.mkdtemp(dir=root)
-    res = train(cfg, data, out)
-    reports = evaluate_cases(res.spec, res.store, heldout, list_cases(heldout),
-                             tau=cfg.get_float("eval.tau"))
+    with pytest.MonkeyPatch.context() as mp:
+        if patch is not None:
+            patch(mp)
+        res = train(cfg, data, out)
+        reports = evaluate_cases(res.spec, res.store, heldout, list_cases(heldout),
+                                 tau=cfg.get_float("eval.tau"))
     return float(np.mean([r.dice for _, r in reports]))
 
 
@@ -87,8 +130,8 @@ def main(argv):
     seeds = [int(s) for s in argv] or [DATA_SEED]
     print(f"{'row':<34}" + "".join(f"{'seed ' + str(s):>10}" for s in seeds))
     with tempfile.TemporaryDirectory() as root:
-        for name, overrides in ROWS.items():
-            dice = [heldout_dice(root, s, overrides) for s in seeds]
+        for name, row in ROWS.items():
+            dice = [heldout_dice(root, s, row) for s in seeds]
             print(f"{name:<34}" + "".join(f"{d:>10.3f}" for d in dice), flush=True)
 
 

@@ -1,4 +1,5 @@
-"""Loss values against closed forms; metrics against brute-force oracles."""
+"""The loss against a numpy oracle and closed forms; metrics against
+brute-force oracles."""
 
 import math
 
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from loss_oracle import loss_grad, loss_terms
 from voxseg import autodiff as ad
 from voxseg import metrics as mx
-from voxseg.objectives import LossConfig, bce_loss, combined_loss, soft_dice_loss
+from voxseg.objectives import LossConfig, combined_loss
 from voxseg.volume_io import generate_phantom
 
 
@@ -66,6 +68,16 @@ def _dice_bruteforce(pred, gt) -> float:
     return 1.0 if total == 0 else 2.0 * inter / total
 
 
+def _draw(rng, n, dtype, saturated):
+    """A probability map and a mask of n^3 voxels in ``dtype``; a saturated
+    map has about 40% of its voxels at exactly 0 or 1."""
+    p = rng.uniform(0.0, 1.0, (n, n, n))
+    if saturated:
+        pick = rng.random(p.shape)
+        p[pick < 0.2], p[pick > 0.8] = 0.0, 1.0
+    return p.astype(dtype), (rng.random((n, n, n)) < 0.3).astype(dtype)
+
+
 class TestLoss:
     def test_perfect_prediction_near_zero(self):
         gt = np.zeros((4, 4, 4))
@@ -74,23 +86,62 @@ class TestLoss:
         assert 0 <= loss < 1e-5
 
     def test_bce_half_prediction_is_ln2(self):
+        """At p = 0.5 the BCE term is ln 2: the loss less half the dice term,
+        worked out by hand, is half of ln 2."""
         gt = np.zeros((4, 4, 4))
         gt[:2] = 1  # half ones
         pred = ad.tensor(np.full((4, 4, 4), 0.5))
-        assert abs(bce_loss(pred, gt).item() - np.log(2)) < 1e-12
+        s = LossConfig().smooth
+        dice = 1 - (2 * 0.5 * 32 + s) / (0.5 * 64 + 32 + s)
+        assert abs(combined_loss(pred, gt).item() - 0.5 * dice - 0.5 * np.log(2)) < 1e-12
 
     def test_combined_weights(self):
+        """The loss is 0.5 dice + 0.5 BCE, its terms taken from the oracle."""
         gt = (np.random.default_rng(0).random((4, 4, 4)) < 0.3).astype(float)
-        pred = ad.tensor(np.full((4, 4, 4), 0.4))
-        total = combined_loss(pred, gt, LossConfig()).item()
-        d = soft_dice_loss(ad.tensor(np.full((4, 4, 4), 0.4)), gt).item()
-        b = bce_loss(ad.tensor(np.full((4, 4, 4), 0.4)), gt).item()
-        assert abs(total - (0.5 * d + 0.5 * b)) < 1e-12
+        pred = np.full((4, 4, 4), 0.4)
+        _, d, b = loss_terms(pred, gt)
+        assert abs(combined_loss(ad.tensor(pred), gt).item() - (0.5 * d + 0.5 * b)) < 1e-12
+
+    def test_loss_is_one_node_on_the_prediction(self, rng):
+        """Whatever feeds the prediction, the loss is one ``combined_loss``
+        record whose only parent is the prediction's record; the mask, an
+        array or a Tensor, is not a parent."""
+        prob = ad.sigmoid(ad.tensor(rng.standard_normal((3, 4, 5)), requires_grad=True))
+        gt = (rng.random((3, 4, 5)) < 0.4).astype(float)
+        for mask in (gt, ad.tensor(gt), ad.tensor(gt, requires_grad=True)):
+            loss = combined_loss(prob, mask)
+            assert loss._record.op == "combined_loss"
+            assert loss._parents == (prob._record,)
+
+    @pytest.mark.parametrize("saturated", [False, True], ids=["random", "saturated"])
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-13)],
+                             ids=["f32", "f64"])
+    def test_loss_matches_numpy_oracle(self, dtype, tol, saturated):
+        """On maps from 3^3 to 24^3 and upstream gradients 1, 1/2 and 1/3,
+        the loss is bit for bit the numpy transcription of the op chain it
+        replaced, and the gradient is within ``tol`` of the closed form,
+        relative to its largest entry; a voxel at exactly 0 or 1 gets only
+        the dice term."""
+        rng = np.random.default_rng(22)
+        for n, upstream in zip((3, 5, 8, 16, 24), (1.0, 0.5, 1 / 3, 1.0, 0.5)):
+            p, g = _draw(rng, n, dtype, saturated)
+            pred = ad.tensor(p, requires_grad=True, dtype=dtype)
+            loss = combined_loss(pred, g)
+            ad.backward(ad.scale(loss, upstream))
+            want, _, _ = loss_terms(p, g)
+            assert loss.data.dtype == dtype and loss.data.tobytes() == want.tobytes()
+            grad, dice_only = loss_grad(p, g, upstream=upstream)
+            assert pred.grad.dtype == dtype
+            scale = np.abs(grad).max()
+            assert np.abs(pred.grad - grad).max() <= tol * scale
+            sat = (p == 0) | (p == 1)
+            assert sat.any() == saturated
+            assert np.abs(pred.grad[sat] - dice_only[sat]).max(initial=0.0) <= tol * scale
 
     def test_finite_on_saturated_inputs(self):
         gt = np.zeros((3, 3, 3))
         gt[0] = 1
-        pred = ad.tensor(gt.copy())  # exact 0/1 values pre-clamp
+        pred = ad.tensor(gt.copy())  # exact 0/1 values, before the clip
         assert np.isfinite(combined_loss(pred, gt).item())
 
     def test_shape_mismatch_rejected(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from voxseg import autodiff as ad
-from voxseg import encoder, model, train
+from voxseg import encoder, model, objectives, train
 from voxseg.autodiff import conv
 from voxseg.objectives import LossConfig
 from voxseg.volume_io import generate_phantom
@@ -124,13 +124,14 @@ def test_gradients_do_not_depend_on_what_the_caller_holds(monkeypatch):
         held = []
         with monkeypatch.context() as mp:
             if hold:
-                for owner in (tensor_module, conv):
+                for owner in (tensor_module, conv, objectives):
                     _wrap(mp, owner, "_make", lambda a, k, out: held.append(out))
             store.zero_grad()
             ad.backward(_loss(spec, store, vol, mask))
         # every op output of the case: 402 while each encoder layer split and
-        # merged heads in 8 reshape / permute nodes and the head's relu was one
-        assert len(held) == 305 if hold else not held
+        # merged heads in 8 reshape / permute nodes and the head's relu was
+        # one, 305 while the loss was a chain of 23 ops
+        assert len(held) == 283 if hold else not held
         grads.append({name: t.grad.copy() for name, t in store.trainable()})
     assert grads[0].keys() == grads[1].keys()
     for name in grads[0]:
@@ -139,31 +140,33 @@ def test_gradients_do_not_depend_on_what_the_caller_holds(monkeypatch):
 
 def test_retained_bytes_of_a_16_cubed_desk_case():
     """One 16^3 case of the desk model (C=64, 12 layers, decoder 16 ch)
-    retains 2.70 MiB before its backward (5.81 MiB when every op's output
-    lived until the backward ended). gelu, concat and reduce_mean keep no
-    output, and the MLP's first products and attention's q, k and v are
+    retains 2.65 MiB before its backward (5.81 MiB when every op's output
+    lived until the backward ended, 2.70 MiB while the loss was a chain of
+    ops). gelu and concat keep no output, and the MLP's first products and attention's q, k and v are
     rebuilt in the backward; upsample_conv3d's closure keeps no array
     besides its output (its inputs are other ops' values, its kernel a
     parameter). The largest holders are the norm outputs the next conv
-    reads and the conv outputs the instance norms re-read. The loss holds
-    one f32 copy of the mask, shared by its dice and BCE terms, plus
-    1 - mask."""
+    reads and the conv outputs the instance norms re-read. The loss node
+    keeps one f32 copy of the mask and the sigmoid's output, which the
+    sigmoid's closure keeps too."""
     loss, outside = graph_bytes.desk_case(16)
     table = graph_bytes.retained_by_op(loss, outside)
-    assert round(graph_bytes.total_mib(table), 2) == 2.70
-    for op in ("gelu", "concat", "reduce_mean"):
+    assert round(graph_bytes.total_mib(table), 2) == 2.65
+    assert table["combined_loss"][1] == 16**3 * 4
+    for op in ("gelu", "concat"):
         assert table.get(op, (0, 0))[0] == 0, op
     assert table["upsample_conv3d"][1] == 0
     assert max(table, key=lambda op: sum(table[op])) == "instance_norm"
 
 
 def test_retained_bytes_of_a_32_cubed_desk_case():
-    """The benchmark's volume size: one 32^3 desk case retains 21.61 MiB
+    """The benchmark's volume size: one 32^3 desk case retains 21.20 MiB
     before its backward (36.53 MiB while upsample outputs and the MLP's
     first products were kept, 24.65 MiB while the upsample was an op whose
     closure kept its interpolation matrices, 24.64 MiB while attention
-    kept its q, k and v products)."""
+    kept its q, k and v products, 21.61 MiB while the loss was a chain of
+    ops)."""
     loss, outside = graph_bytes.desk_case(32)
     table = graph_bytes.retained_by_op(loss, outside)
-    assert round(graph_bytes.total_mib(table), 2) == 21.61
+    assert round(graph_bytes.total_mib(table), 2) == 21.20
     assert table["upsample_conv3d"][1] == 0

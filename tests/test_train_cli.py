@@ -369,6 +369,17 @@ class TestCLI:
             cli_main(["flops", "--bogus"])
         assert exc.value.code == 2
 
+    def test_malformed_set_exits_2(self, capsys):
+        """A --set item without "=" is a usage error: exit 2 with the usage
+        message; a well-formed one overrides its key."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["flops", "--set", "foo"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: voxseg flops") and "expects key=value, got 'foo'" in err
+        assert cli_main(["flops", "--set", " decoder.channels = 8"]) == 0
+        assert "decoder.channels = 8" in capsys.readouterr().out
+
     def test_runtime_failure_exits_1(self, tmp_path):
         assert cli_main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
                          "--data", str(tmp_path)]) == 1
