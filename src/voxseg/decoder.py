@@ -3,7 +3,10 @@ features convolved straight off the original volume, and a prediction
 head emits a full-resolution probability map.
 
 Per enhancer:  E = ConvBlock(Concat(Upsample(Z_tap), ConvPyramid(I))),
-all branches meeting at (2H, 2W, 2D); a shared image branch
+all branches meeting at (2H, 2W, 2D). Z_tap arrives as the encoder's
+(M, C) tokens and the enhancer reshapes it to its (H, W, D, C) grid:
+after the patch embedding, only the decoder's convs need the grid, and
+from that reshape on everything is a grid. A shared image branch
 (``share_image_branch``) runs once per forward and feeds all four
 enhancers. The prediction head concatenates the four enhancer outputs,
 applies a conv block, upsamples to the input resolution, smooths with
@@ -34,7 +37,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatchError, Tensor
-from .patch_embed import FeatureMap
 
 
 @dataclass
@@ -120,29 +122,31 @@ def image_features(image: Tensor, p: EnhancerParams) -> Tensor:
     return img_feat
 
 
-def original_feature_enhancer(z: FeatureMap, image: Tensor, p: EnhancerParams,
-                              features: Tensor | None = None) -> FeatureMap:
-    """Upsample one tap to (2H, 2W, 2D), fuse with image-branch features.
+def original_feature_enhancer(z: Tensor, image: Tensor, p: EnhancerParams,
+                              features: Tensor | None = None) -> Tensor:
+    """Reshape one tap's (M, C) tokens to the (H, W, D) grid, upsample it
+    to (2H, 2W, 2D) and fuse it with the image-branch features.
 
     ``features`` is the image branch already computed by the caller (a
     shared branch runs once per forward); when None it runs here.
     """
-    up_dims = tuple(2 * n for n in z.data.shape[:3])  # (2H, 2W, 2D)
-    if up_dims != tuple(p.target_dims):
+    grid = tuple(n // 2 for n in p.target_dims)  # (H, W, D)
+    if len(z.shape) != 2 or z.shape[0] != grid[0] * grid[1] * grid[2]:
         raise ShapeMismatchError(
-            f"enhancer target {p.target_dims} != upsampled tap {up_dims}"
+            f"enhancer target {p.target_dims} needs (H*W*D, C) tokens of grid {grid}, "
+            f"got {z.shape}"
         )
+    tap = ad.reshape(z, grid + (z.shape[1],))
     img_feat = image_features(image, p) if features is None else features
-    fused = conv_block([z.data, img_feat], p.fuse, factors=[2, 1])
-    return FeatureMap.wrap(fused)
+    return conv_block([tap, img_feat], p.fuse, factors=[2, 1])
 
 
-def predict(enhanced: list[FeatureMap], p: PredictParams) -> Tensor:
+def predict(enhanced: list[Tensor], p: PredictParams) -> Tensor:
     """Concatenate enhancer outputs and emit an (H̄, W̄, D̄) probability map."""
-    shapes = {tuple(e.data.shape) for e in enhanced}
+    shapes = {tuple(e.shape) for e in enhanced}
     if len(shapes) != 1:
         raise ShapeMismatchError(f"enhancer outputs disagree in shape: {shapes}")
-    h = conv_block([e.data for e in enhanced], p.head)
+    h = conv_block(enhanced, p.head)
     h = ad.upsample_conv3d(h, p.smooth_w, p.upsample_factor, bias=p.smooth_b, relu=True)
     logits = ad.conv3d(h, p.proj_w, stride=1, padding=0, bias=p.proj_b)
     prob = ad.sigmoid(logits)

@@ -8,6 +8,11 @@ Layer recurrence, in exactly this order:
     z_ddot = norm(z_hat)                  (pre-MLP norm, frozen affine)
     z_out  = mlp(z_ddot) + s * adapter(z_ddot)
 
+Every layer reads and writes the (M, C) tokens of ``model.embed_volume``
+(M = H*W*D, the patch grid flattened in C order), and ``encode`` returns
+each tap as an (M, C) Tensor: no layer reshapes, and the grid comes back
+only in the decoder's enhancers.
+
 The MLP is linear -> GELU -> linear, as in SAM's encoder. The adapter
 branch relu(X @ down) @ up is the only trainable piece of a layer; ``s``
 is a fixed scale coefficient. Attention is full (global)
@@ -33,7 +38,6 @@ from dataclasses import dataclass
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatchError, Tensor
-from .patch_embed import FeatureMap
 
 
 @dataclass
@@ -104,19 +108,13 @@ def param_specs(spec):
     return specs
 
 
-def adapter_forward(x, p: LayerParams):
-    """relu(X @ W_down) @ W_up, token-wise; shape-preserving.
-
-    Accepts a FeatureMap or a (tokens, C) Tensor and returns the same kind.
-    """
-    fm = x if isinstance(x, FeatureMap) else None
-    t = fm.tokens() if fm is not None else x
-    if t.shape[-1] != p.adapter_down.shape[0]:
+def adapter_forward(z: Tensor, p: LayerParams):
+    """relu(Z @ W_down) @ W_up on tokens z (M, C); shape-preserving."""
+    if z.shape[-1] != p.adapter_down.shape[0]:
         raise ShapeMismatchError(
-            f"adapter: input channels {t.shape[-1]} != W_down rows {p.adapter_down.shape[0]}"
+            f"adapter: input channels {z.shape[-1]} != W_down rows {p.adapter_down.shape[0]}"
         )
-    out = ad.matmul(ad.relu(ad.matmul(t, p.adapter_down)), p.adapter_up)
-    return fm.with_tokens(out) if fm is not None else out
+    return ad.matmul(ad.relu(ad.matmul(z, p.adapter_down)), p.adapter_up)
 
 
 def attention_forward(z: Tensor, p: LayerParams, heads):
@@ -138,9 +136,8 @@ def mlp_forward(z: Tensor, p: LayerParams):
     return ad.matmul(h, p.mlp_w2, bias=p.mlp_b2)
 
 
-def layer_forward(fm: FeatureMap, p: LayerParams, s, heads):
-    """One full transformer layer on a feature map; shape preserved."""
-    z_prev = fm.tokens()
+def layer_forward(z_prev: Tensor, p: LayerParams, s, heads):
+    """One full transformer layer on tokens (M, C); shape preserved."""
     with ad.scope("layer_forward/norm1"):
         z_dot = ad.layer_norm(z_prev, axis=-1, gain=p.norm1_g, shift=p.norm1_b)
     with ad.scope("layer_forward/attention"):
@@ -153,15 +150,14 @@ def layer_forward(fm: FeatureMap, p: LayerParams, s, heads):
     with ad.scope("layer_forward/adapter"):
         adapter = adapter_forward(z_ddot, p)
     with ad.scope("layer_forward/output"):
-        z_out = ad.add(mlp, ad.scale(adapter, s))
-    return fm.with_tokens(z_out)
+        return ad.add(mlp, ad.scale(adapter, s))
 
 
-def encode(fm: FeatureMap, spec, store):
-    """Run ``spec.layers`` layers; return {tap_index: FeatureMap} for
-    ``spec.taps``. A layer missing from ``store`` raises ``GraphError``."""
+def encode(z: Tensor, spec, store):
+    """Run ``spec.layers`` layers on tokens (M, C); return {tap_index:
+    (M, C) Tensor} for ``spec.taps``. A layer missing from ``store``
+    raises ``GraphError``."""
     taps = {}
-    z = fm
     for i in range(1, spec.layers + 1):
         p = LayerParams.from_store(store, i)
         with ad.scope(f"layer{i:02d}"):

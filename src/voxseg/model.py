@@ -152,20 +152,27 @@ def init_store(spec: ModelSpec, seed) -> ParameterStore:
     return store
 
 
-def embed_volume(x: Tensor, spec: ModelSpec, store) -> pe.FeatureMap:
+def embed_volume(x: Tensor, spec: ModelSpec, store) -> Tensor:
+    """Patch features plus the positional table on the grid, flattened to
+    the (M, C) tokens the encoder reads."""
     if spec.patch_mode == "pseudo3d":
-        fm = pe.pseudo3d_patch_embed(
+        grid = pe.pseudo3d_patch_embed(
             x, store["patch.w2d"], store["patch.b2d"], store["patch.wdepth"], spec.patch
         )
     else:
-        fm = pe.true3d_patch_embed(x, store["patch.w3d"], store["patch.b3d"], spec.patch)
-    return pe.add_positional(fm, store["patch.pos"])
+        grid = pe.true3d_patch_embed(x, store["patch.w3d"], store["patch.b3d"], spec.patch)
+    grid = pe.add_positional(grid, store["patch.pos"])
+    return ad.reshape(grid, (spec.token_count, spec.embed_dim))
 
 
 def forward(spec: ModelSpec, store, volume):
     """Volume (or raw (H̄, W̄, D̄, N) array) -> probability Tensor (H̄, W̄, D̄).
 
-    A ``NonFiniteError`` is prefixed with the module scope that raised it.
+    The embedding's (M, C) tokens pass through the encoder and the
+    prompter as tokens. Each enhancer reshapes its tap to the (H, W, D, C)
+    grid, the first place a convolution needs it, and the decoder stays on
+    grids from there to the output. A ``NonFiniteError`` is prefixed with
+    the module scope that raised it.
     """
     data = volume.data if isinstance(volume, Volume) else np.asarray(volume)
     if data.shape != tuple(spec.vol_dims) + (spec.in_channels,):
@@ -175,9 +182,9 @@ def forward(spec: ModelSpec, store, volume):
         )
     x = ad.tensor(data)
     with ad.scope("patch"):
-        fm = embed_volume(x, spec, store)
+        tokens = embed_volume(x, spec, store)
     with ad.scope("encoder"):
-        taps = enc.encode(fm, spec, store)
+        taps = enc.encode(tokens, spec, store)
     pparams = pr.PrompterParams.from_store(store)
     with ad.scope("prompter"):
         prompted = pr.attach_prompter(taps, pparams, spec.prompt_layer)

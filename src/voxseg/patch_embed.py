@@ -1,4 +1,4 @@
-"""Patch embedding: volume -> token feature map.
+"""Patch embedding: volume -> the (H, W, D, C) grid of patch features.
 
 Two routes with identical output shape (H, W, D, C) = (H̄/p_h, W̄/p_w,
 D̄/p_d, C):
@@ -9,42 +9,17 @@ D̄/p_d, C):
     kernels K3[i,j,k,n,c] = K2[i,j,n,c] * kd[k,c], which quantifies what
     the slice-wise approximation can and cannot represent.
   * true3d — one dense 3D convolution with kernel = stride = patch.
+
+Both return plain rank-4 Tensors, and the positional table is added on
+that grid. ``model.embed_volume`` then flattens the grid once into the
+(M, C) tokens, M = H*W*D, that the encoder and prompter read; only the
+decoder's enhancers reshape a tap back to its grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import autodiff as ad
 from .autodiff import ShapeMismatchError, Tensor
-
-
-@dataclass
-class FeatureMap:
-    """Tensor with semantic axes (H, W, D, C)."""
-
-    dims: tuple[int, int, int]
-    channels: int
-    data: Tensor
-
-    @classmethod
-    def wrap(cls, t: Tensor):
-        if t.data.ndim != 4:
-            raise ShapeMismatchError(f"feature map must be rank 4, got {t.data.ndim}")
-        return cls(dims=t.shape[:3], channels=t.shape[3], data=t)
-
-    def tokens(self) -> Tensor:
-        """(H*W*D, C) view of the grid."""
-        h, w, d = self.dims
-        return ad.reshape(self.data, (h * w * d, self.channels))
-
-    def with_tokens(self, t: Tensor) -> "FeatureMap":
-        return FeatureMap.wrap(ad.reshape(t, self.dims + (self.channels,)))
-
-    @property
-    def token_count(self):
-        h, w, d = self.dims
-        return h * w * d
 
 
 def _check_divisible(vol_dims, patch):
@@ -57,7 +32,7 @@ def _check_divisible(vol_dims, patch):
 
 
 def pseudo3d_patch_embed(x: Tensor, w2d: Tensor, b2d: Tensor, wdepth: Tensor,
-                         patch) -> FeatureMap:
+                         patch) -> Tensor:
     """Slice-wise 2D embedding then depth aggregation.
 
     x: (H̄, W̄, D̄, N); w2d: (p_h, p_w, 1, N, C); b2d: (C,);
@@ -70,19 +45,19 @@ def pseudo3d_patch_embed(x: Tensor, w2d: Tensor, b2d: Tensor, wdepth: Tensor,
     c = planar.shape[3]
     stacked = ad.reshape(planar, (h, w, d, pd, c))
     weighted = ad.mul(stacked, wdepth)  # broadcast over (H, W, D)
-    return FeatureMap.wrap(ad.reduce_sum(weighted, axis=3))
+    return ad.reduce_sum(weighted, axis=3)
 
 
-def true3d_patch_embed(x: Tensor, w3d: Tensor, b3d: Tensor, patch) -> FeatureMap:
+def true3d_patch_embed(x: Tensor, w3d: Tensor, b3d: Tensor, patch) -> Tensor:
     """Single dense 3D convolution with kernel = stride = patch."""
     _check_divisible(x.shape[:3], patch)
-    return FeatureMap.wrap(ad.conv3d(x, w3d, stride=patch, padding=0, bias=b3d))
+    return ad.conv3d(x, w3d, stride=patch, padding=0, bias=b3d)
 
 
-def add_positional(fm: FeatureMap, pos: Tensor) -> FeatureMap:
-    """Learned additive positional embedding, shape (H, W, D, C)."""
-    if pos.shape != fm.data.shape:
+def add_positional(x: Tensor, pos: Tensor) -> Tensor:
+    """Learned additive positional embedding on the (H, W, D, C) grid."""
+    if pos.shape != x.shape:
         raise ShapeMismatchError(
-            f"positional embedding {pos.shape} does not match feature map {fm.data.shape}"
+            f"positional embedding {pos.shape} does not match the patch grid {x.shape}"
         )
-    return FeatureMap.wrap(ad.add(fm.data, pos))
+    return ad.add(x, pos)

@@ -1,5 +1,8 @@
 """Dual-attention auto-prompting over one encoder tap.
 
+Every function here reads and returns the tap's (M, C) tokens as the
+encoder emits them; none of them sees the (H, W, D) grid.
+
 Spatial attention is token-level self-attention with linear cost: keys
 and values are projected down to a constant ``n`` tokens by learned
 (n, M) reducers, so cost grows as O(M*n) instead of O(M^2). Channel
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatchError, Tensor
-from .patch_embed import FeatureMap
 
 
 @dataclass
@@ -79,22 +81,13 @@ def param_specs(spec):
     ]
 
 
-def _tokens_of(x):
-    return (x.tokens(), x) if isinstance(x, FeatureMap) else (x, None)
-
-
-def _rewrap(out, fm):
-    return fm.with_tokens(out) if fm is not None else out
-
-
-def spatial_attention(x, p: PrompterParams, zq=None, zk=None):
-    """Linear-complexity token attention; shape preserved.
+def spatial_attention(z: Tensor, p: PrompterParams, zq=None, zk=None):
+    """Linear-complexity attention over tokens z (M, C); shape preserved.
 
     With identity reducers and n = M this is exactly full self-attention
     with the same projection weights. ``zq`` / ``zk`` are Z@W_q and Z@W_k
     when the caller has already computed them.
     """
-    z, fm = _tokens_of(x)
     m, c = z.shape
     n = p.reduce_k.shape[0]
     if n > m:
@@ -108,19 +101,18 @@ def spatial_attention(x, p: PrompterParams, zq=None, zk=None):
     q = ad.layer_norm(zq, axis=-1, gain=p.norm_q_sa_g, shift=p.norm_q_sa_b)  # (M, C)
     k_hat = ad.matmul(p.reduce_k, zk)  # (n, C)
     v_hat = ad.matmul(p.reduce_v, ad.matmul(z, p.wv_sa))  # (n, C)
-    out = ad.attention(q, k_hat, v_hat, 1.0 / math.sqrt(c))  # each query over the n keys
-    return _rewrap(out, fm)
+    return ad.attention(q, k_hat, v_hat, 1.0 / math.sqrt(c))  # each query over the n keys
 
 
-def channel_attention(x, p: PrompterParams, zq=None, zk=None):
-    """Channel-mixing attention through a (C, C) affinity; shape preserved.
+def channel_attention(z: Tensor, p: PrompterParams, zq=None, zk=None):
+    """Channel-mixing attention on tokens z (M, C) through a (C, C)
+    affinity; shape preserved.
 
     Output channel b is the convex mix sum_a softmax_a(k_b . q_a) V[:, a]:
     attention with the channels as tokens, k as queries and q as keys.
     ``zq`` / ``zk`` are Z@W_q and Z@W_k when the caller has already
     computed them.
     """
-    z, fm = _tokens_of(x)
     _, c = z.shape
     if p.wq.shape[0] != c:
         raise ShapeMismatchError(
@@ -132,26 +124,24 @@ def channel_attention(x, p: PrompterParams, zq=None, zk=None):
     k = ad.layer_norm(zk, axis=-1, gain=p.norm_k_ca_g, shift=p.norm_k_ca_b)
     v = ad.matmul(z, p.wv_ca)
     qt, kt, vt = (ad.permute(t, (1, 0)) for t in (q, k, v))  # (C, M)
-    out = ad.permute(ad.attention(kt, qt, vt, 1.0 / math.sqrt(c)), (1, 0))
-    return _rewrap(out, fm)
+    return ad.permute(ad.attention(kt, qt, vt, 1.0 / math.sqrt(c)), (1, 0))
 
 
-def dual_prompt(x, p: PrompterParams):
-    """Residual fusion of the two down-projected attention branches."""
-    z, fm = _tokens_of(x)
-    _, c = z.shape
-    if c % 2 != 0:
-        raise ShapeMismatchError(f"dual prompt requires an even channel count, got {c}")
+def dual_prompt(z: Tensor, p: PrompterParams):
+    """Residual fusion of the two down-projected attention branches on
+    tokens z (M, C)."""
+    if len(z.shape) != 2 or z.shape[1] % 2 != 0:
+        raise ShapeMismatchError(f"dual prompt needs (M, C) tokens with C even, got {z.shape}")
     zq, zk = ad.matmul(z, p.wq), ad.matmul(z, p.wk)  # read by both branches
     sa = spatial_attention(z, p, zq, zk)
     ca = channel_attention(z, p, zq, zk)
     fused = ad.concat([ad.matmul(sa, p.down_sa), ad.matmul(ca, p.down_ca)], axis=1)
-    out = ad.add(z, fused)
-    return _rewrap(out, fm)
+    return ad.add(z, fused)
 
 
 def attach_prompter(taps: dict, p: PrompterParams, layer):
-    """Replace exactly tap ``layer`` with its prompted version."""
+    """Replace exactly tap ``layer`` of {index: (M, C) Tensor} with its
+    prompted version."""
     if layer not in taps:
         raise ShapeMismatchError(f"prompt layer {layer} not among taps {sorted(taps)}")
     out = dict(taps)

@@ -199,13 +199,12 @@ def _train_case(spec, store, vdata, mdata, loss_cfg, weight):
 
     The case's gradient, scaled by ``weight``, accumulates into the leaf
     ``.grad`` buffers. Its graph dies when this returns, so no more than
-    one case's graph is alive at any time.
+    one case's graph is alive at any time. A non-finite loss raises
+    ``NonFiniteError`` inside ``combined_loss``.
     """
     prob = mdl.forward(spec, store, vdata)
     loss = combined_loss(prob, mdata, loss_cfg)
     value = loss.item()
-    if not math.isfinite(value):
-        raise ad.NonFiniteError(f"loss is {value}")
     dice = mx.dice_score(mx.threshold_probabilities(prob.numpy()), mdata)
     ad.backward(ad.scale(loss, weight))
     return value, dice

@@ -337,30 +337,26 @@ def _mini_layer_params(rng, c=8, l=2, ratio=2):
     )
 
 
-def _fm(x):
-    return pe.FeatureMap.wrap(x)
-
-
 _PATCH = (2, 2, 2)
 
 
 def _case_pseudo3d_patch_embed(rng):
     """Input, 2-D kernel, bias and depth weights."""
-    return ((lambda *a: pe.pseudo3d_patch_embed(*a, _PATCH).data),
+    return ((lambda *a: pe.pseudo3d_patch_embed(*a, _PATCH)),
             rng.standard_normal((4, 4, 2, 2)), rng.standard_normal((2, 2, 1, 2, 3)),
             rng.standard_normal(3), rng.standard_normal((2, 3)))
 
 
 def _case_true3d_patch_embed(rng):
     """Input, kernel and bias."""
-    return ((lambda *a: pe.true3d_patch_embed(*a, _PATCH).data),
+    return ((lambda *a: pe.true3d_patch_embed(*a, _PATCH)),
             rng.standard_normal((4, 4, 2, 2)), rng.standard_normal((2, 2, 2, 2, 3)),
             rng.standard_normal(3))
 
 
 def _case_add_positional(rng):
     """Input and table."""
-    return ((lambda x, pos: pe.add_positional(_fm(x), pos).data),
+    return (pe.add_positional,
             rng.standard_normal((2, 2, 1, 3)), rng.standard_normal((2, 2, 1, 3)))
 
 
@@ -376,18 +372,18 @@ def _case_layer(rng):
     """Input and the adapter's up-projection."""
     p = _mini_layer_params(rng)
     return ((lambda x, up: enc.layer_forward(
-                _fm(x), dataclasses.replace(p, adapter_up=up), s=0.7, heads=2).data),
-            rng.standard_normal((2, 2, 2, 8)), p.adapter_up.data)
+                x, dataclasses.replace(p, adapter_up=up), s=0.7, heads=2)),
+            rng.standard_normal((8, 8)), p.adapter_up.data)
 
 
 def _case_two_layer_encoder(rng):
     p1, p2 = _mini_layer_params(rng), _mini_layer_params(rng)
 
     def f(x):
-        z = enc.layer_forward(_fm(x), p1, s=1.0, heads=2)
-        return enc.layer_forward(z, p2, s=1.0, heads=2).data
+        z = enc.layer_forward(x, p1, s=1.0, heads=2)
+        return enc.layer_forward(z, p2, s=1.0, heads=2)
 
-    return f, rng.standard_normal((2, 2, 2, 8))
+    return f, rng.standard_normal((8, 8))
 
 
 def _mini_prompter_params(rng, c=4, n=3, m=8):
@@ -450,8 +446,8 @@ def _mini_enhancer(rng, c=6, cdec=3):
 def _case_enhancer(rng):
     """Tap and image."""
     p = _mini_enhancer(rng)
-    return ((lambda x, image: dec.original_feature_enhancer(_fm(x), image, p).data),
-            rng.standard_normal((2, 2, 2, 6)), rng.standard_normal((8, 8, 8, 1)))
+    return ((lambda x, image: dec.original_feature_enhancer(x, image, p)),
+            rng.standard_normal((8, 6)), rng.standard_normal((8, 8, 8, 1)))
 
 
 def _mini_predict(rng, cdec=2, n_taps=4):
@@ -472,11 +468,7 @@ def _case_predict(rng):
     p = _mini_predict(rng)
     others = [_t(rng, 4, 4, 4, 2) for _ in range(3)]
 
-    def f(x):
-        maps = [_fm(x)] + [_fm(o) for o in others]
-        return dec.predict(maps, p)
-
-    return f, rng.standard_normal((4, 4, 4, 2))
+    return (lambda x: dec.predict([x] + others, p)), rng.standard_normal((4, 4, 4, 2))
 
 
 def _case_combined_loss(rng):

@@ -12,7 +12,7 @@ volume and mask: memory that lives without the graph) are not counted.
 
 Run as a script it prints the table for one case of the default desk
 model at a given volume size, forward plus ``combined_loss``, before the
-backward:
+backward, with the number of records each op made next to its bytes:
 
     PYTHONPATH=src python tests/graph_bytes.py 32
 """
@@ -20,7 +20,7 @@ backward:
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -113,10 +113,12 @@ def main(argv):
     size = int(argv[0]) if argv else 32
     loss, outside = desk_case(size)
     table = retained_by_op(loss, outside)
-    print(f"{'op':<20}{'output MiB':>12}{'closure MiB':>13}")
-    for op, (out_b, clo_b) in sorted(table.items(), key=lambda kv: -sum(kv[1])):
-        print(f"{op:<20}{out_b / MIB:>12.2f}{clo_b / MIB:>13.2f}")
-    print(f"{'total':<20}{total_mib(table):>25.2f}")
+    counts = Counter(rec.op for rec in records(loss) if rec._backward is not None)
+    print(f"{'op':<20}{'records':>9}{'output MiB':>12}{'closure MiB':>13}")
+    for op in sorted(counts, key=lambda op: (-sum(table.get(op, (0, 0))), op)):
+        out_b, clo_b = table.get(op, (0, 0))
+        print(f"{op:<20}{counts[op]:>9}{out_b / MIB:>12.2f}{clo_b / MIB:>13.2f}")
+    print(f"{'total':<20}{sum(counts.values()):>9}{total_mib(table):>25.2f}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ import pytest
 import voxseg
 import voxseg.decoder
 import voxseg.model
-import voxseg.patch_embed
 from voxseg import autodiff as ad
 from voxseg.autodiff import ParameterStore
 
@@ -179,8 +178,7 @@ def test_decoder_builds_no_concat_and_no_relu_after_a_norm(rng):
     image = ad.tensor(rng.random((16, 16, 16, 1)))
     enhanced = []
     for j in range(1, len(spec.taps) + 1):
-        tap = voxseg.patch_embed.FeatureMap.wrap(
-            ad.tensor(rng.standard_normal((4, 4, 4, 16)), requires_grad=True))
+        tap = ad.tensor(rng.standard_normal((64, 16)), requires_grad=True)
         ep = voxseg.decoder.enhancer_from_store(store, j, spec)
         enhanced.append(voxseg.decoder.original_feature_enhancer(tap, image, ep))
     prob = voxseg.decoder.predict(enhanced, voxseg.decoder.predict_from_store(store, spec))

@@ -10,7 +10,6 @@ from voxseg import autodiff as ad
 from voxseg import decoder as dec
 from voxseg import model as mdl
 from voxseg import prompter as pr
-from voxseg.patch_embed import FeatureMap
 from voxseg.verify import _mini_conv_block, _mini_enhancer, _mini_predict
 
 
@@ -18,10 +17,6 @@ from voxseg.verify import _mini_conv_block, _mini_enhancer, _mini_predict
 def _f64():
     with ad.precision("f64"):
         yield
-
-
-def _fm(arr):
-    return FeatureMap.wrap(ad.tensor(arr))
 
 
 def _zero_block(cin, cout, stride1=1):
@@ -38,19 +33,34 @@ class TestEnhancer:
         spec = mdl.ModelSpec().validate()
         store = mdl.init_store(spec, seed=0)
         p = dec.enhancer_from_store(store, 1, spec)
-        tap = _fm(rng.standard_normal((8, 8, 8, 64)))
+        tap = ad.tensor(rng.standard_normal((512, 64)))
         image = ad.tensor(rng.random((32, 32, 32, 1)))
         out = dec.original_feature_enhancer(tap, image, p)
-        assert out.data.shape == (16, 16, 16, 16)
+        assert out.shape == (16, 16, 16, 16)
+
+    def test_tap_is_the_grid_of_its_tokens(self, rng):
+        """The enhancer reads (M, C) tokens as the C-order (H, W, D, C) grid
+        of ``target_dims // 2``: its output equals an upsample conv of that
+        grid, and a token count that is not H*W*D, or the grid itself, is
+        refused."""
+        p = _mini_enhancer(rng)
+        tokens, image = rng.standard_normal((8, 6)), ad.tensor(rng.random((8, 8, 8, 1)))
+        out = dec.original_feature_enhancer(ad.tensor(tokens), image, p).numpy()
+        grid = ad.tensor(tokens.reshape(2, 2, 2, 6))
+        expected = dec.conv_block([grid, dec.image_features(image, p)], p.fuse, factors=[2, 1])
+        np.testing.assert_array_equal(out, expected.numpy())
+        for bad in (tokens[:7], tokens.reshape(2, 2, 2, 6)):
+            with pytest.raises(ad.ShapeMismatchError):
+                dec.original_feature_enhancer(ad.tensor(bad), image, p)
 
     def test_zeroed_image_branch_ignores_image(self, rng):
         p = _mini_enhancer(rng)
         p = dataclasses.replace(p, image_stages=[_zero_block(1, 3, stride1=2)])
-        tap = rng.standard_normal((2, 2, 2, 6))
+        tap = ad.tensor(rng.standard_normal((8, 6)))
         out1 = dec.original_feature_enhancer(
-            _fm(tap), ad.tensor(rng.random((8, 8, 8, 1))), p).data.numpy()
+            tap, ad.tensor(rng.random((8, 8, 8, 1))), p).numpy()
         out2 = dec.original_feature_enhancer(
-            _fm(tap), ad.tensor(rng.random((8, 8, 8, 1))), p).data.numpy()
+            tap, ad.tensor(rng.random((8, 8, 8, 1))), p).numpy()
         np.testing.assert_array_equal(out1, out2)
 
     def test_all_zero_inputs_and_weights_give_zero(self, rng):
@@ -60,18 +70,18 @@ class TestEnhancer:
             target_dims=(4, 4, 4),
         )
         out = dec.original_feature_enhancer(
-            _fm(np.zeros((2, 2, 2, 6))), ad.tensor(np.zeros((8, 8, 8, 1))), p
-        ).data.numpy()
+            ad.tensor(np.zeros((8, 6))), ad.tensor(np.zeros((8, 8, 8, 1))), p
+        ).numpy()
         np.testing.assert_array_equal(out, 0.0)
 
     def test_no_image_branch_mode(self, rng):
         p = _mini_enhancer(rng)
         p = dataclasses.replace(p, no_image_branch=True)
-        tap = rng.standard_normal((2, 2, 2, 6))
+        tap = ad.tensor(rng.standard_normal((8, 6)))
         out1 = dec.original_feature_enhancer(
-            _fm(tap), ad.tensor(rng.random((8, 8, 8, 1))), p).data.numpy()
+            tap, ad.tensor(rng.random((8, 8, 8, 1))), p).numpy()
         out2 = dec.original_feature_enhancer(
-            _fm(tap), ad.tensor(rng.random((8, 8, 8, 1))), p).data.numpy()
+            tap, ad.tensor(rng.random((8, 8, 8, 1))), p).numpy()
         np.testing.assert_array_equal(out1, out2)  # image ignored
         assert out1.shape == (4, 4, 4, 3)
 
@@ -88,7 +98,7 @@ class TestEnhancer:
 class TestPredict:
     def test_output_shape_and_range(self, rng):
         p = _mini_predict(rng)
-        maps = [_fm(rng.standard_normal((4, 4, 4, 2))) for _ in range(4)]
+        maps = [ad.tensor(rng.standard_normal((4, 4, 4, 2))) for _ in range(4)]
         out = dec.predict(maps, p)
         assert out.shape == (8, 8, 8)
         vals = out.numpy()
@@ -104,18 +114,14 @@ class TestPredict:
             proj_w=ad.tensor(np.zeros((1, 1, 1, 2, 1))),
             proj_b=ad.tensor(np.zeros(1)),
         )
-        maps = [_fm(rng.standard_normal((4, 4, 4, 2))) for _ in range(4)]
+        maps = [ad.tensor(rng.standard_normal((4, 4, 4, 2))) for _ in range(4)]
         out = dec.predict(maps, p).numpy()
         np.testing.assert_allclose(out, 0.5, rtol=1e-12)
 
     def test_shape_mismatch_rejected(self, rng):
         p = _mini_predict(rng)
-        maps = [
-            _fm(rng.standard_normal((4, 4, 4, 2))),
-            _fm(rng.standard_normal((4, 4, 2, 2))),
-            _fm(rng.standard_normal((4, 4, 4, 2))),
-            _fm(rng.standard_normal((4, 4, 4, 2))),
-        ]
+        maps = [ad.tensor(rng.standard_normal(shape))
+                for shape in [(4, 4, 4, 2), (4, 4, 2, 2), (4, 4, 4, 2), (4, 4, 4, 2)]]
         with pytest.raises(ad.ShapeMismatchError):
             dec.predict(maps, p)
 
@@ -124,7 +130,7 @@ class TestPredict:
         blocks identically leaves the prediction unchanged."""
         cdec = 2
         p = _mini_predict(rng, cdec=cdec)
-        maps = [_fm(rng.standard_normal((4, 4, 4, cdec))) for _ in range(4)]
+        maps = [ad.tensor(rng.standard_normal((4, 4, 4, cdec))) for _ in range(4)]
         out = dec.predict(maps, p).numpy()
 
         perm = [2, 0, 3, 1]
@@ -163,7 +169,8 @@ class TestModelLevel:
             prob = mdl.forward(spec, store, vol)
         assert prob.shape == (16, 16, 16)
         assert sorted(seen["prompted"]) == [3, 6, 9, 12]
-        assert all(e.data.shape == (8, 8, 8, 8) for e in seen["enhanced"])
+        assert all(t.shape == (64, 16) for t in seen["prompted"].values())
+        assert all(e.shape == (8, 8, 8, 8) for e in seen["enhanced"])
         vals = prob.numpy()
         assert vals.min() >= 0 and vals.max() <= 1
 

@@ -10,7 +10,6 @@ import helpers
 from voxseg import autodiff as ad
 from voxseg import encoder as enc
 from voxseg import model as mdl
-from voxseg.patch_embed import FeatureMap
 from voxseg.verify import _mini_layer_params
 
 
@@ -18,10 +17,6 @@ from voxseg.verify import _mini_layer_params
 def _f64():
     with ad.precision("f64"):
         yield
-
-
-def _fm(arr):
-    return FeatureMap.wrap(ad.tensor(arr))
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +98,18 @@ def _numpy_layer_oracle(x, p, s, heads):
 
 def test_layer_matches_literal_oracle(rng):
     p = _mini_layer_params(rng)
-    x = rng.standard_normal((2, 2, 2, 8))
-    out = enc.layer_forward(_fm(x), p, s=0.8, heads=2).data.numpy()
-    expected, _ = _numpy_layer_oracle(x.reshape(8, 8), p, 0.8, heads=2)
-    assert np.abs(out.reshape(8, 8) - expected).max() < 1e-6
+    x = rng.standard_normal((8, 8))
+    out = enc.layer_forward(ad.tensor(x), p, s=0.8, heads=2).numpy()
+    expected, _ = _numpy_layer_oracle(x, p, 0.8, heads=2)
+    assert np.abs(out - expected).max() < 1e-6
 
 
 def test_layer_s_zero_equals_adapter_free(rng):
     p = _mini_layer_params(rng)
-    x = rng.standard_normal((2, 2, 2, 8))
-    out0 = enc.layer_forward(_fm(x), p, s=0.0, heads=2).data.numpy()
+    x = ad.tensor(rng.standard_normal((8, 8)))
+    out0 = enc.layer_forward(x, p, s=0.0, heads=2).numpy()
     p_no_adapter = dataclasses.replace(p, adapter_up=ad.tensor(np.zeros((2, 8))))
-    out_zeroed = enc.layer_forward(_fm(x), p_no_adapter, s=1.0, heads=2).data.numpy()
+    out_zeroed = enc.layer_forward(x, p_no_adapter, s=1.0, heads=2).numpy()
     np.testing.assert_allclose(out0, out_zeroed, rtol=1e-12)
 
 
@@ -134,9 +129,8 @@ def test_layer_zero_frozen_weights_reduces_to_adapter(rng):
         norm1_g=ad.tensor(np.ones(c)), norm1_b=zeros_c,
         norm2_g=ad.tensor(np.ones(c)), norm2_b=zeros_c,
     )
-    x = rng.standard_normal((2, 2, 2, c))
-    out = enc.layer_forward(_fm(x), p, s=1.0, heads=2).data.numpy().reshape(8, c)
-    tokens = x.reshape(8, c)
+    tokens = rng.standard_normal((8, c))
+    out = enc.layer_forward(ad.tensor(tokens), p, s=1.0, heads=2).numpy()
     normed = (tokens - tokens.mean(-1, keepdims=True)) / np.sqrt(
         tokens.var(-1, keepdims=True) + 1e-6
     )
@@ -147,15 +141,13 @@ def test_layer_zero_frozen_weights_reduces_to_adapter(rng):
 def test_layer_scale_linearity(rng):
     """Z(2s) - Z(s) = s * Adapter(Z_ddot) for a single layer."""
     p = _mini_layer_params(rng)
-    x = rng.standard_normal((2, 2, 2, 8))
+    x = rng.standard_normal((8, 8))
     s = 0.6
-    out1 = enc.layer_forward(_fm(x), p, s=s, heads=2).data.numpy()
-    out2 = enc.layer_forward(_fm(x), p, s=2 * s, heads=2).data.numpy()
-    _, z_ddot = _numpy_layer_oracle(x.reshape(8, 8), p, s, heads=2)
+    out1 = enc.layer_forward(ad.tensor(x), p, s=s, heads=2).numpy()
+    out2 = enc.layer_forward(ad.tensor(x), p, s=2 * s, heads=2).numpy()
+    _, z_ddot = _numpy_layer_oracle(x, p, s, heads=2)
     adapter = np.maximum(z_ddot @ p.adapter_down.numpy(), 0) @ p.adapter_up.numpy()
-    np.testing.assert_allclose(
-        (out2 - out1).reshape(8, 8), s * adapter, rtol=1e-8, atol=1e-10
-    )
+    np.testing.assert_allclose(out2 - out1, s * adapter, rtol=1e-8, atol=1e-10)
 
 
 def test_attention_rows_sum_to_one(rng):
@@ -201,8 +193,9 @@ def test_layer_names_attention_on_score_overflow():
     p = _mini_layer_params(rng, c=c)
     p = dataclasses.replace(p, wq=ad.tensor(np.full((c, c), 1e200)),
                             wk=ad.tensor(np.full((c, c), 1e200)))
-    with pytest.raises(ad.NonFiniteError) as err:
-        enc.layer_forward(_fm(rng.standard_normal((2, 2, 2, c))), p, s=1.0, heads=2)
+    x = ad.tensor(rng.standard_normal((8, c)))
+    with pytest.raises(ad.NonFiniteError) as err, np.errstate(all="ignore"):
+        enc.layer_forward(x, p, s=1.0, heads=2)
     assert "layer_forward/attention" in str(err.value)
 
 
@@ -213,9 +206,9 @@ def test_layer_names_failing_substep():
     big = np.zeros((c, 2 * c))
     big[0, 0] = 1e308  # overflow inside the mlp matmul
     p = dataclasses.replace(p, mlp_w1=ad.tensor(big))
-    x = rng.standard_normal((2, 2, 2, c)) + 10
-    with pytest.raises(ad.NonFiniteError) as err:
-        enc.layer_forward(_fm(x), p, s=1.0, heads=2)
+    x = ad.tensor(rng.standard_normal((8, c)) + 10)
+    with pytest.raises(ad.NonFiniteError) as err, np.errstate(all="ignore"):
+        enc.layer_forward(x, p, s=1.0, heads=2)
     assert "mlp" in str(err.value)
 
 
@@ -234,20 +227,45 @@ def _tiny_spec():
 def test_encode_taps_shapes_and_structure(rng):
     spec = _tiny_spec()
     store = mdl.init_store(spec, seed=0)
-    fm = _fm(rng.standard_normal((4, 4, 4, 16)))
-    taps = enc.encode(fm, spec, store)
+    z = ad.tensor(rng.standard_normal((64, 16)))
+    taps = enc.encode(z, spec, store)
     assert sorted(taps) == [3, 6, 9, 12]
     for t in taps.values():
-        assert t.data.shape == (4, 4, 4, 16)
+        assert t.shape == (64, 16)
+
+
+def test_tokens_run_from_the_embedding_to_the_taps(rng):
+    """At 16^3 on the default desk spec the embedding hands the encoder
+    (M, C) tokens, every tap is (M, C), and no reshape record lies between
+    the embedding's output and any tap: the grid is built once, in the
+    patch embedding, and comes back only in the decoder."""
+    spec = mdl.ModelSpec(vol_dims=(16, 16, 16)).validate()
+    store = mdl.init_store(spec, seed=0)
+    tokens = mdl.embed_volume(ad.tensor(rng.random((16, 16, 16, 1))), spec, store)
+    assert tokens.shape == (spec.token_count, spec.embed_dim) == (64, 64)
+    taps = enc.encode(tokens, spec, store)
+    assert sorted(taps) == list(spec.taps)
+    for tap in taps.values():
+        assert tap.shape == (64, 64)
+        reached, seen, stack, ops = False, set(), [tap._record], []
+        while stack:
+            rec = stack.pop()
+            if rec is tokens._record:
+                reached = True
+            elif id(rec) not in seen:
+                seen.add(id(rec))
+                ops.append(rec.op)
+                stack.extend(rec._parents)
+        assert reached and "reshape" not in ops
 
 
 def test_encode_missing_layer_rejected(rng):
     spec = _tiny_spec()
     store = mdl.init_store(spec, seed=0)
-    fm = _fm(rng.standard_normal((4, 4, 4, 16)))
+    z = ad.tensor(rng.standard_normal((64, 16)))
     bad_spec = dataclasses.replace(spec, layers=13)
     with pytest.raises(ad.GraphError):
-        enc.encode(fm, bad_spec, store)
+        enc.encode(z, bad_spec, store)
 
 
 def test_encode_zeroed_frozen_weights_literal_flow(rng):
@@ -260,18 +278,18 @@ def test_encode_zeroed_frozen_weights_literal_flow(rng):
         if frozen and not name.endswith(("norm1_g", "norm2_g")):
             t.data[...] = 0.0
     zero_scale = dataclasses.replace(spec, adapter_scale=0.0)
-    fm = _fm(rng.standard_normal((4, 4, 4, 16)))
-    taps = enc.encode(fm, zero_scale, store)
+    z = ad.tensor(rng.standard_normal((64, 16)))
+    taps = enc.encode(z, zero_scale, store)
     for t in taps.values():
-        np.testing.assert_array_equal(t.data.numpy(), 0.0)
+        np.testing.assert_array_equal(t.numpy(), 0.0)
 
 
 def test_gradient_reaches_adapters_not_frozen(rng):
     spec = _tiny_spec()
     store = mdl.init_store(spec, seed=0)
-    fm = _fm(rng.standard_normal((4, 4, 4, 16)))
-    taps = enc.encode(fm, spec, store)
-    loss = ad.reduce_sum(ad.mul(taps[12].data, taps[12].data))
+    z = ad.tensor(rng.standard_normal((64, 16)))
+    taps = enc.encode(z, spec, store)
+    loss = ad.reduce_sum(ad.mul(taps[12], taps[12]))
     ad.backward(loss)
     down = store["encoder.layer01.adapter_down"]
     up = store["encoder.layer12.adapter_up"]

@@ -43,7 +43,6 @@ import pytest
 
 from voxseg import autodiff as ad
 from voxseg import decoder, encoder
-from voxseg.patch_embed import FeatureMap
 from voxseg.train import evaluate_cases, list_cases, synthesize_dataset, train
 
 from conftest import tiny_config
@@ -69,8 +68,8 @@ def zero_taps(mp):
     enhance = decoder.original_feature_enhancer
 
     def zeroed(z, image, p, features=None):
-        zeros = ad.tensor(np.zeros(z.data.shape), dtype=z.data.dtype)
-        return enhance(FeatureMap.wrap(zeros), image, p, features=features)
+        zeros = ad.tensor(np.zeros(z.shape), dtype=z.dtype)
+        return enhance(zeros, image, p, features=features)
 
     mp.setattr(decoder, "original_feature_enhancer", zeroed)
 

@@ -55,12 +55,11 @@ def test_output_shape_desk_config(rng):
     w2d, kd = _random_weights(rng, (4, 4, 4), 1, 64)
     fm = pe.pseudo3d_patch_embed(x, ad.tensor(w2d), ad.tensor(np.zeros(64)),
                                  ad.tensor(kd), (4, 4, 4))
-    assert fm.data.shape == (8, 8, 8, 64)
-    assert fm.dims == (8, 8, 8) and fm.channels == 64
+    assert fm.shape == (8, 8, 8, 64)
 
     w3d = rng.standard_normal((4, 4, 4, 1, 64))
     fm3 = pe.true3d_patch_embed(x, ad.tensor(w3d), ad.tensor(np.zeros(64)), (4, 4, 4))
-    assert fm3.data.shape == (8, 8, 8, 64)
+    assert fm3.shape == (8, 8, 8, 64)
 
 
 def test_zero_volume_zero_bias_gives_zero_map(rng):
@@ -68,7 +67,7 @@ def test_zero_volume_zero_bias_gives_zero_map(rng):
     w2d, kd = _random_weights(rng, (4, 4, 2), 1, 8)
     fm = pe.pseudo3d_patch_embed(x, ad.tensor(w2d), ad.tensor(np.zeros(8)),
                                  ad.tensor(kd), (4, 4, 2))
-    np.testing.assert_array_equal(fm.data.numpy(), 0.0)
+    np.testing.assert_array_equal(fm.numpy(), 0.0)
 
 
 def test_depth1_identity_kernel_equals_slicewise_2d(rng):
@@ -82,7 +81,7 @@ def test_depth1_identity_kernel_equals_slicewise_2d(rng):
     for d in range(6):
         sl = x[:, :, d : d + 1, :]
         expected[:, :, d : d + 1, :] = conv3d_reference(sl, w2d, (4, 4, 1), 0)
-    np.testing.assert_allclose(fm.data.numpy(), expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(fm.numpy(), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_true3d_ones_kernel_gives_patch_means(rng):
@@ -97,7 +96,7 @@ def test_true3d_ones_kernel_gives_patch_means(rng):
             for c in range(3):
                 means[a, b, c] = x[a*p:(a+1)*p, b*p:(b+1)*p, c*p:(c+1)*p, 0].mean()
     for ch in range(5):
-        np.testing.assert_allclose(fm.data.numpy()[..., ch], means, rtol=1e-10)
+        np.testing.assert_allclose(fm.numpy()[..., ch], means, rtol=1e-10)
 
 
 @settings(max_examples=15, deadline=None)
@@ -111,10 +110,10 @@ def test_separable_kernel_equivalence(seed):
     zeros = np.zeros(4)
     with ad.precision("f64"):
         a = pe.pseudo3d_patch_embed(ad.tensor(x), ad.tensor(w2d), ad.tensor(zeros),
-                                    ad.tensor(kd), (2, 2, 2)).data.numpy()
+                                    ad.tensor(kd), (2, 2, 2)).numpy()
         k3 = _separable_to_true3d(w2d, kd)
         b = pe.true3d_patch_embed(ad.tensor(x), ad.tensor(k3), ad.tensor(zeros),
-                                  (2, 2, 2)).data.numpy()
+                                  (2, 2, 2)).numpy()
     assert np.abs(a - b).max() < 1e-5
 
 
@@ -123,9 +122,9 @@ def test_nonseparable_kernel_has_representation_gap(rng):
     k3 = rng.standard_normal((4, 4, 4, 1, 8))
     w2d, kd = _best_separable_factors(k3)
     t = pe.true3d_patch_embed(ad.tensor(x), ad.tensor(k3), ad.tensor(np.zeros(8)),
-                              (4, 4, 4)).data.numpy()
+                              (4, 4, 4)).numpy()
     p = pe.pseudo3d_patch_embed(ad.tensor(x), ad.tensor(w2d), ad.tensor(np.zeros(8)),
-                                ad.tensor(kd), (4, 4, 4)).data.numpy()
+                                ad.tensor(kd), (4, 4, 4)).numpy()
     assert np.abs(t - p).max() > 0.01
 
 
@@ -143,12 +142,12 @@ def test_linearity_with_zero_bias(alpha, seed, mode):
             def embed(v):
                 return pe.pseudo3d_patch_embed(
                     ad.tensor(v), ad.tensor(w2d), ad.tensor(zeros), ad.tensor(kd),
-                    (2, 2, 2)).data.numpy()
+                    (2, 2, 2)).numpy()
         else:
             w3 = rng.standard_normal((2, 2, 2, 1, 6))
             def embed(v):
                 return pe.true3d_patch_embed(
-                    ad.tensor(v), ad.tensor(w3), ad.tensor(zeros), (2, 2, 2)).data.numpy()
+                    ad.tensor(v), ad.tensor(w3), ad.tensor(zeros), (2, 2, 2)).numpy()
         np.testing.assert_allclose(embed(alpha * x), alpha * embed(x),
                                    rtol=1e-9, atol=1e-9)
 
@@ -167,7 +166,7 @@ def test_shape_contract_random_divisible_dims(data):
     with ad.precision("f64"):
         fm = pe.pseudo3d_patch_embed(ad.tensor(x), ad.tensor(w2d),
                                      ad.tensor(np.zeros(c)), ad.tensor(kd), patch)
-    assert fm.data.shape == grid + (c,)
+    assert fm.shape == grid + (c,)
 
 
 def test_non_divisible_dims_rejected(rng):
@@ -185,6 +184,6 @@ def test_positional_embedding_shape_check(rng):
                                  ad.tensor(kd), (4, 4, 4))
     pos = ad.tensor(rng.standard_normal((2, 2, 2, 8)))
     out = pe.add_positional(fm, pos)
-    np.testing.assert_allclose(out.data.numpy(), fm.data.numpy() + pos.numpy())
+    np.testing.assert_allclose(out.numpy(), fm.numpy() + pos.numpy())
     with pytest.raises(ad.ShapeMismatchError):
         pe.add_positional(fm, ad.tensor(np.zeros((2, 2, 2, 4))))

@@ -13,7 +13,6 @@ from voxseg import autodiff as ad
 from voxseg import model as mdl
 from voxseg import prompter as pr
 from voxseg.autodiff.tensor import _topo
-from voxseg.patch_embed import FeatureMap
 from voxseg.verify import _mini_prompter_params
 
 @pytest.fixture(autouse=True)
@@ -77,13 +76,6 @@ class TestSpatialAttention:
         with pytest.raises(ad.ShapeMismatchError):
             pr.spatial_attention(ad.tensor(rng.standard_normal((8, 4))), p)
 
-    def test_feature_map_round_trip(self, rng):
-        p = _mini_prompter_params(rng)
-        fm = FeatureMap.wrap(ad.tensor(rng.standard_normal((2, 2, 2, 4))))
-        out = pr.spatial_attention(fm, p)
-        assert isinstance(out, FeatureMap)
-        assert out.data.shape == fm.data.shape
-
 
 class TestChannelAttention:
     def test_affinity_rows_sum_to_one(self, rng):
@@ -138,10 +130,14 @@ class TestDualPrompt:
         np.testing.assert_array_equal(out, z)
 
     def test_shape_preserved(self, rng):
+        """(M, C) in, (M, C) out; the (H, W, D, C) grid of the same tokens
+        is refused, since the prompter never sees the grid."""
         p = _mini_prompter_params(rng)
-        fm = FeatureMap.wrap(ad.tensor(rng.standard_normal((2, 2, 2, 4))))
-        out = pr.dual_prompt(fm, p)
-        assert out.data.shape == fm.data.shape
+        z = rng.standard_normal((8, 4))
+        out = pr.dual_prompt(ad.tensor(z), p)
+        assert isinstance(out, ad.Tensor) and out.shape == (8, 4)
+        with pytest.raises(ad.ShapeMismatchError):
+            pr.dual_prompt(ad.tensor(z.reshape(2, 2, 2, 4)), p)
 
     def test_odd_channels_rejected_at_config_time(self):
         with pytest.raises(ValueError):
@@ -176,10 +172,7 @@ class TestDualPrompt:
 
 class TestAttach:
     def _taps(self, rng, c=4):
-        return {
-            i: FeatureMap.wrap(ad.tensor(rng.standard_normal((2, 2, 2, c))))
-            for i in (3, 6, 9, 12)
-        }
+        return {i: ad.tensor(rng.standard_normal((8, c))) for i in (3, 6, 9, 12)}
 
     def test_default_modifies_only_layer12(self, rng):
         p = _mini_prompter_params(rng)
@@ -206,7 +199,7 @@ class TestAttach:
                                 down_ca=ad.tensor(np.zeros((4, 2))))
         taps = self._taps(rng)
         out = pr.attach_prompter(taps, p, 12)
-        np.testing.assert_array_equal(out[12].data.numpy(), taps[12].data.numpy())
+        np.testing.assert_array_equal(out[12].numpy(), taps[12].numpy())
 
     def test_invalid_layer_rejected(self, rng):
         with pytest.raises(ValueError):

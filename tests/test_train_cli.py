@@ -173,7 +173,8 @@ class TestTrainLoop:
                                                           caplog):
         data_dir, _ = tiny_dataset
         cfg = tiny_config(**{"train.lr": 1e6})
-        with caplog.at_level(logging.ERROR, logger=train_mod.__name__):
+        with caplog.at_level(logging.ERROR, logger=train_mod.__name__), \
+                np.errstate(all="ignore"):
             res = train(cfg, data_dir, str(tmp_path / "run"))
         assert res.aborted
         assert all(t.grad is None for _, t in res.store.trainable())
@@ -190,8 +191,10 @@ class TestTrainLoop:
 
         cfg_path = tmp_path / "diverge.cfg"
         cfg_path.write_text("\n".join(cfg.resolved_lines()) + "\n")
-        assert cli_main(["train", "--config", str(cfg_path), "--data", data_dir,
-                         "--out", str(tmp_path / "cli")]) == 1
+        with np.errstate(all="ignore"):
+            code = cli_main(["train", "--config", str(cfg_path), "--data", data_dir,
+                             "--out", str(tmp_path / "cli")])
+        assert code == 1
         assert os.path.exists(tmp_path / "cli" / "last.ckpt")
 
     def test_returned_store_holds_no_gradients(self, tiny_dataset, tmp_path):
