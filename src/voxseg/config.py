@@ -24,7 +24,6 @@ DEFAULTS = {
     "patch.h": "4",
     "patch.w": "4",
     "patch.d": "4",
-    "patch.mode": "pseudo3d",
     "encoder.heads": "4",
     "encoder.adapter_dim": "auto",  # auto = embed_dim // 4
     "encoder.scale": "1.0",
@@ -33,7 +32,6 @@ DEFAULTS = {
     "prompter.layer": "12",
     "decoder.channels": "16",
     "decoder.no_image_branch": "false",
-    "decoder.share_image_branch": "false",
     "data.dims": "32,32,32",
     "data.channels": "1",
     "split.train": "0.7",
@@ -71,6 +69,8 @@ _RETIRED = {
     "prompter.share_qk": True,
     "prompter.scaling": True,
     "flops.mac": "2",
+    "patch.mode": "pseudo3d",
+    "decoder.share_image_branch": False,
 }
 
 
@@ -170,7 +170,6 @@ def model_spec_from_config(cfg: Config):
         vol_dims=cfg.get_int_tuple("data.dims"),
         in_channels=cfg.get_int("data.channels"),
         patch=(cfg.get_int("patch.h"), cfg.get_int("patch.w"), cfg.get_int("patch.d")),
-        patch_mode=cfg.get_str("patch.mode"),
         embed_dim=embed,
         heads=cfg.get_int("encoder.heads"),
         layers=cfg.get_int("model.layers"),
@@ -182,5 +181,4 @@ def model_spec_from_config(cfg: Config):
         prompt_layer=cfg.get_int("prompter.layer"),
         dec_channels=cfg.get_int("decoder.channels"),
         no_image_branch=cfg.get_bool("decoder.no_image_branch"),
-        share_image_branch=cfg.get_bool("decoder.share_image_branch"),
     ).validate()

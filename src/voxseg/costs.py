@@ -8,7 +8,10 @@ common FLOP profilers apply (they instrument layers, not raw attention
 matmuls); the attention products are itemized under 'attention'. The
 convs over upsampled decoder features count their channel projection
 as 'linear' and their shifted interpolation as 'interp', as
-``upsample_conv3d`` runs them (``conv.upsampled_macs``).
+``upsample_conv3d`` runs them (``conv.upsampled_macs``). The patch
+embedding is the pseudo-3-D route: its slice-wise 2D conv and its depth
+aggregation are both 'linear'. Each enhancer prices its own image
+pyramid, at zero MACs under ``no_image_branch``.
 """
 
 from __future__ import annotations
@@ -86,20 +89,12 @@ def patch_embed_items(spec: ModelSpec):
     h, w, d = spec.grid_dims
     dbar = spec.vol_dims[2]
     m = h * w * d
-    items = []
-    if spec.patch_mode == "pseudo3d":
-        items.append(CostItem("patch", "conv2d", "linear",
-                              macs=h * w * dbar * ph * pw * n * c,
-                              params=ph * pw * n * c + c))
-        items.append(CostItem("patch", "depth_agg", "linear",
-                              macs=m * pd * c, params=pd * c))
-    else:
-        items.append(CostItem("patch", "conv3d", "linear",
-                              macs=m * ph * pw * pd * n * c,
-                              params=ph * pw * pd * n * c + c))
-    items.append(CostItem("patch", "positional", "other",
-                          other_flops=m * c, params=m * c))
-    return items
+    return [
+        CostItem("patch", "conv2d", "linear",
+                 macs=h * w * dbar * ph * pw * n * c, params=ph * pw * n * c + c),
+        CostItem("patch", "depth_agg", "linear", macs=m * pd * c, params=pd * c),
+        CostItem("patch", "positional", "other", other_flops=m * c, params=m * c),
+    ]
 
 
 def encoder_items(spec: ModelSpec):
@@ -197,14 +192,11 @@ def decoder_items(spec: ModelSpec):
             out = [replace(it, macs=0, other_flops=0) for it in out]
         return out
 
-    if spec.share_image_branch:
-        items += image_branch("imgshared")
     # the fuse conv projects the tap at its own grid, then interpolates the
     # result (upsample_conv3d); the image features it reads as they are
     tap_proj, tap_interp = upsampled_macs(spec.grid_dims, (2, 2, 2), c, cdec)
     for j in range(1, n_taps + 1):
-        if not spec.share_image_branch:
-            items += image_branch(f"enh{j}.img")
+        items += image_branch(f"enh{j}.img")
         items += _conv_block_items("decoder", f"enh{j}.fuse", tvox, c + cdec, cdec,
                                    conv1_macs=tap_proj + tvox * 27 * cdec * cdec)
         items.append(CostItem("decoder", f"enh{j}.fuse.interp", "interp", macs=tap_interp))

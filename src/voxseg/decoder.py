@@ -6,9 +6,8 @@ Per enhancer:  E = ConvBlock(Concat(Upsample(Z_tap), ConvPyramid(I))),
 all branches meeting at (2H, 2W, 2D). Z_tap arrives as the encoder's
 (M, C) tokens and the enhancer reshapes it to its (H, W, D, C) grid:
 after the patch embedding, only the decoder's convs need the grid, and
-from that reshape on everything is a grid. A shared image branch
-(``share_image_branch``) runs once per forward and feeds all four
-enhancers. The prediction head concatenates the four enhancer outputs,
+from that reshape on everything is a grid. Each enhancer runs its own
+image pyramid. The prediction head concatenates the four enhancer outputs,
 applies a conv block, upsamples to the input resolution, smooths with
 one 3x3x3 conv and a relu (one node, ``upsample_conv3d(..., relu=True)``),
 projects to a single channel and applies a sigmoid.
@@ -122,14 +121,9 @@ def image_features(image: Tensor, p: EnhancerParams) -> Tensor:
     return img_feat
 
 
-def original_feature_enhancer(z: Tensor, image: Tensor, p: EnhancerParams,
-                              features: Tensor | None = None) -> Tensor:
+def original_feature_enhancer(z: Tensor, image: Tensor, p: EnhancerParams) -> Tensor:
     """Reshape one tap's (M, C) tokens to the (H, W, D) grid, upsample it
-    to (2H, 2W, 2D) and fuse it with the image-branch features.
-
-    ``features`` is the image branch already computed by the caller (a
-    shared branch runs once per forward); when None it runs here.
-    """
+    to (2H, 2W, 2D) and fuse it with the image-branch features."""
     grid = tuple(n // 2 for n in p.target_dims)  # (H, W, D)
     if len(z.shape) != 2 or z.shape[0] != grid[0] * grid[1] * grid[2]:
         raise ShapeMismatchError(
@@ -137,8 +131,7 @@ def original_feature_enhancer(z: Tensor, image: Tensor, p: EnhancerParams,
             f"got {z.shape}"
         )
     tap = ad.reshape(z, grid + (z.shape[1],))
-    img_feat = image_features(image, p) if features is None else features
-    return conv_block([tap, img_feat], p.fuse, factors=[2, 1])
+    return conv_block([tap, image_features(image, p)], p.fuse, factors=[2, 1])
 
 
 def predict(enhanced: list[Tensor], p: PredictParams) -> Tensor:
@@ -175,20 +168,11 @@ def param_specs(spec):
     n_stages = pyramid_stages(spec.vol_dims, spec.feature_dims)
     cdec, n_taps = spec.dec_channels, len(spec.taps)
     specs = []
-
-    def image_branch(prefix):
-        out = []
+    for j in range(1, n_taps + 1):
         cin = spec.in_channels
         for s in range(n_stages):
-            out += _conv_block_specs(f"{prefix}.s{s}", cin, cdec)
+            specs += _conv_block_specs(f"decoder.enh{j}.img.s{s}", cin, cdec)
             cin = cdec
-        return out
-
-    if spec.share_image_branch:
-        specs += image_branch("decoder.imgshared")
-    for j in range(1, n_taps + 1):
-        if not spec.share_image_branch:
-            specs += image_branch(f"decoder.enh{j}.img")
         specs += _conv_block_specs(f"decoder.enh{j}.fuse", spec.embed_dim + cdec, cdec)
     head_c = cdec
     specs += _conv_block_specs("decoder.head", n_taps * cdec, head_c)
@@ -207,9 +191,8 @@ def enhancer_from_store(store, j, spec):
     """Enhancer ``j``'s parameters (1-based) for a ModelSpec."""
     target = spec.feature_dims
     stage_stride = 2 if tuple(spec.vol_dims) != target else 1
-    img_prefix = "decoder.imgshared" if spec.share_image_branch else f"decoder.enh{j}.img"
     stages = [
-        ConvBlockParams.from_store(store, f"{img_prefix}.s{s}", stride1=stage_stride)
+        ConvBlockParams.from_store(store, f"decoder.enh{j}.img.s{s}", stride1=stage_stride)
         for s in range(pyramid_stages(spec.vol_dims, target))
     ]
     return EnhancerParams(

@@ -2,9 +2,11 @@
 volume -> probability-map forward pass.
 
 ``ModelSpec`` is the one architecture record: the encoder, prompter and
-decoder read their sizes and switches from it directly, and
-``ModelSpec.validate`` is the one place an architecture is rejected.
-Modules keep only the runtime shape checks on the tensors they receive.
+decoder read their sizes from it directly, and ``ModelSpec.validate`` is
+the one place an architecture is rejected. Modules keep only the runtime
+shape checks on the tensors they receive. There is one architecture, the
+paper's: the pseudo-3-D patch embedding and one image pyramid per
+enhancer. Its only switch, ``no_image_branch``, is the decoder ablation.
 
 Every module contributes (name, shape, frozen, init) parameter specs;
 ``init_store`` materializes them from one seeded stream in a fixed
@@ -35,7 +37,6 @@ class ModelSpec:
     vol_dims: tuple[int, int, int] = (32, 32, 32)
     in_channels: int = 1
     patch: tuple[int, int, int] = (4, 4, 4)
-    patch_mode: str = "pseudo3d"
     embed_dim: int = 64
     heads: int = 4
     layers: int = 12
@@ -47,7 +48,6 @@ class ModelSpec:
     prompt_layer: int = 12
     dec_channels: int = 16
     no_image_branch: bool = False
-    share_image_branch: bool = False
 
     @property
     def grid_dims(self):
@@ -68,8 +68,6 @@ class ModelSpec:
         for name in ("vol_dims", "patch"):
             if len(getattr(self, name)) != 3:
                 raise ValueError(f"{name} needs 3 entries, got {getattr(self, name)}")
-        if self.patch_mode not in ("pseudo3d", "true3d"):
-            raise ValueError(f"unknown patch_mode {self.patch_mode!r}")
         if any(p < 1 for p in self.patch):
             raise ValueError(f"patch sizes must be positive, got {self.patch}")
         for v, p in zip(self.vol_dims, self.patch):
@@ -104,19 +102,12 @@ class ModelSpec:
 def _patch_param_specs(spec: ModelSpec):
     ph, pw, pd = spec.patch
     n, c = spec.in_channels, spec.embed_dim
-    if spec.patch_mode == "pseudo3d":
-        specs = [
-            ("patch.w2d", (ph, pw, 1, n, c), False, "trunc002"),
-            ("patch.b2d", (c,), False, "zeros"),
-            ("patch.wdepth", (pd, c), False, "trunc002"),
-        ]
-    else:
-        specs = [
-            ("patch.w3d", (ph, pw, pd, n, c), False, "trunc002"),
-            ("patch.b3d", (c,), False, "zeros"),
-        ]
-    specs.append(("patch.pos", spec.grid_dims + (c,), False, "trunc002"))
-    return specs
+    return [
+        ("patch.w2d", (ph, pw, 1, n, c), False, "trunc002"),
+        ("patch.b2d", (c,), False, "zeros"),
+        ("patch.wdepth", (pd, c), False, "trunc002"),
+        ("patch.pos", spec.grid_dims + (c,), False, "trunc002"),
+    ]
 
 
 def param_specs(spec: ModelSpec):
@@ -155,12 +146,9 @@ def init_store(spec: ModelSpec, seed) -> ParameterStore:
 def embed_volume(x: Tensor, spec: ModelSpec, store) -> Tensor:
     """Patch features plus the positional table on the grid, flattened to
     the (M, C) tokens the encoder reads."""
-    if spec.patch_mode == "pseudo3d":
-        grid = pe.pseudo3d_patch_embed(
-            x, store["patch.w2d"], store["patch.b2d"], store["patch.wdepth"], spec.patch
-        )
-    else:
-        grid = pe.true3d_patch_embed(x, store["patch.w3d"], store["patch.b3d"], spec.patch)
+    grid = pe.pseudo3d_patch_embed(
+        x, store["patch.w2d"], store["patch.b2d"], store["patch.wdepth"], spec.patch
+    )
     grid = pe.add_positional(grid, store["patch.pos"])
     return ad.reshape(grid, (spec.token_count, spec.embed_dim))
 
@@ -188,14 +176,11 @@ def forward(spec: ModelSpec, store, volume):
     pparams = pr.PrompterParams.from_store(store)
     with ad.scope("prompter"):
         prompted = pr.attach_prompter(taps, pparams, spec.prompt_layer)
-    enhanced, shared = [], None
+    enhanced = []
     for j, tap_index in enumerate(sorted(prompted), start=1):
         ep = dec.enhancer_from_store(store, j, spec)
         with ad.scope(f"decoder.enh{j}"):
-            if spec.share_image_branch and shared is None:
-                shared = dec.image_features(x, ep)  # one branch feeds every enhancer
-            enhanced.append(dec.original_feature_enhancer(prompted[tap_index], x, ep,
-                                                          features=shared))
+            enhanced.append(dec.original_feature_enhancer(prompted[tap_index], x, ep))
     pp = dec.predict_from_store(store, spec)
     with ad.scope("decoder.head"):
         return dec.predict(enhanced, pp)

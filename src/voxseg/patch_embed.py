@@ -1,16 +1,13 @@
-"""Patch embedding: volume -> the (H, W, D, C) grid of patch features.
+"""Patch embedding: volume -> the (H, W, D, C) grid of patch features,
+(H, W, D) = (H̄/p_h, W̄/p_w, D̄/p_d).
 
-Two routes with identical output shape (H, W, D, C) = (H̄/p_h, W̄/p_w,
-D̄/p_d, C):
+The paper's pseudo-3-D route: a 2D p_h x p_w convolutional embedding
+applied per depth slice, followed by a per-channel depth aggregation
+with kernel and stride p_d. The composition realizes exactly the
+separable 3D kernels K3[i,j,k,n,c] = K2[i,j,n,c] * kd[k,c], which
+quantifies what the slice-wise approximation can and cannot represent.
 
-  * pseudo3d — a 2D p_h x p_w convolutional embedding applied per depth
-    slice, followed by a per-channel depth aggregation with kernel and
-    stride p_d. The composition realizes exactly the separable 3D
-    kernels K3[i,j,k,n,c] = K2[i,j,n,c] * kd[k,c], which quantifies what
-    the slice-wise approximation can and cannot represent.
-  * true3d — one dense 3D convolution with kernel = stride = patch.
-
-Both return plain rank-4 Tensors, and the positional table is added on
+It returns a plain rank-4 Tensor, and the positional table is added on
 that grid. ``model.embed_volume`` then flattens the grid once into the
 (M, C) tokens, M = H*W*D, that the encoder and prompter read; only the
 decoder's enhancers reshape a tap back to its grid.
@@ -22,15 +19,6 @@ from . import autodiff as ad
 from .autodiff import ShapeMismatchError, Tensor
 
 
-def _check_divisible(vol_dims, patch):
-    for n, p in zip(vol_dims, patch):
-        if n % p != 0:
-            raise ShapeMismatchError(
-                f"volume dims {vol_dims} not divisible by patch {patch}"
-            )
-    return tuple(n // p for n, p in zip(vol_dims, patch))
-
-
 def pseudo3d_patch_embed(x: Tensor, w2d: Tensor, b2d: Tensor, wdepth: Tensor,
                          patch) -> Tensor:
     """Slice-wise 2D embedding then depth aggregation.
@@ -39,19 +27,14 @@ def pseudo3d_patch_embed(x: Tensor, w2d: Tensor, b2d: Tensor, wdepth: Tensor,
     wdepth: (p_d, C) per-channel depth weights.
     """
     ph, pw, pd = patch
-    grid = _check_divisible(x.shape[:3], patch)
+    if any(n % p for n, p in zip(x.shape[:3], patch)):
+        raise ShapeMismatchError(f"volume dims {x.shape[:3]} not divisible by patch {patch}")
+    h, w, d = (n // p for n, p in zip(x.shape[:3], patch))
     planar = ad.conv3d(x, w2d, stride=(ph, pw, 1), padding=0, bias=b2d)  # (H, W, D̄, C)
-    h, w, d = grid
     c = planar.shape[3]
     stacked = ad.reshape(planar, (h, w, d, pd, c))
     weighted = ad.mul(stacked, wdepth)  # broadcast over (H, W, D)
     return ad.reduce_sum(weighted, axis=3)
-
-
-def true3d_patch_embed(x: Tensor, w3d: Tensor, b3d: Tensor, patch) -> Tensor:
-    """Single dense 3D convolution with kernel = stride = patch."""
-    _check_divisible(x.shape[:3], patch)
-    return ad.conv3d(x, w3d, stride=patch, padding=0, bias=b3d)
 
 
 def add_positional(x: Tensor, pos: Tensor) -> Tensor:

@@ -12,9 +12,9 @@ least half its error (``gradcheck`` says why). So the element-wise,
 reduction, matmul, attention and layer norm cases, ``add_positional``,
 ``adapter``, ``encoder_two_layers`` (64), the prompter blocks and
 ``combined_loss`` run on coordinates;
-``pseudo3d_patch_embed`` (97 values), ``true3d_patch_embed`` (115),
-``encoder_layer`` (80), ``predict`` (128), ``enhancer`` (560) and the two
-model cases (47k and 52k) on directions; the conv3d, upsample_conv3d and
+``pseudo3d_patch_embed`` (97 values), ``encoder_layer`` (80),
+``predict`` (128), ``enhancer`` (560) and the two model cases (52k
+values each) on directions; the conv3d, upsample_conv3d and
 instance norm cases (up to 2144, 360 and 87) on either, by instance. A
 ``voxseg gradcheck`` line ends in ``coords=N``, the coordinates checked
 over all instances, and ``dirs=6`` if any instance ran on directions.
@@ -22,9 +22,10 @@ over all instances, and ``dirs=6`` if any instance ran on directions.
 ``combined_loss`` is a block case: one node whose backward is a closed
 form, drawn with p in [0.05, 0.95], inside the clip where both terms
 have a gradient. The model cases check ``model.forward`` plus
-``combined_loss`` of the tiny architecture (``TINY_MODEL``, and with a
-shared image branch and true 3-D patches) toward every trainable
-parameter.
+``combined_loss`` of the tiny architecture (``TINY_MODEL``, and with its
+one switch, ``no_image_branch``) toward every trainable parameter. The
+ablated forward never reads the image-branch parameters: their analytic
+gradient is zero, as are their finite differences.
 
 The CLI 'gradcheck' subcommand and the acceptance tests both run this.
 """
@@ -347,13 +348,6 @@ def _case_pseudo3d_patch_embed(rng):
             rng.standard_normal(3), rng.standard_normal((2, 3)))
 
 
-def _case_true3d_patch_embed(rng):
-    """Input, kernel and bias."""
-    return ((lambda *a: pe.true3d_patch_embed(*a, _PATCH)),
-            rng.standard_normal((4, 4, 2, 2)), rng.standard_normal((2, 2, 2, 2, 3)),
-            rng.standard_normal(3))
-
-
 def _case_add_positional(rng):
     """Input and table."""
     return (pe.add_positional,
@@ -512,8 +506,7 @@ def _model_case(spec):
 
 MODEL_CASES = [
     ("model", _model_case(TINY_MODEL)),
-    ("model_shared_true3d",
-     _model_case(dataclasses.replace(TINY_MODEL, share_image_branch=True, patch_mode="true3d"))),
+    ("model_no_image_branch", _model_case(dataclasses.replace(TINY_MODEL, no_image_branch=True))),
 ]
 
 
@@ -547,7 +540,6 @@ OP_CASES = [
 
 BLOCK_CASES = [
     ("pseudo3d_patch_embed", _case_pseudo3d_patch_embed),
-    ("true3d_patch_embed", _case_true3d_patch_embed),
     ("add_positional", _case_add_positional),
     ("adapter", _case_adapter),
     ("encoder_layer", _case_layer),

@@ -10,7 +10,7 @@ import helpers
 from voxseg import autodiff as ad
 from voxseg import checkpoint as ckpt
 from voxseg import model as mdl
-from voxseg.config import Config, ConfigError, model_spec_from_config
+from voxseg.config import _BOOL, _RETIRED, Config, ConfigError, model_spec_from_config
 from voxseg.optim import AdamW, AdamWConfig
 
 
@@ -46,24 +46,38 @@ class TestConfig:
             Config.default().override("nope", 1)
 
     def test_removed_switch_read_at_kept_value(self, tmp_path):
-        """A removed switch set to the value the model kept loads and is
-        dropped, so the echo never shows it; any other value names it."""
+        """A file that sets every removed switch to the value the model kept
+        loads, and the keys are dropped, so the echo never shows them; a
+        line with any other value is refused with its file and line."""
         path = tmp_path / "old.cfg"
-        path.write_text("model.activation = gelu\nprompter.share_qk = yes\n"
-                        "prompter.scaling = true\nflops.mac = 2\nprompter.layer = 6\n")
+        path.write_text("".join(f"{key} = {str(kept).lower()}\n"
+                                for key, kept in _RETIRED.items()) + "prompter.layer = 6\n")
         expected = Config.default().override("prompter.layer", "6")
         assert Config.load(path).resolved_lines() == expected.resolved_lines()
-        for key, raw in [("prompter.share_qk", "false"), ("prompter.scaling", "0"),
-                         ("model.activation", "relu"), ("flops.mac", "1"),
-                         ("flops.mac", "two")]:
-            with pytest.raises(ConfigError, match=rf"^{re.escape(key)} was removed"):
-                Config.default().override(key, raw)
-        path.write_text("train.lr = 1e-3\nprompter.share_qk = false\n")
-        with pytest.raises(ConfigError, match=r"old\.cfg:2: prompter\.share_qk was removed"):
+        path.write_text("train.lr = 1e-3\npatch.mode = true3d\n")
+        with pytest.raises(ConfigError, match=r"old\.cfg:2: patch\.mode was removed"):
             Config.load(path)
 
+    @pytest.mark.parametrize("key", sorted(_RETIRED))
+    def test_retired_key_takes_only_its_kept_value(self, key):
+        """A removed key loads and is dropped at the value the model kept, a
+        boolean in every ``_BOOL`` spelling of it; any other value raises
+        ``ConfigError`` naming the key."""
+        kept = _RETIRED[key]
+        if isinstance(kept, bool):
+            accepted = [text for text, value in _BOOL.items() if value == kept]
+            refused = [text for text, value in _BOOL.items() if value != kept]
+        else:
+            accepted, refused = [kept], ["", f"{kept}x"]
+        for raw in accepted:
+            assert Config.default().override(key, raw).values == Config.default().values
+        for raw in refused + ["maybe"]:
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key)} was removed"):
+                Config.default().override(key, raw)
+
     def test_from_lines_reads_the_echo_back(self):
-        cfg = Config.default().override("train.lr", "1e-3").override("patch.mode", "true3d")
+        cfg = (Config.default().override("train.lr", "1e-3")
+               .override("decoder.no_image_branch", "true"))
         assert Config.from_lines(cfg.resolved_lines()).values == cfg.values
 
     def test_malformed_line_rejected(self, tmp_path):
@@ -91,7 +105,7 @@ class TestConfig:
             model_spec_from_config(cfg3)
 
     @pytest.mark.parametrize("field", [
-        {"patch_mode": "bogus"}, {"patch": (0, 4, 4)}, {"embed_dim": 4},
+        {"prompt_layer": 5}, {"patch": (0, 4, 4)}, {"embed_dim": 4},
         {"taps": (3, 3, 6, 12)}, {"dec_channels": 0}, {"in_channels": 0},
         {"mlp_ratio": 0}, {"vol_dims": (16, 16), "patch": (4, 4)},
     ])
@@ -223,7 +237,7 @@ class TestCheckpoint:
         _, _, entries, _ = ckpt.load_checkpoint(path)
         other_spec = mdl.ModelSpec(
             vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=16, heads=2,
-            adapter_dim=4, prompt_n=16, dec_channels=8, share_image_branch=True,
+            adapter_dim=4, prompt_n=16, dec_channels=8, taps=(6, 12), prompt_layer=12,
         ).validate()
         with ad.precision("f32"):
             other = mdl.init_store(other_spec, 0)

@@ -31,8 +31,6 @@ class TestPrompterTable:
 class TestAccountantVsStore:
     @pytest.mark.parametrize("kwargs", [
         {},  # desk default
-        {"patch_mode": "true3d"},
-        {"share_image_branch": True},
         {"vol_dims": (16, 16, 16), "embed_dim": 16, "heads": 2, "adapter_dim": 4,
          "prompt_n": 16, "dec_channels": 8},
         # patch 2: volume/target ratio 1, image pyramid degenerates to one

@@ -190,52 +190,6 @@ class TestModelLevel:
         assert store["decoder.enh1.img.s0.conv1_w"].grad is None
         assert store["decoder.enh1.fuse.conv1_w"].grad is not None
 
-    def test_shared_image_branch(self, rng):
-        spec = mdl.ModelSpec(
-            vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=16, heads=2,
-            adapter_dim=4, prompt_n=16, dec_channels=8, share_image_branch=True,
-        ).validate()
-        with ad.precision("f32"):
-            store = mdl.init_store(spec, seed=0)
-            assert "decoder.imgshared.s0.conv1_w" in store
-            assert "decoder.enh1.img.s0.conv1_w" not in store
-            vol = rng.random((16, 16, 16, 1)).astype(np.float32)
-            prob = mdl.forward(spec, store, vol)
-        assert prob.shape == (16, 16, 16)
-
-    def test_shared_image_branch_runs_once(self, rng, monkeypatch):
-        """At the desk volume and decoder width (a 4-layer encoder keeps it
-        quick), a shared image branch runs once per forward: 10 conv3d calls,
-        where per-enhancer branches make 16 (each enhancer's fuse conv and
-        the head's smooth conv are upsample_conv3d), and the same probabilities, bit
-        for bit, as re-running the shared branch inside each enhancer."""
-        shared = mdl.ModelSpec(layers=4, taps=(1, 2, 3, 4), prompt_layer=4,
-                               share_image_branch=True).validate()
-        calls = []
-        conv3d = ad.conv3d
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return conv3d(*args, **kwargs)
-
-        def forward(spec):
-            store = mdl.init_store(spec, seed=0)
-            calls.clear()
-            prob = mdl.forward(spec, store, vol).numpy()
-            return prob, len(calls)
-
-        monkeypatch.setattr(ad, "conv3d", counted)
-        vol = rng.random((32, 32, 32, 1)).astype(np.float32)
-        with ad.precision("f32"):
-            prob, n_shared = forward(shared)
-            _, n_own = forward(dataclasses.replace(shared, share_image_branch=False))
-            enhancer = dec.original_feature_enhancer
-            monkeypatch.setattr(dec, "original_feature_enhancer",
-                                lambda z, image, p, features=None: enhancer(z, image, p))
-            rerun, _ = forward(shared)
-        assert (n_shared, n_own) == (10, 16)
-        assert np.array_equal(prob, rerun)
-
 
 def test_every_trainable_parameter_moves_the_loss(rng):
     """In f64, with the zero-initialised trainables set to small random

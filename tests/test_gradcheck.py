@@ -1,5 +1,6 @@
 """gradient_check over several inputs, on both of its paths, the whole
-model case against backward closures scaled by 1.001, and the op set:
+model case against backward closures scaled by 1.001, the ablated model
+case's zero image-branch gradient, and the op set:
 every op serves the model and has a gradcheck case."""
 
 import ast
@@ -12,10 +13,10 @@ import pytest
 
 import voxseg
 from voxseg import autodiff as ad
-from voxseg import objectives
+from voxseg import model, objectives
 from voxseg.autodiff import conv
 from voxseg.autodiff.gradcheck import DIRECTIONS, EXHAUSTIVE_MAX
-from voxseg.verify import MODEL_CASES, OP_CASES, run_gradcheck_suite
+from voxseg.verify import MODEL_CASES, OP_CASES, TINY_MODEL, case_rng, run_gradcheck_suite
 
 # the package exports a ``tensor`` function under the module's name
 tensor_module = importlib.import_module("voxseg.autodiff.tensor")
@@ -121,6 +122,21 @@ def test_model_case_fails_when_one_backward_is_scaled(op):
         [result] = run_gradcheck_suite(instances=1, cases=MODEL_CASES[:1])
     assert result.name == "model" and result.dirs == DIRECTIONS
     assert not result.passed
+
+
+def test_no_image_branch_case_gives_the_image_branch_zero_gradient():
+    """The ablated model case reads no image-branch parameter, so those get
+    exactly zero gradient, and every other decoder parameter a nonzero one."""
+    name = "model_no_image_branch"
+    f, *params = dict(MODEL_CASES)[name](case_rng(name, seed=0))
+    names = [n for n, _ in model.init_store(TINY_MODEL, 0).trainable()]
+    ts = [ad.tensor(p, requires_grad=True) for p in params]
+    ad.backward(f(*ts))
+    moved = {n: t.grad is not None and t.grad.any() for n, t in zip(names, ts)}
+    image = [n for n in names if ".img." in n]
+    assert len(image) == 4 * 6  # one 6-parameter pyramid stage per enhancer
+    assert not any(moved[n] for n in image)
+    assert all(moved[n] for n in names if n.startswith("decoder.") and n not in image)
 
 
 def test_every_op_serves_the_model_and_is_gradchecked():

@@ -414,7 +414,7 @@ def test_gradcheck_attention_takes_both_shifts(case):
     assert set(paths) == {"shift", "exact"}
 
 
-@pytest.mark.parametrize("case", ["model", "model_shared_true3d"])
+@pytest.mark.parametrize("case", ["model", "model_no_image_branch"])
 def test_gradcheck_model_takes_both_shifts(case):
     """An instance of a model case of ``voxseg gradcheck`` (seed 0) runs
     every encoder attention on the bound shift and the channel prompter's

@@ -9,9 +9,10 @@ test). The row is the trained model's mean DICE on 8 held-out phantoms,
 
 Rows at data seeds 11 / 12 / 13:
 
-    default                         0.771 / 0.807 / 0.819
-    decoder.no_image_branch=true    0.257 / 0.378 / 0.259
-    prompter frozen at identity     0.767 / 0.806 / 0.820
+    default                         0.772 / 0.806 / 0.819
+    decoder.no_image_branch=true    0.258 / 0.377 / 0.263
+    prompter.layer=6                0.771 / 0.805 / 0.819
+    prompter frozen at identity     0.768 / 0.807 / 0.818
     encoder taps zeroed             0.747 / 0.773 / 0.798
 
 The last two rows patch the model instead of setting a config key
@@ -25,8 +26,8 @@ Tier-1 trains the first two rows at data seed 11 and requires
 - the no-image-branch row (the paper's decoder ablation) to sit at least
   ``ABLATION_GAP`` below the default; the smallest gap above is 0.43.
 
-Run as a script it prints the row of every switch the model keeps and
-the two patched rows, at the given data seeds (default 11):
+Run as a script it prints every row above at the given data seeds
+(default 11):
 
     PYTHONPATH=src python tests/test_learning.py 11 12 13
 """
@@ -67,9 +68,8 @@ def zero_taps(mp):
     sees only the image branch."""
     enhance = decoder.original_feature_enhancer
 
-    def zeroed(z, image, p, features=None):
-        zeros = ad.tensor(np.zeros(z.shape), dtype=z.dtype)
-        return enhance(zeros, image, p, features=features)
+    def zeroed(z, image, p):
+        return enhance(ad.tensor(np.zeros(z.shape), dtype=z.dtype), image, p)
 
     mp.setattr(decoder, "original_feature_enhancer", zeroed)
 
@@ -79,8 +79,6 @@ def zero_taps(mp):
 ROWS = {
     "default": {},
     NO_IMAGE: {"decoder.no_image_branch": "true"},
-    "decoder.share_image_branch=true": {"decoder.share_image_branch": "true"},
-    "patch.mode=true3d": {"patch.mode": "true3d"},
     "prompter.layer=6": {"prompter.layer": "6"},
     "prompter frozen at identity": freeze_prompter,
     "encoder taps zeroed": zero_taps,

@@ -1,5 +1,7 @@
-"""Both patching routes: shapes, linearity, and the separable-kernel
-characterization of what the slice-wise route can represent."""
+"""The pseudo-3-D patch embedding: shapes, linearity, and the
+separable-kernel characterization of what the slice-wise route can
+represent. Its oracle for a dense 3D kernel is ``ad.conv3d`` with kernel
+= stride = patch."""
 
 import numpy as np
 import pytest
@@ -17,11 +19,16 @@ def _f64():
         yield
 
 
-def _separable_to_true3d(w2d: np.ndarray, wdepth: np.ndarray) -> np.ndarray:
+def _separable_to_dense(w2d: np.ndarray, wdepth: np.ndarray) -> np.ndarray:
     """Assemble the dense 3D kernel a given pseudo3d parameterization equals."""
     w2 = np.asarray(w2d)[:, :, 0]  # (p_h, p_w, N, C)
     kd = np.asarray(wdepth)  # (p_d, C)
     return np.einsum("ijnc,kc->ijknc", w2, kd)
+
+
+def _dense_embed(x: np.ndarray, w3d: np.ndarray, patch) -> np.ndarray:
+    """One dense 3D convolution with kernel = stride = patch, no bias."""
+    return ad.conv3d(ad.tensor(x), ad.tensor(w3d), stride=patch, padding=0).numpy()
 
 
 def _best_separable_factors(w3d: np.ndarray):
@@ -57,10 +64,6 @@ def test_output_shape_desk_config(rng):
                                  ad.tensor(kd), (4, 4, 4))
     assert fm.shape == (8, 8, 8, 64)
 
-    w3d = rng.standard_normal((4, 4, 4, 1, 64))
-    fm3 = pe.true3d_patch_embed(x, ad.tensor(w3d), ad.tensor(np.zeros(64)), (4, 4, 4))
-    assert fm3.shape == (8, 8, 8, 64)
-
 
 def test_zero_volume_zero_bias_gives_zero_map(rng):
     x = ad.tensor(np.zeros((16, 16, 16, 1)))
@@ -84,12 +87,15 @@ def test_depth1_identity_kernel_equals_slicewise_2d(rng):
     np.testing.assert_allclose(fm.numpy(), expected, rtol=1e-12, atol=1e-12)
 
 
-def test_true3d_ones_kernel_gives_patch_means(rng):
-    """All-ones/volume kernel -> every token is its patch mean (direct oracle)."""
+def test_mean_kernels_give_patch_means(rng):
+    """A 1/p^2 in-plane kernel and 1/p depth weights: every token is its
+    patch mean (direct oracle)."""
     x = rng.standard_normal((12, 12, 12, 1))
     p = 4
-    w = np.full((p, p, p, 1, 5), 1.0 / p**3)
-    fm = pe.true3d_patch_embed(ad.tensor(x), ad.tensor(w), ad.tensor(np.zeros(5)), (p, p, p))
+    w2d = np.full((p, p, 1, 1, 5), 1.0 / p**2)
+    kd = np.full((p, 5), 1.0 / p)
+    fm = pe.pseudo3d_patch_embed(ad.tensor(x), ad.tensor(w2d), ad.tensor(np.zeros(5)),
+                                 ad.tensor(kd), (p, p, p))
     means = np.zeros((3, 3, 3))
     for a in range(3):
         for b in range(3):
@@ -102,7 +108,8 @@ def test_true3d_ones_kernel_gives_patch_means(rng):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**31))
 def test_separable_kernel_equivalence(seed):
-    """pseudo3d(K2, kd) == true3d(K2 x kd outer product) within 1e-5."""
+    """pseudo3d(K2, kd) == a dense conv with the K2 x kd outer product as
+    its kernel, within 1e-5."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((8, 8, 8, 2))
     w2d = rng.standard_normal((2, 2, 1, 2, 4))
@@ -111,9 +118,7 @@ def test_separable_kernel_equivalence(seed):
     with ad.precision("f64"):
         a = pe.pseudo3d_patch_embed(ad.tensor(x), ad.tensor(w2d), ad.tensor(zeros),
                                     ad.tensor(kd), (2, 2, 2)).numpy()
-        k3 = _separable_to_true3d(w2d, kd)
-        b = pe.true3d_patch_embed(ad.tensor(x), ad.tensor(k3), ad.tensor(zeros),
-                                  (2, 2, 2)).numpy()
+        b = _dense_embed(x, _separable_to_dense(w2d, kd), (2, 2, 2))
     assert np.abs(a - b).max() < 1e-5
 
 
@@ -121,33 +126,27 @@ def test_nonseparable_kernel_has_representation_gap(rng):
     x = rng.standard_normal((16, 16, 16, 1))
     k3 = rng.standard_normal((4, 4, 4, 1, 8))
     w2d, kd = _best_separable_factors(k3)
-    t = pe.true3d_patch_embed(ad.tensor(x), ad.tensor(k3), ad.tensor(np.zeros(8)),
-                              (4, 4, 4)).numpy()
+    t = _dense_embed(x, k3, (4, 4, 4))
     p = pe.pseudo3d_patch_embed(ad.tensor(x), ad.tensor(w2d), ad.tensor(np.zeros(8)),
                                 ad.tensor(kd), (4, 4, 4)).numpy()
     assert np.abs(t - p).max() > 0.01
 
 
 @settings(max_examples=15, deadline=None)
-@given(alpha=st.floats(-3, 3, allow_nan=False), seed=st.integers(0, 2**31),
-       mode=st.sampled_from(["pseudo3d", "true3d"]))
-def test_linearity_with_zero_bias(alpha, seed, mode):
+@given(alpha=st.floats(-3, 3, allow_nan=False), seed=st.integers(0, 2**31))
+def test_linearity_with_zero_bias(alpha, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((8, 8, 8, 1))
     zeros = np.zeros(6)
     with ad.precision("f64"):
-        if mode == "pseudo3d":
-            w2d = rng.standard_normal((2, 2, 1, 1, 6))
-            kd = rng.standard_normal((2, 6))
-            def embed(v):
-                return pe.pseudo3d_patch_embed(
-                    ad.tensor(v), ad.tensor(w2d), ad.tensor(zeros), ad.tensor(kd),
-                    (2, 2, 2)).numpy()
-        else:
-            w3 = rng.standard_normal((2, 2, 2, 1, 6))
-            def embed(v):
-                return pe.true3d_patch_embed(
-                    ad.tensor(v), ad.tensor(w3), ad.tensor(zeros), (2, 2, 2)).numpy()
+        w2d = rng.standard_normal((2, 2, 1, 1, 6))
+        kd = rng.standard_normal((2, 6))
+
+        def embed(v):
+            return pe.pseudo3d_patch_embed(
+                ad.tensor(v), ad.tensor(w2d), ad.tensor(zeros), ad.tensor(kd),
+                (2, 2, 2)).numpy()
+
         np.testing.assert_allclose(embed(alpha * x), alpha * embed(x),
                                    rtol=1e-9, atol=1e-9)
 

@@ -18,7 +18,7 @@ from voxseg import model as mdl
 from voxseg import train as train_mod
 from voxseg.autodiff import NonFiniteError, ParameterStore
 from voxseg.cli import main as cli_main
-from voxseg.config import Config, model_spec_from_config
+from voxseg.config import DEFAULTS, Config, model_spec_from_config
 from voxseg.train import (
     _flip_axes,
     evaluate_cases,
@@ -31,10 +31,20 @@ from voxseg.train import (
 from conftest import tiny_config
 
 
-# what a checkpoint written before four switches were removed carries
+# what a checkpoint written before six switches were removed carries
 # for them: the values the model kept
-_REMOVED_SWITCH_LINES = ["flops.mac = 2", "model.activation = gelu",
+_REMOVED_SWITCH_LINES = ["decoder.share_image_branch = false", "flops.mac = 2",
+                         "model.activation = gelu", "patch.mode = pseudo3d",
                          "prompter.scaling = true", "prompter.share_qk = true"]
+
+
+@pytest.fixture(scope="module")
+def ten_phantoms(tmp_path_factory):
+    """Ten 16^3 phantoms: enough for ``train`` to split off validation
+    cases (7 train, 1 val, 2 test)."""
+    root = str(tmp_path_factory.mktemp("ten_phantoms"))
+    synthesize_dataset(root, cases=10, seed=5, dims=(16, 16, 16))
+    return root
 
 
 def _with_config_lines(path, out, extra):
@@ -272,6 +282,32 @@ class TestTrainLoop:
         assert res.stopped_early_at is not None
         assert len(res.history) < 60
 
+    def test_eval_every_validates_on_its_epochs_and_the_last(self, ten_phantoms, tmp_path):
+        """With ``train.eval_every = 2`` over 4 epochs, validation runs at
+        epochs 0 and 2 and at the last, 3; epoch 1 records no val_dice."""
+        cfg = tiny_config(**{"train.epochs": 4, "train.eval_every": 2})
+        res = train(cfg, ten_phantoms, str(tmp_path / "run"))
+        assert [row["epoch"] for row in res.history] == [0, 1, 2, 3]
+        validated = [row["epoch"] for row in res.history if row["val_dice"] is not None]
+        assert validated == [0, 2, 3]
+        assert res.history[1]["val_dice"] is None and res.history[1]["val_nsd"] is None
+
+    def test_every_config_key_is_read(self, ten_phantoms, tmp_path, monkeypatch):
+        """Building the spec and one training step read every key of
+        ``DEFAULTS``: a key no code reads is a dead option."""
+        read = set()
+        raw = Config.raw
+
+        def spied(cfg, key):
+            read.add(key)
+            return raw(cfg, key)
+
+        monkeypatch.setattr(Config, "raw", spied)
+        cfg = tiny_config(**{"train.max_steps": 1})
+        model_spec_from_config(cfg)
+        train(cfg, ten_phantoms, str(tmp_path / "run"))
+        assert sorted(set(DEFAULTS) - read) == []
+
     def test_large_split_path_holds_out_val(self, tmp_path):
         data_dir = str(tmp_path / "data10")
         synthesize_dataset(data_dir, cases=10, seed=3, dims=(16, 16, 16))
@@ -382,6 +418,18 @@ class TestCLI:
         assert err.startswith("usage: voxseg flops") and "expects key=value, got 'foo'" in err
         assert cli_main(["flops", "--set", " decoder.channels = 8"]) == 0
         assert "decoder.channels = 8" in capsys.readouterr().out
+
+    def test_set_refuses_a_removed_switch_by_name(self, tmp_path, caplog):
+        """``train --set`` of a removed switch at any value but the kept one
+        exits 1 with the switch named, before any training."""
+        for item in ["patch.mode=true3d", "decoder.share_image_branch=true"]:
+            key = item.split("=")[0]
+            caplog.clear()
+            with caplog.at_level(logging.ERROR):
+                assert cli_main(["train", "--set", item, "--data", str(tmp_path),
+                                 "--out", str(tmp_path / "run")]) == 1
+            assert f"ConfigError: {key} was removed" in caplog.text
+        assert not os.path.exists(tmp_path / "run")
 
     def test_runtime_failure_exits_1(self, tmp_path):
         assert cli_main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
