@@ -31,6 +31,8 @@ class TestPrompterTable:
 class TestAccountantVsStore:
     @pytest.mark.parametrize("kwargs", [
         {},  # desk default
+        {"in_channels": 2},  # patch-embedding weights scale with channels
+        {"layers": 6, "taps": (2, 4, 6), "prompt_layer": 6},  # three taps
         {"vol_dims": (16, 16, 16), "embed_dim": 16, "heads": 2, "adapter_dim": 4,
          "prompt_n": 16, "dec_channels": 8},
         # patch 2: volume/target ratio 1, image pyramid degenerates to one
