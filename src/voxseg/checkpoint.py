@@ -64,13 +64,17 @@ def _expect(line, key):
     parts = line.split()
     if len(parts) != 2 or parts[0] != key:
         raise CheckpointError("bad_header", f"expected '{key} <n>', got {line!r}")
-    return int(parts[1])
+    n = int(parts[1])
+    if n < 0:
+        raise CheckpointError("bad_header", f"negative {key} {n}")
+    return n
 
 
 def _read_header(fh):
     """(step, config lines, entry metadata, moment count) from the header
     lines after the magic. A non-integer count or dimension, or bytes that
-    are not UTF-8, raise ValueError; a misshapen line ``CheckpointError``."""
+    are not UTF-8, raise ValueError; a misshapen line, a negative step,
+    count or dimension ``CheckpointError``."""
 
     def line():
         return fh.readline().decode()
@@ -86,7 +90,7 @@ def _read_header(fh):
             raise CheckpointError("bad_header", f"malformed entry line {parts}")
         name, frozen, tag, ndim = parts[0], bool(int(parts[1])), parts[2], int(parts[3])
         dims = tuple(int(p) for p in parts[4 : 4 + ndim])
-        if len(dims) != ndim or tag not in _TAGS:
+        if len(dims) != ndim or tag not in _TAGS or any(d < 0 for d in dims):
             raise CheckpointError("bad_header", f"malformed entry line {parts}")
         meta.append((name, frozen, tag, dims))
     return step, config_lines, meta, _expect(line(), "moments")

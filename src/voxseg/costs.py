@@ -1,5 +1,7 @@
 """Analytic FLOP and parameter accounting. No tensors are executed:
-every count is a closed-form function of the configuration.
+every flop count is a closed-form function of the configuration, and
+every parameter count is read from ``model.param_specs``, the one record
+of the parameter layout, grouped by the first component of each name.
 
 Multiply-accumulates are tallied separately from other flops, and a
 multiply-accumulate counts as 2 flops. The 'linear' category holds the
@@ -16,11 +18,12 @@ pyramid, at zero MACs under ``no_image_branch``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from . import decoder as dec
 from .autodiff.conv import upsampled_macs
-from .model import ModelSpec
+from .model import ModelSpec, param_specs
 
 
 @dataclass(frozen=True)
@@ -30,12 +33,12 @@ class CostItem:
     category: str  # linear | attention | norm | act | interp | other
     macs: int = 0
     other_flops: int = 0
-    params: int = 0
 
 
 @dataclass
 class CostReport:
     items: list[CostItem] = field(default_factory=list)
+    param_counts: dict[str, int] = field(default_factory=dict)  # module -> count
 
     def _filtered(self, module=None, category=None):
         return [
@@ -53,7 +56,9 @@ class CostReport:
         return sum(2 * it.macs + it.other_flops for it in sel)
 
     def params(self, module=None):
-        return sum(it.params for it in self._filtered(module))
+        if module is None:
+            return sum(self.param_counts.values())
+        return self.param_counts.get(module, 0)
 
     def modules(self):
         seen = []
@@ -91,9 +96,9 @@ def patch_embed_items(spec: ModelSpec):
     m = h * w * d
     return [
         CostItem("patch", "conv2d", "linear",
-                 macs=h * w * dbar * ph * pw * n * c, params=ph * pw * n * c + c),
-        CostItem("patch", "depth_agg", "linear", macs=m * pd * c, params=pd * c),
-        CostItem("patch", "positional", "other", other_flops=m * c, params=m * c),
+                 macs=h * w * dbar * ph * pw * n * c),
+        CostItem("patch", "depth_agg", "linear", macs=m * pd * c),
+        CostItem("patch", "positional", "other", other_flops=m * c),
     ]
 
 
@@ -105,22 +110,17 @@ def encoder_items(spec: ModelSpec):
         mod = "encoder"
         pre = f"layer{i:02d}"
         items += [
-            CostItem(mod, f"{pre}.norms", "norm",
-                     other_flops=2 * 5 * m * c, params=4 * c),
-            CostItem(mod, f"{pre}.qkv_proj", "linear",
-                     macs=3 * m * c * c, params=3 * (c * c + c)),
+            CostItem(mod, f"{pre}.norms", "norm", other_flops=2 * 5 * m * c),
+            CostItem(mod, f"{pre}.qkv_proj", "linear", macs=3 * m * c * c),
             CostItem(mod, f"{pre}.attn_logits", "attention", macs=m * m * c,
                      other_flops=4 * h * m * m),  # + softmax
             CostItem(mod, f"{pre}.attn_mix", "attention", macs=m * m * c),
-            CostItem(mod, f"{pre}.attn_out", "linear",
-                     macs=m * c * c, params=c * c + c),
+            CostItem(mod, f"{pre}.attn_out", "linear", macs=m * c * c),
             CostItem(mod, f"{pre}.mlp", "linear",
                      macs=2 * r * m * c * c,
-                     other_flops=10 * m * r * c,  # activation
-                     params=c * r * c + r * c + r * c * c + c),
+                     other_flops=10 * m * r * c),  # activation
             CostItem(mod, f"{pre}.adapter", "linear",
-                     macs=2 * m * c * l, other_flops=m * l,
-                     params=2 * c * l),
+                     macs=2 * m * c * l, other_flops=m * l),
         ]
     return items
 
@@ -132,25 +132,23 @@ def prompter_items(spec: ModelSpec):
     mod = "prompter"
     norm_flops = 5 * m * c
     return [
-        CostItem(mod, "sa.q_proj", "linear", macs=m * c * c, params=c * c),
-        CostItem(mod, "sa.k_proj", "linear", macs=m * c * c, params=c * c),
-        CostItem(mod, "sa.v_proj", "linear", macs=m * c * c, params=c * c),
-        CostItem(mod, "sa.reduce_k", "linear", macs=n * m * c, params=n * m),
-        CostItem(mod, "sa.reduce_v", "linear", macs=n * m * c, params=n * m),
-        CostItem(mod, "sa.q_norm", "norm", other_flops=norm_flops, params=2 * c),
+        CostItem(mod, "sa.q_proj", "linear", macs=m * c * c),
+        CostItem(mod, "sa.k_proj", "linear", macs=m * c * c),
+        CostItem(mod, "sa.v_proj", "linear", macs=m * c * c),
+        CostItem(mod, "sa.reduce_k", "linear", macs=n * m * c),
+        CostItem(mod, "sa.reduce_v", "linear", macs=n * m * c),
+        CostItem(mod, "sa.q_norm", "norm", other_flops=norm_flops),
         CostItem(mod, "sa.logits", "attention", macs=n * m * c,
                  other_flops=4 * n * m),
         CostItem(mod, "sa.mix", "attention", macs=n * m * c),
-        CostItem(mod, "ca.v_proj", "linear", macs=m * c * c, params=c * c),
-        CostItem(mod, "ca.q_norm", "norm", other_flops=norm_flops, params=2 * c),
-        CostItem(mod, "ca.k_norm", "norm", other_flops=norm_flops, params=2 * c),
+        CostItem(mod, "ca.v_proj", "linear", macs=m * c * c),
+        CostItem(mod, "ca.q_norm", "norm", other_flops=norm_flops),
+        CostItem(mod, "ca.k_norm", "norm", other_flops=norm_flops),
         CostItem(mod, "ca.logits", "attention", macs=m * c * c,
                  other_flops=4 * c * c),
         CostItem(mod, "ca.mix", "attention", macs=m * c * c),
-        CostItem(mod, "sa.down", "linear", macs=m * c * (c // 2),
-                 params=c * (c // 2)),
-        CostItem(mod, "ca.down", "linear", macs=m * c * (c // 2),
-                 params=c * (c // 2)),
+        CostItem(mod, "sa.down", "linear", macs=m * c * (c // 2)),
+        CostItem(mod, "ca.down", "linear", macs=m * c * (c // 2)),
         CostItem(mod, "residual", "other", other_flops=m * c),
     ]
 
@@ -161,10 +159,8 @@ def _conv_block_items(module, name, voxels_out, cin, cout, k=27, conv1_macs=None
     if conv1_macs is None:
         conv1_macs = voxels_out * k * cin * cout
     macs = conv1_macs + voxels_out * k * cout * cout
-    # conv weights only (a bias in front of IN is inert), two IN affine pairs
-    params = k * cin * cout + k * cout * cout + 4 * cout
     other = 2 * (5 + 1) * voxels_out * cout  # norms + relus
-    return [CostItem(module, name, "linear", macs=macs, params=params),
+    return [CostItem(module, name, "linear", macs=macs),
             CostItem(module, f"{name}.normact", "norm", other_flops=other)]
 
 
@@ -206,13 +202,11 @@ def decoder_items(spec: ModelSpec):
     smooth_proj, smooth_interp = upsampled_macs(spec.feature_dims, factor, head_c, head_c)
     items.append(CostItem("decoder", "smooth", "linear",
                           macs=smooth_proj,
-                          other_flops=vvox * head_c,
-                          params=27 * head_c * head_c + head_c))
+                          other_flops=vvox * head_c))
     items.append(CostItem("decoder", "smooth.interp", "interp", macs=smooth_interp))
     items.append(CostItem("decoder", "project", "linear",
                           macs=vvox * head_c,
-                          other_flops=4 * vvox,  # sigmoid
-                          params=head_c + 1))
+                          other_flops=4 * vvox))  # sigmoid
     return items
 
 
@@ -222,7 +216,12 @@ def decoder_items(spec: ModelSpec):
 
 
 def count_cost(spec: ModelSpec) -> CostReport:
-    """Whole-model analytic cost for one forward pass."""
+    """Whole-model analytic cost for one forward pass, and the parameter
+    count of each module of ``model.param_specs``."""
     spec.validate()
+    counts = {}
+    for name, shape, _, _ in param_specs(spec):
+        module = name.split(".")[0]
+        counts[module] = counts.get(module, 0) + math.prod(shape)
     return CostReport(items=patch_embed_items(spec) + encoder_items(spec)
-                      + prompter_items(spec) + decoder_items(spec))
+                      + prompter_items(spec) + decoder_items(spec), param_counts=counts)

@@ -30,7 +30,7 @@ shapes, decoder trains on taps alone).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,11 +48,11 @@ class ConvBlockParams:
     in2_b: Tensor
     stride1: int = 1
 
-    _FIELDS = ("conv1_w", "in1_g", "in1_b", "conv2_w", "in2_g", "in2_b")
-
     @classmethod
     def from_store(cls, store, prefix, stride1=1):
-        return cls(**{f: store[f"{prefix}.{f}"] for f in cls._FIELDS}, stride1=stride1)
+        """Every field but ``stride1`` is the store entry ``{prefix}.{field}``."""
+        tensors = {f.name: store[f"{prefix}.{f.name}"] for f in fields(cls) if f.name != "stride1"}
+        return cls(**tensors, stride1=stride1)
 
 
 def conv_block(x: Tensor | list[Tensor], p: ConvBlockParams, factors=None) -> Tensor:

@@ -34,7 +34,7 @@ A non-finite value is named by layer and sub-step through ``ad.scope``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatchError, Tensor
@@ -42,7 +42,8 @@ from .autodiff import ShapeMismatchError, Tensor
 
 @dataclass
 class LayerParams:
-    """One layer's tensors; attention/MLP/norm affines frozen, adapter not."""
+    """One layer's tensors, read from the store by field name. Their
+    shapes, inits and freeze flags live in ``param_specs``."""
 
     norm1_g: Tensor
     norm1_b: Tensor
@@ -63,16 +64,10 @@ class LayerParams:
     adapter_down: Tensor
     adapter_up: Tensor
 
-    _FIELDS = (
-        "norm1_g", "norm1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-        "norm2_g", "norm2_b", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2",
-        "adapter_down", "adapter_up",
-    )
-
     @classmethod
     def from_store(cls, store, layer_index):
         prefix = layer_name(layer_index)
-        return cls(**{f: store[f"{prefix}.{f}"] for f in cls._FIELDS})
+        return cls(**{f.name: store[f"{prefix}.{f.name}"] for f in fields(cls)})
 
 
 def layer_name(i):
@@ -80,7 +75,11 @@ def layer_name(i):
 
 
 def param_specs(spec):
-    """(name, shape, frozen, init) for all encoder parameters of a ModelSpec."""
+    """(name, shape, frozen, init) for all encoder parameters of a ModelSpec.
+
+    The frozen flags here are the freeze policy: each layer's attention,
+    MLP and norm affines are frozen, its adapter is not. No other record
+    of the encoder's layout exists."""
     c, l, r = spec.embed_dim, spec.adapter_dim, spec.mlp_ratio
     specs = []
     for i in range(1, spec.layers + 1):
@@ -165,32 +164,3 @@ def encode(z: Tensor, spec, store):
         if i in spec.taps:
             taps[i] = z
     return taps
-
-
-# ---------------------------------------------------------------------------
-# freeze policy
-# ---------------------------------------------------------------------------
-
-_FROZEN_MARKS = (".wq", ".bq", ".wk", ".bk", ".wv", ".bv", ".wo", ".bo",
-                 ".mlp_", ".norm1_", ".norm2_")
-_TRAINABLE_PREFIXES = ("patch.", "prompter.", "decoder.")
-
-
-def classify_parameter(name):
-    """True if the freeze policy pins this parameter."""
-    if name.startswith("encoder."):
-        if ".adapter_" in name:
-            return False
-        if any(mark in name for mark in _FROZEN_MARKS):
-            return True
-        raise ad.GraphError(f"unrecognized encoder parameter {name!r}")
-    if any(name.startswith(p) for p in _TRAINABLE_PREFIXES):
-        return False
-    raise ad.GraphError(f"unrecognized parameter {name!r}")
-
-
-def apply_freeze_policy(store):
-    """Freeze attention/MLP/norm cores; leave adapters, patching, the
-    prompter, and the decoder trainable."""
-    for name in store.names():
-        store.set_frozen(name, classify_parameter(name))

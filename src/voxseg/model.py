@@ -8,10 +8,13 @@ shape checks on the tensors they receive. There is one architecture, the
 paper's: the pseudo-3-D patch embedding and one image pyramid per
 enhancer. Its only switch, ``no_image_branch``, is the decoder ablation.
 
-Every module contributes (name, shape, frozen, init) parameter specs;
-``init_store`` materializes them from one seeded stream in a fixed
-order, so identical seeds give bit-identical stores. The freeze policy
-is applied at build time.
+Every module contributes (name, shape, frozen, init) parameter specs,
+and ``param_specs`` is the one record of the layout and of the freeze
+policy. ``init_store`` materializes it from one seeded stream in a fixed
+order, so identical seeds give bit-identical stores, and freezes each
+entry as its tuple says: only the encoder's attention, MLP and norm
+cores are frozen. ``costs.count_cost`` counts parameters from the same
+record.
 """
 
 from __future__ import annotations
@@ -111,6 +114,7 @@ def _patch_param_specs(spec: ModelSpec):
 
 
 def param_specs(spec: ModelSpec):
+    """Every parameter in init order: its name, shape, freeze flag and init."""
     return (_patch_param_specs(spec) + enc.param_specs(spec) + pr.param_specs(spec)
             + dec.param_specs(spec))
 
@@ -139,7 +143,6 @@ def init_store(spec: ModelSpec, seed) -> ParameterStore:
     store = ParameterStore()
     for name, shape, frozen, init in param_specs(spec):
         store.add(name, ad.tensor(_init_array(rng, shape, init)), frozen=frozen)
-    enc.apply_freeze_policy(store)
     return store
 
 

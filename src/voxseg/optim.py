@@ -8,6 +8,7 @@ parameters and moments exactly as they were.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,15 @@ class AdamWConfig:
     weight_decay: float = 0.01
 
     def validate(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        """Require finite lr > 0, eps > 0 and weight_decay >= 0: a nan lr
+        writes nan into every parameter, and eps = 0 divides 0 by 0 where a
+        gradient is exactly zero."""
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
         return self

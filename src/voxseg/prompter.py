@@ -26,7 +26,7 @@ projections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatchError, Tensor
@@ -49,15 +49,9 @@ class PrompterParams:
     norm_k_ca_g: Tensor
     norm_k_ca_b: Tensor
 
-    _FIELDS = (
-        "wq", "wk", "wv_sa", "wv_ca", "reduce_k", "reduce_v", "down_sa", "down_ca",
-        "norm_q_sa_g", "norm_q_sa_b", "norm_q_ca_g", "norm_q_ca_b",
-        "norm_k_ca_g", "norm_k_ca_b",
-    )
-
     @classmethod
     def from_store(cls, store):
-        return cls(**{f: store[f"prompter.{f}"] for f in cls._FIELDS})
+        return cls(**{f.name: store[f"prompter.{f.name}"] for f in fields(cls)})
 
 
 def param_specs(spec):

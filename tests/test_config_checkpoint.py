@@ -217,9 +217,13 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("old,new", [(b"\nstep 0\n", b"\nstep x\n"),
                                          (b"\nentries ", b"\nentries x"),
-                                         (b"\nmoments 0\n", b"\nmoments \xff\n")])
+                                         (b"\nmoments 0\n", b"\nmoments \xff\n"),
+                                         (b"\nstep 0\n", b"\nstep -1\n"),
+                                         (b"proj_b 0 f32 1 1\n", b"proj_b 0 f32 1 -1\n"),
+                                         (b"wq 0 f32 2 16 16\n", b"wq 0 f32 2 -2 -2\n")])
     def test_malformed_header_number(self, tmp_path, old, new):
-        """A count that is not an integer is a bad header, not a ValueError."""
+        """A count or dimension that is not an integer, and a negative step
+        or dimension, is a bad header, not a ValueError or a silent load."""
         spec, store = _tiny_store()
         path = tmp_path / "m.ckpt"
         ckpt.save_checkpoint(path, store, None)

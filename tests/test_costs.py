@@ -1,5 +1,6 @@
-"""Accountant: scaling laws and exact agreement with a direct
-enumeration of the parameter store."""
+"""Accountant: scaling laws, exact agreement with a direct enumeration
+of the parameter store, and the cost table pinned as ``voxseg flops``
+prints it."""
 
 import pytest
 
@@ -7,15 +8,18 @@ import helpers
 from voxseg import autodiff as ad
 from voxseg import costs
 from voxseg import model as mdl
+from voxseg import prompter as pr
+from voxseg.verify import TINY_MODEL
 
 
 class TestPrompterTable:
-    """The prompter's rows of the whole-model cost table."""
+    """The prompter's rows of the whole-model cost table, and its layout."""
 
     def test_doubling_channels_quadruples_projection_params(self):
         def proj_params(c):
-            items = costs.prompter_items(mdl.ModelSpec(embed_dim=c))
-            return sum(it.params for it in items if it.name.endswith("_proj"))
+            specs = pr.param_specs(mdl.ModelSpec(embed_dim=c))
+            projections = ("prompter.wq", "prompter.wk", "prompter.wv_sa", "prompter.wv_ca")
+            return sum(shape[0] * shape[1] for name, shape, _, _ in specs if name in projections)
 
         assert proj_params(128) == 4 * proj_params(64)
 
@@ -79,7 +83,7 @@ class TestAccountantVsStore:
         assert rep.flops() == sum(
             2 * it.macs + it.other_flops for it in rep.items
         )
-        assert rep.params() == sum(it.params for it in rep.items)
+        assert rep.params() == sum(rep.params(m) for m in rep.modules())
 
     def test_deterministic_and_execution_free(self):
         spec = mdl.ModelSpec().validate()
@@ -94,6 +98,23 @@ class TestAccountantVsStore:
             costs.count_cost(spec)
         assert time.perf_counter() - t0 < 2.0
 
-    def test_render_smoke(self):
-        text = costs.count_cost(mdl.ModelSpec().validate()).render()
-        assert "total" in text and "encoder" in text
+    @pytest.mark.parametrize("spec,table", [
+        (mdl.ModelSpec(), """\
+module                  flops     linear flops       params
+patch               4,489,216        4,456,448       34,112
+encoder         1,504,542,720      644,972,544      624,384
+prompter           46,809,088       29,360,128       86,400
+decoder         1,493,827,584    1,318,191,104      237,345
+total           3,049,668,608    1,996,980,224      982,241"""),
+        (TINY_MODEL, """\
+module                  flops     linear flops       params
+patch                 140,288          139,264        1,360
+encoder             9,071,616        5,409,792       40,896
+prompter              381,952          229,376        3,424
+decoder            43,745,280       38,158,336       46,097
+total              53,339,136       43,936,768       91,777"""),
+    ], ids=["default", "tiny"])
+    def test_render_pinned(self, spec, table):
+        """The table ``voxseg flops`` prints for the default config and the
+        tiny one (``conftest.tiny_config``), byte for byte."""
+        assert costs.count_cost(spec).render() == table

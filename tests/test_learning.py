@@ -43,7 +43,7 @@ import numpy as np
 import pytest
 
 from voxseg import autodiff as ad
-from voxseg import decoder, encoder
+from voxseg import decoder, prompter
 from voxseg.train import evaluate_cases, list_cases, synthesize_dataset, train
 
 from conftest import tiny_config
@@ -58,9 +58,9 @@ def freeze_prompter(mp):
     """Every ``prompter.*`` parameter frozen. Its down-projections start at
     zero, so the prompter returns its input exactly: the no-prompter
     ablation."""
-    classify = encoder.classify_parameter
-    mp.setattr(encoder, "classify_parameter",
-               lambda name: name.startswith("prompter.") or classify(name))
+    specs = prompter.param_specs
+    mp.setattr(prompter, "param_specs",
+               lambda spec: [(name, shape, True, init) for name, shape, _, init in specs(spec)])
 
 
 def zero_taps(mp):

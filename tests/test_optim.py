@@ -1,6 +1,7 @@
 """AdamW against a hand-executed recurrence, freeze contract, abort path."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -108,8 +109,14 @@ def test_state_round_trip():
     np.testing.assert_array_equal(opt2.state()["m"]["w"], state["m"]["w"])
 
 
-def test_invalid_config_rejected():
-    with pytest.raises(ValueError):
-        AdamWConfig(lr=0.0).validate()
-    with pytest.raises(ValueError):
-        AdamWConfig(beta1=1.0).validate()
+@pytest.mark.parametrize("field,value", [
+    ("lr", 0.0), ("beta1", 1.0), ("lr", math.nan), ("lr", math.inf),
+    ("eps", math.nan), ("eps", math.inf), ("eps", 0.0), ("eps", -1e-8),
+    ("weight_decay", math.nan), ("weight_decay", math.inf), ("weight_decay", -0.01),
+])
+def test_invalid_config_rejected(field, value):
+    """Out-of-range settings fail ``validate``: a nan lr would write nan into
+    every trainable parameter on the first step, and eps = 0 gives 0/0
+    wherever a gradient is exactly zero."""
+    with pytest.raises(ValueError, match="beta" if field == "beta1" else field):
+        AdamWConfig(**{field: value}).validate()

@@ -207,6 +207,19 @@ class TestTrainLoop:
         assert code == 1
         assert os.path.exists(tmp_path / "cli" / "last.ckpt")
 
+    def test_nan_lr_refused_before_any_checkpoint(self, tiny_dataset, tmp_path, caplog):
+        """``train.lr = nan`` is refused when the optimizer is built, so no
+        checkpoint of non-finite parameters is written; the CLI exits 1."""
+        data_dir, _ = tiny_dataset
+        with pytest.raises(ValueError, match="lr must be finite"):
+            train(tiny_config(**{"train.lr": "nan"}), data_dir, str(tmp_path / "run"))
+        assert not list((tmp_path / "run").glob("*.ckpt"))
+        with caplog.at_level(logging.ERROR):
+            assert cli_main(["train", "--set", "train.lr=nan", "--data", data_dir,
+                             "--out", str(tmp_path / "cli")]) == 1
+        assert "lr must be finite" in caplog.text
+        assert not list((tmp_path / "cli").glob("*.ckpt"))
+
     def test_returned_store_holds_no_gradients(self, tiny_dataset, tmp_path):
         data_dir, _ = tiny_dataset
         res = train(tiny_config(**{"train.max_steps": 2}), data_dir, str(tmp_path / "run"))
