@@ -43,9 +43,6 @@ class ParameterStore:
     def items(self):
         return [(n, t, not t.requires_grad) for n, t in self._entries.items()]
 
-    def set_frozen(self, name, frozen):
-        self[name].requires_grad = not frozen
-
     def trainable(self):
         return [(n, t) for n, t, fr in self.items() if not fr]
 

@@ -74,7 +74,8 @@ def _read_header(fh):
     """(step, config lines, entry metadata, moment count) from the header
     lines after the magic. A non-integer count or dimension, or bytes that
     are not UTF-8, raise ValueError; a misshapen line, a negative step,
-    count or dimension ``CheckpointError``."""
+    count or dimension, or a freeze flag other than 0 or 1
+    ``CheckpointError``."""
 
     def line():
         return fh.readline().decode()
@@ -88,11 +89,12 @@ def _read_header(fh):
         parts = line().split()
         if len(parts) < 4:
             raise CheckpointError("bad_header", f"malformed entry line {parts}")
-        name, frozen, tag, ndim = parts[0], bool(int(parts[1])), parts[2], int(parts[3])
+        name, flag, tag, ndim = parts[0], parts[1], parts[2], int(parts[3])
         dims = tuple(int(p) for p in parts[4 : 4 + ndim])
-        if len(dims) != ndim or tag not in _TAGS or any(d < 0 for d in dims):
+        if (len(dims) != ndim or flag not in ("0", "1") or tag not in _TAGS
+                or any(d < 0 for d in dims)):
             raise CheckpointError("bad_header", f"malformed entry line {parts}")
-        meta.append((name, frozen, tag, dims))
+        meta.append((name, flag == "1", tag, dims))
     return step, config_lines, meta, _expect(line(), "moments")
 
 
@@ -155,7 +157,8 @@ def store_from_entries(entries) -> ParameterStore:
 
 
 def restore_into(store: ParameterStore, entries):
-    """Copy checkpoint arrays into an existing store, validating layout."""
+    """Copy checkpoint arrays into an existing store, validating layout:
+    names in order, shapes and freeze flags must all match the store's."""
     names, saved = store.names(), [n for n, _, _ in entries]
     if saved != names:
         in_ckpt = set(saved)
@@ -163,11 +166,14 @@ def restore_into(store: ParameterStore, entries):
         missing = [n for n in names if n not in in_ckpt][:3]
         raise CheckpointError("bad_header", "checkpoint entries do not match the store layout: "
                               f"only in the checkpoint {extra}, only in the store {missing}")
-    for name, frozen, arr in entries:
-        t = store[name]
+    for (name, t, frozen), (_, saved_frozen, arr) in zip(store.items(), entries):
         if t.data.shape != arr.shape:
             raise CheckpointError(
                 "bad_header", f"shape mismatch for {name}: {arr.shape} vs {t.data.shape}"
             )
+        if saved_frozen != frozen:
+            raise CheckpointError(
+                "bad_header", f"freeze flag mismatch for {name}: {int(saved_frozen)} in the "
+                f"checkpoint, {int(frozen)} in the store"
+            )
         t.data[...] = arr
-        store.set_frozen(name, frozen)

@@ -5,7 +5,6 @@ Subcommands:
     train      train per a key=value config file
     eval       score a checkpoint on a dataset split
     flops      print the whole model's analytic cost table (no tensor execution)
-    gradcheck  run the full gradient-verification suite
 
 The paper's prompt-layer ablation is one ``voxseg train --set
 prompter.layer=N`` run per placement (N in 3, 6, 9, 12).
@@ -84,10 +83,6 @@ def build_parser():
     p.add_argument("--config", default=None)
     p.add_argument("--set", dest="override", action="append", type=_parse_setting,
                    metavar="KEY=VALUE")
-
-    p = sub.add_parser("gradcheck", help="run the gradient-verification suite")
-    p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
     return top
 
 
@@ -163,16 +158,6 @@ def _cmd_flops(args):
     return 0
 
 
-def _cmd_gradcheck(args):
-    from .verify import run_gradcheck_suite
-
-    results = run_gradcheck_suite(instances=args.instances, seed=args.seed,
-                                  log_fn=print)
-    bad = [r for r in results if not r.passed]
-    print(f"{len(results) - len(bad)}/{len(results)} cases passed")
-    return 1 if bad else 0
-
-
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
@@ -181,7 +166,6 @@ def main(argv=None):
         "train": _cmd_train,
         "eval": _cmd_eval,
         "flops": _cmd_flops,
-        "gradcheck": _cmd_gradcheck,
     }[args.command]
     try:
         return handler(args)

@@ -211,7 +211,16 @@ def _train_case(spec, store, vdata, mdata, loss_cfg, weight):
 
 
 def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResult:
-    """Train per config on a dataset directory; checkpoints into out_dir."""
+    """Train per config on a dataset directory; checkpoints into out_dir.
+
+    ``resume`` continues from a checkpoint such as a run's ``last.ckpt``
+    and reproduces the uninterrupted run. It raises ``CheckpointError``
+    when the saved config differs outside ``_RESUME_MAY_CHANGE``
+    (``config_mismatch``), when the parameter names, shapes or freeze
+    flags differ from the model's (``bad_header``), and when the file
+    holds no optimizer moments (``no_moments``): fresh moments would give
+    a different run.
+    """
     os.makedirs(out_dir, exist_ok=True)
     ad.set_default_dtype(cfg.get_str("train.precision"))
     spec = model_spec_from_config(cfg)
@@ -238,6 +247,9 @@ def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResul
         step0, saved_lines, entries, moments = ckpt.load_checkpoint(resume)
         _check_resume_config(resume, saved_lines, cfg)
         ckpt.restore_into(store, entries)
+        if not moments:
+            raise ckpt.CheckpointError("no_moments",
+                                       f"{resume} holds no optimizer moments to resume from")
         optimizer.load_state({"step": step0,
                               "m": {n: m for n, (m, _) in moments.items()},
                               "v": {n: v for n, (_, v) in moments.items()}})

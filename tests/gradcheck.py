@@ -26,7 +26,8 @@ depends only on the inputs' total value count:
   under 1e-5 relative at 1e-9 (by up to 1e-3 at 1e-7 along a direction
   over the model's 52k values, so no split test is made there).
 
-``verify`` states which of its cases fall on which side.
+The suite in ``gradcheck_suite.py`` beside this file states which of
+its cases fall on which side.
 
 Flags are reported, not failed, but a check all of whose coordinates or
 directions are flagged checked nothing and fails. Indices of flagged
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import GraphError, Tensor, backward, mul, reduce_sum, tensor
+from voxseg.autodiff import GraphError, Tensor, backward, mul, reduce_sum, tensor
 
 EXHAUSTIVE_MAX = 64  # inputs' total value count checked coordinate by coordinate
 DIRECTIONS = 6  # directions checked above it

@@ -2,50 +2,61 @@
 composite block and the assembled model checked against central finite
 differences on many random instances, in 64-bit mode.
 
-A case draws one instance as (f, *inputs), and ``ad.gradient_check``
-checks f's gradient toward every input at once: coordinate by coordinate
-up to 64 values in all (``gradcheck.EXHAUSTIVE_MAX``), above that along
-6 seeded random directions at a step of 1e-7; a direction off by more
-than the tolerance is measured again at 1e-8 and 1e-9 and counts as a
-kink, not a failure, only where its one-sided slopes there split by at
-least half its error (``gradcheck`` says why). So the element-wise,
-reduction, matmul, attention and layer norm cases, ``add_positional``,
-``adapter``, ``encoder_two_layers`` (64), the prompter blocks and
-``combined_loss`` run on coordinates;
-``pseudo3d_patch_embed`` (97 values), ``encoder_layer`` (80),
-``predict`` (128), ``enhancer`` (560) and the two model cases (52k
-values each) on directions; the conv3d, upsample_conv3d and
-instance norm cases (up to 2144, 360 and 87) on either, by instance. A
-``voxseg gradcheck`` line ends in ``coords=N``, the coordinates checked
-over all instances, and ``dirs=6`` if any instance ran on directions.
+Run it from the repository root::
 
-``combined_loss`` is a block case: one node whose backward is a closed
-form, drawn with p in [0.05, 0.95], inside the clip where both terms
-have a gradient. The model cases check ``model.forward`` plus
-``combined_loss`` of the tiny architecture (``TINY_MODEL``, and with its
-one switch, ``no_image_branch``) toward every trainable parameter. The
-ablated forward never reads the image-branch parameters: their analytic
+    PYTHONPATH=src python tests/gradcheck_suite.py [--instances N] [--seed S]
+
+It prints one line per case and ``P/T cases passed``, and exits 1 when a
+case fails. The tests import its cases and ``run_gradcheck_suite``.
+
+A case draws one instance as (f, *inputs), and ``gradient_check``
+(``gradcheck.py`` beside this file) checks f's gradient toward every
+input at once: coordinate by coordinate up to 64 values in all
+(``gradcheck.EXHAUSTIVE_MAX``), above that along 6 seeded random
+directions at a step of 1e-7; a direction off by more than the tolerance
+is measured again at 1e-8 and 1e-9 and counts as a kink, not a failure,
+only where its one-sided slopes there split by at least half its error
+(``gradcheck`` says why). So the element-wise, reduction, matmul and
+layer norm cases, ``add_positional``, ``adapter``, ``encoder_two_layers``
+(64), the prompter blocks and ``combined_loss`` run on coordinates;
+``attention_blocked`` (thousands of values), ``pseudo3d_patch_embed``
+(97), ``encoder_layer`` (80), ``predict`` (128), ``enhancer`` (560) and
+the two model cases (52k values each) on directions; the conv3d,
+upsample_conv3d, attention and instance norm cases (up to 2144, 360, 192
+and 87) on either, by instance. A line ends in ``coords=N``, the
+coordinates checked over all instances, and ``dirs=6`` if any instance
+ran on directions.
+
+The blocks' parameters come from their modules' own ``param_specs`` rows
+(``block_params``), so no layout is restated here. ``combined_loss`` is
+a block case: one node whose backward is a closed form, drawn with p in
+[0.05, 0.95], inside the clip where both terms have a gradient. The
+model cases check ``model.forward`` plus ``combined_loss`` of the tiny
+architecture (``TINY_MODEL``, and with its one switch,
+``no_image_branch``) toward every trainable parameter. The ablated
+forward never reads the image-branch parameters: their analytic
 gradient is zero, as are their finite differences.
-
-The CLI 'gradcheck' subcommand and the acceptance tests both run this.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import sys
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from . import decoder as dec
-from . import encoder as enc
-from . import model
-from . import patch_embed as pe
-from . import prompter as pr
-from .autodiff.tensor import ATTENTION_BLOCK_ELEMS
-from .objectives import combined_loss
+from gradcheck import gradient_check
+from voxseg import autodiff as ad
+from voxseg import decoder as dec
+from voxseg import encoder as enc
+from voxseg import model
+from voxseg import patch_embed as pe
+from voxseg import prompter as pr
+from voxseg.autodiff.tensor import ATTENTION_BLOCK_ELEMS
+from voxseg.objectives import combined_loss
 
 DEFAULT_TOL = 1e-4  # gradient-check tolerance in 64-bit mode
 
@@ -200,47 +211,41 @@ def _case_sigmoid(rng):
     return ad.sigmoid, rng.standard_normal(tuple(rng.integers(2, 5, 2)))
 
 
-def _attention_through_maps(rng, heads, l, d, m, n):
-    """x (l, heads * d) feeds the token-major q, k and v through three fixed
-    maps to m queries and n keys: one check covers all three inputs. Half
-    the instances (d >= 2) hide the last coordinate of every head from the
-    queries (q's is 0) and give the first key 1e4 there: the bound
-    |scale q_i| max_j |k_j| then passes the f64 limit of 177 with no logit
-    changed, so the exact row max runs; in the others the bounds stay
-    small and the shift rides in the score GEMM."""
+def _attention_case(rng, heads, d, m, n):
+    """q (m, heads * d), k and v (n, heads * d), the inputs of one call
+    ``attention(q * seen, k + far, v)``. Half the instances (d >= 2) hide
+    the last coordinate of every head from the queries (``seen`` is 0
+    there, so q's is 0) and give the first key 1e4 there (``far``): the
+    bound |scale q_i| max_j |k_j| then passes the f64 limit of 177 with no
+    logit changed, so the exact row max runs; in the others ``seen`` is 1,
+    ``far`` 0, the bounds stay small and the shift rides in the score
+    GEMM."""
     w = heads * d
-    aq, ak, av = _t(rng, m, l), _t(rng, n, l), _t(rng, n, l)
     s = float(rng.uniform(0.3, 1.5))
     seen, far = np.ones(w), np.zeros((n, w))
     if d >= 2 and rng.random() < 0.5:
         seen[d - 1 :: d] = 0.0
         far[0, d - 1 :: d] = 1e4
     seen, far = ad.tensor(seen, dtype=np.float64), ad.tensor(far, dtype=np.float64)
-
-    def f(x):
-        q = ad.mul(ad.matmul(aq, x), seen)
-        k = ad.add(ad.matmul(ak, x), far)
-        return ad.attention(q, k, ad.matmul(av, x), s, heads=heads)
-
-    return f, rng.standard_normal((l, w))
+    return ((lambda q, k, v: ad.attention(ad.mul(q, seen), ad.add(k, far), v, s, heads=heads)),
+            rng.standard_normal((m, w)), rng.standard_normal((n, w)), rng.standard_normal((n, w)))
 
 
 def _case_attention(rng):
     """1 to 3 heads of 1 to 4 dims."""
-    heads, l, d = int(rng.integers(1, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 5))
+    heads, d = int(rng.integers(1, 4)), int(rng.integers(1, 5))
     m = int(rng.integers(2, 5))
     n = m + int(rng.integers(1, 3))  # query count != key count
-    return _attention_through_maps(rng, heads, l, d, m, n)
+    return _attention_case(rng, heads, d, m, n)
 
 
 def _case_attention_blocked(rng):
-    """M and N large enough for several query blocks, the last ragged; x
-    stays (l, heads * d)-sized, so the check stays cheap."""
-    heads, l, d = int(rng.integers(1, 3)), int(rng.integers(2, 4)), int(rng.integers(1, 5))
+    """M and N large enough for several query blocks, the last ragged."""
+    heads, d = int(rng.integers(1, 3)), int(rng.integers(1, 5))
     n = int(rng.integers(300, 600))
     rows = ATTENTION_BLOCK_ELEMS // (heads * n)
     m = rows * int(rng.integers(1, 3)) + int(rng.integers(1, rows))
-    return _attention_through_maps(rng, heads, l, d, m, n)
+    return _attention_case(rng, heads, d, m, n)
 
 
 def _case_layer_norm(rng):
@@ -317,25 +322,40 @@ def _case_reduce_sum(rng):
 
 
 # -- composite blocks ---------------------------------------------------------
+# A block's parameters come from its module's own ``param_specs`` rows at
+# the block's sizes, an unvalidated ModelSpec, and are read back through the
+# module's own reader: no layout is written out here.
+_BLOCKS = {
+    "layer": (enc.param_specs, lambda store, spec: enc.LayerParams.from_store(store, 1),
+              dict(embed_dim=8, adapter_dim=2, mlp_ratio=2, layers=1)),
+    "prompter": (pr.param_specs, lambda store, spec: pr.PrompterParams.from_store(store),
+                 dict(embed_dim=4, prompt_n=3, vol_dims=(8, 1, 1), patch=(1, 1, 1))),  # M = 8
+    # an 8^3 volume on a 2^3 grid: enhancers and head meet at 4^3
+    "enhancer": (dec.param_specs, lambda store, spec: dec.enhancer_from_store(store, 1, spec),
+                 dict(vol_dims=(8, 8, 8), embed_dim=6, dec_channels=3)),
+    "predict": (dec.param_specs, dec.predict_from_store,
+                dict(vol_dims=(8, 8, 8), embed_dim=6, dec_channels=2)),
+}
 
 
-def _mini_layer_params(rng, c=8, l=2, ratio=2):
-    def t(*shape, scale=1.0):
-        return ad.tensor(rng.standard_normal(shape) * scale, dtype=np.float64)
-
-    return enc.LayerParams(
-        norm1_g=ad.tensor(np.ones(c), dtype=np.float64),
-        norm1_b=t(c, scale=0.1),
-        wq=t(c, c, scale=c ** -0.5), bq=t(c, scale=0.1),
-        wk=t(c, c, scale=c ** -0.5), bk=t(c, scale=0.1),
-        wv=t(c, c, scale=c ** -0.5), bv=t(c, scale=0.1),
-        wo=t(c, c, scale=c ** -0.5), bo=t(c, scale=0.1),
-        norm2_g=ad.tensor(np.ones(c), dtype=np.float64),
-        norm2_b=t(c, scale=0.1),
-        mlp_w1=t(c, ratio * c, scale=c ** -0.5), mlp_b1=t(ratio * c, scale=0.1),
-        mlp_w2=t(ratio * c, c, scale=(ratio * c) ** -0.5), mlp_b2=t(c, scale=0.1),
-        adapter_down=t(c, l, scale=0.2), adapter_up=t(l, c, scale=0.2),
-    )
+def block_params(kind, rng=None, **sizes):
+    """f64 parameters of block ``kind`` (a key of ``_BLOCKS``), its sizes
+    updated by ``sizes`` (ModelSpec fields). Without ``rng`` every entry is
+    0. With it, norm gains (init "ones") are 1 and every other entry is
+    standard normal over the square root of its fan-in: the product of all
+    axes but the last, or a vector's length."""
+    rows, read, base = _BLOCKS[kind]
+    spec = model.ModelSpec(**{**base, **sizes})
+    store = ad.ParameterStore()
+    for name, shape, frozen, init in rows(spec):
+        if rng is None:
+            value = np.zeros(shape)
+        elif init == "ones":
+            value = np.ones(shape)
+        else:
+            value = rng.standard_normal(shape) / np.sqrt(np.prod(shape[:-1] or shape))
+        store.add(name, ad.tensor(value, dtype=np.float64), frozen=frozen)
+    return read(store, spec)
 
 
 _PATCH = (2, 2, 2)
@@ -356,7 +376,7 @@ def _case_add_positional(rng):
 
 def _case_adapter(rng):
     """Input and both projections."""
-    p = _mini_layer_params(rng, c=6, l=2)
+    p = block_params("layer", rng, embed_dim=6)
     return ((lambda x, down, up: enc.adapter_forward(
                 x, dataclasses.replace(p, adapter_down=down, adapter_up=up))),
             rng.standard_normal((5, 6)), p.adapter_down.data, p.adapter_up.data)
@@ -364,14 +384,14 @@ def _case_adapter(rng):
 
 def _case_layer(rng):
     """Input and the adapter's up-projection."""
-    p = _mini_layer_params(rng)
+    p = block_params("layer", rng)
     return ((lambda x, up: enc.layer_forward(
                 x, dataclasses.replace(p, adapter_up=up), s=0.7, heads=2)),
             rng.standard_normal((8, 8)), p.adapter_up.data)
 
 
 def _case_two_layer_encoder(rng):
-    p1, p2 = _mini_layer_params(rng), _mini_layer_params(rng)
+    p1, p2 = block_params("layer", rng), block_params("layer", rng)
 
     def f(x):
         z = enc.layer_forward(x, p1, s=1.0, heads=2)
@@ -380,86 +400,34 @@ def _case_two_layer_encoder(rng):
     return f, rng.standard_normal((8, 8))
 
 
-def _mini_prompter_params(rng, c=4, n=3, m=8):
-    def t(*shape, scale=0.5):
-        return ad.tensor(rng.standard_normal(shape) * scale, dtype=np.float64)
-
-    return pr.PrompterParams(
-        wq=t(c, c), wk=t(c, c),
-        wv_sa=t(c, c), wv_ca=t(c, c),
-        reduce_k=t(n, m), reduce_v=t(n, m),
-        down_sa=t(c, c // 2), down_ca=t(c, c // 2),
-        norm_q_sa_g=ad.tensor(np.ones(c), dtype=np.float64), norm_q_sa_b=t(c, scale=0.1),
-        norm_q_ca_g=ad.tensor(np.ones(c), dtype=np.float64), norm_q_ca_b=t(c, scale=0.1),
-        norm_k_ca_g=ad.tensor(np.ones(c), dtype=np.float64), norm_k_ca_b=t(c, scale=0.1),
-    )
-
-
 def _case_spatial_attention(rng):
     """Input and the key reducer."""
-    p = _mini_prompter_params(rng)
+    p = block_params("prompter", rng)
     return ((lambda x, r: pr.spatial_attention(x, dataclasses.replace(p, reduce_k=r))),
             rng.standard_normal((8, 4)), p.reduce_k.data)
 
 
 def _case_channel_attention(rng):
-    p = _mini_prompter_params(rng)
+    p = block_params("prompter", rng)
     return (lambda x: pr.channel_attention(x, p)), rng.standard_normal((8, 4))
 
 
 def _case_dual_prompt(rng):
     """Input and the channel branch's down-projection."""
-    p = _mini_prompter_params(rng)
+    p = block_params("prompter", rng)
     return ((lambda x, d: pr.dual_prompt(x, dataclasses.replace(p, down_ca=d))),
             rng.standard_normal((8, 4)), p.down_ca.data)
 
 
-def _mini_conv_block(rng, cin, cout, stride1=1):
-    def t(*shape, scale=None):
-        fan = np.prod(shape[:-1]) if len(shape) > 1 else shape[0]
-        s = scale if scale is not None else np.sqrt(2.0 / fan)
-        return ad.tensor(rng.standard_normal(shape) * s, dtype=np.float64)
-
-    return dec.ConvBlockParams(
-        conv1_w=t(3, 3, 3, cin, cout),
-        in1_g=ad.tensor(np.ones(cout), dtype=np.float64), in1_b=t(cout, scale=0.1),
-        conv2_w=t(3, 3, 3, cout, cout),
-        in2_g=ad.tensor(np.ones(cout), dtype=np.float64), in2_b=t(cout, scale=0.1),
-        stride1=stride1,
-    )
-
-
-def _mini_enhancer(rng, c=6, cdec=3):
-    return dec.EnhancerParams(
-        image_stages=[_mini_conv_block(rng, 1, cdec, stride1=2)],
-        fuse=_mini_conv_block(rng, c + cdec, cdec),
-        target_dims=(4, 4, 4),
-    )
-
-
 def _case_enhancer(rng):
     """Tap and image."""
-    p = _mini_enhancer(rng)
+    p = block_params("enhancer", rng)
     return ((lambda x, image: dec.original_feature_enhancer(x, image, p)),
             rng.standard_normal((8, 6)), rng.standard_normal((8, 8, 8, 1)))
 
 
-def _mini_predict(rng, cdec=2, n_taps=4):
-    def t(*shape, scale=None):
-        fan = np.prod(shape[:-1]) if len(shape) > 1 else shape[0]
-        s = scale if scale is not None else np.sqrt(2.0 / fan)
-        return ad.tensor(rng.standard_normal(shape) * s, dtype=np.float64)
-
-    return dec.PredictParams(
-        head=_mini_conv_block(rng, n_taps * cdec, cdec),
-        upsample_factor=(2, 2, 2),
-        smooth_w=t(3, 3, 3, cdec, cdec), smooth_b=t(cdec, scale=0.1),
-        proj_w=t(1, 1, 1, cdec, 1), proj_b=t(1, scale=0.1),
-    )
-
-
 def _case_predict(rng):
-    p = _mini_predict(rng)
+    p = block_params("predict", rng)
     others = [_t(rng, 4, 4, 4, 2) for _ in range(3)]
 
     return (lambda x: dec.predict([x] + others, p)), rng.standard_normal((4, 4, 4, 2))
@@ -571,7 +539,7 @@ def run_gradcheck_suite(instances=20, tol=DEFAULT_TOL, seed=0, log_fn=None,
             res = CaseResult(name, instances, 0.0, 0, True)
             for i in range(instances):
                 f, *inputs = maker(rng)
-                rep = ad.gradient_check(f, *inputs, tol=tol, seed=seed + i)
+                rep = gradient_check(f, *inputs, tol=tol, seed=seed + i)
                 res.max_err = max(res.max_err, rep.max_rel_error)
                 res.flagged += len(rep.flagged)
                 res.passed = res.passed and rep.passed
@@ -586,3 +554,19 @@ def run_gradcheck_suite(instances=20, tol=DEFAULT_TOL, seed=0, log_fn=None,
                 log_fn(f"{'ok' if res.passed else 'FAIL':4s} {name:32s} "
                        f"max_rel_err={res.max_err:.3e} kinks_flagged={res.flagged} {checked}")
     return results
+
+
+def main(argv=None):
+    """Print one line per case and the pass count; exit 1 if a case fails."""
+    parser = argparse.ArgumentParser(description="Run the gradient-verification suite.")
+    parser.add_argument("--instances", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    results = run_gradcheck_suite(instances=args.instances, seed=args.seed, log_fn=print)
+    bad = [r for r in results if not r.passed]
+    print(f"{len(results) - len(bad)}/{len(results)} cases passed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,6 @@
 """Config parsing/echo and checkpoint round trips."""
 
+import dataclasses
 import os
 import re
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
+from gradcheck_suite import TINY_MODEL
 from voxseg import autodiff as ad
 from voxseg import checkpoint as ckpt
 from voxseg import model as mdl
@@ -124,12 +126,8 @@ class TestConfig:
 
 
 def _tiny_store(seed=0):
-    spec = mdl.ModelSpec(
-        vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=16, heads=2,
-        adapter_dim=4, prompt_n=16, dec_channels=8,
-    ).validate()
     with ad.precision("f32"):
-        return spec, mdl.init_store(spec, seed)
+        return TINY_MODEL, mdl.init_store(TINY_MODEL, seed)
 
 
 class TestCheckpoint:
@@ -239,10 +237,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         ckpt.save_checkpoint(path, store, None)
         _, _, entries, _ = ckpt.load_checkpoint(path)
-        other_spec = mdl.ModelSpec(
-            vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=16, heads=2,
-            adapter_dim=4, prompt_n=16, dec_channels=8, taps=(6, 12), prompt_layer=12,
-        ).validate()
+        other_spec = dataclasses.replace(TINY_MODEL, taps=(6, 12), prompt_layer=12)
         with ad.precision("f32"):
             other = mdl.init_store(other_spec, 0)
         with pytest.raises(ckpt.CheckpointError):

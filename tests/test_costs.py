@@ -5,11 +5,11 @@ prints it."""
 import pytest
 
 import helpers
+from gradcheck_suite import TINY_MODEL
 from voxseg import autodiff as ad
 from voxseg import costs
 from voxseg import model as mdl
 from voxseg import prompter as pr
-from voxseg.verify import TINY_MODEL
 
 
 class TestPrompterTable:

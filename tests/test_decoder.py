@@ -6,26 +6,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gradcheck_suite import TINY_MODEL, block_params
 from voxseg import autodiff as ad
 from voxseg import decoder as dec
 from voxseg import model as mdl
 from voxseg import prompter as pr
-from voxseg.verify import _mini_conv_block, _mini_enhancer, _mini_predict
 
 
 @pytest.fixture(autouse=True)
 def _f64():
     with ad.precision("f64"):
         yield
-
-
-def _zero_block(cin, cout, stride1=1):
-    z = lambda *s: ad.tensor(np.zeros(s))
-    return dec.ConvBlockParams(
-        conv1_w=z(3, 3, 3, cin, cout), in1_g=z(cout), in1_b=z(cout),
-        conv2_w=z(3, 3, 3, cout, cout), in2_g=z(cout), in2_b=z(cout),
-        stride1=stride1,
-    )
 
 
 class TestEnhancer:
@@ -43,7 +34,7 @@ class TestEnhancer:
         of ``target_dims // 2``: its output equals an upsample conv of that
         grid, and a token count that is not H*W*D, or the grid itself, is
         refused."""
-        p = _mini_enhancer(rng)
+        p = block_params("enhancer", rng)
         tokens, image = rng.standard_normal((8, 6)), ad.tensor(rng.random((8, 8, 8, 1)))
         out = dec.original_feature_enhancer(ad.tensor(tokens), image, p).numpy()
         grid = ad.tensor(tokens.reshape(2, 2, 2, 6))
@@ -54,8 +45,8 @@ class TestEnhancer:
                 dec.original_feature_enhancer(ad.tensor(bad), image, p)
 
     def test_zeroed_image_branch_ignores_image(self, rng):
-        p = _mini_enhancer(rng)
-        p = dataclasses.replace(p, image_stages=[_zero_block(1, 3, stride1=2)])
+        p = block_params("enhancer", rng)
+        p = dataclasses.replace(p, image_stages=block_params("enhancer").image_stages)
         tap = ad.tensor(rng.standard_normal((8, 6)))
         out1 = dec.original_feature_enhancer(
             tap, ad.tensor(rng.random((8, 8, 8, 1))), p).numpy()
@@ -64,18 +55,14 @@ class TestEnhancer:
         np.testing.assert_array_equal(out1, out2)
 
     def test_all_zero_inputs_and_weights_give_zero(self, rng):
-        p = dec.EnhancerParams(
-            image_stages=[_zero_block(1, 3, stride1=2)],
-            fuse=_zero_block(9, 3),
-            target_dims=(4, 4, 4),
-        )
+        p = block_params("enhancer")
         out = dec.original_feature_enhancer(
             ad.tensor(np.zeros((8, 6))), ad.tensor(np.zeros((8, 8, 8, 1))), p
         ).numpy()
         np.testing.assert_array_equal(out, 0.0)
 
     def test_no_image_branch_mode(self, rng):
-        p = _mini_enhancer(rng)
+        p = block_params("enhancer", rng)
         p = dataclasses.replace(p, no_image_branch=True)
         tap = ad.tensor(rng.standard_normal((8, 6)))
         out1 = dec.original_feature_enhancer(
@@ -97,7 +84,7 @@ class TestEnhancer:
 
 class TestPredict:
     def test_output_shape_and_range(self, rng):
-        p = _mini_predict(rng)
+        p = block_params("predict", rng)
         maps = [ad.tensor(rng.standard_normal((4, 4, 4, 2))) for _ in range(4)]
         out = dec.predict(maps, p)
         assert out.shape == (8, 8, 8)
@@ -106,20 +93,13 @@ class TestPredict:
         assert np.all(np.isfinite(vals))
 
     def test_zero_head_weights_give_half(self, rng):
-        p = dec.PredictParams(
-            head=_zero_block(8, 2),
-            upsample_factor=(2, 2, 2),
-            smooth_w=ad.tensor(np.zeros((3, 3, 3, 2, 2))),
-            smooth_b=ad.tensor(np.zeros(2)),
-            proj_w=ad.tensor(np.zeros((1, 1, 1, 2, 1))),
-            proj_b=ad.tensor(np.zeros(1)),
-        )
+        p = block_params("predict")
         maps = [ad.tensor(rng.standard_normal((4, 4, 4, 2))) for _ in range(4)]
         out = dec.predict(maps, p).numpy()
         np.testing.assert_allclose(out, 0.5, rtol=1e-12)
 
     def test_shape_mismatch_rejected(self, rng):
-        p = _mini_predict(rng)
+        p = block_params("predict", rng)
         maps = [ad.tensor(rng.standard_normal(shape))
                 for shape in [(4, 4, 4, 2), (4, 4, 2, 2), (4, 4, 4, 2), (4, 4, 4, 2)]]
         with pytest.raises(ad.ShapeMismatchError):
@@ -129,7 +109,7 @@ class TestPredict:
         """Swapping enhancer order while permuting the head's input-channel
         blocks identically leaves the prediction unchanged."""
         cdec = 2
-        p = _mini_predict(rng, cdec=cdec)
+        p = block_params("predict", rng, dec_channels=cdec)
         maps = [ad.tensor(rng.standard_normal((4, 4, 4, cdec))) for _ in range(4)]
         out = dec.predict(maps, p).numpy()
 
@@ -146,10 +126,7 @@ class TestPredict:
 
 class TestModelLevel:
     def test_forward_trace_shapes(self, rng, monkeypatch):
-        spec = mdl.ModelSpec(
-            vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=16, heads=2,
-            adapter_dim=4, prompt_n=16, dec_channels=8,
-        ).validate()
+        spec = TINY_MODEL
         seen = {}
         attach_prompter, predict = pr.attach_prompter, dec.predict
 
@@ -175,10 +152,7 @@ class TestModelLevel:
         assert vals.min() >= 0 and vals.max() <= 1
 
     def test_no_image_branch_trains_same_shapes(self, rng):
-        spec = mdl.ModelSpec(
-            vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=16, heads=2,
-            adapter_dim=4, prompt_n=16, dec_channels=8, no_image_branch=True,
-        ).validate()
+        spec = dataclasses.replace(TINY_MODEL, no_image_branch=True)
         with ad.precision("f32"):
             store = mdl.init_store(spec, seed=0)
             vol = rng.random((16, 16, 16, 1)).astype(np.float32)
@@ -200,10 +174,7 @@ def test_every_trainable_parameter_moves_the_loss(rng):
     from voxseg.objectives import combined_loss
     from voxseg.volume_io import generate_phantom
 
-    spec = mdl.ModelSpec(
-        vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=16, heads=2,
-        adapter_dim=4, prompt_n=16, dec_channels=8,
-    ).validate()
+    spec = TINY_MODEL
     store = mdl.init_store(spec, seed=0)
     for _, t in store.trainable():
         if not t.data.any():

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import helpers
+from gradcheck_suite import TINY_MODEL, block_params
 from voxseg import autodiff as ad
 from voxseg import encoder as enc
 from voxseg import model as mdl
-from voxseg.verify import _mini_layer_params
 
 
 @pytest.fixture(autouse=True)
@@ -25,7 +25,7 @@ def _f64():
 
 
 def test_adapter_zero_down_gives_zero(rng):
-    p = _mini_layer_params(rng, c=6, l=2)
+    p = block_params("layer", rng, embed_dim=6)
     p = dataclasses.replace(p, adapter_down=ad.tensor(np.zeros((6, 2))))
     out = enc.adapter_forward(ad.tensor(rng.standard_normal((5, 6))), p)
     np.testing.assert_array_equal(out.numpy(), 0.0)
@@ -33,7 +33,7 @@ def test_adapter_zero_down_gives_zero(rng):
 
 def test_adapter_identity_on_nonnegative(rng):
     c = 4
-    p = _mini_layer_params(rng, c=c, l=c)
+    p = block_params("layer", rng, embed_dim=c, adapter_dim=c)
     p = dataclasses.replace(p, adapter_down=ad.tensor(np.eye(c)),
                             adapter_up=ad.tensor(np.eye(c)))
     x = np.abs(rng.standard_normal((7, c)))
@@ -43,7 +43,7 @@ def test_adapter_identity_on_nonnegative(rng):
 
 def test_adapter_matches_dense_algebra_oracle(rng):
     c, l = 4, 2
-    p = _mini_layer_params(rng, c=c, l=l)
+    p = block_params("layer", rng, embed_dim=c, adapter_dim=l)
     x = rng.standard_normal((6, c))
     out = enc.adapter_forward(ad.tensor(x), p).numpy()
     expected = np.maximum(x @ p.adapter_down.numpy(), 0) @ p.adapter_up.numpy()
@@ -51,7 +51,7 @@ def test_adapter_matches_dense_algebra_oracle(rng):
 
 
 def test_adapter_channel_mismatch(rng):
-    p = _mini_layer_params(rng, c=6, l=2)
+    p = block_params("layer", rng, embed_dim=6)
     with pytest.raises(ad.ShapeMismatchError):
         enc.adapter_forward(ad.tensor(np.zeros((3, 5))), p)
 
@@ -97,7 +97,7 @@ def _numpy_layer_oracle(x, p, s, heads):
 
 
 def test_layer_matches_literal_oracle(rng):
-    p = _mini_layer_params(rng)
+    p = block_params("layer", rng)
     x = rng.standard_normal((8, 8))
     out = enc.layer_forward(ad.tensor(x), p, s=0.8, heads=2).numpy()
     expected, _ = _numpy_layer_oracle(x, p, 0.8, heads=2)
@@ -105,7 +105,7 @@ def test_layer_matches_literal_oracle(rng):
 
 
 def test_layer_s_zero_equals_adapter_free(rng):
-    p = _mini_layer_params(rng)
+    p = block_params("layer", rng)
     x = ad.tensor(rng.standard_normal((8, 8)))
     out0 = enc.layer_forward(x, p, s=0.0, heads=2).numpy()
     p_no_adapter = dataclasses.replace(p, adapter_up=ad.tensor(np.zeros((2, 8))))
@@ -116,19 +116,10 @@ def test_layer_s_zero_equals_adapter_free(rng):
 def test_layer_zero_frozen_weights_reduces_to_adapter(rng):
     """attention = mlp = 0, s = 1: output is Adapter(Norm(input))."""
     c = 8
-    p = _mini_layer_params(rng, c=c)
-    zeros_c = ad.tensor(np.zeros(c))
-    p = dataclasses.replace(
-        p,
-        wq=ad.tensor(np.zeros((c, c))), bq=zeros_c,
-        wk=ad.tensor(np.zeros((c, c))), bk=zeros_c,
-        wv=ad.tensor(np.zeros((c, c))), bv=zeros_c,
-        wo=ad.tensor(np.zeros((c, c))), bo=zeros_c,
-        mlp_w1=ad.tensor(np.zeros((c, 2 * c))), mlp_b1=ad.tensor(np.zeros(2 * c)),
-        mlp_w2=ad.tensor(np.zeros((2 * c, c))), mlp_b2=zeros_c,
-        norm1_g=ad.tensor(np.ones(c)), norm1_b=zeros_c,
-        norm2_g=ad.tensor(np.ones(c)), norm2_b=zeros_c,
-    )
+    drawn = block_params("layer", rng, embed_dim=c)  # norm gains 1
+    p = dataclasses.replace(block_params("layer", embed_dim=c), norm1_g=drawn.norm1_g,
+                            norm2_g=drawn.norm2_g, adapter_down=drawn.adapter_down,
+                            adapter_up=drawn.adapter_up)
     tokens = rng.standard_normal((8, c))
     out = enc.layer_forward(ad.tensor(tokens), p, s=1.0, heads=2).numpy()
     normed = (tokens - tokens.mean(-1, keepdims=True)) / np.sqrt(
@@ -140,7 +131,7 @@ def test_layer_zero_frozen_weights_reduces_to_adapter(rng):
 
 def test_layer_scale_linearity(rng):
     """Z(2s) - Z(s) = s * Adapter(Z_ddot) for a single layer."""
-    p = _mini_layer_params(rng)
+    p = block_params("layer", rng)
     x = rng.standard_normal((8, 8))
     s = 0.6
     out1 = enc.layer_forward(ad.tensor(x), p, s=s, heads=2).numpy()
@@ -161,7 +152,7 @@ def test_attention_graph_keeps_no_score_nodes(rng):
     """No (heads, M, M) array survives the forward: no node holds scores or
     probabilities, and neither does the fused op's closure."""
     heads, m, c = 4, 64, 8
-    p = _mini_layer_params(rng, c=c)
+    p = block_params("layer", rng, embed_dim=c)
     z = ad.tensor(rng.standard_normal((m, c)), requires_grad=True)
     out = enc.attention_forward(z, p, heads)
 
@@ -190,7 +181,7 @@ def test_attention_graph_keeps_no_score_nodes(rng):
 def test_layer_names_attention_on_score_overflow():
     c = 8
     rng = np.random.default_rng(0)
-    p = _mini_layer_params(rng, c=c)
+    p = block_params("layer", rng, embed_dim=c)
     p = dataclasses.replace(p, wq=ad.tensor(np.full((c, c), 1e200)),
                             wk=ad.tensor(np.full((c, c), 1e200)))
     x = ad.tensor(rng.standard_normal((8, c)))
@@ -202,7 +193,7 @@ def test_layer_names_attention_on_score_overflow():
 def test_layer_names_failing_substep():
     c = 8
     rng = np.random.default_rng(0)
-    p = _mini_layer_params(rng, c=c)
+    p = block_params("layer", rng, embed_dim=c)
     big = np.zeros((c, 2 * c))
     big[0, 0] = 1e308  # overflow inside the mlp matmul
     p = dataclasses.replace(p, mlp_w1=ad.tensor(big))
@@ -217,15 +208,8 @@ def test_layer_names_failing_substep():
 # ---------------------------------------------------------------------------
 
 
-def _tiny_spec():
-    return mdl.ModelSpec(
-        vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=16, heads=2,
-        adapter_dim=4, prompt_n=16, dec_channels=8,
-    ).validate()
-
-
 def test_encode_taps_shapes_and_structure(rng):
-    spec = _tiny_spec()
+    spec = TINY_MODEL
     store = mdl.init_store(spec, seed=0)
     z = ad.tensor(rng.standard_normal((64, 16)))
     taps = enc.encode(z, spec, store)
@@ -260,7 +244,7 @@ def test_tokens_run_from_the_embedding_to_the_taps(rng):
 
 
 def test_encode_missing_layer_rejected(rng):
-    spec = _tiny_spec()
+    spec = TINY_MODEL
     store = mdl.init_store(spec, seed=0)
     z = ad.tensor(rng.standard_normal((64, 16)))
     bad_spec = dataclasses.replace(spec, layers=13)
@@ -272,7 +256,7 @@ def test_encode_zeroed_frozen_weights_literal_flow(rng):
     """With all frozen cores zeroed and s=0 the literal recurrence
     collapses every layer output to zero: the layer has no feed-through
     term besides MLP + adapter."""
-    spec = _tiny_spec()
+    spec = TINY_MODEL
     store = mdl.init_store(spec, seed=0)
     for name, t, frozen in store.items():
         if frozen and not name.endswith(("norm1_g", "norm2_g")):
@@ -285,7 +269,7 @@ def test_encode_zeroed_frozen_weights_literal_flow(rng):
 
 
 def test_gradient_reaches_adapters_not_frozen(rng):
-    spec = _tiny_spec()
+    spec = TINY_MODEL
     store = mdl.init_store(spec, seed=0)
     z = ad.tensor(rng.standard_normal((64, 16)))
     taps = enc.encode(z, spec, store)
@@ -302,7 +286,7 @@ def test_gradient_reaches_adapters_not_frozen(rng):
 def test_freeze_policy_classification():
     """The frozen flags of ``param_specs`` are the freeze policy: the store
     freezes exactly each layer's attention, MLP and norm cores."""
-    spec = _tiny_spec()
+    spec = TINY_MODEL
     store = mdl.init_store(spec, seed=0)
     cores = ("norm1_g", "norm1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
              "norm2_g", "norm2_b", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2")
@@ -311,7 +295,7 @@ def test_freeze_policy_classification():
 
 
 def test_trainable_strictly_less_than_total():
-    spec = _tiny_spec()
+    spec = TINY_MODEL
     store = mdl.init_store(spec, seed=0)
     assert 0 < helpers.trainable_params(store) < helpers.total_params(store)
 

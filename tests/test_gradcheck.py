@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 import voxseg
+from gradcheck import DIRECTIONS, EXHAUSTIVE_MAX, gradient_check
+from gradcheck_suite import MODEL_CASES, OP_CASES, TINY_MODEL, case_rng, run_gradcheck_suite
 from voxseg import autodiff as ad
 from voxseg import model, objectives
 from voxseg.autodiff import conv
-from voxseg.autodiff.gradcheck import DIRECTIONS, EXHAUSTIVE_MAX
-from voxseg.verify import MODEL_CASES, OP_CASES, TINY_MODEL, case_rng, run_gradcheck_suite
 
 # the package exports a ``tensor`` function under the module's name
 tensor_module = importlib.import_module("voxseg.autodiff.tensor")
@@ -25,8 +25,8 @@ MUTATED_OPS = ["gelu", "attention", "layer_norm", "instance_norm", "matmul", "co
                "upsample_conv3d", "combined_loss"]
 
 # the lowercase callables of ``ad.__all__`` that are not differentiable ops
-NOT_OPS = {"backward", "default_dtype", "gradient_check", "no_grad", "precision", "scope",
-           "set_default_dtype", "tensor"}
+NOT_OPS = {"backward", "default_dtype", "no_grad", "precision", "scope", "set_default_dtype",
+           "tensor"}
 
 
 @pytest.fixture(autouse=True)
@@ -74,24 +74,24 @@ def test_gradient_check_covers_every_input(rng, shape, by_direction):
     inputs = _matmul_inputs(rng, *shape)
     size = sum(a.size for a in inputs)
     assert (size > EXHAUSTIVE_MAX) == by_direction
-    rep = ad.gradient_check(_biased_gelu, *inputs)
+    rep = gradient_check(_biased_gelu, *inputs)
     assert rep.passed, rep
     assert rep.by_direction == by_direction
     assert rep.n_checked == (DIRECTIONS if by_direction else size)
     assert rep.max_rel_error < 1e-6
     with scaled_backward("gelu", 1.001):
-        rep = ad.gradient_check(_biased_gelu, *inputs)
+        rep = gradient_check(_biased_gelu, *inputs)
     assert not rep.passed and rep.failures
     with scaled_backward("scale", 1.001):  # only the last input's gradient is off
-        rep = ad.gradient_check(lambda x, w, b: ad.add(ad.matmul(x, w), ad.scale(b, 1.0)),
-                                *inputs)
+        rep = gradient_check(lambda x, w, b: ad.add(ad.matmul(x, w), ad.scale(b, 1.0)),
+                             *inputs)
     assert not rep.passed and rep.failures
 
 
 def test_gradient_check_skips_an_input_without_a_gradient_path(rng):
     """An input f ignores has gradient zero, and its differences are zero."""
     x, unused = rng.standard_normal(3), rng.standard_normal(2)
-    rep = ad.gradient_check(lambda a, b: ad.scale(a, 2.0), x, unused)
+    rep = gradient_check(lambda a, b: ad.scale(a, 2.0), x, unused)
     assert rep.passed and rep.n_checked == 5
 
 
@@ -100,7 +100,7 @@ def test_direction_check_flags_a_kink_at_the_point():
     flagged (its one-sided slopes split), and a check that flags all fails."""
     x = np.zeros(EXHAUSTIVE_MAX + 1)
     x[1:] = np.linspace(0.5, 1.5, EXHAUSTIVE_MAX)
-    rep = ad.gradient_check(ad.relu, x)
+    rep = gradient_check(ad.relu, x)
     assert rep.by_direction and rep.flagged == list(range(DIRECTIONS))
     assert not rep.failures and not rep.passed
 
@@ -110,7 +110,7 @@ def test_direction_check_steps_below_a_nearby_kink():
     most directions, not by a step a hundred times smaller."""
     x = np.linspace(0.5, 1.5, EXHAUSTIVE_MAX + 1)
     x[0] = 1e-8
-    rep = ad.gradient_check(ad.relu, x)
+    rep = gradient_check(ad.relu, x)
     assert rep.by_direction and rep.passed and not rep.flagged, rep
 
 
@@ -162,16 +162,15 @@ def test_model_case_instances_reach_every_parameter(name):
 
 def test_every_op_serves_the_model_and_is_gradchecked():
     """Every differentiable op in ``ad.__all__`` is called as ``ad.<op>`` by
-    a module of the package outside ``autodiff/`` and ``verify.py``, so no
-    op stays in the package for tests alone, and has a case in
-    ``verify.OP_CASES`` whose name starts with the op's."""
+    a module of the package outside ``autodiff/``, so no op stays in the
+    package for tests alone, and has a case in
+    ``gradcheck_suite.OP_CASES`` whose name starts with the op's."""
     ops = {name for name in ad.__all__
            if name.islower() and callable(getattr(ad, name))} - NOT_OPS
     used = set()
     for path in pathlib.Path(voxseg.__file__).parent.glob("*.py"):
-        if path.name != "verify.py":
-            used |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
-                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                     and node.value.id == "ad"}
+        used |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "ad"}
     assert sorted(ops - used) == []
     assert sorted(op for op in ops if not any(case.startswith(op) for case, _ in OP_CASES)) == []

@@ -28,10 +28,10 @@ from hypothesis import strategies as st
 
 from conv_oracles import conv3d_input_grad_taps, conv3d_kernel_grad_taps, conv3d_reference
 from conv_paths import MODEL_CONVS, accumulation, forms_taken
+from gradcheck_suite import ALL_CASES, OP_CASES, case_rng
 from voxseg import autodiff as ad
 from voxseg.autodiff import conv
 from voxseg.autodiff.tensor import ATTENTION_BLOCK_ELEMS
-from voxseg.verify import ALL_CASES, OP_CASES, case_rng
 
 # the package exports a ``tensor`` function under the module's name
 tensor_module = importlib.import_module("voxseg.autodiff.tensor")
@@ -211,8 +211,9 @@ def test_model_conv_paths_follow_the_shape_rule():
 
 @needs_gemm
 def test_gradcheck_draws_a_gemm_conv(monkeypatch):
-    """The default ``voxseg gradcheck`` (20 instances, seed 0) checks at least
-    one f64 stride-1 conv3d whose forward accumulates inside gemm."""
+    """The default run of ``tests/gradcheck_suite.py`` (20 instances,
+    seed 0) checks at least one f64 stride-1 conv3d whose forward
+    accumulates inside gemm."""
     calls = []
     gemm = conv._GEMM[np.dtype(np.float64)]
     monkeypatch.setitem(conv._GEMM, np.dtype(np.float64),
@@ -227,11 +228,12 @@ def test_gradcheck_draws_a_gemm_conv(monkeypatch):
 
 
 def test_gradcheck_reaches_every_stride1_form(monkeypatch):
-    """The default ``voxseg gradcheck`` (20 instances, seed 0) of the
-    stride-1 conv case, run as the suite runs it (f64 forward and backward
-    toward the input, kernel and bias), reads the patch matrix, accumulates
-    taps inside gemm and through numpy adds, and takes per-tap kernel
-    gradients: no form is left out of the gradient checks."""
+    """The default run of ``tests/gradcheck_suite.py`` (20 instances,
+    seed 0) of the stride-1 conv case, run as the suite runs it (f64
+    forward and backward toward the input, kernel and bias), reads the
+    patch matrix, accumulates taps inside gemm and through numpy adds, and
+    takes per-tap kernel gradients: no form is left out of the gradient
+    checks."""
     seen = []
 
     def spy(form, fn):
@@ -403,20 +405,20 @@ def test_attention_no_grad_forward_is_the_grad_forward(draw, max_bound):
 
 @pytest.mark.parametrize("case", ["attention", "attention_blocked"])
 def test_gradcheck_attention_takes_both_shifts(case):
-    """The default ``voxseg gradcheck`` (20 instances, seed 0) checks the
-    attention cases on both softmax shifts."""
+    """The default run of ``tests/gradcheck_suite.py`` (20 instances,
+    seed 0) checks the attention cases on both softmax shifts."""
     maker = dict(OP_CASES)[case]
     rng = case_rng(case, seed=0)
     with ad.precision("f64"), _paths_taken() as paths:
         for _ in range(20):
-            f, x0 = maker(rng)
-            f(ad.tensor(x0))
+            f, *inputs = maker(rng)
+            f(*map(ad.tensor, inputs))
     assert set(paths) == {"shift", "exact"}
 
 
 @pytest.mark.parametrize("case", ["model", "model_no_image_branch"])
 def test_gradcheck_model_takes_both_shifts(case):
-    """An instance of a model case of ``voxseg gradcheck`` (seed 0) runs
+    """An instance of a model case of ``tests/gradcheck_suite.py`` (seed 0) runs
     every encoder attention on the bound shift and the channel prompter's
     on the exact row max; the spatial prompter call takes the bound."""
     with ad.precision("f64"):

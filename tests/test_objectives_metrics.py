@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from gradcheck import gradient_check
 from loss_oracle import loss_grad, loss_terms
 from voxseg import autodiff as ad
 from voxseg import metrics as mx
@@ -150,7 +151,7 @@ class TestLoss:
 
     def test_gradcheck(self, rng):
         gt = (rng.random((4, 4, 4)) < 0.4).astype(float)
-        rep = ad.gradient_check(
+        rep = gradient_check(
             lambda p: combined_loss(p, gt), rng.uniform(0.05, 0.95, (4, 4, 4))
         )
         assert rep.passed and rep.max_rel_error < 1e-4

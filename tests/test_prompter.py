@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import gradient_check
+from gradcheck_suite import TINY_MODEL, block_params
 from voxseg import autodiff as ad
 from voxseg import model as mdl
 from voxseg import prompter as pr
 from voxseg.autodiff.tensor import _topo
-from voxseg.verify import _mini_prompter_params
+
 
 @pytest.fixture(autouse=True)
 def _f64():
@@ -22,7 +24,7 @@ def _f64():
 
 
 def _identity_reducer_params(rng, c, m):
-    p = _mini_prompter_params(rng, c=c, n=m, m=m)
+    p = block_params("prompter", rng, embed_dim=c, prompt_n=m, vol_dims=(m, 1, 1))
     eye = ad.tensor(np.eye(m))
     return dataclasses.replace(p, reduce_k=eye, reduce_v=eye)
 
@@ -45,7 +47,7 @@ class TestSpatialAttention:
     def test_weight_columns_sum_to_one(self, rng):
         """Identical reduced values: each output row is its weight sum times
         that value, so it equals the value exactly when the weights sum to 1."""
-        p = _mini_prompter_params(rng)
+        p = block_params("prompter", rng)
         row = rng.standard_normal((1, 8))
         p = dataclasses.replace(p, reduce_v=ad.tensor(np.tile(row, (3, 1))))
         z = rng.standard_normal((8, 4))
@@ -66,13 +68,13 @@ class TestSpatialAttention:
         assert np.abs(out - oracle).max() < 1e-6
 
     def test_constant_tokens_give_constant_output(self, rng):
-        p = _mini_prompter_params(rng)
+        p = block_params("prompter", rng)
         z = np.tile(rng.standard_normal((1, 4)), (8, 1))
         out = pr.spatial_attention(ad.tensor(z), p).numpy()
         assert np.abs(out - out[0]).max() < 1e-9
 
     def test_n_exceeding_tokens_rejected(self, rng):
-        p = _mini_prompter_params(rng, c=4, n=9, m=8)
+        p = block_params("prompter", rng, prompt_n=9)
         with pytest.raises(ad.ShapeMismatchError):
             pr.spatial_attention(ad.tensor(rng.standard_normal((8, 4))), p)
 
@@ -81,7 +83,7 @@ class TestChannelAttention:
     def test_affinity_rows_sum_to_one(self, rng):
         """Identical value channels: each output channel is its affinity row
         sum times that channel, so it equals z @ col exactly when rows sum to 1."""
-        p = _mini_prompter_params(rng)
+        p = block_params("prompter", rng)
         col = rng.standard_normal((4, 1))
         p = dataclasses.replace(p, wv_ca=ad.tensor(np.tile(col, (1, 4))))
         z = rng.standard_normal((8, 4))
@@ -91,7 +93,7 @@ class TestChannelAttention:
     def test_matches_literal_equation_oracle(self, rng):
         """Scripted recomputation of the channel-attention equations, C=2."""
         c, m = 2, 5
-        p = _mini_prompter_params(rng, c=c, n=2, m=m)
+        p = block_params("prompter", rng, embed_dim=c, prompt_n=2, vol_dims=(m, 1, 1))
         z = rng.standard_normal((m, c))
         out = pr.channel_attention(ad.tensor(z), p).numpy()
 
@@ -109,20 +111,20 @@ class TestChannelAttention:
         assert np.abs(out - expected).max() < 1e-6
 
     def test_zero_values_give_zero(self, rng):
-        p = _mini_prompter_params(rng)
+        p = block_params("prompter", rng)
         p = dataclasses.replace(p, wv_ca=ad.tensor(np.zeros((4, 4))))
         out = pr.channel_attention(ad.tensor(rng.standard_normal((8, 4))), p).numpy()
         np.testing.assert_array_equal(out, 0.0)
 
     def test_channel_mismatch_rejected(self, rng):
-        p = _mini_prompter_params(rng, c=4)
+        p = block_params("prompter", rng)
         with pytest.raises(ad.ShapeMismatchError):
             pr.channel_attention(ad.tensor(np.zeros((5, 6))), p)
 
 
 class TestDualPrompt:
     def test_zero_down_projections_identity(self, rng):
-        p = _mini_prompter_params(rng)
+        p = block_params("prompter", rng)
         p = dataclasses.replace(p, down_sa=ad.tensor(np.zeros((4, 2))),
                                 down_ca=ad.tensor(np.zeros((4, 2))))
         z = rng.standard_normal((8, 4))
@@ -132,7 +134,7 @@ class TestDualPrompt:
     def test_shape_preserved(self, rng):
         """(M, C) in, (M, C) out; the (H, W, D, C) grid of the same tokens
         is refused, since the prompter never sees the grid."""
-        p = _mini_prompter_params(rng)
+        p = block_params("prompter", rng)
         z = rng.standard_normal((8, 4))
         out = pr.dual_prompt(ad.tensor(z), p)
         assert isinstance(out, ad.Tensor) and out.shape == (8, 4)
@@ -144,8 +146,8 @@ class TestDualPrompt:
             mdl.ModelSpec(embed_dim=9, heads=3, adapter_dim=2).validate()
 
     def test_gradcheck(self, rng):
-        p = _mini_prompter_params(rng)
-        rep = ad.gradient_check(
+        p = block_params("prompter", rng)
+        rep = gradient_check(
             lambda x: pr.dual_prompt(x, p), rng.standard_normal((8, 4))
         )
         assert rep.passed and rep.max_rel_error < 1e-4
@@ -154,7 +156,7 @@ class TestDualPrompt:
     def test_shared_products_computed_once(self, rng):
         """Both branches read one Z@W_q and one Z@W_k node, and the result
         equals the two standalone branches' fusion."""
-        p = _mini_prompter_params(rng)
+        p = block_params("prompter", rng)
         p = dataclasses.replace(p, wq=ad.tensor(p.wq.numpy(), requires_grad=True),
                                 wk=ad.tensor(p.wk.numpy(), requires_grad=True))
         z = ad.tensor(rng.standard_normal((8, 4)), requires_grad=True)
@@ -175,7 +177,7 @@ class TestAttach:
         return {i: ad.tensor(rng.standard_normal((8, c))) for i in (3, 6, 9, 12)}
 
     def test_default_modifies_only_layer12(self, rng):
-        p = _mini_prompter_params(rng)
+        p = block_params("prompter", rng)
         taps = self._taps(rng)
         out = pr.attach_prompter(taps, p, 12)
         for i in (3, 6, 9):
@@ -184,7 +186,7 @@ class TestAttach:
 
     @pytest.mark.parametrize("layer", [3, 6, 9, 12])
     def test_each_placement_modifies_exactly_one(self, rng, layer):
-        p = _mini_prompter_params(rng)
+        p = block_params("prompter", rng)
         taps = self._taps(rng)
         out = pr.attach_prompter(taps, p, layer)
         for i in (3, 6, 9, 12):
@@ -194,7 +196,7 @@ class TestAttach:
                 assert out[i] is taps[i]
 
     def test_zero_downs_leave_taps_equal(self, rng):
-        p = _mini_prompter_params(rng)
+        p = block_params("prompter", rng)
         p = dataclasses.replace(p, down_sa=ad.tensor(np.zeros((4, 2))),
                                 down_ca=ad.tensor(np.zeros((4, 2))))
         taps = self._taps(rng)
@@ -208,10 +210,6 @@ class TestAttach:
 
 class TestWeightSharing:
     def test_shared_mode_single_physical_copy(self):
-        spec = mdl.ModelSpec(
-            vol_dims=(16, 16, 16), patch=(4, 4, 4), embed_dim=16, heads=2,
-            adapter_dim=4, prompt_n=16, dec_channels=8,
-        ).validate()
-        store = mdl.init_store(spec, seed=0)
+        store = mdl.init_store(TINY_MODEL, seed=0)
         names = [n for n in store.names() if n.startswith(("prompter.wq", "prompter.wk"))]
         assert names == ["prompter.wq", "prompter.wk"]

@@ -152,6 +152,42 @@ class TestTrainLoop:
         assert "train.lr" in str(err.value)
         assert "train.max_steps" not in str(err.value)
 
+    @pytest.mark.parametrize("edits", [
+        [(b"\nprompter.wq 0 ", b"\nprompter.wq 1 "),
+         (b"\nencoder.layer01.wq 1 ", b"\nencoder.layer01.wq 0 ")],
+        [(b"\nencoder.layer01.wq 1 ", b"\nencoder.layer01.wq 7 ")],
+    ], ids=["swapped", "seven"])
+    def test_resume_checks_freeze_flags(self, tiny_dataset, tmp_path, edits):
+        """A last.ckpt whose freeze flags of a trainable and a frozen entry
+        are swapped, or whose flag is 7, does not resume: the flags are
+        checked against the model's, never written into it."""
+        data_dir, _ = tiny_dataset
+        cfg = tiny_config(**{"train.epochs": 4, "train.max_steps": 2})
+        half = train(cfg, data_dir, str(tmp_path / "half"))
+        with open(half.last_checkpoint, "rb") as fh:
+            raw = fh.read()
+        for old, new in edits:
+            assert raw.count(old) == 1
+            raw = raw.replace(old, new)
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(raw)
+        with pytest.raises(ckpt.CheckpointError) as err:
+            train(cfg, data_dir, str(tmp_path / "resumed"), resume=str(path))
+        assert err.value.code == "bad_header"
+        assert "encoder.layer01.wq" in str(err.value)
+
+    def test_resume_refuses_a_checkpoint_without_moments(self, tiny_dataset, tmp_path):
+        """A checkpoint saved without optimizer moments does not resume:
+        fresh moments would not reproduce the uninterrupted run."""
+        data_dir, _ = tiny_dataset
+        cfg = tiny_config(**{"train.epochs": 4, "train.max_steps": 2})
+        half = train(cfg, data_dir, str(tmp_path / "half"))
+        path = str(tmp_path / "no_moments.ckpt")
+        ckpt.save_checkpoint(path, half.store, None, step=2, config_lines=cfg.resolved_lines())
+        with pytest.raises(ckpt.CheckpointError) as err:
+            train(cfg, data_dir, str(tmp_path / "resumed"), resume=path)
+        assert err.value.code == "no_moments"
+
     def test_resume_names_entries_the_store_lacks(self, tiny_dataset, tmp_path):
         """A checkpoint with an entry the model no longer has (decoder conv
         blocks once carried conv biases) fails to resume with an error that
@@ -414,7 +450,7 @@ class TestCLI:
         out = subprocess.run([sys.executable, "-m", "voxseg", "--help"], env=_source_env(),
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert "gradcheck" in out.stdout
+        assert "gradcheck" not in out.stdout
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -448,6 +484,14 @@ class TestCLI:
         assert cli_main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
                          "--data", str(tmp_path)]) == 1
 
-    def test_gradcheck_subcommand_quick(self, capsys):
-        assert cli_main(["gradcheck", "--instances", "1"]) == 0
-        assert "cases passed" in capsys.readouterr().out
+    def test_gradcheck_subcommand_quick(self):
+        """The gradient-check suite runs as a test script, one instance a
+        case, and ``voxseg gradcheck`` is a usage error."""
+        script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "gradcheck_suite.py")
+        out = subprocess.run([sys.executable, script, "--instances", "1"], env=_source_env(),
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert "cases passed" in out.stdout
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["gradcheck"])
+        assert exc.value.code == 2
