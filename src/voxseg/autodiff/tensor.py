@@ -39,8 +39,9 @@ recorded matmul output keeps that output's inputs alive as long, through
 its hook.
 
 Two precision modes exist: float32 (training) and float64 (gradient
-checking). The mode is a process-global default applied when leaf tensors
-are created; mixing dtypes inside one graph is rejected.
+checking). The mode is a process-global default, float32 unless a
+``precision`` block switches it, applied when leaf tensors are created;
+mixing dtypes inside one graph is rejected.
 
 Non-finite values are caught where they appear: leaves when created
 (``Tensor.__init__``) and every op's output in ``_make``, which raises
@@ -115,24 +116,17 @@ _default_dtype = np.float32
 _grad_enabled = True
 
 
-def set_default_dtype(mode):
-    """Set the global precision mode ('f32' or 'f64')."""
-    global _default_dtype
-    if mode not in _DTYPES:
-        raise ValueError(f"unknown precision mode {mode!r}")
-    _default_dtype = _DTYPES[mode]
-
-
 def default_dtype():
     return _default_dtype
 
 
 @contextlib.contextmanager
 def precision(mode):
-    """Temporarily switch the global precision mode."""
+    """Switch the global precision mode ('f32' or 'f64') for the block."""
     global _default_dtype
-    saved = _default_dtype
-    set_default_dtype(mode)
+    if mode not in _DTYPES:
+        raise ValueError(f"unknown precision mode {mode!r}")
+    saved, _default_dtype = _default_dtype, _DTYPES[mode]
     try:
         yield
     finally:
@@ -275,41 +269,9 @@ class Tensor:
             raise GraphError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}{flag})"
-
-    def backward(self):
-        backward(self)
-
-    # -- operators ----------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None):
-        return reduce_sum(self, axis)
 
 
 def tensor(data, requires_grad=False, dtype=None):

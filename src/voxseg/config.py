@@ -26,14 +26,12 @@ DEFAULTS = {
     "patch.d": "4",
     "encoder.heads": "4",
     "encoder.adapter_dim": "auto",  # auto = embed_dim // 4
-    "encoder.scale": "1.0",
     "encoder.taps": "3,6,9,12",
     "prompter.n": "64",
     "prompter.layer": "12",
     "decoder.channels": "16",
     "decoder.no_image_branch": "false",
     "data.dims": "32,32,32",
-    "data.channels": "1",
     "split.train": "0.7",
     "split.val": "0.1",
     "split.test": "0.2",
@@ -46,7 +44,6 @@ DEFAULTS = {
     "train.epochs": "60",
     "train.batch_size": "2",
     "train.seed": "0",
-    "train.precision": "f32",
     "train.max_steps": "0",  # 0 = no cap
     "train.eval_every": "1",
     "train.target_dice": "0.0",  # early stop on train DICE; 0 disables
@@ -61,9 +58,9 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 # Removed switches, each with the one value the model kept (a boolean
-# matches in any _BOOL spelling). Older config files and checkpoints that
-# set one to that value still load, and the key is dropped; any other
-# value is refused by name.
+# matches in any _BOOL spelling, a number by value). Older config files and
+# checkpoints that set one to that value still load, and the key is
+# dropped; any other value is refused by name.
 _RETIRED = {
     "model.activation": "gelu",
     "prompter.share_qk": True,
@@ -71,7 +68,21 @@ _RETIRED = {
     "flops.mac": "2",
     "patch.mode": "pseudo3d",
     "decoder.share_image_branch": False,
+    "data.channels": 1,
+    "encoder.scale": 1.0,
+    "train.precision": "f32",
 }
+
+
+def _is_kept(kept, text):
+    if isinstance(kept, bool):
+        return _BOOL.get(text.lower()) is kept
+    if isinstance(kept, (int, float)):
+        try:
+            return float(text) == kept
+        except ValueError:
+            return False
+    return text == kept
 
 
 @dataclass
@@ -107,8 +118,8 @@ class Config:
 
     def override(self, key, raw):
         if key in _RETIRED:
-            kept, text = _RETIRED[key], str(raw).strip()
-            if _BOOL.get(text.lower(), text) != kept:
+            kept = _RETIRED[key]
+            if not _is_kept(kept, str(raw).strip()):
                 raise ConfigError(f"{key} was removed; the model always runs as "
                                   f"{key} = {str(kept).lower()}, got {raw!r}")
             return self
@@ -168,14 +179,12 @@ def model_spec_from_config(cfg: Config):
     adapter = embed // 4 if auto else cfg.get_int("encoder.adapter_dim")
     return ModelSpec(
         vol_dims=cfg.get_int_tuple("data.dims"),
-        in_channels=cfg.get_int("data.channels"),
         patch=(cfg.get_int("patch.h"), cfg.get_int("patch.w"), cfg.get_int("patch.d")),
         embed_dim=embed,
         heads=cfg.get_int("encoder.heads"),
         layers=cfg.get_int("model.layers"),
         mlp_ratio=cfg.get_int("model.mlp_ratio"),
         adapter_dim=adapter,
-        adapter_scale=cfg.get_float("encoder.scale"),
         taps=cfg.get_int_tuple("encoder.taps"),
         prompt_n=cfg.get_int("prompter.n"),
         prompt_layer=cfg.get_int("prompter.layer"),

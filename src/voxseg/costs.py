@@ -90,13 +90,13 @@ class CostReport:
 
 def patch_embed_items(spec: ModelSpec):
     ph, pw, pd = spec.patch
-    n, c = spec.in_channels, spec.embed_dim
+    c = spec.embed_dim
     h, w, d = spec.grid_dims
     dbar = spec.vol_dims[2]
     m = h * w * d
     return [
         CostItem("patch", "conv2d", "linear",
-                 macs=h * w * dbar * ph * pw * n * c),
+                 macs=h * w * dbar * ph * pw * c),
         CostItem("patch", "depth_agg", "linear", macs=m * pd * c),
         CostItem("patch", "positional", "other", other_flops=m * c),
     ]
@@ -177,7 +177,7 @@ def decoder_items(spec: ModelSpec):
 
     def image_branch(tag):
         out = []
-        cin = spec.in_channels
+        cin = 1  # the volume's one channel
         vox = vvox
         for s in range(n_stages):
             if strided:

@@ -169,7 +169,7 @@ def param_specs(spec):
     cdec, n_taps = spec.dec_channels, len(spec.taps)
     specs = []
     for j in range(1, n_taps + 1):
-        cin = spec.in_channels
+        cin = 1  # the volume's one channel
         for s in range(n_stages):
             specs += _conv_block_specs(f"decoder.enh{j}.img.s{s}", cin, cdec)
             cin = cdec

@@ -6,7 +6,7 @@ Layer recurrence, in exactly this order:
     z_dot  = norm(z_prev)                 (pre-attention norm, frozen affine)
     z_hat  = z_prev + attention(z_dot)    (frozen multi-head self-attention)
     z_ddot = norm(z_hat)                  (pre-MLP norm, frozen affine)
-    z_out  = mlp(z_ddot) + s * adapter(z_ddot)
+    z_out  = mlp(z_ddot) + adapter(z_ddot)
 
 Every layer reads and writes the (M, C) tokens of ``model.embed_volume``
 (M = H*W*D, the patch grid flattened in C order), and ``encode`` returns
@@ -14,8 +14,8 @@ each tap as an (M, C) Tensor: no layer reshapes, and the grid comes back
 only in the decoder's enhancers.
 
 The MLP is linear -> GELU -> linear, as in SAM's encoder. The adapter
-branch relu(X @ down) @ up is the only trainable piece of a layer; ``s``
-is a fixed scale coefficient. Attention is full (global)
+branch relu(X @ down) @ up is the only trainable piece of a layer, added
+unscaled. Attention is full (global)
 multi-head self-attention over all H*W*D tokens: at desk-scale token
 counts windowing buys nothing and global attention is exact. The
 attention sublayer is six graph nodes: its input, the three biased q, k
@@ -135,7 +135,7 @@ def mlp_forward(z: Tensor, p: LayerParams):
     return ad.matmul(h, p.mlp_w2, bias=p.mlp_b2)
 
 
-def layer_forward(z_prev: Tensor, p: LayerParams, s, heads):
+def layer_forward(z_prev: Tensor, p: LayerParams, heads):
     """One full transformer layer on tokens (M, C); shape preserved."""
     with ad.scope("layer_forward/norm1"):
         z_dot = ad.layer_norm(z_prev, axis=-1, gain=p.norm1_g, shift=p.norm1_b)
@@ -149,7 +149,7 @@ def layer_forward(z_prev: Tensor, p: LayerParams, s, heads):
     with ad.scope("layer_forward/adapter"):
         adapter = adapter_forward(z_ddot, p)
     with ad.scope("layer_forward/output"):
-        return ad.add(mlp, ad.scale(adapter, s))
+        return ad.add(mlp, adapter)
 
 
 def encode(z: Tensor, spec, store):
@@ -160,7 +160,7 @@ def encode(z: Tensor, spec, store):
     for i in range(1, spec.layers + 1):
         p = LayerParams.from_store(store, i)
         with ad.scope(f"layer{i:02d}"):
-            z = layer_forward(z, p, spec.adapter_scale, spec.heads)
+            z = layer_forward(z, p, spec.heads)
         if i in spec.taps:
             taps[i] = z
     return taps

@@ -5,8 +5,9 @@ volume -> probability-map forward pass.
 decoder read their sizes from it directly, and ``ModelSpec.validate`` is
 the one place an architecture is rejected. Modules keep only the runtime
 shape checks on the tensors they receive. There is one architecture, the
-paper's: the pseudo-3-D patch embedding and one image pyramid per
-enhancer. Its only switch, ``no_image_branch``, is the decoder ablation.
+paper's: single-channel volumes, the pseudo-3-D patch embedding and one
+image pyramid per enhancer. Its only switch, ``no_image_branch``, is the
+decoder ablation.
 
 Every module contributes (name, shape, frozen, init) parameter specs,
 and ``param_specs`` is the one record of the layout and of the freeze
@@ -19,7 +20,6 @@ record.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +38,12 @@ class ModelSpec:
     """Complete architectural record for one build; see ``validate``."""
 
     vol_dims: tuple[int, int, int] = (32, 32, 32)
-    in_channels: int = 1
     patch: tuple[int, int, int] = (4, 4, 4)
     embed_dim: int = 64
     heads: int = 4
     layers: int = 12
     mlp_ratio: int = 4
     adapter_dim: int = 16
-    adapter_scale: float = 1.0
     taps: tuple[int, ...] = (3, 6, 9, 12)
     prompt_n: int = 64
     prompt_layer: int = 12
@@ -76,8 +74,7 @@ class ModelSpec:
         for v, p in zip(self.vol_dims, self.patch):
             if v % p != 0:
                 raise ValueError(f"vol_dims {self.vol_dims} not divisible by patch {self.patch}")
-        for name in ("in_channels", "heads", "mlp_ratio", "adapter_dim", "prompt_n",
-                     "dec_channels"):
+        for name in ("heads", "mlp_ratio", "adapter_dim", "prompt_n", "dec_channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim < 8 or self.embed_dim % 2 != 0:
@@ -86,8 +83,6 @@ class ModelSpec:
             raise ValueError(f"heads {self.heads} must divide embed_dim {self.embed_dim}")
         if self.adapter_dim >= self.embed_dim:
             raise ValueError("adapter_dim must be smaller than embed_dim")
-        if not math.isfinite(self.adapter_scale):
-            raise ValueError("adapter_scale must be finite")
         if not all(1 <= t <= self.layers for t in self.taps):
             raise ValueError(f"taps {self.taps} outside 1..{self.layers}")
         if len(set(self.taps)) != len(self.taps):
@@ -104,9 +99,9 @@ class ModelSpec:
 
 def _patch_param_specs(spec: ModelSpec):
     ph, pw, pd = spec.patch
-    n, c = spec.in_channels, spec.embed_dim
+    c = spec.embed_dim
     return [
-        ("patch.w2d", (ph, pw, 1, n, c), False, "trunc002"),
+        ("patch.w2d", (ph, pw, 1, 1, c), False, "trunc002"),
         ("patch.b2d", (c,), False, "zeros"),
         ("patch.wdepth", (pd, c), False, "trunc002"),
         ("patch.pos", spec.grid_dims + (c,), False, "trunc002"),
@@ -157,7 +152,7 @@ def embed_volume(x: Tensor, spec: ModelSpec, store) -> Tensor:
 
 
 def forward(spec: ModelSpec, store, volume):
-    """Volume (or raw (H̄, W̄, D̄, N) array) -> probability Tensor (H̄, W̄, D̄).
+    """Volume (or raw (H̄, W̄, D̄, 1) array) -> probability Tensor (H̄, W̄, D̄).
 
     The embedding's (M, C) tokens pass through the encoder and the
     prompter as tokens. Each enhancer reshapes its tap to the (H, W, D, C)
@@ -166,10 +161,10 @@ def forward(spec: ModelSpec, store, volume):
     the module scope that raised it.
     """
     data = volume.data if isinstance(volume, Volume) else np.asarray(volume)
-    if data.shape != tuple(spec.vol_dims) + (spec.in_channels,):
+    expected = tuple(spec.vol_dims) + (1,)
+    if data.shape != expected:
         raise ad.ShapeMismatchError(
-            f"volume shape {data.shape} does not match model input "
-            f"{tuple(spec.vol_dims) + (spec.in_channels,)}"
+            f"volume shape {data.shape} does not match model input {expected}"
         )
     x = ad.tensor(data)
     with ad.scope("patch"):

@@ -212,6 +212,8 @@ def _train_case(spec, store, vdata, mdata, loss_cfg, weight):
 
 def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResult:
     """Train per config on a dataset directory; checkpoints into out_dir.
+    The run is at the process default dtype, f32 unless the caller is in
+    an ``ad.precision`` block, and leaves that default as it found it.
 
     ``resume`` continues from a checkpoint such as a run's ``last.ckpt``
     and reproduces the uninterrupted run. It raises ``CheckpointError``
@@ -222,7 +224,6 @@ def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResul
     a different run.
     """
     os.makedirs(out_dir, exist_ok=True)
-    ad.set_default_dtype(cfg.get_str("train.precision"))
     spec = model_spec_from_config(cfg)
     seed = cfg.get_int("train.seed")
     loss_cfg = LossConfig(smooth=cfg.get_float("loss.smooth"))

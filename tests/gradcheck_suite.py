@@ -386,7 +386,7 @@ def _case_layer(rng):
     """Input and the adapter's up-projection."""
     p = block_params("layer", rng)
     return ((lambda x, up: enc.layer_forward(
-                x, dataclasses.replace(p, adapter_up=up), s=0.7, heads=2)),
+                x, dataclasses.replace(p, adapter_up=up), heads=2)),
             rng.standard_normal((8, 8)), p.adapter_up.data)
 
 
@@ -394,8 +394,8 @@ def _case_two_layer_encoder(rng):
     p1, p2 = block_params("layer", rng), block_params("layer", rng)
 
     def f(x):
-        z = enc.layer_forward(x, p1, s=1.0, heads=2)
-        return enc.layer_forward(z, p2, s=1.0, heads=2)
+        z = enc.layer_forward(x, p1, heads=2)
+        return enc.layer_forward(z, p2, heads=2)
 
     return f, rng.standard_normal((8, 8))
 
@@ -460,7 +460,7 @@ def _model_case(spec):
         params = [t.data + 0.05 * rng.standard_normal(t.shape)
                   + (name in ("prompter.norm_q_ca_g", "prompter.norm_k_ca_g"))
                   for name, t in store.trainable()]
-        volume = rng.uniform(0.0, 1.0, spec.vol_dims + (spec.in_channels,))
+        volume = rng.uniform(0.0, 1.0, spec.vol_dims + (1,))
         mask = (rng.random(spec.vol_dims) < 0.3).astype(np.float64)
 
         def f(*ts):

@@ -63,12 +63,15 @@ class TestConfig:
     @pytest.mark.parametrize("key", sorted(_RETIRED))
     def test_retired_key_takes_only_its_kept_value(self, key):
         """A removed key loads and is dropped at the value the model kept, a
-        boolean in every ``_BOOL`` spelling of it; any other value raises
-        ``ConfigError`` naming the key."""
+        boolean in every ``_BOOL`` spelling of it, a number in any spelling
+        of its value; any other value raises ``ConfigError`` naming the key."""
         kept = _RETIRED[key]
         if isinstance(kept, bool):
             accepted = [text for text, value in _BOOL.items() if value == kept]
             refused = [text for text, value in _BOOL.items() if value != kept]
+        elif isinstance(kept, (int, float)):
+            accepted = [kept, str(kept), f"{float(kept)}", f"{kept:e}", f" {kept} "]
+            refused = ["", f"{kept}x", str(2 * kept), str(kept / 2), "nan", "inf", "true"]
         else:
             accepted, refused = [kept], ["", f"{kept}x"]
         for raw in accepted:
@@ -108,7 +111,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field", [
         {"prompt_layer": 5}, {"patch": (0, 4, 4)}, {"embed_dim": 4},
-        {"taps": (3, 3, 6, 12)}, {"dec_channels": 0}, {"in_channels": 0},
+        {"taps": (3, 3, 6, 12)}, {"dec_channels": 0}, {"adapter_dim": 0},
         {"mlp_ratio": 0}, {"vol_dims": (16, 16), "patch": (4, 4)},
     ])
     def test_model_spec_rejects_bad_patch_fields(self, field):

@@ -35,7 +35,7 @@ class TestPrompterTable:
 class TestAccountantVsStore:
     @pytest.mark.parametrize("kwargs", [
         {},  # desk default
-        {"in_channels": 2},  # patch-embedding weights scale with channels
+        {"mlp_ratio": 2, "adapter_dim": 8},  # MLP and adapter widths off their defaults
         {"layers": 6, "taps": (2, 4, 6), "prompt_layer": 6},  # three taps
         {"vol_dims": (16, 16, 16), "embed_dim": 16, "heads": 2, "adapter_dim": 4,
          "prompt_n": 16, "dec_channels": 8},

@@ -61,8 +61,9 @@ def test_adapter_channel_mismatch(rng):
 # ---------------------------------------------------------------------------
 
 
-def _numpy_layer_oracle(x, p, s, heads):
-    """Literal recomputation of the layer recurrence in plain numpy."""
+def _numpy_layer_oracle(x, p, heads):
+    """Literal recomputation of the layer recurrence in plain numpy; returns
+    its two terms, mlp(Z_ddot) and Adapter(Z_ddot)."""
 
     def norm(v, g, b):
         mu = v.mean(-1, keepdims=True)
@@ -93,35 +94,40 @@ def _numpy_layer_oracle(x, p, s, heads):
     z_dot = norm(x, p.norm1_g.numpy(), p.norm1_b.numpy())
     z_hat = x + attn(z_dot)
     z_ddot = norm(z_hat, p.norm2_g.numpy(), p.norm2_b.numpy())
-    return mlp(z_ddot) + s * adapter(z_ddot), z_ddot
+    return mlp(z_ddot), adapter(z_ddot)
 
 
 def test_layer_matches_literal_oracle(rng):
     p = block_params("layer", rng)
     x = rng.standard_normal((8, 8))
-    out = enc.layer_forward(ad.tensor(x), p, s=0.8, heads=2).numpy()
-    expected, _ = _numpy_layer_oracle(x, p, 0.8, heads=2)
-    assert np.abs(out - expected).max() < 1e-6
+    out = enc.layer_forward(ad.tensor(x), p, heads=2).numpy()
+    mlp, adapter = _numpy_layer_oracle(x, p, heads=2)
+    assert np.abs(out - (mlp + adapter)).max() < 1e-6
 
 
 def test_layer_s_zero_equals_adapter_free(rng):
+    """Zeroing either adapter projection leaves the adapter-free layer,
+    mlp(Z_ddot), bit for bit the same either way."""
     p = block_params("layer", rng)
-    x = ad.tensor(rng.standard_normal((8, 8)))
-    out0 = enc.layer_forward(x, p, s=0.0, heads=2).numpy()
-    p_no_adapter = dataclasses.replace(p, adapter_up=ad.tensor(np.zeros((2, 8))))
-    out_zeroed = enc.layer_forward(x, p_no_adapter, s=1.0, heads=2).numpy()
-    np.testing.assert_allclose(out0, out_zeroed, rtol=1e-12)
+    x = rng.standard_normal((8, 8))
+    no_up = dataclasses.replace(p, adapter_up=ad.tensor(np.zeros((2, 8))))
+    no_down = dataclasses.replace(p, adapter_down=ad.tensor(np.zeros((8, 2))))
+    out_up = enc.layer_forward(ad.tensor(x), no_up, heads=2).numpy()
+    out_down = enc.layer_forward(ad.tensor(x), no_down, heads=2).numpy()
+    np.testing.assert_array_equal(out_up, out_down)
+    mlp, _ = _numpy_layer_oracle(x, p, heads=2)
+    assert np.abs(out_up - mlp).max() < 1e-6
 
 
 def test_layer_zero_frozen_weights_reduces_to_adapter(rng):
-    """attention = mlp = 0, s = 1: output is Adapter(Norm(input))."""
+    """attention = mlp = 0: output is Adapter(Norm(input))."""
     c = 8
     drawn = block_params("layer", rng, embed_dim=c)  # norm gains 1
     p = dataclasses.replace(block_params("layer", embed_dim=c), norm1_g=drawn.norm1_g,
                             norm2_g=drawn.norm2_g, adapter_down=drawn.adapter_down,
                             adapter_up=drawn.adapter_up)
     tokens = rng.standard_normal((8, c))
-    out = enc.layer_forward(ad.tensor(tokens), p, s=1.0, heads=2).numpy()
+    out = enc.layer_forward(ad.tensor(tokens), p, heads=2).numpy()
     normed = (tokens - tokens.mean(-1, keepdims=True)) / np.sqrt(
         tokens.var(-1, keepdims=True) + 1e-6
     )
@@ -130,15 +136,15 @@ def test_layer_zero_frozen_weights_reduces_to_adapter(rng):
 
 
 def test_layer_scale_linearity(rng):
-    """Z(2s) - Z(s) = s * Adapter(Z_ddot) for a single layer."""
+    """Zeroing ``adapter_up`` removes exactly Adapter(Z_ddot) from a single
+    layer: the adapter enters unscaled."""
     p = block_params("layer", rng)
     x = rng.standard_normal((8, 8))
-    s = 0.6
-    out1 = enc.layer_forward(ad.tensor(x), p, s=s, heads=2).numpy()
-    out2 = enc.layer_forward(ad.tensor(x), p, s=2 * s, heads=2).numpy()
-    _, z_ddot = _numpy_layer_oracle(x, p, s, heads=2)
-    adapter = np.maximum(z_ddot @ p.adapter_down.numpy(), 0) @ p.adapter_up.numpy()
-    np.testing.assert_allclose(out2 - out1, s * adapter, rtol=1e-8, atol=1e-10)
+    no_up = dataclasses.replace(p, adapter_up=ad.tensor(np.zeros((2, 8))))
+    out = enc.layer_forward(ad.tensor(x), p, heads=2).numpy()
+    out_zeroed = enc.layer_forward(ad.tensor(x), no_up, heads=2).numpy()
+    _, adapter = _numpy_layer_oracle(x, p, heads=2)
+    np.testing.assert_allclose(out - out_zeroed, adapter, rtol=1e-8, atol=1e-10)
 
 
 def test_attention_rows_sum_to_one(rng):
@@ -186,7 +192,7 @@ def test_layer_names_attention_on_score_overflow():
                             wk=ad.tensor(np.full((c, c), 1e200)))
     x = ad.tensor(rng.standard_normal((8, c)))
     with pytest.raises(ad.NonFiniteError) as err, np.errstate(all="ignore"):
-        enc.layer_forward(x, p, s=1.0, heads=2)
+        enc.layer_forward(x, p, heads=2)
     assert "layer_forward/attention" in str(err.value)
 
 
@@ -199,7 +205,7 @@ def test_layer_names_failing_substep():
     p = dataclasses.replace(p, mlp_w1=ad.tensor(big))
     x = ad.tensor(rng.standard_normal((8, c)) + 10)
     with pytest.raises(ad.NonFiniteError) as err, np.errstate(all="ignore"):
-        enc.layer_forward(x, p, s=1.0, heads=2)
+        enc.layer_forward(x, p, heads=2)
     assert "mlp" in str(err.value)
 
 
@@ -253,17 +259,17 @@ def test_encode_missing_layer_rejected(rng):
 
 
 def test_encode_zeroed_frozen_weights_literal_flow(rng):
-    """With all frozen cores zeroed and s=0 the literal recurrence
-    collapses every layer output to zero: the layer has no feed-through
-    term besides MLP + adapter."""
+    """With all frozen cores and the adapters' down-projections zeroed the
+    literal recurrence collapses every layer output to zero: the layer has
+    no feed-through term besides MLP + adapter."""
     spec = TINY_MODEL
     store = mdl.init_store(spec, seed=0)
     for name, t, frozen in store.items():
-        if frozen and not name.endswith(("norm1_g", "norm2_g")):
+        if (frozen and not name.endswith(("norm1_g", "norm2_g"))
+                or name.endswith("adapter_down")):
             t.data[...] = 0.0
-    zero_scale = dataclasses.replace(spec, adapter_scale=0.0)
     z = ad.tensor(rng.standard_normal((64, 16)))
-    taps = enc.encode(z, zero_scale, store)
+    taps = enc.encode(z, spec, store)
     for t in taps.values():
         np.testing.assert_array_equal(t.numpy(), 0.0)
 

@@ -25,8 +25,7 @@ MUTATED_OPS = ["gelu", "attention", "layer_norm", "instance_norm", "matmul", "co
                "upsample_conv3d", "combined_loss"]
 
 # the lowercase callables of ``ad.__all__`` that are not differentiable ops
-NOT_OPS = {"backward", "default_dtype", "no_grad", "precision", "scope", "set_default_dtype",
-           "tensor"}
+NOT_OPS = {"backward", "default_dtype", "no_grad", "precision", "scope", "tensor"}
 
 
 @pytest.fixture(autouse=True)

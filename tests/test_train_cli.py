@@ -18,7 +18,7 @@ from voxseg import model as mdl
 from voxseg import train as train_mod
 from voxseg.autodiff import NonFiniteError, ParameterStore
 from voxseg.cli import main as cli_main
-from voxseg.config import DEFAULTS, Config, model_spec_from_config
+from voxseg.config import DEFAULTS, Config, ConfigError, model_spec_from_config
 from voxseg.train import (
     _flip_axes,
     evaluate_cases,
@@ -31,11 +31,13 @@ from voxseg.train import (
 from conftest import tiny_config
 
 
-# what a checkpoint written before six switches were removed carries
+# what a checkpoint written before nine switches were removed carries
 # for them: the values the model kept
-_REMOVED_SWITCH_LINES = ["decoder.share_image_branch = false", "flops.mac = 2",
+_REMOVED_SWITCH_LINES = ["data.channels = 1", "decoder.share_image_branch = false",
+                         "encoder.scale = 1.0", "flops.mac = 2",
                          "model.activation = gelu", "patch.mode = pseudo3d",
-                         "prompter.scaling = true", "prompter.share_qk = true"]
+                         "prompter.scaling = true", "prompter.share_qk = true",
+                         "train.precision = f32"]
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +197,7 @@ class TestTrainLoop:
         data_dir, ids = tiny_dataset
         cfg = tiny_config()
         spec = model_spec_from_config(cfg)
-        with ad.precision(cfg.get_str("train.precision")):
+        with ad.precision("f32"):
             store = mdl.init_store(spec, 0)
             old = ParameterStore()
             for name, t, frozen in store.items():
@@ -265,8 +267,8 @@ class TestTrainLoop:
     def test_checkpoint_with_removed_switches_evaluates_and_resumes(
             self, tiny_dataset, tmp_path, caplog):
         """Removed switches saved at the values the model kept are dropped
-        on eval and resume; a checkpoint that set one otherwise is refused
-        with the switch named."""
+        on eval and resume, a number in any spelling of its value; a
+        checkpoint that set one otherwise is refused with the switch named."""
         data_dir, _ = tiny_dataset
         half = train(tiny_config(**{"train.max_steps": 2}), data_dir, str(tmp_path / "half"))
         old = str(tmp_path / "old.ckpt")
@@ -284,6 +286,25 @@ class TestTrainLoop:
         with pytest.raises(ckpt.CheckpointError, match=r"prompter\.share_qk was removed") as err:
             train(tiny_config(), data_dir, str(tmp_path / "refused"), resume=bad)
         assert err.value.code == "config_mismatch"
+
+        saved = ckpt.load_checkpoint(half.last_checkpoint)[1]
+        assert Config.from_lines(saved + ["encoder.scale = 1"]).values == \
+            Config.from_lines(saved).values
+        for line in ["encoder.scale = 0.5", "data.channels = 2", "train.precision = f64"]:
+            key = line.split(" = ")[0]
+            with pytest.raises(ConfigError, match=rf"{re.escape(key)} was removed"):
+                Config.from_lines(saved + [line])
+
+    def test_train_leaves_the_default_dtype_alone(self, tiny_dataset, tmp_path):
+        """``train`` runs at the process default dtype and leaves it as it
+        found it: inside ``ad.precision("f64")`` it trains in f64, and the
+        default is still f64 when it returns."""
+        data_dir, _ = tiny_dataset
+        with ad.precision("f64"):
+            res = train(tiny_config(**{"train.max_steps": 2}), data_dir, str(tmp_path / "run"))
+            assert ad.default_dtype() == np.float64
+        assert len(res.loss_trace) == 2
+        assert {t.dtype for _, t, _ in res.store.items()} == {np.dtype(np.float64)}
 
     def test_case_graph_dies_before_next_forward(self, tiny_dataset, tmp_path, monkeypatch):
         """When a case's forward begins, no earlier case's output is alive,
