@@ -1,6 +1,10 @@
-"""Differentiable tensor substrate: ops and the parameter store. The
-gradient checks that verify the ops live with the tests, in
-``tests/gradcheck.py``."""
+"""Differentiable tensor substrate: ops and the parameter store, in the
+forms the model builds and no others. Every op takes Tensors; ``add`` and
+``mul`` broadcast a second operand only over the first's leading axes;
+the norms take a required per-channel gain and shift, and ``layer_norm``
+normalizes the last axis; ``backward(loss, weight=)`` seeds the loss's
+gradient, as a training step does with 1/batch. The gradient checks that
+verify the ops live with the tests, in ``tests/gradcheck.py``."""
 
 from .conv import conv3d, upsample_conv3d
 from .params import ParameterStore
@@ -28,7 +32,6 @@ from .tensor import (
     reduce_sum,
     relu,
     reshape,
-    scale,
     scope,
     sigmoid,
     tensor,
@@ -60,7 +63,6 @@ __all__ = [
     "reduce_sum",
     "relu",
     "reshape",
-    "scale",
     "scope",
     "sigmoid",
     "tensor",

@@ -7,9 +7,9 @@ the result's gradient back onto them; it reaches the value only through
 a weak reference. Graph edges and closures point at records, never at
 Tensors, and each closure saves exactly the arrays its backward reads:
 ``matmul`` keeps ``a``'s data only when ``b`` needs a gradient and
-``b``'s only when ``a`` does; add, scale, permute and concat keep
-no array, reshape and reduce_sum only shapes. So a value dies during
-the forward, as soon as neither the caller nor a closure holds it
+``b``'s only when ``a`` does; add, permute and concat keep no array,
+reshape and reduce_sum only shapes. So a value dies during the forward,
+as soon as neither the caller nor a closure holds it
 (autograd that saves only what the backward needs, Paszke et al. 2019,
 arXiv:1912.01703). ``backward(loss)`` topologically sorts the records
 and visits each exactly once. Leaf ``.grad`` accumulates across repeated
@@ -17,12 +17,15 @@ calls; an interior record's gradient is dropped as soon as its closure
 has consumed it, so interior ``.grad`` is ``None`` after every pass.
 
 A layer primitive is one node: ``matmul`` takes an optional ``bias``,
-``conv3d`` too, and ``layer_norm`` / ``instance_norm`` an optional
-``gain`` and ``shift``, each added in place on the op's fresh output
+``conv3d`` too, and ``layer_norm`` / ``instance_norm`` a required
+``gain`` and ``shift``, each applied in place on the op's fresh output
 with the same float expressions as separate ``add`` / ``mul`` nodes;
 ``instance_norm`` also takes ``relu=True``, the relu applied in place
-on its output. Values that cost one cheap pass over arrays the graph
-keeps anyway are recomputed in the backward, not kept (Chen et al. 2016,
+on its output. ``add`` and ``mul`` take operands of equal shapes, or a
+second operand whose shape is a trailing suffix of the first's (a 0-d
+tensor, or per-channel weights broadcast over the leading axes). Values
+that cost one cheap pass over arrays the graph keeps anyway are
+recomputed in the backward, not kept (Chen et al. 2016,
 arXiv:1604.06174, applied only to these): gelu's tanh, conv3d's padded
 input, the norms' x_hat = (x - mu) * inv, of which only mu and inv are
 kept, and relu's mask, taken from its own output (out > 0 exactly where
@@ -337,8 +340,10 @@ def _topo(root):
     return order
 
 
-def backward(loss):
-    """Populate ``.grad`` on every grad-requiring ancestor of a scalar loss.
+def backward(loss, weight=1.0):
+    """Populate ``.grad`` on every grad-requiring ancestor of a scalar loss
+    with the gradient of ``weight * loss``: ``weight`` seeds the loss's own
+    gradient, in the loss's dtype.
 
     Leaf gradients accumulate across repeated calls. Each interior record's
     gradient is released right after its closure has scattered it onto the
@@ -358,7 +363,7 @@ def backward(loss):
     for node in order:
         if node._backward is not None:
             node.grad = None
-    root._accum(np.ones_like(loss.data))
+    root._accum(np.full_like(loss.data, weight))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
@@ -380,19 +385,13 @@ def _filled(n, value, dtype):
 
 
 def _unbroadcast(g, shape):
-    """Sum a broadcast gradient back down to ``shape``. Where that only
-    drops leading axes (a per-channel bias, gain or shift), the sum is one
-    product ones (N,) @ g (N, prod(shape))."""
+    """Sum a gradient down to ``shape``, a trailing suffix of g's shape: the
+    sum over the leading axes is one product ones (N,) @ g (N, prod(shape))."""
     lead = g.ndim - len(shape)
-    if lead > 0 and g.shape[lead:] == tuple(shape):
-        n = math.prod(g.shape[:lead])
-        return (_filled(n, 1.0, g.dtype) @ g.reshape(n, -1)).reshape(shape)
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for i, s in enumerate(shape):
-        if s == 1 and g.shape[i] != 1:
-            g = g.sum(axis=i, keepdims=True)
-    return g
+    if lead == 0:
+        return g
+    n = math.prod(g.shape[:lead])
+    return (_filled(n, 1.0, g.dtype) @ g.reshape(n, -1)).reshape(shape)
 
 
 def _accum_unbroadcast(rec, d, g):
@@ -410,17 +409,17 @@ def _check_vector(op, name, t, n):
 
 
 def _binary(op_name, a, b, fwd, da_fn, db_fn, reads=("", "")):
-    """An elementwise op of two broadcast operands. ``da_fn(g, x, y)`` and
-    ``db_fn(g, x, y)`` give the gradients toward a and b; ``reads`` names,
-    for each, the operands ("x" for a's data, "y" for b's) it reads, and the
-    closure keeps an operand only if a gradient that will be formed reads it."""
-    a = a if isinstance(a, Tensor) else Tensor(np.asarray(a), dtype=b.data.dtype)
-    b = b if isinstance(b, Tensor) else Tensor(np.asarray(b), dtype=a.data.dtype)
+    """An elementwise op of two Tensors: b's shape equals a's or is a
+    trailing suffix of it, and b is broadcast over a's leading axes.
+    ``da_fn(g, x, y)`` and ``db_fn(g, x, y)`` give the gradients toward a and
+    b; ``reads`` names, for each, the operands ("x" for a's data, "y" for
+    b's) it reads, and the closure keeps an operand only if a gradient that
+    will be formed reads it."""
     _check_inputs(op_name, a, b)
-    try:
-        data = fwd(a.data, b.data)
-    except ValueError as exc:
-        raise ShapeMismatchError(f"{op_name}: {exc}") from exc
+    sa, sb = a.data.shape, b.data.shape
+    if len(sb) > len(sa) or sa[len(sa) - len(sb):] != sb:
+        raise ShapeMismatchError(f"{op_name}: shape {sb} is not a trailing suffix of {sa}")
+    data = fwd(a.data, b.data)
     ra, rb = _rec(a), _rec(b)
     read = (reads[0] if ra is not None else "") + (reads[1] if rb is not None else "")
     x = a.data if "x" in read else None
@@ -444,18 +443,6 @@ def add(a, b):
 def mul(a, b):
     return _binary("mul", a, b, lambda x, y: x * y,
                    lambda g, x, y: g * y, lambda g, x, y: g * x, reads=("y", "x"))
-
-
-def scale(x, s):
-    """Multiply by a plain python scalar constant."""
-    s = np.asarray(float(s), dtype=x.data.dtype)
-    data = x.data * s
-    rx = _rec(x)
-
-    def bw(g):
-        rx._accum(g * s, owned=True)
-
-    return _make("scale", data, (x,), bw)
 
 
 def relu(x):
@@ -542,14 +529,12 @@ def sigmoid(x):
 
 
 def matmul(a, b, bias=None):
-    """2-D matmul, (M, K) @ (K, N), plus an optional ``bias`` of shape
-    (N,) added to every row of the product in place; other ranks raise
-    ``ShapeMismatchError``. The closure keeps ``a``'s data
-    only when ``b`` needs a gradient and ``b``'s only when ``a`` does: a
-    frozen weight's product keeps nothing of its input. A recorded output's
-    rebuild hook recomputes the product from the operands and bias."""
-    a = a if isinstance(a, Tensor) else Tensor(np.asarray(a))
-    b = b if isinstance(b, Tensor) else Tensor(np.asarray(b))
+    """2-D matmul of Tensors, (M, K) @ (K, N), plus an optional ``bias`` of
+    shape (N,) added to every row of the product in place; other ranks raise
+    ``ShapeMismatchError``. The closure keeps ``a``'s data only when ``b``
+    needs a gradient and ``b``'s only when ``a`` does: a frozen weight's
+    product keeps nothing of its input. A recorded output's rebuild hook
+    recomputes the product from the operands and bias."""
     extra = () if bias is None else (bias,)
     _check_inputs("matmul", a, b, *extra)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -787,33 +772,29 @@ def _valid_axis(x, axis, op):
 
 
 def _group_mean(a, axes):
-    """Mean of ``a`` over its consecutive ``axes``, keeping them as size-1
-    axes, as one BLAS product with the vector of 1/n. With L, n and T the
-    extents before, over and after the axes: 1/n (n,) @ a (n, T) when
-    L = 1 (instance norm: every axis but the channels), a (L, n) @ 1/n when
-    T = 1 (layer norm over the last axis), else 1/n @ a (L, n, T). Each
-    term is scaled before it is summed, so a sum of finite terms does not
-    overflow; where n is a power of two that scaling is exact, and the
-    result is the same sum divided by n."""
+    """Mean of ``a`` over its consecutive ``axes``, every axis but the last
+    (instance norm) or the last (layer norm), keeping them as size-1 axes,
+    as one BLAS product with the vector of 1/n: 1/n (n,) @ a (n, C) or
+    a (L, n) @ 1/n. Each term is scaled before it is summed, so a sum of
+    finite terms does not overflow; where n is a power of two that scaling
+    is exact, and the result is the same sum divided by n."""
     shape = a.shape
     lo, hi = axes[0], axes[-1] + 1
     lead, n, trail = math.prod(shape[:lo]), math.prod(shape[lo:hi]), math.prod(shape[hi:])
     weights = _filled(n, 1.0 / n, a.dtype)
     if lead == 1:
         m = weights @ a.reshape(n, trail)
-    elif trail == 1:
-        m = a.reshape(lead, n) @ weights
     else:
-        m = weights @ a.reshape(lead, n, trail)
+        m = a.reshape(lead, n) @ weights
     return m.reshape(shape[:lo] + (1,) * (hi - lo) + shape[hi:])
 
 
 def _normalize(x, axes, eps, op, gain, shift, relu=False):
     """Shared core of layer_norm / instance_norm: x_hat = (x - mu) * inv,
-    inv = 1 / sqrt(var + eps), then x_hat * gain + shift when the per-channel
-    (last axis) affine is given, then, with ``relu``, the relu in place on
-    that output. ``axes`` are consecutive. A non-finite variance raises
-    ``NonFiniteError`` naming the op.
+    inv = 1 / sqrt(var + eps), then x_hat * gain + shift with the
+    per-channel (last axis) gain and shift, then, with ``relu``, the relu in
+    place on that output. ``axes`` are consecutive. A non-finite variance
+    raises ``NonFiniteError`` naming the op.
 
     Every statistic is a BLAS product with a constant vector on the (rows,
     C) view, not a numpy reduction over an axis tuple: the forward's mean
@@ -825,12 +806,9 @@ def _normalize(x, axes, eps, op, gain, shift, relu=False):
     positive exactly where its pre-relu value was. dx = inv * (g - mean(g)
     - x_hat * mean(g * x_hat)), g taken after the gain, runs in place on
     the backward's temporaries."""
-    if (gain is None) != (shift is None):
-        raise GraphError(f"{op}: gain and shift are given together or not at all")
-    affine = () if gain is None else (gain, shift)
-    _check_inputs(op, x, *affine)
-    for name, t in zip(("gain", "shift"), affine):
-        _check_vector(op, name, t, x.data.shape[-1])
+    _check_inputs(op, x, gain, shift)
+    _check_vector(op, "gain", gain, x.data.shape[-1])
+    _check_vector(op, "shift", shift, x.data.shape[-1])
     xd = x.data
     mu = _group_mean(xd, axes)
     data = xd - mu
@@ -839,17 +817,15 @@ def _normalize(x, axes, eps, op, gain, shift, relu=False):
         raise NonFiniteError(f"{op}: non-finite variance")
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
     data *= inv  # x_hat
-    if affine:
-        data *= gain.data
-        data += shift.data
+    data *= gain.data
+    data += shift.data
     out = None
     if relu:
         data *= data > 0  # relu's own expression, so a non-finite value stays
         out = data
-    rx = _rec(x)
-    rgain, rshift = (_rec(gain), _rec(shift)) if affine else (None, None)
+    rx, rgain, rshift = _rec(x), _rec(gain), _rec(shift)
     xd = xd if rx is not None or rgain is not None else None
-    gd = gain.data if affine and rx is not None else None
+    gd = gain.data if rx is not None else None
 
     def bw(g):
         if relu:
@@ -860,8 +836,7 @@ def _normalize(x, axes, eps, op, gain, shift, relu=False):
         if rgain is not None:
             _accum_unbroadcast(rgain, g * xhat, g)
         if rx is not None:
-            if gd is not None:
-                g = g * gd
+            g = g * gd
             gm = _group_mean(g, axes)
             gy = _group_mean(g * xhat, axes)
             xhat *= gy
@@ -870,19 +845,20 @@ def _normalize(x, axes, eps, op, gain, shift, relu=False):
             gx *= inv
             rx._accum(gx, owned=True)
 
-    return _make(op, data, (x,) + affine, bw)
+    return _make(op, data, (x, gain, shift), bw)
 
 
-def layer_norm(x, axis=-1, eps=1e-6, gain=None, shift=None):
-    """Normalize over one axis; with ``gain`` and ``shift`` (both (C,), C
-    the last axis) the output is x_hat * gain + shift."""
-    ax = _valid_axis(x, axis, "layer_norm")
-    return _normalize(x, (ax,), eps, "layer_norm", gain, shift)
+def layer_norm(x, gain, shift, eps=1e-6):
+    """Normalize over the last axis (C); the output is x_hat * gain + shift,
+    gain and shift of shape (C,)."""
+    if x.data.ndim < 1:
+        raise ShapeMismatchError("layer_norm: rank must be >= 1")
+    return _normalize(x, (x.data.ndim - 1,), eps, "layer_norm", gain, shift)
 
 
-def instance_norm(x, eps=1e-5, gain=None, shift=None, relu=False):
-    """Normalize each channel (last axis) over all remaining axes; with
-    ``gain`` and ``shift`` (both (C,)) the output is x_hat * gain + shift.
+def instance_norm(x, gain, shift, eps=1e-5, relu=False):
+    """Normalize each channel (last axis) over all remaining axes; the
+    output is x_hat * gain + shift, gain and shift of shape (C,).
     ``relu=True`` applies a relu to that output inside this one node, equal
     bit for bit to ``relu(instance_norm(...))``."""
     if x.data.ndim < 2:

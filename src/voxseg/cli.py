@@ -3,7 +3,7 @@
 Subcommands:
     synth      emit a deterministic phantom dataset
     train      train per a key=value config file
-    eval       score a checkpoint on a dataset split
+    eval       score a checkpoint on a dataset split (NSD's eval.tau in mm)
     flops      print the whole model's analytic cost table (no tensor execution)
 
 The paper's prompt-layer ablation is one ``voxseg train --set
@@ -73,7 +73,9 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
 
-    p = sub.add_parser("eval", help="score a checkpoint")
+    about = ("score a checkpoint: DICE, and NSD at a tolerance of eval.tau "
+             "millimetres of each volume's header spacing")
+    p = sub.add_parser("eval", help=about, description=about)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=["train", "val", "test", "all"], default="all")

@@ -138,12 +138,12 @@ def mlp_forward(z: Tensor, p: LayerParams):
 def layer_forward(z_prev: Tensor, p: LayerParams, heads):
     """One full transformer layer on tokens (M, C); shape preserved."""
     with ad.scope("layer_forward/norm1"):
-        z_dot = ad.layer_norm(z_prev, axis=-1, gain=p.norm1_g, shift=p.norm1_b)
+        z_dot = ad.layer_norm(z_prev, gain=p.norm1_g, shift=p.norm1_b)
     with ad.scope("layer_forward/attention"):
         attn = attention_forward(z_dot, p, heads)
     z_hat = ad.add(z_prev, attn)
     with ad.scope("layer_forward/norm2"):
-        z_ddot = ad.layer_norm(z_hat, axis=-1, gain=p.norm2_g, shift=p.norm2_b)
+        z_ddot = ad.layer_norm(z_hat, gain=p.norm2_g, shift=p.norm2_b)
     with ad.scope("layer_forward/mlp"):
         mlp = mlp_forward(z_ddot, p)
     with ad.scope("layer_forward/adapter"):

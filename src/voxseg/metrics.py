@@ -3,34 +3,34 @@
 NSD extracts the boundary voxels of both masks (foreground voxels with a
 face-adjacent background neighbor; the outside of the grid counts as
 background) and scores the fraction of boundary voxels of each mask
-lying within Euclidean distance tau (voxel units) of the other's
-boundary, symmetrized:
+lying within Euclidean distance tau of the other's boundary,
+symmetrized:
 
     ( |{p in ∂P : d(p, ∂G) <= tau}| + |{g in ∂G : d(g, ∂P) <= tau}| )
     / (|∂P| + |∂G|)
 
-A boundary voxel is a hit iff its squared lattice distance d² to the
-other boundary is at most K, the largest integer k with
-sqrt(float64(k)) <= tau: the same predicate as comparing the float64
-Euclidean distance with tau, since that distance is the square root of
-an integer. K is capped at sum((n_i - 1)²), the grid's largest squared
-distance, so a huge or infinite tau costs no more than the diagonal.
+Distances are in the units of the voxel spacing (millimetres for a
+DEAPVOL header's spacing): an offset of s voxels along axis i counts
+h_i * s, and d² = sum_i (h_i s_i)². A boundary voxel is a hit iff
+sqrt(d²) <= tau in float64. At unit spacing d² is an integer, held
+exactly, so the predicate is that of the lattice distance.
 
 d² is a min-plus over one 1-D pass per axis (Saito & Toriwaki 1994):
-starting from 0 on the boundary and K + 1 elsewhere, each axis takes
-d[i] = min over |s| <= isqrt(K) of f[i - s] + s². The s = 0 term keeps
-every value at most K + 1. An offset beyond isqrt(K) adds more than K
-on its own, and min and + are monotone, so every value <= K is exact
-and every other value reads K + 1: "d² <= K" is decided exactly
-without the full transform. The cost is 2·min(isqrt(K), n_i - 1)
-shifted minimums over the volume per axis, per mask. The tests hold an
-all-pairs oracle and scipy's exact Euclidean distance transform; both
-must agree exactly.
+starting from 0 on the boundary and inf elsewhere, each axis takes
+d[i] = min over |s| <= S_i of f[i - s] + (h_i s)², where S_i is the
+largest offset, at most n_i - 1, whose own term passes the predicate.
+Each term of a sum is at most the sum, so every term of a d² that
+passes passes too: every such d² is reached and exact, and every other
+value fails. The predicate is decided exactly without the full
+transform. The cost is 2·S_i shifted
+minimums over the volume per axis, per mask, so a huge or infinite tau
+costs no more than the grid's extent. The tests hold an all-pairs
+oracle and scipy's exact Euclidean distance transform; both must agree
+exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,38 +90,24 @@ def boundary_mask(mask) -> np.ndarray:
     return m & ~interior
 
 
-def _max_sq_distance(tau, shape) -> int:
-    """Largest integer k with sqrt(float64(k)) <= tau, capped at the
-    grid's largest squared distance."""
-    cap = sum((n - 1) ** 2 for n in shape)
-    if np.sqrt(np.float64(cap)) <= tau:
-        return cap
-    # int(tau * tau) + 1 >= the answer: the rounding of sqrt and of the
-    # product cost less than 1 while tau * tau < 2**51
-    k = int(tau * tau) + 1
-    while np.sqrt(np.float64(k)) > tau:
-        k -= 1
-    return k
-
-
-def _sq_distance_up_to(seeds, k) -> np.ndarray:
-    """Squared Euclidean distance to the nearest True voxel of seeds where
-    it is <= k, and k + 1 everywhere else."""
-    far = k + 1
-    dtype = np.int32 if 2 * far <= np.iinfo(np.int32).max else np.int64
-    d = np.full(seeds.shape, far, dtype)
-    d[seeds] = 0
-    for axis in range(d.ndim):
+def _sq_distance_within(seeds, tau, spacing) -> np.ndarray:
+    """Squared distance, in the units of ``spacing``, to the nearest True
+    voxel of seeds wherever its square root is at most tau; elsewhere a
+    value whose square root exceeds tau."""
+    d = np.where(seeds, 0.0, np.inf)
+    for axis, h in enumerate(spacing):
         out = np.moveaxis(d, axis, 0)
         f = out.copy()
-        for s in range(1, min(math.isqrt(k), len(f) - 1) + 1):
-            np.minimum(out[s:], f[:-s] + s * s, out=out[s:])
-            np.minimum(out[:-s], f[s:] + s * s, out=out[:-s])
+        terms = (h * np.arange(1, len(f))) ** 2
+        for s, t in enumerate(terms[np.sqrt(terms) <= tau], start=1):
+            np.minimum(out[s:], f[:-s] + t, out=out[s:])
+            np.minimum(out[:-s], f[s:] + t, out=out[:-s])
     return d
 
 
-def nsd(pred, gt, tau=1.0) -> float:
-    """Normalized surface dice at tolerance tau (voxel units)."""
+def nsd(pred, gt, tau=1.0, spacing=(1.0, 1.0, 1.0)) -> float:
+    """Normalized surface dice at tolerance tau, in the units of
+    ``spacing``, the voxel size along each axis."""
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     p, g = _check_pair(pred, gt)
@@ -132,14 +118,15 @@ def nsd(pred, gt, tau=1.0) -> float:
         return 1.0
     if np_ == 0 or ng == 0:
         return 0.0
-    k = _max_sq_distance(tau, p.shape)
-    hits_p = int((_sq_distance_up_to(bg, k)[bp] <= k).sum())
-    hits_g = int((_sq_distance_up_to(bp, k)[bg] <= k).sum())
+    hits_p = int((np.sqrt(_sq_distance_within(bg, tau, spacing)[bp]) <= tau).sum())
+    hits_g = int((np.sqrt(_sq_distance_within(bp, tau, spacing)[bg]) <= tau).sum())
     return (hits_p + hits_g) / (np_ + ng)
 
 
-def evaluate_case(prob, gt_mask, tau=1.0) -> MetricReport:
+def evaluate_case(prob, gt_mask, tau=1.0, spacing=(1.0, 1.0, 1.0)) -> MetricReport:
+    """DICE and NSD of the thresholded probabilities; tau is in the units
+    of ``spacing``."""
     pred = threshold_probabilities(prob)
     return MetricReport(
-        dice=dice_score(pred, gt_mask), nsd=nsd(pred, gt_mask, tau), tau=tau
+        dice=dice_score(pred, gt_mask), nsd=nsd(pred, gt_mask, tau, spacing), tau=tau
     )

@@ -75,12 +75,13 @@ def param_specs(spec):
     ]
 
 
-def spatial_attention(z: Tensor, p: PrompterParams, zq=None, zk=None):
+def spatial_attention(z: Tensor, p: PrompterParams, zq: Tensor, zk: Tensor):
     """Linear-complexity attention over tokens z (M, C); shape preserved.
+    ``zq`` and ``zk`` are Z@W_q and Z@W_k, which ``dual_prompt`` computes
+    once for both branches.
 
     With identity reducers and n = M this is exactly full self-attention
-    with the same projection weights. ``zq`` / ``zk`` are Z@W_q and Z@W_k
-    when the caller has already computed them.
+    with the same projection weights.
     """
     m, c = z.shape
     n = p.reduce_k.shape[0]
@@ -90,32 +91,23 @@ def spatial_attention(z: Tensor, p: PrompterParams, zq=None, zk=None):
         raise ShapeMismatchError(
             f"spatial attention: reducers built for {p.reduce_k.shape[1]} tokens, got {m}"
         )
-    zq = ad.matmul(z, p.wq) if zq is None else zq
-    zk = ad.matmul(z, p.wk) if zk is None else zk
-    q = ad.layer_norm(zq, axis=-1, gain=p.norm_q_sa_g, shift=p.norm_q_sa_b)  # (M, C)
+    q = ad.layer_norm(zq, gain=p.norm_q_sa_g, shift=p.norm_q_sa_b)  # (M, C)
     k_hat = ad.matmul(p.reduce_k, zk)  # (n, C)
     v_hat = ad.matmul(p.reduce_v, ad.matmul(z, p.wv_sa))  # (n, C)
     return ad.attention(q, k_hat, v_hat, 1.0 / math.sqrt(c))  # each query over the n keys
 
 
-def channel_attention(z: Tensor, p: PrompterParams, zq=None, zk=None):
+def channel_attention(z: Tensor, p: PrompterParams, zq: Tensor, zk: Tensor):
     """Channel-mixing attention on tokens z (M, C) through a (C, C)
-    affinity; shape preserved.
+    affinity; shape preserved. ``zq`` and ``zk`` are Z@W_q and Z@W_k, which
+    ``dual_prompt`` computes once for both branches.
 
     Output channel b is the convex mix sum_a softmax_a(k_b . q_a) V[:, a]:
     attention with the channels as tokens, k as queries and q as keys.
-    ``zq`` / ``zk`` are Z@W_q and Z@W_k when the caller has already
-    computed them.
     """
-    _, c = z.shape
-    if p.wq.shape[0] != c:
-        raise ShapeMismatchError(
-            f"channel attention: channels {c} != weights {p.wq.shape[0]}"
-        )
-    zq = ad.matmul(z, p.wq) if zq is None else zq
-    zk = ad.matmul(z, p.wk) if zk is None else zk
-    q = ad.layer_norm(zq, axis=-1, gain=p.norm_q_ca_g, shift=p.norm_q_ca_b)
-    k = ad.layer_norm(zk, axis=-1, gain=p.norm_k_ca_g, shift=p.norm_k_ca_b)
+    c = z.shape[1]
+    q = ad.layer_norm(zq, gain=p.norm_q_ca_g, shift=p.norm_q_ca_b)
+    k = ad.layer_norm(zk, gain=p.norm_k_ca_g, shift=p.norm_k_ca_b)
     v = ad.matmul(z, p.wv_ca)
     qt, kt, vt = (ad.permute(t, (1, 0)) for t in (q, k, v))  # (C, M)
     return ad.permute(ad.attention(kt, qt, vt, 1.0 / math.sqrt(c)), (1, 0))

@@ -162,13 +162,15 @@ def _adamw_config(cfg: Config):
 
 
 def evaluate_cases(spec, store, data_dir, case_ids, tau=1.0):
-    """Forward each case without grads; returns [(case_id, MetricReport)]."""
+    """Forward each case without grads; returns [(case_id, MetricReport)].
+    NSD's ``tau`` is in millimetres of each volume's header spacing."""
     out = []
     with ad.no_grad():
         for cid in case_ids:
             vol, mask = load_case(data_dir, cid)
             prob = mdl.forward(spec, store, vol)
-            out.append((cid, mx.evaluate_case(prob.numpy(), mask.data, tau=tau)))
+            out.append((cid, mx.evaluate_case(prob.numpy(), mask.data, tau=tau,
+                                              spacing=vol.spacing)))
     return out
 
 
@@ -206,7 +208,7 @@ def _train_case(spec, store, vdata, mdata, loss_cfg, weight):
     loss = combined_loss(prob, mdata, loss_cfg)
     value = loss.item()
     dice = mx.dice_score(mx.threshold_probabilities(prob.numpy()), mdata)
-    ad.backward(ad.scale(loss, weight))
+    ad.backward(loss, weight=weight)
     return value, dice
 
 

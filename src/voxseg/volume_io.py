@@ -6,13 +6,16 @@ text header lines followed by a raw little-endian payload.
 
     DEAPVOL1
     dims <H> <W> <D>
-    channels <N>
+    channels 1
     spacing <sx> <sy> <sz>
     dtype f32|u8
 
-Payload order is H-major, then W, then D, then channel (C-order of an
-(H, W, D, N) array). Masks use the same container with dtype u8. Writes
-are atomic (``atomic_write``): a file is either its old or its new bytes.
+Channels is always 1: the model reads single-channel CT, so every writer
+puts ``channels 1`` and every reader refuses any other count as
+``bad_header``. Payload order is H-major, then W, then D (C-order of an
+(H, W, D, 1) array). The spacing is the voxel size along H, W and D, in
+millimetres. Masks use the same container with dtype u8. Writes are
+atomic (``atomic_write``): a file is either its old or its new bytes.
 """
 
 from __future__ import annotations
@@ -40,14 +43,13 @@ class VolumeError(Exception):
 @dataclass
 class Volume:
     dims: tuple[int, int, int]
-    channels: int
     spacing: tuple[float, float, float]
-    data: np.ndarray  # (H, W, D, N) float32
+    data: np.ndarray  # (H, W, D, 1) float32
 
     def validate(self):
         h, w, d = self.dims
-        if self.data.shape != (h, w, d, self.channels):
-            raise VolumeError("bad_values", "data shape does not match dims/channels")
+        if self.data.shape != (h, w, d, 1):
+            raise VolumeError("bad_values", "data shape does not match dims x 1 channel")
         if self.data.dtype != np.float32:
             raise VolumeError("bad_values", f"volume dtype must be float32, got {self.data.dtype}")
         if any(s <= 0 for s in self.spacing):
@@ -114,12 +116,12 @@ def atomic_write(path):
         raise
 
 
-def _write_container(path, dims, channels, spacing, tag, payload):
+def _write_container(path, dims, spacing, tag, payload):
     header = (
         _MAGIC
         + b"\n"
         + f"dims {dims[0]} {dims[1]} {dims[2]}\n".encode()
-        + f"channels {channels}\n".encode()
+        + b"channels 1\n"
         + f"spacing {_format_spacing(spacing)}\n".encode()
         + f"dtype {tag}\n".encode()
     )
@@ -150,10 +152,12 @@ def _read_container(path):
         (tag,) = _read_header_line(fh, "dtype", 1, str)
         if tag not in _DTYPE_TAGS:
             raise VolumeError("bad_header", f"unknown dtype tag {tag!r}")
-        if min(dims) < 1 or channels < 1:
-            raise VolumeError("bad_header", f"non-positive dims/channels: {dims} x{channels}")
+        if min(dims) < 1:
+            raise VolumeError("bad_header", f"non-positive dims: {dims}")
+        if channels != 1:
+            raise VolumeError("bad_header", f"a container holds 1 channel, found {channels}")
         dtype = _DTYPE_TAGS[tag]
-        count = dims[0] * dims[1] * dims[2] * channels
+        count = dims[0] * dims[1] * dims[2]
         raw = fh.read()
     expected = count * dtype.itemsize
     if len(raw) != expected:
@@ -161,35 +165,32 @@ def _read_container(path):
             "payload_mismatch",
             f"payload length mismatch: header implies {expected} bytes, file has {len(raw)}",
         )
-    data = np.frombuffer(raw, dtype=dtype).reshape(dims + (channels,))
-    return dims, channels, spacing, tag, data
+    data = np.frombuffer(raw, dtype=dtype).reshape(dims + (1,))
+    return dims, spacing, tag, data
 
 
 def write_volume(volume: Volume, path):
     volume.validate()
-    _write_container(path, volume.dims, volume.channels, volume.spacing, "f32", volume.data)
+    _write_container(path, volume.dims, volume.spacing, "f32", volume.data)
 
 
 def read_volume(path) -> Volume:
-    dims, channels, spacing, tag, data = _read_container(path)
+    dims, spacing, tag, data = _read_container(path)
     if tag != "f32":
         raise VolumeError("bad_header", f"expected an f32 volume, found dtype {tag}")
-    vol = Volume(dims=dims, channels=channels, spacing=spacing,
-                 data=np.ascontiguousarray(data, dtype=np.float32))
+    vol = Volume(dims=dims, spacing=spacing, data=np.ascontiguousarray(data, dtype=np.float32))
     return vol.validate()
 
 
 def write_mask(mask: Mask, path, spacing=(1.0, 1.0, 1.0)):
     mask.validate()
-    _write_container(path, mask.dims, 1, spacing, "u8", mask.data[..., None])
+    _write_container(path, mask.dims, spacing, "u8", mask.data[..., None])
 
 
 def read_mask(path) -> Mask:
-    dims, channels, _spacing, tag, data = _read_container(path)
+    dims, _spacing, tag, data = _read_container(path)
     if tag != "u8":
         raise VolumeError("bad_header", f"expected a u8 mask, found dtype {tag}")
-    if channels != 1:
-        raise VolumeError("bad_header", f"mask container must have 1 channel, found {channels}")
     msk = Mask(dims=dims, data=np.ascontiguousarray(data[..., 0]))
     return msk.validate()
 
@@ -298,7 +299,6 @@ def phantom_components(seed, dims=(32, 32, 32), lesion_count=1, noise_sd=0.0):
 
     volume = Volume(
         dims=dims,
-        channels=1,
         spacing=(1.0, 1.0, 1.0),
         data=intensity.astype(np.float32)[..., None],
     ).validate()

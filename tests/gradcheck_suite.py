@@ -248,16 +248,6 @@ def _case_attention_blocked(rng):
     return _attention_case(rng, heads, d, m, n)
 
 
-def _case_layer_norm(rng):
-    shape = tuple(rng.integers(2, 5, 2))
-    return (lambda x: ad.layer_norm(x, axis=-1)), rng.standard_normal(shape)
-
-
-def _case_instance_norm(rng):
-    shape = tuple(rng.integers(2, 4, 4))
-    return ad.instance_norm, rng.standard_normal(shape)
-
-
 def _norm_affine_case(rng, norm, shape):
     """Input, gain and shift; keywords of the returned function go to
     ``norm``."""
@@ -267,7 +257,7 @@ def _norm_affine_case(rng, norm, shape):
 
 def _case_layer_norm_affine(rng):
     shape = tuple(int(n) for n in rng.integers(2, 5, 2))
-    return _norm_affine_case(rng, ad.layer_norm, shape)  # axis -1
+    return _norm_affine_case(rng, ad.layer_norm, shape)
 
 
 def _case_instance_norm_affine(rng):
@@ -298,11 +288,6 @@ def _case_add_broadcast(rng):
 def _case_mul(rng):
     b = _t(rng, 3, 4)
     return (lambda x: ad.mul(x, b)), rng.standard_normal((3, 4))
-
-
-def _case_scale(rng):
-    s = float(rng.uniform(-2, 2))
-    return (lambda x: ad.scale(x, s)), rng.standard_normal((4, 3))
 
 
 def _case_permute(rng):
@@ -400,16 +385,22 @@ def _case_two_layer_encoder(rng):
     return f, rng.standard_normal((8, 8))
 
 
+def _query_key(x, p):
+    """Z@W_q and Z@W_k, which ``dual_prompt`` hands both branches."""
+    return ad.matmul(x, p.wq), ad.matmul(x, p.wk)
+
+
 def _case_spatial_attention(rng):
     """Input and the key reducer."""
     p = block_params("prompter", rng)
-    return ((lambda x, r: pr.spatial_attention(x, dataclasses.replace(p, reduce_k=r))),
+    return ((lambda x, r: pr.spatial_attention(x, dataclasses.replace(p, reduce_k=r),
+                                               *_query_key(x, p))),
             rng.standard_normal((8, 4)), p.reduce_k.data)
 
 
 def _case_channel_attention(rng):
     p = block_params("prompter", rng)
-    return (lambda x: pr.channel_attention(x, p)), rng.standard_normal((8, 4))
+    return (lambda x: pr.channel_attention(x, p, *_query_key(x, p))), rng.standard_normal((8, 4))
 
 
 def _case_dual_prompt(rng):
@@ -492,15 +483,12 @@ OP_CASES = [
     ("sigmoid", _case_sigmoid),
     ("attention", _case_attention),
     ("attention_blocked", _case_attention_blocked),
-    ("layer_norm", _case_layer_norm),
-    ("instance_norm", _case_instance_norm),
     ("layer_norm_affine", _case_layer_norm_affine),
     ("instance_norm_affine", _case_instance_norm_affine),
     ("instance_norm_relu", _case_instance_norm_relu),
     ("concat", _case_concat),
     ("add_broadcast", _case_add_broadcast),
     ("mul", _case_mul),
-    ("scale", _case_scale),
     ("permute", _case_permute),
     ("reshape", _case_reshape),
     ("reduce_sum", _case_reduce_sum),

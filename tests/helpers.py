@@ -1,5 +1,9 @@
-"""Counts and views of a parameter store and of a dataset split that only
-tests read."""
+"""Counts and views of a parameter store and of a dataset split, and the
+plain norm's operands, that only tests read."""
+
+import numpy as np
+
+from voxseg import autodiff as ad
 
 
 def total_params(store):
@@ -22,3 +26,11 @@ def is_frozen(store, name):
 def all_cases(split):
     """Every case of a ``DatasetSplit``: train, then val, then test."""
     return split.train + split.val + split.test
+
+
+def unit_affine(x):
+    """Keywords of a frozen gain of ones and a shift of zeros over the last
+    axis of Tensor ``x``: a norm given them returns x_hat bit for bit."""
+    c = x.shape[-1]
+    return {"gain": ad.tensor(np.ones(c), dtype=x.dtype),
+            "shift": ad.tensor(np.zeros(c), dtype=x.dtype)}

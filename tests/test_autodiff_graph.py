@@ -12,6 +12,8 @@ import voxseg.decoder
 import voxseg.model
 from voxseg import autodiff as ad
 from voxseg.autodiff import ParameterStore
+from voxseg.objectives import combined_loss
+from voxseg.volume_io import generate_phantom
 
 import helpers
 from gradcheck import gradient_check
@@ -120,43 +122,47 @@ def test_relu_closure_keeps_no_mask(rng):
 
 @pytest.mark.parametrize("norm,shape", [(ad.layer_norm, (4, 5)),
                                         (ad.instance_norm, (3, 4, 2, 5))])
-@pytest.mark.parametrize("affine", [False, True])
-def test_norm_closure_keeps_only_mean_and_inverse_std(rng, norm, shape, affine):
+@pytest.mark.parametrize("trainable", [False, True])
+def test_norm_closure_keeps_only_mean_and_inverse_std(rng, norm, shape, trainable):
     """x_hat is rebuilt from x in the backward: besides the data of x and
     gain it reads, the closure holds only mu and inv, one value per
-    normalized group, and no other array of x's shape."""
+    normalized group, and no other array of x's shape; so with a frozen
+    gain and shift (the encoder's) as with trainable ones."""
     x = ad.tensor(rng.standard_normal(shape), requires_grad=True)
-    kw = {"gain": ad.tensor(np.ones(shape[-1])), "shift": ad.tensor(np.zeros(shape[-1]))}
-    held = list(_held_arrays(norm(x, **(kw if affine else {}))._record._backward))
-    inputs = [x.data] + ([kw["gain"].data] if affine else [])
+    kw = {"gain": ad.tensor(np.ones(shape[-1]), requires_grad=trainable),
+          "shift": ad.tensor(np.zeros(shape[-1]), requires_grad=trainable)}
+    held = list(_held_arrays(norm(x, **kw)._record._backward))
+    inputs = [x.data, kw["gain"].data]
     own = [a for a in held if not any(a is i for i in inputs)]
     assert len(own) == 2 and len(held) == len(own) + len(inputs)
     assert all(a.size < x.size and a.ndim == x.data.ndim for a in own)
 
 
-@pytest.mark.parametrize("affine", [False, True])
-def test_instance_norm_relu_is_bit_identical_to_relu_of_norm(rng, affine):
+@pytest.mark.parametrize("trainable", [False, True])
+def test_instance_norm_relu_is_bit_identical_to_relu_of_norm(rng, trainable):
     """One node whose f32 output and every input gradient equal those of
-    relu(instance_norm(...)) bit for bit; its closure keeps no x-shaped
-    array but its own output and x's data."""
+    relu(instance_norm(...)) bit for bit, with a frozen or a trainable gain
+    and shift; its closure keeps no x-shaped array but its own output and
+    x's data."""
     arrays = [rng.standard_normal((3, 4, 2, 5)).astype(np.float32),
               rng.standard_normal(5).astype(np.float32),
               rng.standard_normal(5).astype(np.float32)]
     g = rng.standard_normal((3, 4, 2, 5)).astype(np.float32)
     results = []
     for fused in (True, False):
-        ts = [ad.tensor(a, requires_grad=True, dtype=np.float32) for a in arrays]
-        kw = {"gain": ts[1], "shift": ts[2]} if affine else {}
+        ts = [ad.tensor(a, requires_grad=i == 0 or trainable, dtype=np.float32)
+              for i, a in enumerate(arrays)]
+        kw = {"gain": ts[1], "shift": ts[2]}
         if fused:
             out = ad.instance_norm(ts[0], relu=True, **kw)
-            assert list(out._parents) == [t._record for t in ts[: len(out._parents)]]
+            assert list(out._parents) == [t._record for t in ts if t.requires_grad]
             held = list(_held_arrays(out._record._backward))
             assert all(a.shape != ts[0].shape or a is out.data or a is ts[0].data
                        for a in held)
         else:
             out = ad.relu(ad.instance_norm(ts[0], **kw))
         ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=np.float32))))
-        results.append([out.numpy()] + [t.grad for t in ts[: 3 if affine else 1]])
+        results.append([out.numpy()] + [t.grad for t in ts[: 3 if trainable else 1]])
     assert 0 < (results[0][0] > 0).mean() < 1
     for got, ref in zip(*results):
         assert got.dtype == np.float32 and np.array_equal(got, ref)
@@ -197,6 +203,28 @@ def test_decoder_builds_no_concat_and_no_relu_after_a_norm(rng):
                                                 for p in n._parents) for n in nodes)
 
 
+@pytest.mark.parametrize("weight", [0.5, 1 / 3])
+def test_backward_weight_seeds_the_loss_gradient(weight):
+    """``backward(loss, weight=w)``, as a training step calls it with
+    w = 1/batch, leaves every leaf gradient of a tiny f32 training case
+    equal bit for bit to backpropagating ``mul(loss, w)``."""
+    spec = TINY_MODEL
+    vol, mask = generate_phantom(3, spec.vol_dims)
+    grads = []
+    for weighted in (True, False):
+        with ad.precision("f32"):
+            store = voxseg.model.init_store(spec, seed=0)
+            loss = combined_loss(voxseg.model.forward(spec, store, vol), mask.data)
+            if weighted:
+                ad.backward(loss, weight=weight)
+            else:
+                ad.backward(ad.mul(loss, ad.tensor(weight)))
+        grads.append({name: t.grad for name, t in store.trainable()})
+    assert grads[0].keys() == grads[1].keys()
+    for name, g in grads[0].items():
+        assert g.dtype == np.float32 and np.array_equal(g, grads[1][name]), name
+
+
 def test_shared_subgraph_visited_once():
     # z = (x + x) * x => dz/dx = 4x; a double visit would inflate this
     x = ad.tensor([2.0, -3.0], requires_grad=True)
@@ -211,7 +239,7 @@ def test_random_composite_graph_matches_fd(rng):
 
     def f(x):
         h = ad.gelu(ad.matmul(x, w1))
-        h = ad.layer_norm(h, axis=-1)
+        h = ad.layer_norm(h, **helpers.unit_affine(h))
         a = ad.matmul(h, w2)
         return ad.attention(a, a, a, 1.0)
 
@@ -238,7 +266,7 @@ def test_gradient_check_rejects_nondeterministic():
 
     def f(t):
         state["n"] += 1
-        return ad.scale(t, float(state["n"]))
+        return ad.mul(t, ad.tensor(float(state["n"]), dtype=t.dtype))
 
     with pytest.raises(ad.GraphError):
         gradient_check(f, np.ones(3))

@@ -13,6 +13,7 @@ from conv_oracles import (
     trilinear_upsample,
 )
 from graph_bytes import closure_arrays, owner
+from helpers import unit_affine
 from voxseg import autodiff as ad
 from voxseg.autodiff import conv
 from voxseg.autodiff.tensor import ATTENTION_BLOCK_ELEMS
@@ -239,9 +240,10 @@ def _biased(op, **kw):
 
 
 def _affine(norm):
-    """(fused, chain) of a norm with a gain and a shift."""
+    """(fused, chain) of a norm with a gain and a shift; the chain's norm
+    has a unit gain and a zero shift."""
     return (lambda x, g, s: norm(x, gain=g, shift=s),
-            lambda x, g, s: ad.add(ad.mul(norm(x), g), s))
+            lambda x, g, s: ad.add(ad.mul(norm(x, **unit_affine(x)), g), s))
 
 
 # input shapes, the fused op, and the add / mul chain it replaces
@@ -290,10 +292,8 @@ def test_fused_operands_are_checked():
         ad.conv3d(vol, k, bias=ad.tensor(np.ones(4), dtype=np.float32))
     c = ad.tensor(np.ones(3))
     for norm in (ad.layer_norm, ad.instance_norm):
-        with pytest.raises(ad.GraphError, match="together"):
-            norm(x, gain=c)
-        with pytest.raises(ad.GraphError, match="together"):
-            norm(x, shift=c)
+        with pytest.raises(ad.ShapeMismatchError, match="gain"):
+            norm(x, gain=ad.tensor(np.ones(2)), shift=c)
         with pytest.raises(ad.ShapeMismatchError, match="shift"):
             norm(x, gain=c, shift=ad.tensor(np.ones(2)))
         with pytest.raises(ad.DtypeMismatchError):
@@ -362,7 +362,6 @@ def test_rebuild_hooks_return_the_forward_value(rng):
 def test_rebuild_hook_only_beside_a_record(rng):
     x = ad.tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w = ad.tensor(rng.standard_normal((4, 2)))
-    assert ad.matmul(x.data, w)._rebuild is None
     with ad.no_grad():
         assert ad.matmul(x, w)._rebuild is None
     assert ad.matmul(x, w)._rebuild is not None
@@ -393,12 +392,14 @@ def test_trilinear_upsample_linear_ramp_interior():
 
 def test_norm_group_statistics(rng):
     x = rng.standard_normal((6, 7)) * 3 + 1
-    out = ad.layer_norm(ad.tensor(x), axis=-1).numpy()
+    t = ad.tensor(x)
+    out = ad.layer_norm(t, **unit_affine(t)).numpy()
     assert np.abs(out.mean(axis=-1)).max() < 1e-5
     assert np.abs(out.var(axis=-1) - 1).max() < 1e-4
 
     y = rng.standard_normal((4, 5, 3, 6)) * 2 - 5
-    out = ad.instance_norm(ad.tensor(y)).numpy()
+    t = ad.tensor(y)
+    out = ad.instance_norm(t, **unit_affine(t)).numpy()
     mean = out.mean(axis=(0, 1, 2))
     var = out.var(axis=(0, 1, 2))
     assert np.abs(mean).max() < 1e-5
@@ -410,14 +411,15 @@ def test_norm_group_statistics(rng):
     ("instance", (5, 3, 7, 6), None),  # 105 voxels: 1/n is inexact
     ("layer", (64, 16), -1),  # the tiny model's tokens
     ("layer", (7, 5), -1),
-    ("layer", (3, 6, 4), 1),  # a middle axis: batched over the leading extent
-    ("layer", (9,), 0),
+    ("layer", (3, 6, 4), -1),  # batched over two leading axes
+    ("layer", (9,), 0),  # one row: the last axis is the only one
 ])
 def test_norm_statistics_match_f64_oracle(rng, norm, shape, axis):
     """The BLAS-product statistics of an f32 norm with gain, shift and (for
     instance norm) relu: output and the x, gain and shift gradients against
-    an f64 numpy reference that reduces with ``mean`` and ``sum``, rtol 1e-5
-    and atol 1e-5 * max|ref|."""
+    an f64 numpy reference that reduces with ``mean`` and ``sum`` (over
+    ``axis`` for layer norm, always the last), rtol 1e-5 and
+    atol 1e-5 * max|ref|."""
     x = (rng.standard_normal(shape) * 3 + 2).astype(np.float32)
     gain = rng.uniform(0.5, 1.5, shape[-1]).astype(np.float32)
     shift = rng.standard_normal(shape[-1]).astype(np.float32)
@@ -427,7 +429,7 @@ def test_norm_statistics_match_f64_oracle(rng, norm, shape, axis):
         out = ad.instance_norm(ts[0], gain=ts[1], shift=ts[2], relu=True)
         axes = tuple(range(len(shape) - 1))
     else:
-        out = ad.layer_norm(ts[0], axis=axis, gain=ts[1], shift=ts[2])
+        out = ad.layer_norm(ts[0], gain=ts[1], shift=ts[2])
         axes = (axis % len(shape),)
     ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=np.float32))))
 
@@ -447,6 +449,22 @@ def test_norm_statistics_match_f64_oracle(rng, norm, shape, axis):
     for got, want in zip([out.numpy()] + [t.grad for t in ts],
                          (ref, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead))):
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.mul])
+def test_binary_broadcasts_only_a_trailing_suffix(rng, op):
+    """The second operand has the first's shape, or a trailing suffix of it
+    (a 0-d tensor, per-channel weights); every other broadcast numpy would
+    take is refused, either way round."""
+    a = ad.tensor(rng.standard_normal((2, 3, 4)))
+    for shape in ((2, 3, 4), (3, 4), (4,), ()):
+        out = op(a, ad.tensor(np.ones(shape)))
+        assert out.shape == a.shape
+    for shape in ((1, 4), (3, 1), (2, 1, 4), (1, 3, 4), (2, 3, 1), (1,), (5, 2, 3, 4)):
+        with pytest.raises(ad.ShapeMismatchError, match="trailing suffix"):
+            op(a, ad.tensor(np.ones(shape)))
+    with pytest.raises(ad.ShapeMismatchError, match="trailing suffix"):
+        op(ad.tensor(np.ones(4)), a)
 
 
 def test_concat_shape_mismatch():

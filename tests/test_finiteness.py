@@ -23,7 +23,6 @@ OVERFLOWS = {
     "matmul": lambda: ad.matmul(_f32(BIG32), _f32(BIG32)),
     "add": lambda: ad.add(_f32(BIG32), _f32(BIG32)),
     "mul": lambda: ad.mul(_f32(BIG32), _f32(BIG32)),
-    "scale": lambda: ad.scale(_f32(BIG32), 10.0),
     "combined_loss": lambda: combined_loss(_f32(BIG32, (2, 2, 2)), np.ones((2, 2, 2))),
     "reduce_sum": lambda: ad.reduce_sum(_f32(BIG32)),
     "conv3d": lambda: ad.conv3d(_f32(BIG32, (2, 2, 2, 1)), _f32(10.0, (1, 1, 1, 1, 1))),

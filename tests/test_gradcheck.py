@@ -81,8 +81,8 @@ def test_gradient_check_covers_every_input(rng, shape, by_direction):
     with scaled_backward("gelu", 1.001):
         rep = gradient_check(_biased_gelu, *inputs)
     assert not rep.passed and rep.failures
-    with scaled_backward("scale", 1.001):  # only the last input's gradient is off
-        rep = gradient_check(lambda x, w, b: ad.add(ad.matmul(x, w), ad.scale(b, 1.0)),
+    with scaled_backward("mul", 1.001):  # only the last input's gradient is off
+        rep = gradient_check(lambda x, w, b: ad.add(ad.matmul(x, w), ad.mul(b, ad.tensor(1.0))),
                              *inputs)
     assert not rep.passed and rep.failures
 
@@ -90,7 +90,7 @@ def test_gradient_check_covers_every_input(rng, shape, by_direction):
 def test_gradient_check_skips_an_input_without_a_gradient_path(rng):
     """An input f ignores has gradient zero, and its differences are zero."""
     x, unused = rng.standard_normal(3), rng.standard_normal(2)
-    rep = gradient_check(lambda a, b: ad.scale(a, 2.0), x, unused)
+    rep = gradient_check(lambda a, b: ad.mul(a, ad.tensor(2.0)), x, unused)
     assert rep.passed and rep.n_checked == 5
 
 

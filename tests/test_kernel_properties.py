@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from conv_oracles import conv3d_input_grad_taps, conv3d_kernel_grad_taps, conv3d_reference
 from conv_paths import MODEL_CONVS, accumulation, forms_taken
 from gradcheck_suite import ALL_CASES, OP_CASES, case_rng
+from helpers import unit_affine
 from voxseg import autodiff as ad
 from voxseg.autodiff import conv
 from voxseg.autodiff.tensor import ATTENTION_BLOCK_ELEMS
@@ -450,7 +451,7 @@ def _run_program(steps, proj, use, fused):
         if op == "add":
             out = ad.add(a, b)
         elif op == "sub":
-            out = ad.add(a, ad.scale(b, -1.0))
+            out = ad.add(a, ad.mul(b, ad.tensor(-1.0)))
         elif op == "reshape":
             out = ad.reshape(ad.reshape(a, (-1,)), a.shape)
         elif op == "matmul" and fused:
@@ -460,7 +461,7 @@ def _run_program(steps, proj, use, fused):
         elif fused:
             out = ad.layer_norm(a, gain=use(vec[u]), shift=use(vec[v]))
         else:
-            out = ad.add(ad.mul(ad.layer_norm(a), use(vec[u])), use(vec[v]))
+            out = ad.add(ad.mul(ad.layer_norm(a, **unit_affine(a)), use(vec[u])), use(vec[v]))
         pool.append(out)
     return ad.add(ad.reduce_sum(ad.mul(pool[-1], proj)),
                   ad.reduce_sum(pool[len(pool) // 2]))
@@ -471,7 +472,7 @@ def _run_program(steps, proj, use, fused):
        seed=st.integers(0, 2**32 - 1))
 def test_reused_tensors_get_unaliased_exact_gradients(steps, m, c, seed):
     """Leaf gradients of a graph that reuses tensors across add / sub (an
-    add of a scale by -1) / reshape / biased matmul / affine layer_norm
+    add of a product with -1) / reshape / biased matmul / affine layer_norm
     chains equal an f64
     reference in which every use is a leaf of its own and nothing is fused,
     on the first pass and accumulated on the second; no two leaves'

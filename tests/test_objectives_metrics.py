@@ -42,8 +42,9 @@ def _nsd_bruteforce(pred, gt, tau=1.0) -> float:
     return hits / (len(bp) + len(bg))
 
 
-def _nsd_edt(pred, gt, tau=1.0) -> float:
-    """NSD from scipy's exact Euclidean distance transform of each boundary."""
+def _nsd_edt(pred, gt, tau=1.0, spacing=(1.0, 1.0, 1.0)) -> float:
+    """NSD from scipy's exact Euclidean distance transform of each boundary,
+    at the voxel spacing's sampling."""
     p, g = mx._check_pair(pred, gt)
     bp = mx.boundary_mask(p)
     bg = mx.boundary_mask(g)
@@ -52,8 +53,8 @@ def _nsd_edt(pred, gt, tau=1.0) -> float:
         return 1.0
     if np_ == 0 or ng == 0:
         return 0.0
-    dist_to_g = ndimage.distance_transform_edt(~bg)
-    dist_to_p = ndimage.distance_transform_edt(~bp)
+    dist_to_g = ndimage.distance_transform_edt(~bg, sampling=spacing)
+    dist_to_p = ndimage.distance_transform_edt(~bp, sampling=spacing)
     hits_p = int((dist_to_g[bp] <= tau).sum())
     hits_g = int((dist_to_p[bg] <= tau).sum())
     return (hits_p + hits_g) / (np_ + ng)
@@ -128,7 +129,7 @@ class TestLoss:
             p, g = _draw(rng, n, dtype, saturated)
             pred = ad.tensor(p, requires_grad=True, dtype=dtype)
             loss = combined_loss(pred, g)
-            ad.backward(ad.scale(loss, upstream))
+            ad.backward(ad.mul(loss, ad.tensor(upstream, dtype=dtype)))
             want, _, _ = loss_terms(p, g)
             assert loss.data.dtype == dtype and loss.data.tobytes() == want.tobytes()
             grad, dice_only = loss_grad(p, g, upstream=upstream)
@@ -274,6 +275,8 @@ class TestNSD:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_squared_distance_exact_up_to_k(self, seed):
+        """At unit spacing and tau = sqrt(k), every squared distance up to k
+        is exact and every other value exceeds k."""
         rng = np.random.default_rng(seed)
         shape = tuple(rng.integers(1, 10, 3))
         seeds = rng.random(shape) < 0.05
@@ -281,8 +284,24 @@ class TestNSD:
         k = int(rng.integers(0, 12))
         diff = np.indices(shape).reshape(3, -1, 1) - np.argwhere(seeds).T[:, None, :]
         exact = (diff * diff).sum(axis=0).min(axis=1).reshape(shape)
-        got = mx._sq_distance_up_to(seeds, k)
-        np.testing.assert_array_equal(got, np.minimum(exact, k + 1))
+        got = mx._sq_distance_within(seeds, math.sqrt(k), (1.0, 1.0, 1.0))
+        near = exact <= k
+        np.testing.assert_array_equal(got[near], exact[near])
+        assert (got[~near] > k).all()
+
+    @pytest.mark.parametrize("spacing", [(1.0, 2.0, 0.5), (0.7, 1.3, 3.1)])
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, 2.5, 4.0])
+    def test_anisotropic_spacing_equals_distance_transform(self, spacing, tau):
+        """With a voxel spacing, tau is in the spacing's units: the hits are
+        those of scipy's exact transform at that sampling."""
+        rng = np.random.default_rng(8)
+        shape = (12, 10, 14)
+        _, gt = generate_phantom(5, (16, 16, 16))
+        pairs = [((rng.random(shape) < 0.3).astype(np.uint8),
+                  (rng.random(shape) < 0.05).astype(np.uint8)),
+                 (gt.data ^ (rng.random(gt.data.shape) < 0.02).astype(np.uint8), gt.data)]
+        for p, g in pairs:
+            assert mx.nsd(p, g, tau, spacing) == _nsd_edt(p, g, tau, spacing)
 
     @pytest.mark.parametrize("tau", [0.0, 1.0, math.sqrt(2), 3.0, 10.0])
     def test_equals_distance_transform_at_32_cubed(self, tau):

@@ -23,6 +23,13 @@ def _f64():
         yield
 
 
+def _branch(branch, z, p):
+    """A prompter branch on tokens z (an array or a Tensor), handed the
+    Z@W_q and Z@W_k that ``dual_prompt`` computes for both."""
+    z = z if isinstance(z, ad.Tensor) else ad.tensor(z)
+    return branch(z, p, ad.matmul(z, p.wq), ad.matmul(z, p.wk))
+
+
 def _identity_reducer_params(rng, c, m):
     p = block_params("prompter", rng, embed_dim=c, prompt_n=m, vol_dims=(m, 1, 1))
     eye = ad.tensor(np.eye(m))
@@ -51,7 +58,7 @@ class TestSpatialAttention:
         row = rng.standard_normal((1, 8))
         p = dataclasses.replace(p, reduce_v=ad.tensor(np.tile(row, (3, 1))))
         z = rng.standard_normal((8, 4))
-        out = pr.spatial_attention(ad.tensor(z), p).numpy()
+        out = _branch(pr.spatial_attention, z, p).numpy()
         value = row @ z @ p.wv_sa.numpy()
         np.testing.assert_allclose(out, np.tile(value, (8, 1)), atol=1e-6)
 
@@ -63,20 +70,20 @@ class TestSpatialAttention:
         with ad.precision("f64"):
             p = _identity_reducer_params(rng, c, m)
             z = rng.standard_normal((m, c))
-            out = pr.spatial_attention(ad.tensor(z), p).numpy()
+            out = _branch(pr.spatial_attention, z, p).numpy()
             oracle = _full_attention_oracle(z, p)
         assert np.abs(out - oracle).max() < 1e-6
 
     def test_constant_tokens_give_constant_output(self, rng):
         p = block_params("prompter", rng)
         z = np.tile(rng.standard_normal((1, 4)), (8, 1))
-        out = pr.spatial_attention(ad.tensor(z), p).numpy()
+        out = _branch(pr.spatial_attention, z, p).numpy()
         assert np.abs(out - out[0]).max() < 1e-9
 
     def test_n_exceeding_tokens_rejected(self, rng):
         p = block_params("prompter", rng, prompt_n=9)
         with pytest.raises(ad.ShapeMismatchError):
-            pr.spatial_attention(ad.tensor(rng.standard_normal((8, 4))), p)
+            _branch(pr.spatial_attention, rng.standard_normal((8, 4)), p)
 
 
 class TestChannelAttention:
@@ -87,7 +94,7 @@ class TestChannelAttention:
         col = rng.standard_normal((4, 1))
         p = dataclasses.replace(p, wv_ca=ad.tensor(np.tile(col, (1, 4))))
         z = rng.standard_normal((8, 4))
-        out = pr.channel_attention(ad.tensor(z), p).numpy()
+        out = _branch(pr.channel_attention, z, p).numpy()
         np.testing.assert_allclose(out, np.tile(z @ col, (1, 4)), atol=1e-6)
 
     def test_matches_literal_equation_oracle(self, rng):
@@ -95,7 +102,7 @@ class TestChannelAttention:
         c, m = 2, 5
         p = block_params("prompter", rng, embed_dim=c, prompt_n=2, vol_dims=(m, 1, 1))
         z = rng.standard_normal((m, c))
-        out = pr.channel_attention(ad.tensor(z), p).numpy()
+        out = _branch(pr.channel_attention, z, p).numpy()
 
         def norm(v, g, b):
             mu = v.mean(-1, keepdims=True)
@@ -113,13 +120,13 @@ class TestChannelAttention:
     def test_zero_values_give_zero(self, rng):
         p = block_params("prompter", rng)
         p = dataclasses.replace(p, wv_ca=ad.tensor(np.zeros((4, 4))))
-        out = pr.channel_attention(ad.tensor(rng.standard_normal((8, 4))), p).numpy()
+        out = _branch(pr.channel_attention, rng.standard_normal((8, 4)), p).numpy()
         np.testing.assert_array_equal(out, 0.0)
 
     def test_channel_mismatch_rejected(self, rng):
         p = block_params("prompter", rng)
         with pytest.raises(ad.ShapeMismatchError):
-            pr.channel_attention(ad.tensor(np.zeros((5, 6))), p)
+            _branch(pr.channel_attention, np.zeros((5, 6)), p)
 
 
 class TestDualPrompt:
@@ -161,8 +168,8 @@ class TestDualPrompt:
                                 wk=ad.tensor(p.wk.numpy(), requires_grad=True))
         z = ad.tensor(rng.standard_normal((8, 4)), requires_grad=True)
         out = pr.dual_prompt(z, p)
-        sa = pr.spatial_attention(z, p)
-        ca = pr.channel_attention(z, p)
+        sa = _branch(pr.spatial_attention, z, p)
+        ca = _branch(pr.channel_attention, z, p)
         fused = np.concatenate([sa.numpy() @ p.down_sa.numpy(),
                                 ca.numpy() @ p.down_ca.numpy()], axis=1)
         np.testing.assert_allclose(out.numpy(), z.numpy() + fused, rtol=1e-12)

@@ -26,7 +26,9 @@ from voxseg.train import (
     load_case,
     synthesize_dataset,
     train,
+    write_case,
 )
+from voxseg.volume_io import generate_phantom
 
 from conftest import tiny_config
 
@@ -396,6 +398,19 @@ class TestEval:
         assert len(reports) == 2
         for cid, rep in reports:
             assert 0 <= rep.dice <= 1 and 0 <= rep.nsd <= 1 and rep.tau == 1.0
+
+    def test_nsd_tolerance_is_in_millimetres_of_the_header_spacing(self, tmp_path, monkeypatch):
+        """``evaluate_cases`` scores NSD at each volume's header spacing: a
+        prediction one voxel off along H lies within tau = 1.5 at unit
+        spacing, but not everywhere where that voxel is 2 mm deep."""
+        vol, mask = generate_phantom(3, dims=(16, 16, 16))
+        vol.spacing = (2.0, 1.0, 1.0)
+        write_case(str(tmp_path), "case_000", vol, mask)
+        shifted = np.roll(mask.data, 1, axis=0).astype(np.float32)
+        monkeypatch.setattr(mdl, "forward", lambda spec, store, volume: ad.tensor(shifted))
+        [(_, rep)] = evaluate_cases(None, None, str(tmp_path), ["case_000"], tau=1.5)
+        assert rep.nsd == mx.nsd(shifted, mask.data, 1.5, vol.spacing)
+        assert rep.nsd < mx.nsd(shifted, mask.data, 1.5) == 1.0
 
     def test_runtime_never_imports_scipy(self, tmp_path):
         code = (

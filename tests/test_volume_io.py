@@ -66,19 +66,19 @@ class TestContainer:
         vio.write_mask(mask, mp, spacing=vol.spacing)
         rv = vio.read_volume(vp)
         rm = vio.read_mask(mp)
-        assert rv.dims == vol.dims and rv.channels == vol.channels
+        assert rv.dims == vol.dims and rv.data.shape == vol.dims + (1,)
         assert rv.spacing == vol.spacing
         assert np.array_equal(rv.data, vol.data)
         assert np.array_equal(rm.data, mask.data)
 
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**31), channels=st.integers(1, 3),
+    @given(seed=st.integers(0, 2**31),
            dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)))
-    def test_round_trip_random_volumes(self, tmp_path_factory, seed, channels, dims):
+    def test_round_trip_random_volumes(self, tmp_path_factory, seed, dims):
         rng = np.random.default_rng(seed)
-        data = rng.standard_normal(dims + (channels,)).astype(np.float32)
+        data = rng.standard_normal(dims + (1,)).astype(np.float32)
         spacing = tuple(float(s) for s in rng.uniform(0.1, 3.0, 3))
-        vol = vio.Volume(dims=dims, channels=channels, spacing=spacing, data=data)
+        vol = vio.Volume(dims=dims, spacing=spacing, data=data)
         path = tmp_path_factory.mktemp("rt") / "v.dvol"
         vio.write_volume(vol, path)
         back = vio.read_volume(path)
@@ -93,6 +93,21 @@ class TestContainer:
         vol = vio.read_volume(path)
         assert vol.dims == (2, 2, 2)
         np.testing.assert_array_equal(vol.data, np.zeros((2, 2, 2, 1), np.float32))
+
+    @pytest.mark.parametrize("read,tag,dtype", [(vio.read_volume, "f32", "<f4"),
+                                                (vio.read_mask, "u8", "u1")],
+                             ids=["volume", "mask"])
+    def test_two_channel_container_is_a_bad_header(self, tmp_path, read, tag, dtype):
+        """The model reads one channel: a container of 2, its payload the
+        length its header implies, is refused as a bad header."""
+        path = tmp_path / "two.dvol"
+        with open(path, "wb") as fh:
+            fh.write(f"DEAPVOL1\ndims 2 2 2\nchannels 2\nspacing 1.0 1.0 1.0\ndtype {tag}\n"
+                     .encode())
+            fh.write(np.zeros(16, dtype=dtype).tobytes())
+        with pytest.raises(vio.VolumeError) as err:
+            read(path)
+        assert err.value.code == "bad_header"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.dvol"

@@ -44,9 +44,9 @@ INIT_SEEDS = (0, 1, 2)
 
 def mlp_skip_layer(z_prev, p, heads):
     """``encoder.layer_forward`` with the MLP sublayer's skip connection."""
-    z_dot = ad.layer_norm(z_prev, axis=-1, gain=p.norm1_g, shift=p.norm1_b)
+    z_dot = ad.layer_norm(z_prev, gain=p.norm1_g, shift=p.norm1_b)
     z_hat = ad.add(z_prev, enc.attention_forward(z_dot, p, heads))
-    z_ddot = ad.layer_norm(z_hat, axis=-1, gain=p.norm2_g, shift=p.norm2_b)
+    z_ddot = ad.layer_norm(z_hat, gain=p.norm2_g, shift=p.norm2_b)
     return ad.add(ad.add(z_hat, enc.mlp_forward(z_ddot, p)), enc.adapter_forward(z_ddot, p))
 
 
