@@ -722,8 +722,9 @@ def upsample_conv3d(x, w, factors, bias=None, relu=False):
     """The 3x3x3, stride-1, padding-1 conv of the channel concatenation of
     trilinear upsamples, without building any upsample; with ``relu=True``
     a relu in place on its output inside this one node, equal bit for bit
-    to ``relu(upsample_conv3d(...))``, the mask taken from the output in
-    the backward as ``instance_norm(relu=True)`` does.
+    to ``relu(upsample_conv3d(...))``. The closure keeps that output and
+    takes the relu's mask from it in the backward (the output has no
+    rebuild hook: rebuilding it would rerun the conv).
 
     x: one (n0, n1, n2, C) input or a list of them, read as the
     concatenation of each input trilinearly upsampled by its factors

@@ -6,7 +6,7 @@ the records of the grad-requiring parents and the closure that scatters
 the result's gradient back onto them; it reaches the value only through
 a weak reference. Graph edges and closures point at records, never at
 Tensors, and each closure saves exactly the arrays its backward reads:
-``matmul`` keeps ``a``'s data only when ``b`` needs a gradient and
+``matmul`` keeps ``a``'s value only when ``b`` needs a gradient and
 ``b``'s only when ``a`` does; add, permute and concat keep no array,
 reshape and reduce_sum only shapes. So a value dies during the forward,
 as soon as neither the caller nor a closure holds it
@@ -24,22 +24,29 @@ with the same float expressions as separate ``add`` / ``mul`` nodes;
 on its output. ``add`` and ``mul`` take operands of equal shapes, or a
 second operand whose shape is a trailing suffix of the first's (a 0-d
 tensor, or per-channel weights broadcast over the leading axes). Values
-that cost one cheap pass over arrays the graph keeps anyway are
+that cost a few cheap passes over arrays the graph keeps anyway are
 recomputed in the backward, not kept (Chen et al. 2016,
 arXiv:1604.06174, applied only to these): gelu's tanh, conv3d's padded
 input, the norms' x_hat = (x - mu) * inv, of which only mu and inv are
-kept, and relu's mask, taken from its own output (out > 0 exactly where
-x > 0), so the relu's input can die. A recorded output of ``matmul``
-also carries a rebuild hook, ``Tensor._rebuild``: a function that
-returns its value bit for bit from the operands and bias. The closures
-that read such an input's value, gelu's, attention's and the convs'
-kernel gradients, keep the hook instead of the array, so the MLP's first
-products and the encoder's q, k and v products die during the forward.
-(The decoder's upsampled features are never built at all: see
+kept, the norms' outputs, relu's mask, taken from its own output
+(out > 0 exactly where x > 0), so the relu's input can die, and the
+fused norm relu's mask, taken from the rebuilt output. A recorded output
+of ``matmul``, ``layer_norm`` or ``instance_norm`` carries a rebuild
+hook, ``Tensor._rebuild``: a function that returns its value bit for bit
+with the forward's own expressions, a product from the operands and
+bias, a norm's output from x, mu, inv, gain and shift (as In-Place ABN
+does for a norm's output, Rota Bulo et al. 2018, arXiv:1712.02616). The
+closures that read such an input's value, matmul's, gelu's,
+attention's and the convs' kernel gradients, keep the hook instead of
+the array, and a product's hook reads its operands the same way; so the
+MLP's first products, the encoder's q, k and v products and every norm
+output that only such readers take die during the forward. A closure
+that rebuilds several values from one hook (attention's q, k and v, from
+one norm's output) evaluates it once (``_value``'s ``memo``). (The
+decoder's upsampled features are never built at all: see
 ``conv.upsample_conv3d``.) The hook lives on the Tensor, never on the
 Record, and ``Record.data`` never recomputes; but a caller holding a
-recorded matmul output keeps that output's inputs alive as long, through
-its hook.
+recorded output keeps what its hook reads alive as long.
 
 Two precision modes exist: float32 (training) and float64 (gradient
 checking). The mode is a process-global default, float32 unless a
@@ -207,8 +214,10 @@ class Record:
 
 class Tensor:
     """n-dimensional array value; ``_record`` is its graph node, if any, and
-    ``_rebuild``, set only beside a record, a function that returns ``data``
-    again, bit for bit, from arrays the graph keeps anyway."""
+    ``_rebuild``, set only beside the record of a matmul or norm output, a
+    function that returns ``data`` again, bit for bit, from arrays the
+    graph keeps anyway. It takes an optional ``memo`` dict (see
+    ``_value``)."""
 
     __slots__ = ("data", "_requires_grad", "_record", "_rebuild", "__weakref__")
 
@@ -318,9 +327,18 @@ def _keep(t):
     return t._rebuild or t.data
 
 
-def _value(kept):
-    """The value behind what ``_keep`` returned."""
-    return kept() if callable(kept) else kept
+def _value(kept, memo=None):
+    """The value behind what ``_keep`` returned. Rebuild hooks evaluated
+    with one ``memo`` dict, and the hooks they read in turn, run at most
+    once among them: attention's backward rebuilds q, k and v, three
+    products of one norm's output, from one evaluation of that norm's hook."""
+    if not callable(kept):
+        return kept
+    if memo is None:
+        return kept()
+    if kept not in memo:
+        memo[kept] = kept(memo)
+    return memo[kept]
 
 
 def _topo(root):
@@ -531,10 +549,12 @@ def sigmoid(x):
 def matmul(a, b, bias=None):
     """2-D matmul of Tensors, (M, K) @ (K, N), plus an optional ``bias`` of
     shape (N,) added to every row of the product in place; other ranks raise
-    ``ShapeMismatchError``. The closure keeps ``a``'s data only when ``b``
+    ``ShapeMismatchError``. The closure keeps ``a``'s value only when ``b``
     needs a gradient and ``b``'s only when ``a`` does: a frozen weight's
     product keeps nothing of its input. A recorded output's rebuild hook
-    recomputes the product from the operands and bias."""
+    recomputes the product from the operands and bias. Both read an
+    operand through ``_keep``: its own rebuild hook where it has one (a
+    norm's output, another product), else its data."""
     extra = () if bias is None else (bias,)
     _check_inputs("matmul", a, b, *extra)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -547,10 +567,9 @@ def matmul(a, b, bias=None):
         )
     if bias is not None:
         _check_vector("matmul", "bias", bias, b.data.shape[1])
-    a_val, b_val = a.data, b.data
     bias_val = None if bias is None else bias.data
 
-    def product():
+    def product(a_val, b_val):
         out = a_val @ b_val
         if bias_val is not None:
             out += bias_val
@@ -558,20 +577,21 @@ def matmul(a, b, bias=None):
 
     ra, rb = _rec(a), _rec(b)
     rbias = None if bias is None else _rec(bias)
-    a_data = a.data if rb is not None else None
-    b_data = b.data if ra is not None else None
+    a_kept = _keep(a) if rb is not None else None
+    b_kept = _keep(b) if ra is not None else None
 
     def bw(g):
         if ra is not None:
-            ra._accum(g @ b_data.T, owned=True)
+            ra._accum(g @ _value(b_kept).T, owned=True)
         if rb is not None:
-            rb._accum(a_data.T @ g, owned=True)
+            rb._accum(_value(a_kept).T @ g, owned=True)
         if rbias is not None:
             _accum_unbroadcast(rbias, g, g)
 
-    out = _make("matmul", product(), (a, b) + extra, bw)
+    out = _make("matmul", product(a.data, b.data), (a, b) + extra, bw)
     if out._record is not None:  # the hook lives only beside a record
-        out._rebuild = product
+        operands = _keep(a), _keep(b)
+        out._rebuild = lambda memo=None: product(*(_value(op, memo) for op in operands))
     return out
 
 
@@ -730,7 +750,8 @@ def attention(q, k, v, scale, heads=1):
         """(dq, dk, dv), token-major."""
         if n == 1:  # each weight is exactly 1, so no score gets a gradient
             return np.zeros((m, cq), dtype), np.zeros((1, ck), dtype), g.sum(0, keepdims=True)
-        qd, kd, vd = (_value(x) for x in kept)
+        memo = {}
+        qd, kd, vd = (_value(x, memo) for x in kept)
         gh = _heads(g, heads)
         q1 = _augment(_heads(qd, heads), -lse, scale=s)
         k1t = _augment(_heads(kd, heads).swapaxes(-1, -2), 1, axis=-2)
@@ -800,37 +821,51 @@ def _normalize(x, axes, eps, op, gain, shift, relu=False):
     C) view, not a numpy reduction over an axis tuple: the forward's mean
     and variance and the backward's means of g and g * x_hat
     (``_group_mean``), and the gain and shift gradients (sums, through
-    ``_unbroadcast``). Beyond the data of x and gain it reads, the closure
-    keeps only mu and inv: the backward rebuilds x_hat from x with the
-    forward's expression, and takes relu's mask from the output, which is
+    ``_unbroadcast``). The output is not kept: its rebuild hook recomputes
+    it from x, mu, inv, gain and shift with the forward's own in-place
+    expressions, so its readers keep the hook, and the value dies during
+    the forward unless a view of it (a permute) lives on. Beyond the data
+    of x and gain it reads, the closure keeps only mu and inv: the
+    backward rebuilds x_hat from x with the forward's expression, and,
+    with ``relu``, takes the mask from the hook's output, which is
     positive exactly where its pre-relu value was. dx = inv * (g - mean(g)
     - x_hat * mean(g * x_hat)), g taken after the gain, runs in place on
     the backward's temporaries."""
     _check_inputs(op, x, gain, shift)
     _check_vector(op, "gain", gain, x.data.shape[-1])
     _check_vector(op, "shift", shift, x.data.shape[-1])
-    xd = x.data
+    xd, gain_val, shift_val = x.data, gain.data, shift.data
     mu = _group_mean(xd, axes)
     data = xd - mu
     var = _group_mean(data * data, axes)
     if not np.isfinite(var).all():  # finite x whose squares overflow: inv would be 0
         raise NonFiniteError(f"{op}: non-finite variance")
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
+
+    def finish(h):
+        """x_hat * gain + shift, then the relu, in place on x_hat."""
+        h *= gain_val
+        h += shift_val
+        if relu:
+            h *= h > 0  # relu's own expression, so a non-finite value stays
+        return h
+
+    def rebuild(memo=None):
+        h = xd - mu
+        h *= inv
+        return finish(h)
+
     data *= inv  # x_hat
-    data *= gain.data
-    data += shift.data
-    out = None
-    if relu:
-        data *= data > 0  # relu's own expression, so a non-finite value stays
-        out = data
+    finish(data)
     rx, rgain, rshift = _rec(x), _rec(gain), _rec(shift)
-    xd = xd if rx is not None or rgain is not None else None
-    gd = gain.data if rx is not None else None
+    x_kept = xd if rx is not None or rgain is not None else None
+    gd = gain_val if rx is not None else None
+    masked = rebuild if relu else None  # relu's mask, from the rebuilt output
 
     def bw(g):
-        if relu:
-            g = g * (out > 0)
-        xhat = (xd - mu) * inv if xd is not None else None
+        if masked is not None:
+            g = g * (masked() > 0)
+        xhat = (x_kept - mu) * inv if x_kept is not None else None
         if rshift is not None:
             _accum_unbroadcast(rshift, g, g)
         if rgain is not None:
@@ -845,7 +880,10 @@ def _normalize(x, axes, eps, op, gain, shift, relu=False):
             gx *= inv
             rx._accum(gx, owned=True)
 
-    return _make(op, data, (x, gain, shift), bw)
+    out = _make(op, data, (x, gain, shift), bw)
+    if out._record is not None:  # the hook lives only beside a record
+        out._rebuild = rebuild
+    return out
 
 
 def layer_norm(x, gain, shift, eps=1e-6):

@@ -25,6 +25,7 @@ returns the (M, C) context in the same layout, and the biased output
 product. No node splits or merges heads. For the backward the fused op
 keeps only its output, the row log-sum-exp (heads, M, 1) and the rebuild
 hooks of q, k and v, which recompute the products from the norm's output,
+itself rebuilt once for all three from the norm's input and statistics,
 never the (heads, M, M) scores or probabilities.
 
 A non-finite value is named by layer and sub-step through ``ad.scope``

@@ -127,23 +127,29 @@ def test_norm_closure_keeps_only_mean_and_inverse_std(rng, norm, shape, trainabl
     """x_hat is rebuilt from x in the backward: besides the data of x and
     gain it reads, the closure holds only mu and inv, one value per
     normalized group, and no other array of x's shape; so with a frozen
-    gain and shift (the encoder's) as with trainable ones."""
+    gain and shift (the encoder's) as with trainable ones. The output's
+    rebuild hook holds the same mu and inv, and x, gain and shift: no
+    array of its own, and not the output."""
     x = ad.tensor(rng.standard_normal(shape), requires_grad=True)
     kw = {"gain": ad.tensor(np.ones(shape[-1]), requires_grad=trainable),
           "shift": ad.tensor(np.zeros(shape[-1]), requires_grad=trainable)}
-    held = list(_held_arrays(norm(x, **kw)._record._backward))
+    out = norm(x, **kw)
+    held = list(_held_arrays(out._record._backward))
     inputs = [x.data, kw["gain"].data]
     own = [a for a in held if not any(a is i for i in inputs)]
     assert len(own) == 2 and len(held) == len(own) + len(inputs)
     assert all(a.size < x.size and a.ndim == x.data.ndim for a in own)
+    hook = list(_held_arrays(out._rebuild))
+    assert len(hook) == 5 and not any(a is out.data for a in hook)
+    assert {id(a) for a in hook} == {id(a) for a in own + inputs + [kw["shift"].data]}
 
 
 @pytest.mark.parametrize("trainable", [False, True])
 def test_instance_norm_relu_is_bit_identical_to_relu_of_norm(rng, trainable):
     """One node whose f32 output and every input gradient equal those of
     relu(instance_norm(...)) bit for bit, with a frozen or a trainable gain
-    and shift; its closure keeps no x-shaped array but its own output and
-    x's data."""
+    and shift; its closure keeps no x-shaped array but x's data: the
+    relu's mask comes from the output that the rebuild hook recomputes."""
     arrays = [rng.standard_normal((3, 4, 2, 5)).astype(np.float32),
               rng.standard_normal(5).astype(np.float32),
               rng.standard_normal(5).astype(np.float32)]
@@ -157,8 +163,7 @@ def test_instance_norm_relu_is_bit_identical_to_relu_of_norm(rng, trainable):
             out = ad.instance_norm(ts[0], relu=True, **kw)
             assert list(out._parents) == [t._record for t in ts if t.requires_grad]
             held = list(_held_arrays(out._record._backward))
-            assert all(a.shape != ts[0].shape or a is out.data or a is ts[0].data
-                       for a in held)
+            assert all(a.shape != ts[0].shape or a is ts[0].data for a in held)
         else:
             out = ad.relu(ad.instance_norm(ts[0], **kw))
         ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(g, dtype=np.float32))))

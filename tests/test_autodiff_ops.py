@@ -351,21 +351,59 @@ def _rebuilt_cases(rng):
         yield f"matmul {name}", ad.matmul(leaf(512, 64), leaf(64, 256))
         yield f"matmul bias {name}", ad.matmul(leaf(512, 64, grad=False), leaf(64, 256),
                                                bias=leaf(256, grad=False))
+        # random gains and shifts, so that a hook which drops one differs
+        affine = {"gain": leaf(16, grad=False), "shift": leaf(16, grad=False)}
+        yield f"layer_norm {name}", ad.layer_norm(leaf(512, 16), **affine)
+        for relu in (False, True):
+            yield (f"instance_norm relu={relu} {name}",
+                   ad.instance_norm(leaf(6, 5, 4, 16), relu=relu, **affine))
+        norm = ad.layer_norm(leaf(512, 64), gain=leaf(64), shift=leaf(64))
+        yield f"matmul of a norm {name}", ad.matmul(norm, leaf(64, 32, grad=False))
 
 
 def test_rebuild_hooks_return_the_forward_value(rng):
     for name, out in _rebuilt_cases(rng):
+        if "relu=True" in name:
+            assert 0 < (out.data > 0).mean() < 1, name
         again = out._rebuild()
-        assert again is not out.data and np.array_equal(again, out.data), name
+        assert again.dtype == out.dtype and again is not out.data, name
+        assert again.tobytes() == out.data.tobytes(), name  # a relu's -0.0 too
 
 
 def test_rebuild_hook_only_beside_a_record(rng):
     x = ad.tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w = ad.tensor(rng.standard_normal((4, 2)))
+    affine = {"gain": ad.tensor(np.ones(4)), "shift": ad.tensor(np.zeros(4))}
+    frozen = ad.tensor(x.data)
     with ad.no_grad():
         assert ad.matmul(x, w)._rebuild is None
+        assert ad.layer_norm(x, **affine)._rebuild is None
+        assert ad.instance_norm(x, relu=True, **affine)._rebuild is None
     assert ad.matmul(x, w)._rebuild is not None
     assert ad.relu(ad.matmul(x, w))._rebuild is None
+    assert ad.layer_norm(x, **affine)._rebuild is not None
+    assert ad.instance_norm(x, relu=True, **affine)._rebuild is not None
+    assert ad.layer_norm(frozen, **affine)._rebuild is None
+    assert ad.instance_norm(frozen, **affine)._rebuild is None
+
+
+def test_attention_rebuilds_a_shared_norm_output_once(rng):
+    """q, k and v are products of one norm's output; attention's backward
+    rebuilds all three and evaluates that norm's hook once."""
+    x = ad.tensor(rng.standard_normal((8, 6)), requires_grad=True)
+    z = ad.layer_norm(x, gain=ad.tensor(rng.standard_normal(6)),
+                      shift=ad.tensor(rng.standard_normal(6)))
+    calls, hook = [], z._rebuild
+
+    def counted(memo=None):
+        calls.append(memo is not None)
+        return hook(memo)
+
+    z._rebuild = counted
+    q, k, v = (ad.matmul(z, ad.tensor(rng.standard_normal((6, 6)))) for _ in range(3))
+    ad.backward(ad.reduce_sum(ad.attention(q, k, v, 0.5, heads=2)))
+    assert calls == [True]
+    assert x.grad is not None
 
 
 def test_conv3d_list_inputs_are_checked():
