@@ -47,7 +47,7 @@ holds for every pass of the tiny model's 8 -> 8 convs at 8^3 and for the
 input gradient of its 24 -> 8 and 32 -> 8 convs, and for no pass of the
 desk model. From ``PYTHONPATH=src python tests/conv_paths.py``: 3x3x3
 convs at padding 1 and the 1x1x1 projections at padding 0, f32, 2 BLAS
-threads, median ms, the rule's form starred:
+threads, median ms, the rule's form starred (1x1x1 rows: a later run):
 
                          forward             input gradient      kernel gradient
     grid Cin->Cout k   patch  gemm numpy    patch  gemm numpy    patch  taps
@@ -55,12 +55,12 @@ threads, median ms, the rule's form starred:
     16^3  80->16  3    18.75   4.48*  7.47     3.39   3.70* 12.14    17.34   6.06*
     16^3  64->16  3    10.60   4.55*  5.15     3.55   3.43*  7.86    13.19   5.65*
     32^3  16->16  3    26.20   9.94* 19.02    27.71   9.29* 18.56    28.70  18.90*
-    32^3  16->1   1     0.14   0.14*  0.14     1.83   0.18*  0.98     0.15   0.14*
+    32^3  16->1   1     0.08   0.42   0.09*    0.80   0.16*  1.11     0.06   0.10*
      8^3   8->8   3     0.15*  0.50   0.31     0.13*  0.46   0.36     0.11*  0.20
      8^3  24->8   3     0.35   0.54   0.37*    0.16*  0.33   0.39     0.41   0.26*
      8^3  32->8   3     0.42   0.54   0.43*    0.16*  0.28   0.47     0.50   0.20*
     16^3   8->8   3     0.90   1.74   0.78*    0.96   1.65   1.10*    0.96   0.63*
-    16^3   8->1   1     0.03   0.03*  0.03     0.08   0.04*  0.07     0.01   0.01*
+    16^3   8->1   1     0.03   0.06   0.02*    0.06   0.05   0.07*    0.01   0.01*
 
 The first five rows are the desk model's conv3d shapes, the last five
 the tiny model's; 16^3 80->16 and 32^3 16->16 (8^3 24->8 and 16^3 8->8)
@@ -69,21 +69,17 @@ building the upsample: the fuse conv over the whole upsampled
 concatenation and the smooth conv at the full grid. The patch matrix
 also wins a few passes past the cap (the desk 64->16 and 80->16 input
 gradients and 16->16 kernel gradient, the tiny model's 16^3 input
-gradient), but at 3.5 to 7.1 MB a matrix. A single tap at padding 0
-(the 1x1x1 projections) reads every row once, so each pass is one
-product, with no accumulator to zero and no grid to crop (starred in
-the gemm column). Where that product's inner extent is 1 (the
-projections' input gradients, Cout = 1), numpy's matmul runs without
-BLAS, so it is one gemm instead (``_product``); the numpy column hides
-gemm, so there it is a broadcast multiply.
+gradient), but at 3.5 to 7.1 MB a matrix. The 1x1x1 projections take
+the tap path; where numpy's gemm symbol is missing (or, as in the tiny
+model, the rule says so), their K = 1 input-gradient products run in numpy.
 
 Like every op's closure (see ``tensor``), conv3d's keeps only what its
 backward reads: the inputs when the kernel needs a gradient, the kernel
 when an input does, never the output or the padded copy. The backward
 re-pads x (zeros plus one slice assignment, without ``np.pad``'s
 per-call Python cost) wherever the kernel gradient reads it, at every
-stride. An input that is a recorded matmul output is kept as its rebuild
-hook, not its data, and rebuilt there too.
+stride. An input that is a recorded matmul or norm output is kept as its
+rebuild hook, not its data, and rebuilt there too.
 
 x may be a list of inputs, read as their concatenation along channels:
 each is written into its channel slice of that one padded buffer, so
@@ -163,6 +159,7 @@ import ctypes
 import functools
 import glob
 import itertools
+import math
 import os
 
 import numpy as np
@@ -206,16 +203,22 @@ def _padded_shape(shape, padding):
     return tuple(n + 2 * p for n, p in zip(shape[:3], padding)) + tuple(shape[3:])
 
 
-def _pad_spatial(x, padding):
-    """Zero-pad the three spatial axes of (H, W, D, C) ``x`` (``x`` itself
-    when there is no padding): zeros with x assigned into the middle,
-    bit-identical to ``np.pad`` without its per-call Python cost."""
+def _pad_inputs(xs, padding):
+    """The zero-padded channel concatenation of the arrays ``xs``, (Hp, Wp,
+    Dp, sum of Ci), as ``np.pad`` gives it without its per-call cost: zeros
+    with each written into its channel slice. A lone unpadded array is
+    returned as is."""
+    if len(xs) == 1 and not any(padding):
+        return xs[0]
     ph, pw, pd = padding
-    if ph == pw == pd == 0:
-        return x
-    xp = np.zeros(_padded_shape(x.shape, padding), dtype=x.dtype)
-    h, w, d = x.shape[:3]
-    xp[ph : ph + h, pw : pw + w, pd : pd + d] = x
+    h, w, d = xs[0].shape[:3]
+    cin = sum(x.shape[3] for x in xs)
+    xp = np.zeros(_padded_shape((h, w, d, cin), padding), dtype=xs[0].dtype)
+    lo = 0
+    for x in xs:
+        hi = lo + x.shape[3]
+        xp[ph : ph + h, pw : pw + w, pd : pd + d, lo:hi] = x
+        lo = hi
     return xp
 
 
@@ -263,41 +266,21 @@ def _blas_accumulates(rows, cout):
     return (cout >= 16 and rows >= 4096) or (cout >= 8 and rows >= 12288)
 
 
-def _product(a, b):
-    """a @ b of 2-D operands. numpy runs a product whose inner extent K is
-    1 without BLAS (1.9 ms for the desk projection's 32^3 x 16 input
-    gradient); there it is one gemm from numpy's OpenBLAS (0.14 ms), or,
-    where that symbol is missing, the broadcast multiply a * b (0.9 ms).
-    All three are equal bit for bit: each entry is one term."""
-    rows, k = a.shape
-    if k != 1:
-        return a @ b
-    gemm = _GEMM.get(a.dtype) if a.dtype == b.dtype else None
-    if gemm is None:
-        return a * b
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    cols = b.shape[1]
-    out = np.empty((rows, cols), dtype=a.dtype)
-    gemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, rows, cols, 1, 1.0, a.ctypes.data, 1,
-         b.ctypes.data, cols, 0.0, out.ctypes.data, cols)
-    return out
-
-
 def _accumulate_taps(acc, flat, offs, taps):
     """acc += flat[off : off + len(acc)] @ tap for every (off, tap), in place.
 
     acc: (rows, Co); flat: (R, Ci); taps: (T, Ci, Co). Where
     ``_blas_accumulates`` says so and numpy's OpenBLAS exports gemm, each
     tap is one gemm with beta = 1 that reads its rows of flat and adds its
-    product straight into acc; otherwise each product is a numpy
-    temporary added into acc.
+    product straight into acc (the module's only gemm call); otherwise
+    each product is a numpy temporary added into acc.
     """
     rows, co = acc.shape
     ci = flat.shape[1]
     gemm = _GEMM.get(acc.dtype) if _blas_accumulates(rows, co) else None
     if gemm is None:
         for off, tap in zip(offs, taps):
-            acc += _product(flat[off : off + rows], tap)
+            acc += flat[off : off + rows] @ tap
         return
     flat, taps = np.ascontiguousarray(flat), np.ascontiguousarray(taps)
     if not (acc.flags.c_contiguous and flat.dtype == taps.dtype == acc.dtype
@@ -332,78 +315,30 @@ def _patches_pay(rows, taps, channels):
 
 def _correlate_taps(xp, w, out_dims):
     """Stride-1 correlation of padded xp (Hp, Wp, Dp, Ci) with w
-    (kh, kw, kd, Ci, Co) as one GEMM per tap over shifted row slices."""
+    (kh, kw, kd, Ci, Co) as one GEMM per tap over shifted row slices,
+    cropped from the (Ho, Wp, Dp) grid (a 1x1x1 kernel's is the output)."""
     _, wp, dp, ci = xp.shape
     ho, wo, do = out_dims
     offs, span = _tap_rows(xp.shape[:3], w.shape[:3])
-    flat = xp.reshape(-1, ci)
-    if len(offs) == 1 and xp.shape[:3] == tuple(out_dims):
-        # one tap at padding 0 reads every row once: one product, no
-        # accumulator to zero and no discarded rows to crop
-        return _product(flat, w.reshape(ci, -1)).reshape(tuple(out_dims) + (-1,))
     acc = np.zeros((ho * wp * dp, w.shape[4]), dtype=xp.dtype)
-    _accumulate_taps(acc[:span], flat, offs, w.reshape(len(offs), ci, -1))
+    _accumulate_taps(acc[:span], xp.reshape(-1, ci), offs, w.reshape(len(offs), ci, -1))
     return np.ascontiguousarray(acc.reshape(ho, wp, dp, -1)[:, :wo, :do])
 
 
 def _kernel_grad_taps(xp, g, kdims):
     """dL/dw of a stride-1 conv3d: one GEMM per tap, the tap's rows of xp
-    against g embedded in the (Ho, Wp, Dp) row grid, zeros at discarded rows."""
+    against g copied into the (Ho, Wp, Dp) row grid, zeros at discarded rows."""
     _, wp, dp, cin = xp.shape
     ho, wo, do, cout = g.shape
     offs, span = _tap_rows(xp.shape[:3], kdims)
     flat = xp.reshape(-1, cin)
-    if (wp, dp) == (wo, do):  # no discarded rows: g is the grid
-        gs = g.reshape(-1, cout)[:span]
-    else:
-        grid = np.zeros((ho, wp, dp, cout), dtype=g.dtype)
-        grid[:, :wo, :do] = g
-        gs = grid.reshape(-1, cout)[:span]
+    grid = np.zeros((ho, wp, dp, cout), dtype=g.dtype)
+    grid[:, :wo, :do] = g
+    gs = grid.reshape(-1, cout)[:span]
     gw = np.empty((len(offs), cin, cout), dtype=g.dtype)
     for t, off in enumerate(offs):
         np.matmul(flat[off : off + span].T, gs, out=gw[t])
     return gw.reshape(kdims + (cin, cout))
-
-
-def _input_grad_stride1(g, w, padding, x_shape):
-    """dL/dx of a stride-1 conv3d as one correlation (transposed convolution).
-
-    g: (Ho, Wo, Do, Cout) output gradient; w: (kh, kw, kd, Cin, Cout).
-    Padding g by k-1-p per side (cropping by p-(k-1) where that is
-    negative) leaves exactly the unpadded-input entries of the full
-    correlation, so no padded buffer is built and sliced afterwards.
-    """
-    kdims = w.shape[:3]
-    edge = [k - 1 - p for k, p in zip(kdims, padding)]
-    g = g[tuple(slice(max(-e, 0), n - max(-e, 0)) for e, n in zip(edge, g.shape[:3]))]
-    gp = _pad_spatial(g, tuple(max(e, 0) for e in edge))
-    wt = w[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)  # (kh, kw, kd, Cout, Cin)
-    cin, cout = w.shape[3], w.shape[4]
-    dims = x_shape[:3]
-    if _patches_pay(dims[0] * dims[1] * dims[2], kdims[0] * kdims[1] * kdims[2], cout):
-        cols = _im2col(gp, kdims, (1, 1, 1), dims)
-        return (cols @ wt.reshape(-1, cin)).reshape(x_shape)
-    return _correlate_taps(gp, wt, dims)
-
-
-def _pad_inputs(xs, padding):
-    """The zero-padded channel concatenation of the arrays ``xs``, (Hp, Wp,
-    Dp, sum of Ci): each is written into its channel slice of one buffer.
-    A lone array is padded as is (itself when there is no padding)."""
-    if len(xs) == 1:
-        return _pad_spatial(xs[0], padding)
-    ph, pw, pd = padding
-    h, w, d = xs[0].shape[:3]
-    cin = sum(x.shape[3] for x in xs)
-    xp = np.zeros(_padded_shape((h, w, d, cin), padding), dtype=xs[0].dtype)
-    lo = 0
-    for x in xs:
-        hi = lo + x.shape[3]
-        xp[ph : ph + h, pw : pw + w, pd : pd + d, lo:hi] = x
-        lo = hi
-    return xp
-
-
 
 
 def _conv_inputs(op, x, w, bias):
@@ -448,6 +383,24 @@ def _kernel_grad(xp, g, kdims, stride, patches):
     return gw.reshape(tuple(kdims) + (cin, cout))
 
 
+def _input_grad_stride1(g, w, padding, x_shape):
+    """dL/dx of a stride-1 conv3d as one ``_correlate`` (transposed
+    convolution), on patches where its (H*W*D, taps * Cout) matrix pays.
+
+    g: (Ho, Wo, Do, Cout) output gradient; w: (kh, kw, kd, Cin, Cout).
+    Padding g by k-1-p per side (cropping by p-(k-1) where that is
+    negative) leaves exactly the unpadded-input entries of the full
+    correlation, so no padded buffer is built and sliced afterwards.
+    """
+    kdims = w.shape[:3]
+    edge = [k - 1 - p for k, p in zip(kdims, padding)]
+    g = g[tuple(slice(max(-e, 0), n - max(-e, 0)) for e, n in zip(edge, g.shape[:3]))]
+    gp = _pad_inputs([g], tuple(max(e, 0) for e in edge))
+    wt = w[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)  # (kh, kw, kd, Cout, Cin)
+    patches = _patches_pay(math.prod(x_shape[:3]), math.prod(kdims), w.shape[4])
+    return _correlate(gp, wt, (1, 1, 1), x_shape[:3], patches)
+
+
 def _split_input_grad(recs, widths, gx, owned):
     """Hand gx, the input gradient over the inputs' channel concatenation,
     to the records that need it, each its channel slice (copied)."""
@@ -490,8 +443,7 @@ def conv3d(x, w, stride=1, padding=0, bias=None):
 
     # strided convs, and stride-1 ones where the rule says so, read the
     # patch matrix, in the forward and again in the kernel gradient
-    patches = not unit or _patches_pay(
-        out_dims[0] * out_dims[1] * out_dims[2], kdims[0] * kdims[1] * kdims[2], x_shape[3])
+    patches = not unit or _patches_pay(math.prod(out_dims), math.prod(kdims), x_shape[3])
     data = _correlate(_pad_inputs([t.data for t in xs], padding), w.data, stride, out_dims,
                       patches)
     if bias is not None:
@@ -768,7 +720,7 @@ def upsample_conv3d(x, w, factors, bias=None, relu=False):
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=3)
 
     plain_c = sum(widths[i] for i in plain)
-    patches = _patches_pay(out_dims[0] * out_dims[1] * out_dims[2], 27, plain_c)
+    patches = _patches_pay(math.prod(out_dims), 27, plain_c)
     if plain:
         data = _correlate(_pad_inputs([xs[i].data for i in plain], ones), kernel_of(w.data, plain),
                           ones, out_dims, patches)

@@ -30,13 +30,13 @@ arXiv:1604.06174, applied only to these): gelu's tanh, conv3d's padded
 input, the norms' x_hat = (x - mu) * inv, of which only mu and inv are
 kept, the norms' outputs, relu's mask, taken from its own output
 (out > 0 exactly where x > 0), so the relu's input can die, and the
-fused norm relu's mask, taken from the rebuilt output. A recorded output
-of ``matmul``, ``layer_norm`` or ``instance_norm`` carries a rebuild
-hook, ``Tensor._rebuild``: a function that returns its value bit for bit
-with the forward's own expressions, a product from the operands and
-bias, a norm's output from x, mu, inv, gain and shift (as In-Place ABN
-does for a norm's output, Rota Bulo et al. 2018, arXiv:1712.02616). The
-closures that read such an input's value, matmul's, gelu's,
+fused norm relu's mask, taken from x_hat * gain + shift. A recorded
+output of ``matmul``, ``layer_norm`` or ``instance_norm`` carries a
+rebuild hook, ``Tensor._rebuild``: a function that returns its value bit
+for bit with the forward's own expressions, a product from the operands
+and bias, a norm's output from x, mu, inv, gain and shift (as In-Place
+ABN does for a norm's output, Rota Bulo et al. 2018, arXiv:1712.02616).
+The closures that read such an input's value, matmul's, gelu's,
 attention's and the convs' kernel gradients, keep the hook instead of
 the array, and a product's hook reads its operands the same way; so the
 MLP's first products, the encoder's q, k and v products and every norm
@@ -825,10 +825,10 @@ def _normalize(x, axes, eps, op, gain, shift, relu=False):
     it from x, mu, inv, gain and shift with the forward's own in-place
     expressions, so its readers keep the hook, and the value dies during
     the forward unless a view of it (a permute) lives on. Beyond the data
-    of x and gain it reads, the closure keeps only mu and inv: the
-    backward rebuilds x_hat from x with the forward's expression, and,
-    with ``relu``, takes the mask from the hook's output, which is
-    positive exactly where its pre-relu value was. dx = inv * (g - mean(g)
+    of x and gain it reads (and shift, with ``relu``), the closure keeps
+    only mu and inv: the backward rebuilds x_hat from x with the forward's
+    expression, and, with ``relu``, the mask from x_hat * gain + shift in
+    the forward's order. dx = inv * (g - mean(g)
     - x_hat * mean(g * x_hat)), g taken after the gain, runs in place on
     the backward's temporaries."""
     _check_inputs(op, x, gain, shift)
@@ -858,14 +858,14 @@ def _normalize(x, axes, eps, op, gain, shift, relu=False):
     data *= inv  # x_hat
     finish(data)
     rx, rgain, rshift = _rec(x), _rec(gain), _rec(shift)
-    x_kept = xd if rx is not None or rgain is not None else None
-    gd = gain_val if rx is not None else None
-    masked = rebuild if relu else None  # relu's mask, from the rebuilt output
+    x_kept = xd if relu or rx is not None or rgain is not None else None
+    gd = gain_val if relu or rx is not None else None
+    sd = shift_val if relu else None  # with gd, relu's mask from x_hat
 
     def bw(g):
-        if masked is not None:
-            g = g * (masked() > 0)
         xhat = (x_kept - mu) * inv if x_kept is not None else None
+        if sd is not None:
+            g = g * (xhat * gd + sd > 0)  # the pre-relu output > 0
         if rshift is not None:
             _accum_unbroadcast(rshift, g, g)
         if rgain is not None:

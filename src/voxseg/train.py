@@ -161,6 +161,22 @@ def _adamw_config(cfg: Config):
     )
 
 
+def _loop_settings(cfg: Config):
+    """The loop settings listed below, in order (ints where no upper bound
+    is given), each in its range: else ``ConfigError`` names the key."""
+    values = []
+    for key, lo, hi in (("train.batch_size", 1, None), ("train.epochs", 0, None),
+                        ("train.max_steps", 0, None), ("train.eval_every", 1, None),
+                        ("train.target_dice", 0, 1), ("augment.flip_h", 0, 1),
+                        ("augment.flip_w", 0, 1), ("augment.flip_d", 0, 1)):
+        v = cfg.get_int(key) if hi is None else cfg.get_float(key)
+        if not (lo <= v and (hi is None or v <= hi)):  # a NaN too
+            need = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise ConfigError(f"{key}: need a value {need}, got {cfg.raw(key)!r}")
+        values.append(v)
+    return values
+
+
 def evaluate_cases(spec, store, data_dir, case_ids, tau=1.0):
     """Forward each case without grads; returns [(case_id, MetricReport)].
     NSD's ``tau`` is in millimetres of each volume's header spacing."""
@@ -223,8 +239,10 @@ def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResul
     (``config_mismatch``), when the parameter names, shapes or freeze
     flags differ from the model's (``bad_header``), and when the file
     holds no optimizer moments (``no_moments``): fresh moments would give
-    a different run.
+    a different run. A loop setting out of range raises ``ConfigError``
+    before anything is written to out_dir.
     """
+    batch, epochs, max_steps, eval_every, target_dice, *flip_probs = _loop_settings(cfg)
     os.makedirs(out_dir, exist_ok=True)
     spec = model_spec_from_config(cfg)
     seed = cfg.get_int("train.seed")
@@ -258,17 +276,7 @@ def train(cfg: Config, data_dir, out_dir, resume=None, quiet=True) -> TrainResul
                               "v": {n: v for n, (_, v) in moments.items()}})
 
     cache = {cid: load_case(data_dir, cid) for cid in train_ids}
-    batch = max(1, cfg.get_int("train.batch_size"))
     steps_per_epoch = max(1, math.ceil(len(train_ids) / batch))
-    epochs = cfg.get_int("train.epochs")
-    max_steps = cfg.get_int("train.max_steps")
-    target_dice = cfg.get_float("train.target_dice")
-    flip_probs = (
-        cfg.get_float("augment.flip_h"),
-        cfg.get_float("augment.flip_w"),
-        cfg.get_float("augment.flip_d"),
-    )
-    eval_every = max(1, cfg.get_int("train.eval_every"))
 
     result = TrainResult(spec=spec, store=store)
     last_path = os.path.join(out_dir, "last.ckpt")

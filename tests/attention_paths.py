@@ -16,14 +16,13 @@ the op's rule took. The ``ad.attention`` table is built from this output.
 
 import contextlib
 import importlib
-import statistics
 import sys
-import time
 
 import numpy as np
 import pytest
 
 from conftest import tiny_config
+from helpers import median_ms
 from voxseg import autodiff as ad
 from voxseg import model
 from voxseg.config import Config, model_spec_from_config
@@ -88,21 +87,10 @@ def passes(m, n, heads, d, dv, seed=0):
         yield forward, backward
 
 
-def _median_ms(fn, budget_s=0.4, least=5, most=200):
-    fn()
-    times = []
-    start = time.perf_counter()
-    while len(times) < most and (len(times) < least or time.perf_counter() - start < budget_s):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return 1e3 * statistics.median(times)
-
-
 def time_passes(shape, form):
     """Median ms of (forward, backward) of one shape on shift ``form``."""
     with forced(form), passes(*shape) as fns:
-        return tuple(_median_ms(fn) for fn in fns)
+        return tuple(median_ms(fn) for fn in fns)
 
 
 def model_calls(cfg):

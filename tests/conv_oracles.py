@@ -3,7 +3,13 @@
 
 import numpy as np
 
-from voxseg.autodiff.conv import _conv_out_dims, _interp_weights, _pad_spatial, _triple
+from voxseg.autodiff.conv import _conv_out_dims, _interp_weights, _triple
+
+
+def _pad(x, padding):
+    """x zero-padded by ``padding`` on each side of its three spatial axes."""
+    ph, pw, pd = padding
+    return np.pad(x, ((ph, ph), (pw, pw), (pd, pd), (0, 0)))
 
 
 def conv3d_reference(x, w, stride=1, padding=0):
@@ -16,7 +22,7 @@ def conv3d_reference(x, w, stride=1, padding=0):
     cin, cout = w.shape[3], w.shape[4]
     assert x.shape[3] == cin
     out_dims = _conv_out_dims(x.shape[:3], (kh, kw, kd), stride, padding)
-    xp = _pad_spatial(x, padding)
+    xp = _pad(x, padding)
     out = np.zeros(out_dims + (cout,), dtype=x.dtype)
     sh, sw, sd = stride
     for a in range(out_dims[0]):
@@ -50,7 +56,7 @@ def conv3d_kernel_grad_taps(x, g, kdims, stride, padding):
     """Oracle for conv3d's kernel gradient: one strided window GEMM per tap."""
     sh, sw, sd = stride
     ho, wo, do, cout = g.shape
-    xp = _pad_spatial(x, padding)
+    xp = _pad(x, padding)
     gw = np.zeros(tuple(kdims) + (x.shape[3], cout), dtype=g.dtype)
     for i in range(kdims[0]):
         for j in range(kdims[1]):
@@ -102,7 +108,7 @@ def trilinear_upsample_adjoint(g, in_dims, factors):
 def conv3d_taps(x, w, padding):
     """Stride-1 conv3d forward as one product per kernel tap over the
     shifted window of the padded input."""
-    xp = _pad_spatial(x, _triple(padding, "padding"))
+    xp = _pad(x, _triple(padding, "padding"))
     kh, kw, kd = w.shape[:3]
     ho, wo, do = (n - k + 1 for n, k in zip(xp.shape[:3], (kh, kw, kd)))
     out = np.zeros((ho, wo, do, w.shape[4]), dtype=x.dtype)

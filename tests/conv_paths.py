@@ -9,27 +9,22 @@ kernel gradient in each form: one GEMM over the patch matrix (patch),
 shifted-row taps accumulated inside gemm (gemm) or through numpy adds
 (numpy); the kernel gradient's taps are one form (taps). A star marks
 the form that ``conv._patches_pay`` and ``conv._blas_accumulates`` give
-the pass; a one-tap pass at padding 0 is one product whatever the
-accumulation, starred in the gemm column (the numpy column hides gemm,
-so a product with inner extent 1 is a broadcast multiply there).
-Without arguments it then
-prints, for every ``UPSAMPLE_CONVS`` input, the same three passes of
-``upsample_conv3d`` beside those of the composition it replaces: the
-upsample built (the tests' oracle), conv3d over it (the form its shape
-picks), and in the input gradient the upsample's transpose; the kernel
-gradient builds the upsample again, as a rebuilt input did. The conv.py
-tables are built from this output.
+the pass. Without arguments it then prints, for every ``UPSAMPLE_CONVS``
+input, the same three passes of ``upsample_conv3d`` beside those of the
+composition it replaces: the upsample built (the tests' oracle), conv3d
+over it (the form its shape picks), and in the input gradient the
+upsample's transpose; the kernel gradient builds the upsample again, as
+a rebuilt input did. The conv.py tables are built from this output.
 """
 
 import contextlib
-import statistics
 import sys
-import time
 
 import numpy as np
 import pytest
 
 from conv_oracles import trilinear_upsample, trilinear_upsample_adjoint
+from helpers import median_ms
 from voxseg import autodiff as ad
 from voxseg.autodiff import conv
 
@@ -100,9 +95,8 @@ def passes(grid, cin, cout, k, seed=0):
 
 def forms_taken(grid, cin, cout, k):
     """The form the shape rule gives (forward, input gradient, kernel
-    gradient): "patch", "gemm" or "numpy" taps, the kernel gradient's
-    "taps", or one "product" (a single tap at padding 0), seen by spying on
-    the kernels each pass calls."""
+    gradient): "patch", "gemm" or "numpy" taps, or the kernel gradient's
+    "taps", seen by spying on the kernels each pass calls."""
     seen = []
     with pytest.MonkeyPatch.context() as mp, passes(grid, cin, cout, k) as fns:
         for name in ("_im2col", "_accumulate_taps", "_kernel_grad_taps"):
@@ -117,26 +111,14 @@ def forms_taken(grid, cin, cout, k):
             if "_accumulate_taps" in seen:
                 forms.append("gemm" if "gemm" in seen else "numpy")
             else:
-                forms.append("taps" if "_kernel_grad_taps" in seen
-                             else "patch" if "_im2col" in seen else "product")
+                forms.append("taps" if "_kernel_grad_taps" in seen else "patch")
     return tuple(forms)
-
-
-def _median_ms(fn, budget_s=0.4, least=5, most=200):
-    fn()
-    times = []
-    start = time.perf_counter()
-    while len(times) < most and (len(times) < least or time.perf_counter() - start < budget_s):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return 1e3 * statistics.median(times)
 
 
 def time_passes(grid, cin, cout, k, form):
     """Median ms of (forward, input gradient, kernel gradient) in ``form``."""
     with accumulation(form), passes(grid, cin, cout, k) as fns:
-        return tuple(_median_ms(fn) for fn in fns)
+        return tuple(median_ms(fn) for fn in fns)
 
 
 @contextlib.contextmanager
@@ -200,8 +182,7 @@ def main(argv):
             # the kernel gradient's taps are one code path: time it as "gemm"
             cells = [times["gemm" if f == "taps" else f][i] for f in forms]
             line += "  " + "".join(
-                f"{c:6.2f}{'*' if f == rule[i] or (f, rule[i]) == ('gemm', 'product') else ' '}"
-                for f, c in zip(forms, cells))
+                f"{c:6.2f}{'*' if f == rule[i] else ' '}" for f, c in zip(forms, cells))
         print(line.rstrip())
     if argv:
         return
@@ -210,7 +191,7 @@ def main(argv):
     print("grid Cin->Cout  f    compos.    op     compos.    op     compos.    op")
     for grid, cin, cout, factor in UPSAMPLE_CONVS:
         with upsample_passes(grid, cin, cout, factor) as (op, composition):
-            cells = [(_median_ms(c), _median_ms(o)) for c, o in zip(composition, op)]
+            cells = [(median_ms(c), median_ms(o)) for c, o in zip(composition, op)]
         print(f"{grid:>2}^3 {cin:>3}->{cout:<3} {factor:>2}  "
               + "".join(f"{c:9.2f}{o:7.2f}" for c, o in cells))
 

@@ -1,5 +1,9 @@
-"""Counts and views of a parameter store and of a dataset split, and the
-plain norm's operands, that only tests read."""
+"""Counts and views of a parameter store and of a dataset split, the
+plain norm's operands, and the timer of the path scripts, that only tests
+read."""
+
+import statistics
+import time
 
 import numpy as np
 
@@ -34,3 +38,16 @@ def unit_affine(x):
     c = x.shape[-1]
     return {"gain": ad.tensor(np.ones(c), dtype=x.dtype),
             "shift": ad.tensor(np.zeros(c), dtype=x.dtype)}
+
+
+def median_ms(fn, budget_s=0.4, least=5, most=200):
+    """Median wall time of ``fn()`` in ms, after one warm-up call: at least
+    ``least`` and at most ``most`` calls, until ``budget_s`` seconds pass."""
+    fn()
+    times = []
+    start = time.perf_counter()
+    while len(times) < most and (len(times) < least or time.perf_counter() - start < budget_s):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times)

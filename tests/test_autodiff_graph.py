@@ -149,7 +149,8 @@ def test_instance_norm_relu_is_bit_identical_to_relu_of_norm(rng, trainable):
     """One node whose f32 output and every input gradient equal those of
     relu(instance_norm(...)) bit for bit, with a frozen or a trainable gain
     and shift; its closure keeps no x-shaped array but x's data: the
-    relu's mask comes from the output that the rebuild hook recomputes."""
+    relu's mask comes from x_hat * gain + shift, rebuilt from x, mu and
+    inv in the forward's order."""
     arrays = [rng.standard_normal((3, 4, 2, 5)).astype(np.float32),
               rng.standard_normal(5).astype(np.float32),
               rng.standard_normal(5).astype(np.float32)]

@@ -224,13 +224,18 @@ def test_conv3d_channel_mismatch(rng):
         ad.conv3d(ad.tensor(np.zeros((4, 4, 4, 2))), ad.tensor(np.zeros((3, 3, 3, 3, 1))))
 
 
-@pytest.mark.parametrize("shape,padding", [((4, 3, 5, 2), (1, 2, 0)), ((3, 3, 3, 1), 3)])
+@pytest.mark.parametrize("shape,padding", [((4, 3, 5, 2), (1, 2, 0)), ((3, 3, 3, 1), 3),
+                                           ((2, 3, 4, 2, 3), (0, 1, 2))])
 def test_pad_spatial_equals_np_pad(rng, shape, padding):
-    x = rng.standard_normal(shape).astype(np.float32)[::-1]  # a strided view too
+    """``_pad_inputs`` of inputs whose spatial dims are shape[:3] and whose
+    channel widths are the rest of ``shape`` equals ``np.pad`` of their
+    concatenation, for strided views too."""
+    xs = [rng.standard_normal(shape[:3] + (c,)).astype(np.float32)[::-1] for c in shape[3:]]
     ph, pw, pd = conv._triple(padding, "padding")
-    ref = np.pad(x, ((ph, ph), (pw, pw), (pd, pd), (0, 0)))
-    got = conv._pad_spatial(x, (ph, pw, pd))
+    ref = np.pad(np.concatenate(xs, axis=3), ((ph, ph), (pw, pw), (pd, pd), (0, 0)))
+    got = conv._pad_inputs(xs, (ph, pw, pd))
     assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert conv._pad_inputs(xs[:1], (0, 0, 0)) is xs[0]  # a lone unpadded input: no copy
 
 
 def _biased(op, **kw):

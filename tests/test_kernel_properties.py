@@ -126,18 +126,18 @@ def test_accumulate_taps_gemm_equals_numpy(rows, ci, co, taps, seed, dtype):
 
 # the form the shape rule gives each MODEL_CONVS shape: (forward, input
 # gradient, kernel gradient); only the tiny model's 8^3 passes read
-# patches, and the one-tap projections are one product
+# patches, and the 1x1x1 projections take the taps like every other pass
 RULE_FORMS = {
     (16, 16, 16, 3): ("gemm", "gemm", "taps"),
     (16, 80, 16, 3): ("gemm", "gemm", "taps"),
     (16, 64, 16, 3): ("gemm", "gemm", "taps"),
     (32, 16, 16, 3): ("gemm", "gemm", "taps"),
-    (32, 16, 1, 1): ("product", "product", "taps"),
+    (32, 16, 1, 1): ("numpy", "gemm", "taps"),
     (8, 8, 8, 3): ("patch", "patch", "patch"),
     (8, 24, 8, 3): ("numpy", "patch", "taps"),
     (8, 32, 8, 3): ("numpy", "patch", "taps"),
     (16, 8, 8, 3): ("numpy", "numpy", "taps"),
-    (16, 8, 1, 1): ("product", "product", "taps"),
+    (16, 8, 1, 1): ("numpy", "numpy", "taps"),
 }
 ON_TAPS = [s for s in MODEL_CONVS if RULE_FORMS[s][0] != "patch"]
 ON_PATCHES = [s for s in MODEL_CONVS if "patch" in RULE_FORMS[s]]
@@ -178,27 +178,23 @@ def test_model_conv_on_patches_matches_oracles(rng, grid, cin, cout, k):
 @pytest.mark.parametrize("dims,cin,cout", [((16, 16, 16), 8, 1), ((32, 32, 32), 16, 1),
                                             ((3, 4, 5), 1, 6), ((3, 4, 5), 2, 3)])
 def test_one_tap_conv_is_one_product(rng, monkeypatch, dims, cin, cout):
-    """A 1x1x1 conv at padding 0 runs each pass as one product of the
-    flattened operands, bit for bit: no tap accumulation, no grid. Where
-    the inner extent is 1 (the models' projection input gradients, or one
-    input channel) the product is one gemm, or without that symbol a
-    broadcast multiply, both equal to matmul bit for bit."""
+    """A 1x1x1 conv at padding 0 runs each pass on the tap path, one tap
+    over every row, and gives the product of the flattened operands bit
+    for bit, through gemm and again with that symbol hidden (the numpy
+    adds): the models' projections (inner extent 1 in the input gradient)
+    and one input channel (inner extent 1 in the forward) included."""
     x = rng.standard_normal(dims + (cin,)).astype(np.float32)
     w = (rng.standard_normal((1, 1, 1, cin, cout)) * 0.1).astype(np.float32)
     g = rng.standard_normal(dims + (cout,)).astype(np.float32)
-    monkeypatch.setattr(conv, "_accumulate_taps", None)  # any call fails
-    xt, wt = (ad.tensor(a, requires_grad=True, dtype=np.float32) for a in (x, w))
-    out = ad.conv3d(xt, wt, stride=1, padding=0)
-    out._record._backward(g)
     x2, w2, g2 = x.reshape(-1, cin), w.reshape(cin, cout), g.reshape(-1, cout)
-    assert np.array_equal(out.numpy(), (x2 @ w2).reshape(out.shape))
-    assert np.array_equal(xt.grad, (g2 @ w2.T).reshape(x.shape))
-    assert np.array_equal(wt.grad, (x2.T @ g2).reshape(w.shape))
-    for a, b in ((g2, w2.T[:1]), (x2, w2[:1])):
-        assert np.array_equal(conv._product(a[:, :1], b), a[:, :1] @ b)
-        monkeypatch.setattr(conv, "_GEMM", {})
-        assert np.array_equal(conv._product(a[:, :1], b), a[:, :1] @ b)
-        monkeypatch.undo()
+    for gemm in (conv._GEMM, {}):
+        monkeypatch.setattr(conv, "_GEMM", gemm)
+        xt, wt = (ad.tensor(a, requires_grad=True, dtype=np.float32) for a in (x, w))
+        out = ad.conv3d(xt, wt, stride=1, padding=0)
+        out._record._backward(g)
+        assert np.array_equal(out.numpy(), (x2 @ w2).reshape(out.shape))
+        assert np.array_equal(xt.grad, (g2 @ w2.T).reshape(x.shape))
+        assert np.array_equal(wt.grad, (x2.T @ g2).reshape(w.shape))
 
 
 @needs_gemm

@@ -75,6 +75,20 @@ def _source_env():
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("key,value", [
+        ("train.max_steps", "-1"), ("train.batch_size", "0"), ("train.eval_every", "0"),
+        ("train.epochs", "-1"), ("train.target_dice", "-0.5"), ("train.target_dice", "nan"),
+        ("augment.flip_h", "7"), ("augment.flip_d", "-0.1")])
+    def test_refuses_a_loop_setting_out_of_range(self, tiny_dataset, tmp_path, key, value):
+        """A loop setting outside its range raises a ConfigError naming the
+        key before ``train`` writes anything: the output directory is not
+        even made."""
+        data_dir, _ = tiny_dataset
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+            train(tiny_config(**{key: value}), data_dir, str(out))
+        assert not out.exists()
+
     def test_runs_and_logs_history(self, tiny_dataset, tmp_path):
         data_dir, ids = tiny_dataset
         cfg = tiny_config(**{"train.epochs": 2})
